@@ -19,6 +19,7 @@ import (
 	"concord/internal/ksim"
 	"concord/internal/locks"
 	"concord/internal/policy"
+	"concord/internal/policy/jit"
 	"concord/internal/topology"
 	"concord/internal/workloads"
 )
@@ -481,7 +482,7 @@ func BenchmarkRWLockAlgorithms(b *testing.B) {
 // native code" ablation).
 func BenchmarkVMExecCompiled(b *testing.B) {
 	prog := experiments.NUMACmpProgram()
-	fn := policy.MustCompileNative(prog)
+	fn := jit.MustCompile(prog)
 	ctx := policy.NewCtx(policy.KindCmpNode).
 		Set("curr_socket", 3).Set("shuffler_socket", 3)
 	b.ResetTimer()

@@ -21,7 +21,7 @@
 // Regression mode (the perfstat harness):
 //
 //	lockbench -regress [-baseline BENCH_5.json] [-regress-out BENCH_10.json]
-//	          [-runs 5] [-ops N] [-pooling on|off] [-slack 5] [-jit=on|off]
+//	          [-runs 5] [-ops N] [-slack 5] [-jit=on|off]
 //	          [-occ on|off|auto] [-require-cells]
 //	          [-profile] [-profile-rate N] [-profile-out contention.pb.gz]
 //
@@ -47,8 +47,8 @@
 // 8/16/80 cores), writes the result as a perfstat baseline, and — when
 // -baseline is given — prints a benchstat-style pass/fail delta table,
 // exiting 4 if any cell regressed significantly (throughput or
-// allocs/op). -pooling off re-measures with queue-node pooling disabled,
-// which is how the pre-optimization BENCH_seed.json was produced.
+// allocs/op). BENCH_seed.json is the historical pre-pooling record (every
+// contended acquire allocated its queue node); that path no longer exists.
 //
 // Schedule-fuzz mode (the internal/schedfuzz harness):
 //
@@ -94,7 +94,6 @@ func main() {
 	regressOut := flag.String("regress-out", "BENCH_9.json", "where -regress writes the new baseline")
 	runs := flag.Int("runs", 5, "repeated measurements per -regress cell")
 	workers := flag.Int("workers", 8, "workers per real-lock -regress cell")
-	pooling := flag.String("pooling", "on", "queue-node pooling during -regress: on | off")
 	slack := flag.Float64("slack", 5, "percent throughput drop tolerated before a significant delta fails the gate")
 	jitOn := flag.Bool("jit", true, "execute policies through the JIT closure tier during -regress and figures; -jit=off is the interpreter ablation")
 	occFlag := flag.String("occ", "on", "optimistic-tier mode for the occ_read_heavy -regress cell: on | off | auto; -occ=off is the pessimistic ablation")
@@ -148,7 +147,7 @@ func main() {
 	}
 
 	if *regress {
-		cfg := regressConfigFromFlags(*runs, *workers, *ops, *pooling)
+		cfg := experiments.RegressConfig{Runs: *runs, Threads: *workers, Ops: *ops, Label: "pooled"}
 		if *profileOn {
 			cp := profile.NewContinuous(profile.ContinuousConfig{SampleRate: *profileRate})
 			cp.SetEnabled(true)
@@ -248,31 +247,12 @@ func main() {
 	}
 }
 
-func regressConfigFromFlags(runs, workers, ops int, pooling string) experiments.RegressConfig {
-	switch pooling {
-	case "on":
-		locks.SetNodePooling(true)
-	case "off":
-		locks.SetNodePooling(false)
-	default:
-		fmt.Fprintf(os.Stderr, "lockbench: bad -pooling %q (want on|off)\n", pooling)
-		os.Exit(2)
-	}
-	label := "pooled"
-	if pooling == "off" {
-		label = "unpooled"
-	}
-	return experiments.RegressConfig{
-		Runs: runs, Threads: workers, Ops: ops, Label: label,
-	}
-}
-
 // runRegress measures the matrix, writes the new baseline, and gates
 // against the old one. Exit codes: 0 pass, 1 I/O error, 4 regression,
 // 6 baseline cell missing (only with -require-cells).
 func runRegress(cfg experiments.RegressConfig, baselinePath, outPath string, slackPct float64, requireCells bool) int {
-	fmt.Fprintf(os.Stderr, "running regression matrix (runs=%d workers=%d ops=%d pooling=%v)...\n",
-		cfg.Runs, cfg.Threads, cfg.Ops, locks.NodePooling())
+	fmt.Fprintf(os.Stderr, "running regression matrix (runs=%d workers=%d ops=%d)...\n",
+		cfg.Runs, cfg.Threads, cfg.Ops)
 	b := experiments.RunRegress(cfg)
 	if outPath != "" {
 		if err := perfstat.WriteBaseline(outPath, b); err != nil {

@@ -146,11 +146,6 @@ func TestLockbenchRegress(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("corrupt baseline: want exit 1, got %v", err)
 	}
-
-	// -pooling validates its argument.
-	if err := exec.Command(bin, "-regress", "-pooling", "sideways").Run(); err == nil {
-		t.Error("bad -pooling accepted")
-	}
 }
 
 // TestLockbenchSchedFuzzReplayLoop drives the acceptance loop through

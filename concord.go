@@ -204,12 +204,9 @@ const (
 
 // Policy toolchain, re-exported.
 var (
-	Assemble     = policy.Assemble
-	MustAssemble = policy.MustAssemble
-	Verify       = policy.Verify
-	// CompileNative translates a verified program into Go closures
-	// (~2.5× faster than interpretation; done automatically at Attach).
-	CompileNative    = policy.CompileNative
+	Assemble         = policy.Assemble
+	MustAssemble     = policy.MustAssemble
+	Verify           = policy.Verify
 	NewBuilder       = policy.NewBuilder
 	NewArrayMap      = policy.NewArrayMap
 	NewHashMap       = policy.NewHashMap

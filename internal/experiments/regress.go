@@ -105,7 +105,7 @@ func RunRegress(cfg RegressConfig) *perfstat.Baseline {
 	topo := topology.Paper()
 	b := &perfstat.Baseline{
 		Label:   cfg.Label,
-		Pooling: locks.NodePooling(),
+		Pooling: true, // the un-pooled path is gone; BENCH_seed.json records false
 		Runs:    cfg.Runs,
 	}
 

@@ -119,25 +119,3 @@ func TestContendedPathZeroAlloc(t *testing.T) {
 		})
 	}
 }
-
-// TestPoolingKillSwitch pins the baseline behavior the harness measures
-// against: with pooling off, every contended MCS acquire allocates its
-// queue node, as the seed implementation did.
-func TestPoolingKillSwitch(t *testing.T) {
-	SetNodePooling(false)
-	defer SetNodePooling(true)
-	if NodePooling() {
-		t.Fatal("kill switch did not disable pooling")
-	}
-	topo := topology.New(2, 4)
-	l := NewMCSLock("alloc-unpooled")
-	tk := task.New(topo)
-	before := QnodeAllocs()
-	for i := 0; i < 10; i++ {
-		l.Lock(tk)
-		l.Unlock(tk)
-	}
-	if misses := QnodeAllocs() - before; misses != 10 {
-		t.Fatalf("unpooled MCS took %d node allocations over 10 ops, want 10", misses)
-	}
-}

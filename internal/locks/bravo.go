@@ -80,120 +80,90 @@ func (b *BRAVO) slotFor(t *task.T) *atomic.Pointer[task.T] {
 
 // RLock implements RWLock.
 func (b *BRAVO) RLock(t *task.T) {
-	start := b.now()
-	if h, release := b.getHooks(); h != nil {
-		if h.OnAcquire != nil {
-			emit(t, h.OnAcquire, Event{LockID: b.id, Task: t, NowNS: start, Reader: true})
-		}
-		release.Release()
-	} else {
-		release.Release()
+	start := b.begin(t, true)
+	if b.tryFastRead(t) {
+		b.acquired(t, start, 0, true)
+		return
 	}
-
-	if b.bias.Load() {
-		slot := b.slotFor(t)
-		if slot.CompareAndSwap(nil, t) {
-			if b.bias.Load() {
-				// Fast path: published as a visible reader.
-				b.fastReads.Add(1)
-				b.finishRead(t, start)
-				return
-			}
-			// Bias was revoked between the check and the publish; back
-			// out and take the slow path.
-			slot.Store(nil)
-		}
-	}
-
 	b.under.RLock(t)
 	b.slowReads.Add(1)
 	// Readers re-enable the bias once the inhibition window has passed.
 	if !b.bias.Load() && b.now() >= b.inhibitUntil.Load() {
 		b.bias.Store(true)
 	}
-	b.finishRead(t, start)
+	b.acquired(t, start, 0, true)
+}
+
+// tryFastRead publishes t as a visible reader while the bias is on.
+func (b *BRAVO) tryFastRead(t *task.T) bool {
+	if !b.bias.Load() {
+		return false
+	}
+	slot := b.slotFor(t)
+	if !slot.CompareAndSwap(nil, t) {
+		return false
+	}
+	if !b.bias.Load() {
+		// Bias was revoked between the check and the publish; back out
+		// and take the slow path.
+		slot.Store(nil)
+		return false
+	}
+	b.fastReads.Add(1)
+	return true
 }
 
 // TryRLock implements RWLock.
 func (b *BRAVO) TryRLock(t *task.T) bool {
 	start := b.now()
-	if b.bias.Load() {
-		slot := b.slotFor(t)
-		if slot.CompareAndSwap(nil, t) {
-			if b.bias.Load() {
-				b.fastReads.Add(1)
-				b.finishRead(t, start)
-				return true
-			}
-			slot.Store(nil)
+	if !b.tryFastRead(t) {
+		if !b.under.TryRLock(t) {
+			return false
 		}
-	}
-	if b.under.TryRLock(t) {
 		b.slowReads.Add(1)
-		b.finishRead(t, start)
-		return true
 	}
-	return false
-}
-
-func (b *BRAVO) finishRead(t *task.T, start int64) {
-	now := b.now()
-	if h, release := b.getHooks(); h != nil {
-		if h.OnAcquired != nil {
-			emit(t, h.OnAcquired, Event{
-				LockID: b.id, Task: t, NowNS: now, WaitNS: now - start, Reader: true,
-			})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
-	t.NoteAcquired(b.id)
+	b.acquired(t, start, 0, true)
+	return true
 }
 
 // RUnlock implements RWLock.
 func (b *BRAVO) RUnlock(t *task.T) {
+	b.release(t, 0, true)
 	slot := b.slotFor(t)
 	if slot.Load() == t {
 		slot.Store(nil)
 	} else {
 		b.under.RUnlock(t)
 	}
-	t.NoteReleased(b.id)
-	if h, release := b.getHooks(); h != nil {
-		if h.OnRelease != nil {
-			emit(t, h.OnRelease, Event{LockID: b.id, Task: t, NowNS: b.now(), Reader: true})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
 }
 
 // Lock implements Lock (writer side): take the underlying write lock,
-// then revoke the bias so no fast readers remain.
+// then revoke the bias so no fast readers remain. The reported wait
+// covers both.
 func (b *BRAVO) Lock(t *task.T) {
+	start := b.begin(t, false)
 	b.under.Lock(t)
-	if b.bias.Load() {
-		b.bias.Store(false)
-		b.revoke()
-	}
-	t.NoteAcquired(b.id)
-	t.EnterCS(b.now())
+	b.revokeBias()
+	b.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (b *BRAVO) TryLock(t *task.T) bool {
+	start := b.now()
 	if !b.under.TryLock(t) {
 		return false
 	}
+	b.revokeBias()
+	b.acquired(t, start, 0, false)
+	return true
+}
+
+// revokeBias turns the bias off on behalf of a writer holding under.
+func (b *BRAVO) revokeBias() {
 	if b.bias.Load() {
 		b.bias.Store(false)
 		b.revoke()
 	}
-	t.NoteAcquired(b.id)
-	t.EnterCS(b.now())
-	return true
 }
 
 // revoke waits for every visible-reader slot to drain, then arms the
@@ -211,8 +181,7 @@ func (b *BRAVO) revoke() {
 
 // Unlock implements Lock (writer side).
 func (b *BRAVO) Unlock(t *task.T) {
-	t.ExitCS(b.now())
-	t.NoteReleased(b.id)
+	b.release(t, 0, false)
 	b.under.Unlock(t)
 }
 

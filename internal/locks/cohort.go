@@ -25,7 +25,7 @@ type cohortSocket struct {
 // fairness. This is the "hierarchical lock" whose memory overhead and
 // low-core-count regression motivated CNA and ShflLock (§2.2).
 type CohortLock struct {
-	profBase
+	hookable
 	topo     *topology.Topology
 	sockets  []cohortSocket
 	maxBatch int32
@@ -40,7 +40,7 @@ func NewCohortLock(name string, topo *topology.Topology, maxBatch int) *CohortLo
 		maxBatch = 64
 	}
 	return &CohortLock{
-		profBase: profBase{hookable: newHookable(name)},
+		hookable: newHookable(name),
 		topo:     topo,
 		sockets:  make([]cohortSocket, topo.NumSockets()),
 		maxBatch: int32(maxBatch),
@@ -51,11 +51,11 @@ func NewCohortLock(name string, topo *topology.Topology, maxBatch int) *CohortLo
 // socket (tasks do not migrate inside a critical section, as in the
 // kernel, where preemption is disabled while a spinlock is held).
 func (l *CohortLock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	s := &l.sockets[t.Socket()]
 	s.waiters.Add(1)
 	if !s.local.CompareAndSwap(0, 1) {
-		l.noteContended(t, start)
+		l.contended(t, 0, false)
 		for i := 0; !s.local.CompareAndSwap(0, 1); i++ {
 			spinYield(i)
 		}
@@ -68,12 +68,12 @@ func (l *CohortLock) Lock(t *task.T) {
 		s.ownsGlobal = true
 		s.batch = 0
 	}
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (l *CohortLock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	s := &l.sockets[t.Socket()]
 	if !s.local.CompareAndSwap(0, 1) {
 		return false
@@ -86,13 +86,13 @@ func (l *CohortLock) TryLock(t *task.T) bool {
 		s.ownsGlobal = true
 		s.batch = 0
 	}
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 	return true
 }
 
 // Unlock implements Lock.
 func (l *CohortLock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	s := &l.sockets[t.Socket()]
 	if s.waiters.Load() > 0 && s.batch < l.maxBatch {
 		// Cohort handoff: keep the global lock socket-owned and pass
@@ -127,7 +127,7 @@ type cnaNode struct {
 // and reverts to FIFO handoff after maxHandoffs consecutive same-socket
 // transfers to bound remote-waiter starvation.
 type CNALock struct {
-	profBase
+	hookable
 	_     [64]byte
 	tail  atomic.Pointer[cnaNode]
 	_     [56]byte // enqueuers hammer tail; owner is release-path-only
@@ -150,7 +150,7 @@ func NewCNALock(name string, scanWindow, maxHandoffs int) *CNALock {
 		maxHandoffs = 64
 	}
 	return &CNALock{
-		profBase:    profBase{hookable: newHookable(name)},
+		hookable:    newHookable(name),
 		scanWindow:  scanWindow,
 		maxHandoffs: int32(maxHandoffs),
 	}
@@ -161,37 +161,37 @@ func (l *CNALock) Promotions() int64 { return l.promoted.Load() }
 
 // Lock implements Lock.
 func (l *CNALock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	n := takeCNANode(t, t.Socket())
 	prev := l.tail.Swap(n)
 	if prev != nil {
 		n.locked.Store(true)
 		prev.next.Store(n)
-		l.noteContended(t, start)
+		l.contended(t, 0, false)
 		for i := 0; n.locked.Load(); i++ {
 			spinYield(i)
 		}
 	}
 	l.owner.Store(n)
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (l *CNALock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	n := takeCNANode(t, t.Socket())
 	if !l.tail.CompareAndSwap(nil, n) {
 		putCNANode(t, n)
 		return false
 	}
 	l.owner.Store(n)
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 	return true
 }
 
 // Unlock implements Lock.
 func (l *CNALock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	n := l.owner.Load()
 	next := n.next.Load()
 	if next == nil {

@@ -41,6 +41,11 @@ func invariantRoster() []invariantLock {
 			return NewShflLock("inv-shflb", WithBlocking(true), WithSpinBudget(16))
 		}, false},
 		{"rwsem-w", func(*topology.Topology) Lock { return NewRWSem("inv-rwsem") }, false},
+		{"persocket-w", func(tp *topology.Topology) Lock { return NewPerSocketRWLock("inv-ps", tp) }, false},
+		{"shflrw-w", func(*topology.Topology) Lock { return NewShflRWLock("inv-shflrw") }, false},
+		{"bravo-w", func(*topology.Topology) Lock {
+			return NewBRAVO("inv-bravo", NewRWSem("inv-bravo-under"))
+		}, false},
 		{"switchable-w", func(tp *topology.Topology) Lock {
 			return NewSwitchableRWLock("inv-sw", NewRWSem("inv-sw-under"))
 		}, false},

@@ -265,3 +265,85 @@ func (h *hookable) getHooks() (*Hooks, livepatch.Held[Hooks]) {
 	}
 	return h.slot.Get()
 }
+
+// --- Instrumentation core ---
+//
+// The four profiling events of Table 1 (lock_acquire / contended /
+// acquired / release) and the task bookkeeping that rides on them are
+// raised here and nowhere else: every lock type brackets its algorithm
+// with begin → [contended] → acquired … release (Try paths that skip
+// lock_acquire read h.now() themselves and call acquired on success).
+// Each event pins the hook table for exactly the duration of its own
+// hook call, and each method reads the clock once. DESIGN §7 states the
+// contract, including which fields each lock family fills.
+
+// begin raises lock_acquire and returns the operation's start time, which
+// the caller hands back to acquired.
+func (h *hookable) begin(t *task.T, reader bool) int64 {
+	start := h.now()
+	hk, pin := h.getHooks()
+	if hk != nil && hk.OnAcquire != nil {
+		emit(t, hk.OnAcquire, Event{LockID: h.id, Task: t, NowNS: start, Reader: reader})
+	}
+	pin.Release()
+	return start
+}
+
+// contended raises lock_contended: the fast path failed and the task is
+// about to wait (for queue locks, its queue position is already fixed).
+func (h *hookable) contended(t *task.T, queueLen int, reader bool) {
+	hk, pin := h.getHooks()
+	if hk != nil && hk.OnContended != nil {
+		emit(t, hk.OnContended, Event{
+			LockID: h.id, Task: t, NowNS: h.now(), QueueLen: queueLen, Reader: reader,
+		})
+	}
+	pin.Release()
+}
+
+// acquired raises lock_acquired, then marks the lock held by t and opens
+// its critical section.
+func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
+	now := h.now()
+	hk, pin := h.getHooks()
+	if hk != nil && hk.OnAcquired != nil {
+		emit(t, hk.OnAcquired, Event{
+			LockID: h.id, Task: t, NowNS: now,
+			WaitNS: now - start, QueueLen: queueLen, Reader: reader,
+		})
+	}
+	pin.Release()
+	t.NoteAcquired(h.id)
+	t.EnterCS(now)
+}
+
+// release closes t's critical section, clears the held bit and raises
+// lock_release. Callers invoke it before the store that frees the lock.
+func (h *hookable) release(t *task.T, queueLen int, reader bool) {
+	now := h.now()
+	t.ExitCS(now)
+	t.NoteReleased(h.id)
+	hk, pin := h.getHooks()
+	if hk != nil && hk.OnRelease != nil {
+		emit(t, hk.OnRelease, Event{
+			LockID: h.id, Task: t, NowNS: now,
+			HoldNS: t.CSLast(), QueueLen: queueLen, Reader: reader,
+		})
+	}
+	pin.Release()
+}
+
+// optRead reports a validated speculative read section to the profiling
+// plane as a zero-wait read acquisition. It deliberately skips the
+// task's held-lock accounting (no lock is held, so there is no ordering
+// edge to record) — its only job is keeping the profiler's window read
+// share truthful after a lock is promoted to the optimistic tier, so the
+// promotion policy's signal doesn't collapse the moment the reads it is
+// based on stop taking the lock.
+func (h *hookable) optRead(t *task.T) {
+	hk, pin := h.getHooks()
+	if hk != nil && hk.OnAcquired != nil {
+		emit(t, hk.OnAcquired, Event{LockID: h.id, Task: t, NowNS: h.now(), Reader: true})
+	}
+	pin.Release()
+}

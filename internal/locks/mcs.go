@@ -25,7 +25,7 @@ type mcsNode struct {
 // spins on its own node, so handoff costs a single cacheline transfer.
 // This is the structural ancestor of qspinlock and ShflLock (§2.2).
 type MCSLock struct {
-	profBase
+	hookable
 	_    [64]byte // keep the enqueue word off the hookable's line
 	tail atomic.Pointer[mcsNode]
 	_    [56]byte // enqueuers hammer tail; owner is release-path-only
@@ -36,42 +36,42 @@ type MCSLock struct {
 
 // NewMCSLock returns an MCS queue spinlock.
 func NewMCSLock(name string) *MCSLock {
-	return &MCSLock{profBase: profBase{hookable: newHookable(name)}}
+	return &MCSLock{hookable: newHookable(name)}
 }
 
 // Lock implements Lock.
 func (l *MCSLock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	n := takeMCSNode(t)
 	prev := l.tail.Swap(n)
 	if prev != nil {
 		n.locked.Store(true)
 		prev.next.Store(n)
-		l.noteContended(t, start)
+		l.contended(t, 0, false)
 		for i := 0; n.locked.Load(); i++ {
 			spinYield(i)
 		}
 	}
 	l.owner.Store(n)
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (l *MCSLock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	n := takeMCSNode(t)
 	if !l.tail.CompareAndSwap(nil, n) {
 		putMCSNode(t, n)
 		return false
 	}
 	l.owner.Store(n)
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 	return true
 }
 
 // Unlock implements Lock.
 func (l *MCSLock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	n := l.owner.Load()
 	next := n.next.Load()
 	if next == nil {
@@ -121,7 +121,7 @@ type clhNode struct {
 // Nodes recycle through per-task caches in the textbook CLH manner: the
 // acquirer adopts its quiescent predecessor node once the spin ends.
 type CLHLock struct {
-	profBase
+	hookable
 	_    [64]byte
 	tail atomic.Pointer[clhNode]
 	_    [56]byte
@@ -130,19 +130,19 @@ type CLHLock struct {
 
 // NewCLHLock returns a CLH queue spinlock.
 func NewCLHLock(name string) *CLHLock {
-	l := &CLHLock{profBase: profBase{hookable: newHookable(name)}}
+	l := &CLHLock{hookable: newHookable(name)}
 	l.tail.Store(&clhNode{}) // sentinel: initially unlocked
 	return l
 }
 
 // Lock implements Lock.
 func (l *CLHLock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	n := takeCLHNode(t)
 	n.state.Or(clhLocked)
 	prev := l.tail.Swap(n)
 	if prev.state.Load()&clhLocked != 0 {
-		l.noteContended(t, start)
+		l.contended(t, 0, false)
 		for i := 0; prev.state.Load()&clhLocked != 0; i++ {
 			spinYield(i)
 		}
@@ -152,12 +152,12 @@ func (l *CLHLock) Lock(t *task.T) {
 	// classic CLH node-recycling argument.
 	putCLHNode(t, prev)
 	l.cur.Store(n)
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (l *CLHLock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	prev := l.tail.Load()
 	s0 := prev.state.Load()
 	if s0&clhLocked != 0 {
@@ -177,7 +177,7 @@ func (l *CLHLock) TryLock(t *task.T) bool {
 	if prev.state.Load() == s0 {
 		putCLHNode(t, prev)
 		l.cur.Store(n)
-		l.noteAcquired(t, start, false)
+		l.acquired(t, start, 0, false)
 		return true
 	}
 	// ABA detected: prev is live in a new life and the lock is actually
@@ -201,6 +201,6 @@ func (l *CLHLock) TryLock(t *task.T) bool {
 
 // Unlock implements Lock.
 func (l *CLHLock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	l.cur.Load().state.And(^clhLocked)
 }

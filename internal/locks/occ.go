@@ -189,7 +189,7 @@ func (o *occState) optRead(fn func(), pessimistic func(), sampled func()) {
 func (s *RWSem) OptRead(t *task.T, fn func()) {
 	s.occ.optRead(fn,
 		func() { s.RLock(t); fn(); s.RUnlock(t) },
-		func() { s.noteOptRead(t) })
+		func() { s.optRead(t) })
 }
 
 // OCCSetMode implements OCCCapable.
@@ -218,15 +218,7 @@ func (s *RWSem) OCCStats() OCCStats { return s.occ.OCCStats() }
 func (s *SwitchableRWLock) OptRead(t *task.T, fn func()) {
 	s.occ.optRead(fn,
 		func() { s.RLock(t); fn(); s.RUnlock(t) },
-		func() {
-			// Report the speculative read against the current inner
-			// implementation's profiling plane, when it has one. Peek is
-			// enough: this is a stats emission, not an acquisition, and
-			// an implementation being drained still has live hook tables.
-			if n, ok := s.slot.Peek().l.(interface{ noteOptRead(t *task.T) }); ok {
-				n.noteOptRead(t)
-			}
-		})
+		func() { s.optRead(t) })
 }
 
 // OCCSetMode implements OCCCapable.

@@ -20,7 +20,7 @@ type paddedCounter struct {
 // switches *to* for read-mostly phases (§3.1.1 scenario (i)) and the
 // structural sibling of what BRAVO approximates with its reader table.
 type PerSocketRWLock struct {
-	profBase
+	hookable
 	topo    *topology.Topology
 	readers []paddedCounter // one per socket
 	writer  atomic.Int32
@@ -29,7 +29,7 @@ type PerSocketRWLock struct {
 // NewPerSocketRWLock returns a per-socket distributed RW lock on topo.
 func NewPerSocketRWLock(name string, topo *topology.Topology) *PerSocketRWLock {
 	return &PerSocketRWLock{
-		profBase: profBase{hookable: newHookable(name)},
+		hookable: newHookable(name),
 		topo:     topo,
 		readers:  make([]paddedCounter, topo.NumSockets()),
 	}
@@ -37,7 +37,7 @@ func NewPerSocketRWLock(name string, topo *topology.Topology) *PerSocketRWLock {
 
 // RLock implements RWLock.
 func (l *PerSocketRWLock) RLock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, true)
 	c := &l.readers[t.Socket()]
 	contended := false
 	for i := 0; ; i++ {
@@ -49,40 +49,40 @@ func (l *PerSocketRWLock) RLock(t *task.T) {
 		c.n.Add(-1)
 		if !contended {
 			contended = true
-			l.noteContended(t, start)
+			l.contended(t, 0, true)
 		}
 		for j := 0; l.writer.Load() != 0; j++ {
 			spinYield(j)
 		}
 	}
-	l.noteAcquired(t, start, true)
+	l.acquired(t, start, 0, true)
 }
 
 // TryRLock implements RWLock.
 func (l *PerSocketRWLock) TryRLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, true)
 	c := &l.readers[t.Socket()]
 	c.n.Add(1)
 	if l.writer.Load() != 0 {
 		c.n.Add(-1)
 		return false
 	}
-	l.noteAcquired(t, start, true)
+	l.acquired(t, start, 0, true)
 	return true
 }
 
 // RUnlock implements RWLock.
 func (l *PerSocketRWLock) RUnlock(t *task.T) {
-	l.noteRelease(t, true)
+	l.release(t, 0, true)
 	l.readers[t.Socket()].n.Add(-1)
 }
 
 // Lock implements Lock (writer side): claim the writer flag, then wait
 // for every socket's readers to drain.
 func (l *PerSocketRWLock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	if !l.writer.CompareAndSwap(0, 1) {
-		l.noteContended(t, start)
+		l.contended(t, 0, false)
 		for i := 0; !l.writer.CompareAndSwap(0, 1); i++ {
 			spinYield(i)
 		}
@@ -92,12 +92,12 @@ func (l *PerSocketRWLock) Lock(t *task.T) {
 			spinYield(i)
 		}
 	}
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (l *PerSocketRWLock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	if !l.writer.CompareAndSwap(0, 1) {
 		return false
 	}
@@ -107,13 +107,13 @@ func (l *PerSocketRWLock) TryLock(t *task.T) bool {
 			return false
 		}
 	}
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 	return true
 }
 
 // Unlock implements Lock (writer side).
 func (l *PerSocketRWLock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	l.writer.Store(0)
 }
 

@@ -23,21 +23,6 @@ import (
 // would break an algorithm's correctness argument — CLH TryLock's
 // check-then-CAS assumed single-use nodes — the algorithm carries a
 // generation stamp to detect it (see clhNode).
-//
-// SetNodePooling(false) restores the per-acquire allocation globally;
-// the benchmark harness uses it to regenerate the pre-pooling baseline
-// (BENCH_seed.json), and it doubles as a kill switch.
-
-// poolingOff disables node reuse when set (inverted so the zero value
-// means "pooling on").
-var poolingOff atomic.Bool
-
-// SetNodePooling toggles queue-node pooling process-wide. Off means
-// every contended acquisition allocates, as the seed implementation did.
-func SetNodePooling(on bool) { poolingOff.Store(!on) }
-
-// NodePooling reports whether queue-node pooling is enabled.
-func NodePooling() bool { return !poolingOff.Load() }
 
 // qnodeAllocs counts queue-node heap allocations (pool misses). Pool
 // hits are deliberately not counted: a per-acquire shared-counter
@@ -65,24 +50,19 @@ var (
 // --- MCS ---
 
 func takeMCSNode(t *task.T) *mcsNode {
-	if !poolingOff.Load() {
-		if v := t.TakeNode(mcsNodeClass); v != nil {
-			n := v.(*mcsNode)
-			t.PutNode(mcsNodeClass, anyNode(n.free))
-			n.free = nil
-			n.locked.Store(false)
-			n.next.Store(nil)
-			return n
-		}
+	if v := t.TakeNode(mcsNodeClass); v != nil {
+		n := v.(*mcsNode)
+		t.PutNode(mcsNodeClass, anyNode(n.free))
+		n.free = nil
+		n.locked.Store(false)
+		n.next.Store(nil)
+		return n
 	}
 	qnodeAllocs.Add(1)
 	return &mcsNode{}
 }
 
 func putMCSNode(t *task.T, n *mcsNode) {
-	if poolingOff.Load() {
-		return
-	}
 	n.free, _ = t.TakeNode(mcsNodeClass).(*mcsNode)
 	t.PutNode(mcsNodeClass, n)
 }
@@ -100,25 +80,20 @@ func anyNode[N any](n *N) any {
 // --- CLH ---
 
 func takeCLHNode(t *task.T) *clhNode {
-	if !poolingOff.Load() {
-		if v := t.TakeNode(clhNodeClass); v != nil {
-			n := v.(*clhNode)
-			t.PutNode(clhNodeClass, anyNode(n.free))
-			n.free = nil
-			// Bump the generation so stale observers of the previous
-			// life can detect the reuse; the lock bit starts clear.
-			n.state.Store((n.state.Load() &^ clhLocked) + clhGenStep)
-			return n
-		}
+	if v := t.TakeNode(clhNodeClass); v != nil {
+		n := v.(*clhNode)
+		t.PutNode(clhNodeClass, anyNode(n.free))
+		n.free = nil
+		// Bump the generation so stale observers of the previous
+		// life can detect the reuse; the lock bit starts clear.
+		n.state.Store((n.state.Load() &^ clhLocked) + clhGenStep)
+		return n
 	}
 	qnodeAllocs.Add(1)
 	return &clhNode{}
 }
 
 func putCLHNode(t *task.T, n *clhNode) {
-	if poolingOff.Load() {
-		return
-	}
 	n.free, _ = t.TakeNode(clhNodeClass).(*clhNode)
 	t.PutNode(clhNodeClass, n)
 }
@@ -126,24 +101,19 @@ func putCLHNode(t *task.T, n *clhNode) {
 // --- qspinlock ---
 
 func takeQspinNode(t *task.T) *qspinNode {
-	if !poolingOff.Load() {
-		if v := t.TakeNode(qspinNodeClass); v != nil {
-			n := v.(*qspinNode)
-			t.PutNode(qspinNodeClass, anyNode(n.free))
-			n.free = nil
-			n.locked.Store(false)
-			n.next.Store(nil)
-			return n
-		}
+	if v := t.TakeNode(qspinNodeClass); v != nil {
+		n := v.(*qspinNode)
+		t.PutNode(qspinNodeClass, anyNode(n.free))
+		n.free = nil
+		n.locked.Store(false)
+		n.next.Store(nil)
+		return n
 	}
 	qnodeAllocs.Add(1)
 	return &qspinNode{}
 }
 
 func putQspinNode(t *task.T, n *qspinNode) {
-	if poolingOff.Load() {
-		return
-	}
 	n.free, _ = t.TakeNode(qspinNodeClass).(*qspinNode)
 	t.PutNode(qspinNodeClass, n)
 }
@@ -151,25 +121,20 @@ func putQspinNode(t *task.T, n *qspinNode) {
 // --- CNA ---
 
 func takeCNANode(t *task.T, socket int) *cnaNode {
-	if !poolingOff.Load() {
-		if v := t.TakeNode(cnaNodeClass); v != nil {
-			n := v.(*cnaNode)
-			t.PutNode(cnaNodeClass, anyNode(n.free))
-			n.free = nil
-			n.socket = socket
-			n.locked.Store(false)
-			n.next.Store(nil)
-			return n
-		}
+	if v := t.TakeNode(cnaNodeClass); v != nil {
+		n := v.(*cnaNode)
+		t.PutNode(cnaNodeClass, anyNode(n.free))
+		n.free = nil
+		n.socket = socket
+		n.locked.Store(false)
+		n.next.Store(nil)
+		return n
 	}
 	qnodeAllocs.Add(1)
 	return &cnaNode{socket: socket}
 }
 
 func putCNANode(t *task.T, n *cnaNode) {
-	if poolingOff.Load() {
-		return
-	}
 	n.free, _ = t.TakeNode(cnaNodeClass).(*cnaNode)
 	t.PutNode(cnaNodeClass, n)
 }
@@ -177,22 +142,20 @@ func putCNANode(t *task.T, n *cnaNode) {
 // --- ShflLock ---
 
 func takeShflNode(t *task.T, enqueueNS int64) *shflNode {
-	if !poolingOff.Load() {
-		if v := t.TakeNode(shflNodeClass); v != nil {
-			n := v.(*shflNode)
-			t.PutNode(shflNodeClass, anyNode(n.free))
-			n.free = nil
-			n.Task = t
-			n.EnqueueNS = enqueueNS
-			n.bypass.Store(0)
-			n.status.Store(shflWaiting)
-			n.next.Store(nil)
-			// A wakeup posted to the node's previous life may still be
-			// pending (or in flight — harmless either way, waiters
-			// re-check their status); start this life without it.
-			n.park.Drain()
-			return n
-		}
+	if v := t.TakeNode(shflNodeClass); v != nil {
+		n := v.(*shflNode)
+		t.PutNode(shflNodeClass, anyNode(n.free))
+		n.free = nil
+		n.Task = t
+		n.EnqueueNS = enqueueNS
+		n.bypass.Store(0)
+		n.status.Store(shflWaiting)
+		n.next.Store(nil)
+		// A wakeup posted to the node's previous life may still be
+		// pending (or in flight — harmless either way, waiters
+		// re-check their status); start this life without it.
+		n.park.Drain()
+		return n
 	}
 	qnodeAllocs.Add(1)
 	n := &shflNode{Waiter: Waiter{Task: t, EnqueueNS: enqueueNS}}
@@ -203,9 +166,6 @@ func takeShflNode(t *task.T, enqueueNS int64) *shflNode {
 }
 
 func putShflNode(t *task.T, n *shflNode) {
-	if poolingOff.Load() {
-		return
-	}
 	n.free, _ = t.TakeNode(shflNodeClass).(*shflNode)
 	t.PutNode(shflNodeClass, n)
 }
@@ -213,16 +173,14 @@ func putShflNode(t *task.T, n *shflNode) {
 // --- RWSem waiters ---
 
 func takeSemWaiter(t *task.T) *semWaiter {
-	if !poolingOff.Load() {
-		if v := t.TakeNode(semNodeClass); v != nil {
-			w := v.(*semWaiter)
-			t.PutNode(semNodeClass, anyNode(w.free))
-			w.free = nil
-			w.next = nil
-			w.granted.Store(false)
-			w.parker.Drain()
-			return w
-		}
+	if v := t.TakeNode(semNodeClass); v != nil {
+		w := v.(*semWaiter)
+		t.PutNode(semNodeClass, anyNode(w.free))
+		w.free = nil
+		w.next = nil
+		w.granted.Store(false)
+		w.parker.Drain()
+		return w
 	}
 	qnodeAllocs.Add(1)
 	w := &semWaiter{}
@@ -231,9 +189,6 @@ func takeSemWaiter(t *task.T) *semWaiter {
 }
 
 func putSemWaiter(t *task.T, w *semWaiter) {
-	if poolingOff.Load() {
-		return
-	}
 	w.free, _ = t.TakeNode(semNodeClass).(*semWaiter)
 	t.PutNode(semNodeClass, w)
 }

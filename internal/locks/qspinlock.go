@@ -29,7 +29,7 @@ type qspinNode struct {
 // The paper's Stock series is this algorithm in the kernel; the
 // simulated counterpart is ksim.SimQspin.
 type QSpinLock struct {
-	profBase
+	hookable
 	_    [64]byte
 	val  atomic.Uint32
 	_    [60]byte // val (fast path) and tail (queue path) on separate lines
@@ -38,20 +38,20 @@ type QSpinLock struct {
 
 // NewQSpinLock returns a queued spinlock.
 func NewQSpinLock(name string) *QSpinLock {
-	return &QSpinLock{profBase: profBase{hookable: newHookable(name)}}
+	return &QSpinLock{hookable: newHookable(name)}
 }
 
 // Lock implements Lock.
 func (l *QSpinLock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	// Fast path: completely free.
 	if l.val.CompareAndSwap(0, qLocked) {
-		l.noteAcquired(t, start, false)
+		l.acquired(t, start, 0, false)
 		return
 	}
-	l.noteContended(t, start)
+	l.contended(t, 0, false)
 	l.slowPath(t)
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 func (l *QSpinLock) slowPath(t *task.T) {
@@ -125,9 +125,9 @@ func (l *QSpinLock) slowPath(t *task.T) {
 
 // TryLock implements Lock.
 func (l *QSpinLock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	if l.val.CompareAndSwap(0, qLocked) {
-		l.noteAcquired(t, start, false)
+		l.acquired(t, start, 0, false)
 		return true
 	}
 	return false
@@ -135,7 +135,7 @@ func (l *QSpinLock) TryLock(t *task.T) bool {
 
 // Unlock implements Lock.
 func (l *QSpinLock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	l.val.And(^qLocked)
 }
 

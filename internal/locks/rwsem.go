@@ -77,7 +77,7 @@ func (w *semWaiter) grantAndWake() {
 // wait costs no allocation and a missed wakeup heals within one rescue
 // interval.
 type RWSem struct {
-	profBase
+	hookable
 	occ     occState // optimistic read tier (occ.go)
 	mu      sync.Mutex
 	readers int
@@ -87,7 +87,7 @@ type RWSem struct {
 
 // NewRWSem returns a neutral blocking readers-writer semaphore.
 func NewRWSem(name string) *RWSem {
-	return &RWSem{profBase: profBase{hookable: newHookable(name)}}
+	return &RWSem{hookable: newHookable(name)}
 }
 
 // await blocks the calling task until its waiter is granted, then
@@ -99,26 +99,26 @@ func (s *RWSem) await(t *task.T, w *semWaiter) {
 
 // RLock implements RWLock.
 func (s *RWSem) RLock(t *task.T) {
-	start := s.noteAcquire(t)
+	start := s.begin(t, true)
 	s.mu.Lock()
 	if !s.writer && s.wq.len == 0 {
 		s.readers++
 		s.mu.Unlock()
-		s.noteAcquired(t, start, true)
+		s.acquired(t, start, 0, true)
 		return
 	}
 	w := takeSemWaiter(t)
 	w.reader = true
 	s.rq.push(w)
 	s.mu.Unlock()
-	s.noteContended(t, start)
+	s.contended(t, 0, true)
 	s.await(t, w)
-	s.noteAcquired(t, start, true)
+	s.acquired(t, start, 0, true)
 }
 
 // TryRLock implements RWLock.
 func (s *RWSem) TryRLock(t *task.T) bool {
-	start := s.noteAcquire(t)
+	start := s.begin(t, true)
 	s.mu.Lock()
 	if s.writer || s.wq.len > 0 {
 		s.mu.Unlock()
@@ -126,13 +126,13 @@ func (s *RWSem) TryRLock(t *task.T) bool {
 	}
 	s.readers++
 	s.mu.Unlock()
-	s.noteAcquired(t, start, true)
+	s.acquired(t, start, 0, true)
 	return true
 }
 
 // RUnlock implements RWLock.
 func (s *RWSem) RUnlock(t *task.T) {
-	s.noteRelease(t, true)
+	s.release(t, 0, true)
 	s.mu.Lock()
 	s.readers--
 	if s.readers < 0 {
@@ -152,28 +152,28 @@ func (s *RWSem) RUnlock(t *task.T) {
 
 // Lock implements Lock (writer side).
 func (s *RWSem) Lock(t *task.T) {
-	start := s.noteAcquire(t)
+	start := s.begin(t, false)
 	s.mu.Lock()
 	if !s.writer && s.readers == 0 {
 		s.writer = true
 		s.mu.Unlock()
 		s.occ.beginWrite()
-		s.noteAcquired(t, start, false)
+		s.acquired(t, start, 0, false)
 		return
 	}
 	w := takeSemWaiter(t)
 	w.reader = false
 	s.wq.push(w)
 	s.mu.Unlock()
-	s.noteContended(t, start)
+	s.contended(t, 0, false)
 	s.await(t, w)
 	s.occ.beginWrite()
-	s.noteAcquired(t, start, false)
+	s.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (s *RWSem) TryLock(t *task.T) bool {
-	start := s.noteAcquire(t)
+	start := s.begin(t, false)
 	s.mu.Lock()
 	if s.writer || s.readers > 0 {
 		s.mu.Unlock()
@@ -182,14 +182,14 @@ func (s *RWSem) TryLock(t *task.T) bool {
 	s.writer = true
 	s.mu.Unlock()
 	s.occ.beginWrite()
-	s.noteAcquired(t, start, false)
+	s.acquired(t, start, 0, false)
 	return true
 }
 
 // Unlock implements Lock (writer side).
 func (s *RWSem) Unlock(t *task.T) {
 	s.occ.endWrite() // close the write section while exclusion is still held
-	s.noteRelease(t, false)
+	s.release(t, 0, false)
 	s.mu.Lock()
 	if !s.writer {
 		s.mu.Unlock()

@@ -159,32 +159,13 @@ func (l *ShflLock) ParkRescues() int64 { return l.statRescues.Load() }
 
 // Lock implements Lock.
 func (l *ShflLock) Lock(t *task.T) {
-	start := l.now()
-	if h, release := l.getHooks(); h != nil {
-		if h.OnAcquire != nil {
-			emit(t, h.OnAcquire, Event{LockID: l.id, Task: t, NowNS: start})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
-
+	start := l.begin(t, false)
 	// Fast path: nobody queued and the lock word is free.
 	if l.tail.Load() == nil && l.locked.CompareAndSwap(0, 1) {
 		l.finishAcquire(t, start)
 		return
 	}
-	if h, release := l.getHooks(); h != nil {
-		if h.OnContended != nil {
-			emit(t, h.OnContended, Event{
-				LockID: l.id, Task: t, NowNS: l.now(),
-				QueueLen: int(l.qlen.Load()),
-			})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
+	l.contended(t, int(l.qlen.Load()), false)
 	l.slowPath(t, start)
 }
 
@@ -206,39 +187,13 @@ func (l *ShflLock) Holder() *task.T { return l.holder.Load() }
 // Unlock implements Lock.
 func (l *ShflLock) Unlock(t *task.T) {
 	l.holder.Store(nil)
-	now := l.now()
-	t.ExitCS(now)
-	t.NoteReleased(l.id)
-	if h, release := l.getHooks(); h != nil {
-		if h.OnRelease != nil {
-			emit(t, h.OnRelease, Event{
-				LockID: l.id, Task: t, NowNS: now,
-				HoldNS: t.CSLast(), QueueLen: int(l.qlen.Load()),
-			})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
+	l.release(t, int(l.qlen.Load()), false)
 	l.locked.Store(0)
 }
 
 func (l *ShflLock) finishAcquire(t *task.T, start int64) {
 	l.holder.Store(t)
-	now := l.now()
-	if h, release := l.getHooks(); h != nil {
-		if h.OnAcquired != nil {
-			emit(t, h.OnAcquired, Event{
-				LockID: l.id, Task: t, NowNS: now,
-				WaitNS: now - start, QueueLen: int(l.qlen.Load()),
-			})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
-	t.NoteAcquired(l.id)
-	t.EnterCS(now)
+	l.acquired(t, start, int(l.qlen.Load()), false)
 }
 
 func (l *ShflLock) slowPath(t *task.T, start int64) {

@@ -14,7 +14,10 @@ import (
 // toggling the embedded lock's blocking mode is the rwsem↔rwlock switch
 // of §3.1.1 scenario (iii).
 type ShflRWLock struct {
-	hookable
+	// The writer queue's hookable: both sides are one lock to policies
+	// and profilers — one ID and held-mask bit, one hook slot (so one
+	// Concord patch governs both), one clock, one safety state.
+	*hookable
 	w       *ShflLock
 	readers atomic.Int64
 	wflag   atomic.Int32
@@ -23,18 +26,15 @@ type ShflRWLock struct {
 // NewShflRWLock returns a readers-writer shuffling lock; opts configure
 // the embedded writer ShflLock.
 func NewShflRWLock(name string, opts ...ShflOption) *ShflRWLock {
-	l := &ShflRWLock{hookable: newHookable(name)}
-	l.w = NewShflLock(name+".writers", opts...)
-	// The writer queue shares this lock's hook slot so one Concord patch
-	// governs both sides.
-	l.w.slot = l.slot
-	return l
+	w := NewShflLock(name, opts...)
+	return &ShflRWLock{hookable: &w.hookable, w: w}
 }
 
 // WriterQueue exposes the embedded writer ShflLock (stats, tests).
 func (l *ShflRWLock) WriterQueue() *ShflLock { return l.w }
 
-// Lock implements Lock (writer side).
+// Lock implements Lock (writer side). The writer queue raises the
+// events; its lock_acquired fires before the reader drain below.
 func (l *ShflRWLock) Lock(t *task.T) {
 	l.w.Lock(t)
 	l.wflag.Store(1)
@@ -65,21 +65,18 @@ func (l *ShflRWLock) Unlock(t *task.T) {
 
 // RLock implements RWLock.
 func (l *ShflRWLock) RLock(t *task.T) {
-	for i := 0; ; i++ {
-		if l.wflag.Load() == 0 {
-			l.readers.Add(1)
-			if l.wflag.Load() == 0 {
-				t.NoteAcquired(l.id)
-				return
-			}
-			l.readers.Add(-1)
+	start := l.begin(t, true)
+	for i := 0; !l.tryRead(); i++ {
+		if i == 0 {
+			l.contended(t, 0, true)
 		}
 		spinYield(i)
 	}
+	l.acquired(t, start, 0, true)
 }
 
-// TryRLock implements RWLock.
-func (l *ShflRWLock) TryRLock(t *task.T) bool {
+// tryRead registers a reader unless a writer has announced intent.
+func (l *ShflRWLock) tryRead() bool {
 	if l.wflag.Load() != 0 {
 		return false
 	}
@@ -88,13 +85,22 @@ func (l *ShflRWLock) TryRLock(t *task.T) bool {
 		l.readers.Add(-1)
 		return false
 	}
-	t.NoteAcquired(l.id)
+	return true
+}
+
+// TryRLock implements RWLock.
+func (l *ShflRWLock) TryRLock(t *task.T) bool {
+	start := l.now()
+	if !l.tryRead() {
+		return false
+	}
+	l.acquired(t, start, 0, true)
 	return true
 }
 
 // RUnlock implements RWLock.
 func (l *ShflRWLock) RUnlock(t *task.T) {
-	t.NoteReleased(l.id)
+	l.release(t, 0, true)
 	l.readers.Add(-1)
 }
 

@@ -16,125 +16,40 @@ func spinYield(i int) {
 	}
 }
 
-// profBase implements the four profiling hook call sites shared by the
-// simple (queue-less) locks.
-type profBase struct {
-	hookable
-}
-
-func (p *profBase) noteAcquire(t *task.T) int64 {
-	now := p.now()
-	if h, release := p.getHooks(); h != nil {
-		if h.OnAcquire != nil {
-			emit(t, h.OnAcquire, Event{LockID: p.id, Task: t, NowNS: now})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
-	return now
-}
-
-func (p *profBase) noteContended(t *task.T, startNS int64) {
-	if h, release := p.getHooks(); h != nil {
-		if h.OnContended != nil {
-			emit(t, h.OnContended, Event{LockID: p.id, Task: t, NowNS: p.now()})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
-	_ = startNS
-}
-
-func (p *profBase) noteAcquired(t *task.T, startNS int64, reader bool) {
-	now := p.now()
-	if h, release := p.getHooks(); h != nil {
-		if h.OnAcquired != nil {
-			emit(t, h.OnAcquired, Event{
-				LockID: p.id, Task: t, NowNS: now,
-				WaitNS: now - startNS, Reader: reader,
-			})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
-	t.NoteAcquired(p.id)
-	t.EnterCS(now)
-}
-
-// noteOptRead reports a validated speculative read section to the
-// profiling plane as a zero-wait read acquisition. It deliberately skips
-// the task's held-lock accounting (no lock is held, so there is no
-// ordering edge to record) — its only job is keeping the profiler's
-// window read share truthful after a lock is promoted to the optimistic
-// tier, so the promotion policy's signal doesn't collapse the moment the
-// reads it is based on stop taking the lock.
-func (p *profBase) noteOptRead(t *task.T) {
-	if h, release := p.getHooks(); h != nil {
-		if h.OnAcquired != nil {
-			emit(t, h.OnAcquired, Event{
-				LockID: p.id, Task: t, NowNS: p.now(), Reader: true,
-			})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
-}
-
-func (p *profBase) noteRelease(t *task.T, reader bool) {
-	now := p.now()
-	t.ExitCS(now)
-	t.NoteReleased(p.id)
-	if h, release := p.getHooks(); h != nil {
-		if h.OnRelease != nil {
-			emit(t, h.OnRelease, Event{
-				LockID: p.id, Task: t, NowNS: now,
-				HoldNS: t.CSLast(), Reader: reader,
-			})
-		}
-		release.Release()
-	} else {
-		release.Release()
-	}
-}
-
 // --- Test-and-set lock ---
 
 // TASLock is the simplest spinlock: a single test-and-set word that every
 // waiter hammers. It is the "non-scalable lock" of Boyd-Wickizer et al.
 // and the baseline the queue locks improve on.
 type TASLock struct {
-	profBase
+	hookable
 	state atomic.Int32
 }
 
 // NewTASLock returns a test-and-set spinlock.
 func NewTASLock(name string) *TASLock {
-	return &TASLock{profBase: profBase{hookable: newHookable(name)}}
+	return &TASLock{hookable: newHookable(name)}
 }
 
 // Lock implements Lock.
 func (l *TASLock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	if l.state.CompareAndSwap(0, 1) {
-		l.noteAcquired(t, start, false)
+		l.acquired(t, start, 0, false)
 		return
 	}
-	l.noteContended(t, start)
+	l.contended(t, 0, false)
 	for i := 0; !l.state.CompareAndSwap(0, 1); i++ {
 		spinYield(i)
 	}
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (l *TASLock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	if l.state.CompareAndSwap(0, 1) {
-		l.noteAcquired(t, start, false)
+		l.acquired(t, start, 0, false)
 		return true
 	}
 	return false
@@ -142,7 +57,7 @@ func (l *TASLock) TryLock(t *task.T) bool {
 
 // Unlock implements Lock.
 func (l *TASLock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	l.state.Store(0)
 }
 
@@ -151,37 +66,37 @@ func (l *TASLock) Unlock(t *task.T) {
 // TTASLock spins on a plain load and only attempts the atomic exchange
 // when the lock looks free, cutting cacheline write traffic versus TAS.
 type TTASLock struct {
-	profBase
+	hookable
 	state atomic.Int32
 }
 
 // NewTTASLock returns a test-and-test-and-set spinlock.
 func NewTTASLock(name string) *TTASLock {
-	return &TTASLock{profBase: profBase{hookable: newHookable(name)}}
+	return &TTASLock{hookable: newHookable(name)}
 }
 
 // Lock implements Lock.
 func (l *TTASLock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
-		l.noteAcquired(t, start, false)
+		l.acquired(t, start, 0, false)
 		return
 	}
-	l.noteContended(t, start)
+	l.contended(t, 0, false)
 	for i := 0; ; i++ {
 		if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
 			break
 		}
 		spinYield(i)
 	}
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (l *TTASLock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
-		l.noteAcquired(t, start, false)
+		l.acquired(t, start, 0, false)
 		return true
 	}
 	return false
@@ -189,7 +104,7 @@ func (l *TTASLock) TryLock(t *task.T) bool {
 
 // Unlock implements Lock.
 func (l *TTASLock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	l.state.Store(0)
 }
 
@@ -198,38 +113,38 @@ func (l *TTASLock) Unlock(t *task.T) {
 // TicketLock grants the lock in strict FIFO order via a next/owner ticket
 // pair — fair, but every waiter spins on the shared owner word.
 type TicketLock struct {
-	profBase
+	hookable
 	next  atomic.Uint64
 	owner atomic.Uint64
 }
 
 // NewTicketLock returns a ticket spinlock.
 func NewTicketLock(name string) *TicketLock {
-	return &TicketLock{profBase: profBase{hookable: newHookable(name)}}
+	return &TicketLock{hookable: newHookable(name)}
 }
 
 // Lock implements Lock.
 func (l *TicketLock) Lock(t *task.T) {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	ticket := l.next.Add(1) - 1
 	if l.owner.Load() != ticket {
-		l.noteContended(t, start)
+		l.contended(t, 0, false)
 		for i := 0; l.owner.Load() != ticket; i++ {
 			spinYield(i)
 		}
 	}
-	l.noteAcquired(t, start, false)
+	l.acquired(t, start, 0, false)
 }
 
 // TryLock implements Lock.
 func (l *TicketLock) TryLock(t *task.T) bool {
-	start := l.noteAcquire(t)
+	start := l.begin(t, false)
 	// The lock is free iff owner == next; reserving ticket `cur` with a
 	// CAS on next can only succeed while that still holds, making the
 	// caller the owner immediately.
 	cur := l.owner.Load()
 	if l.next.CompareAndSwap(cur, cur+1) {
-		l.noteAcquired(t, start, false)
+		l.acquired(t, start, 0, false)
 		return true
 	}
 	return false
@@ -237,7 +152,7 @@ func (l *TicketLock) TryLock(t *task.T) bool {
 
 // Unlock implements Lock.
 func (l *TicketLock) Unlock(t *task.T) {
-	l.noteRelease(t, false)
+	l.release(t, 0, false)
 	l.owner.Add(1)
 }
 

@@ -212,10 +212,11 @@ func (s *SwitchableRWLock) unpin(t *task.T, reader bool) *pinned {
 
 // Lock implements Lock (writer side).
 func (s *SwitchableRWLock) Lock(t *task.T) {
+	start := s.begin(t, false)
 	p := s.pin(t, false)
 	p.impl.Lock(t)
 	s.occ.beginWrite()
-	t.NoteAcquired(s.id)
+	s.acquired(t, start, 0, false)
 }
 
 // tryPin is pin for Try paths: it fails instead of blocking when a
@@ -238,6 +239,7 @@ func (s *SwitchableRWLock) tryPin(t *task.T, reader bool) (*pinned, bool) {
 
 // TryLock implements Lock.
 func (s *SwitchableRWLock) TryLock(t *task.T) bool {
+	start := s.now()
 	p, ok := s.tryPin(t, false)
 	if !ok {
 		return false
@@ -248,7 +250,7 @@ func (s *SwitchableRWLock) TryLock(t *task.T) bool {
 		return false
 	}
 	s.occ.beginWrite()
-	t.NoteAcquired(s.id)
+	s.acquired(t, start, 0, false)
 	return true
 }
 
@@ -256,20 +258,22 @@ func (s *SwitchableRWLock) TryLock(t *task.T) bool {
 func (s *SwitchableRWLock) Unlock(t *task.T) {
 	p := s.unpin(t, false)
 	s.occ.endWrite() // close the write section while exclusion is still held
-	t.NoteReleased(s.id)
+	s.release(t, 0, false)
 	p.impl.Unlock(t)
 	p.release.Release()
 }
 
 // RLock implements RWLock.
 func (s *SwitchableRWLock) RLock(t *task.T) {
+	start := s.begin(t, true)
 	p := s.pin(t, true)
 	p.impl.RLock(t)
-	t.NoteAcquired(s.id)
+	s.acquired(t, start, 0, true)
 }
 
 // TryRLock implements RWLock.
 func (s *SwitchableRWLock) TryRLock(t *task.T) bool {
+	start := s.now()
 	p, ok := s.tryPin(t, true)
 	if !ok {
 		return false
@@ -279,14 +283,14 @@ func (s *SwitchableRWLock) TryRLock(t *task.T) bool {
 		p.release.Release()
 		return false
 	}
-	t.NoteAcquired(s.id)
+	s.acquired(t, start, 0, true)
 	return true
 }
 
 // RUnlock implements RWLock.
 func (s *SwitchableRWLock) RUnlock(t *task.T) {
 	p := s.unpin(t, true)
-	t.NoteReleased(s.id)
+	s.release(t, 0, true)
 	p.impl.RUnlock(t)
 	p.release.Release()
 }

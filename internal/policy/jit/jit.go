@@ -1,11 +1,11 @@
 // Package jit lowers verified cBPF policy programs to fused Go
 // closures — the compilation tier the interpreter-vs-JIT split of "The
 // eBPF Runtime in the Linux Kernel" calls for. Where the VM dispatches
-// an opcode switch per instruction on boxed typed registers, and the
-// threaded-code compiler (policy.CompileNative) still pays one indirect
-// call plus dynamic type dispatch per instruction, this tier compiles
-// each instruction into a closure that calls its successor directly:
-// no pc, no dispatch loop, no runtime register types.
+// an opcode switch per instruction on boxed typed registers, this tier
+// compiles each instruction into a closure that calls its successor
+// directly: no pc, no dispatch loop, no runtime register types. It is
+// the only compiled tier; the VM stays as executable specification,
+// fallback and differential reference.
 //
 // The verifier's guarantees are what make the lowering sound: programs
 // are loop-free (forward jumps only), every register has a single

@@ -70,25 +70,6 @@ func TestLockStatsHelperWithoutReaderReadsZero(t *testing.T) {
 	}
 }
 
-func TestLockStatsHelperCompiled(t *testing.T) {
-	p := lockStatsProg(t, KindLockAcquired, 1)
-	if _, err := Verify(p); err != nil {
-		t.Fatal(err)
-	}
-	fn, err := CompileNative(p)
-	if err != nil {
-		t.Fatalf("CompileNative: %v", err)
-	}
-	env := &FuncEnv{LockStatFn: func(f uint64) uint64 { return f * 7 }}
-	got, err := fn(NewCtx(p.Kind), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 7 {
-		t.Errorf("compiled lock_stats_read(1) = %d, want 7", got)
-	}
-}
-
 func TestLockStatsHelperNameRoundTrip(t *testing.T) {
 	id, ok := HelperByName("lock_stats_read")
 	if !ok || id != HelperLockStats {

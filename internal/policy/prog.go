@@ -21,7 +21,7 @@ type Program struct {
 }
 
 // ExecStats counts a program's runtime activity across every execution
-// environment (interpreter and native-compiled). All fields are atomics;
+// tier (interpreter and JIT). All fields are atomics;
 // the VM accumulates instruction counts locally per run and folds them
 // in with one add, so the hot path stays cheap. The telemetry layer
 // exports these per program on /metrics.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,8 +42,14 @@ type rtVal struct {
 	val    []uint64 // backing words for tPtrMapValue
 }
 
+// stackPool recycles interpreter stacks. Helper calls hand slices of the
+// stack to Map implementations through an interface, so a stack declared
+// in Exec's frame is moved to the heap — one 512-byte allocation per run.
+var stackPool = sync.Pool{New: func() any { return new([StackSize]byte) }}
+
 // VM executes verified programs. A VM is stateless and safe for
-// concurrent use; per-run state lives on the goroutine stack.
+// concurrent use; per-run state lives on the goroutine stack and in a
+// pooled program stack.
 type VM struct{}
 
 // Exec runs a verified program against a hook context and environment,
@@ -58,10 +65,7 @@ func (VM) Exec(p *Program, ctx *Ctx, env Env) (uint64, error) {
 		return 0, &RuntimeError{Name: p.Name, PC: -1, Msg: "context kind mismatch"}
 	}
 
-	var (
-		regs  [NumRegs]rtVal
-		stack [StackSize]byte
-	)
+	var regs [NumRegs]rtVal
 	regs[R1] = rtVal{typ: tPtrCtx}
 	regs[RFP] = rtVal{typ: tPtrStack}
 
@@ -74,8 +78,13 @@ func (VM) Exec(p *Program, ctx *Ctx, env Env) (uint64, error) {
 				Msg: fmt.Sprintf("injected trap: %v", flt.Err)}
 		}
 	}
+	stack := stackPool.Get().(*[StackSize]byte)
+	*stack = [StackSize]byte{} // every run starts on a zeroed stack
 	var steps int
-	defer func() { st.Insns.Add(int64(steps)) }()
+	defer func() {
+		st.Insns.Add(int64(steps))
+		stackPool.Put(stack)
+	}()
 
 	fault := func(pc int, format string, args ...any) (uint64, error) {
 		st.Faults.Add(1)
@@ -346,9 +355,7 @@ func stackRegion(stack []byte, ptr rtVal, size int) ([]byte, error) {
 
 func execHelper(p *Program, h HelperID, regs *[NumRegs]rtVal, stack []byte, env Env) (rtVal, error) {
 	p.stats.HelperCalls.Add(1)
-	// Fault-injection sites, compiled to nil-checks when disarmed. Both
-	// the interpreter and native-compiled programs funnel helper calls
-	// through here, so one site covers both execution paths.
+	// Fault-injection sites, compiled to nil-checks when disarmed.
 	if faultinject.PolicyHelper.Enabled() {
 		if flt, ok := faultinject.PolicyHelper.Fire(); ok {
 			if flt.Delay > 0 {
@@ -496,3 +503,8 @@ func execHelper(p *Program, h HelperID, regs *[NumRegs]rtVal, stack []byte, env 
 func Exec(p *Program, ctx *Ctx, env Env) (uint64, error) {
 	return VM{}.Exec(p, ctx, env)
 }
+
+// CompiledFn is the signature Exec's faster tiers share: a program
+// lowered ahead of time (see the jit package) and run with the same
+// arguments and results as Exec.
+type CompiledFn func(ctx *Ctx, env Env) (uint64, error)

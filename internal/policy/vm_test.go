@@ -435,3 +435,39 @@ func TestForwardJumpChain(t *testing.T) {
 
 // u64 reinterprets a signed value as its two's-complement uint64 pattern.
 func u64(v int64) uint64 { return uint64(v) }
+
+// TestExecZeroAlloc gates the interpreter's allocation contract on the
+// two shapes the hook plane runs: the NUMA cmp_node decision (no helper)
+// and a map_add, whose key slice crosses the Map interface — the escape
+// that used to move the program stack to the heap on every run.
+func TestExecZeroAlloc(t *testing.T) {
+	numa := MustAssemble("numa", KindCmpNode, `
+		mov   r6, r1
+		ldxdw r2, [r6+curr_socket]
+		ldxdw r3, [r6+shuffler_socket]
+		jeq   r2, r3, group
+		mov   r0, 0
+		exit
+	group:
+		mov   r0, 1
+		exit
+	`, nil)
+	add := NewBuilder("add", KindLockAcquired).
+		StoreStackImm(OpStW, -4, 5).
+		LoadMapPtr(R1, NewHashMap("h", 4, 8, 8)).
+		MovReg(R2, RFP).
+		AddImm(R2, -4).
+		MovImm(R3, 3).
+		Call(HelperMapAdd).
+		Exit().
+		MustProgram()
+	for _, p := range []*Program{numa, add} {
+		ctx := NewCtx(p.Kind)
+		run(t, p, ctx, nil) // verify; first map_add inserts the key
+		pinAllocs(t, "Exec/"+p.Name, 0, func() {
+			if _, err := Exec(p, ctx, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"concord/internal/policy"
+	"concord/internal/policy/jit"
 )
 
 // MapPlaneConfig parameterizes RunMapPlane.
@@ -94,7 +95,7 @@ func RunMapPlane(m policy.Map, cfg MapPlaneConfig) Result {
 	if err != nil {
 		panic(err) // spec error: misuse of the harness, not a runtime condition
 	}
-	fn := policy.MustCompileNative(prog)
+	fn := jit.MustCompile(prog)
 	layout := policy.LayoutFor(policy.KindLockAcquired)
 
 	res := Result{PerTask: make([]int64, cfg.Workers)}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"concord/internal/policy"
+	"concord/internal/policy/jit"
 )
 
 // mapPlaneKinds is the roster the map-plane tests and benchmarks run:
@@ -75,7 +76,7 @@ func BenchmarkMapPlane(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fn := policy.MustCompileNative(prog)
+			fn := jit.MustCompile(prog)
 			layout := policy.LayoutFor(policy.KindLockAcquired)
 			ctx := policy.Ctx{Layout: layout, Words: make([]uint64, len(layout.Fields))}
 			var seq int64
