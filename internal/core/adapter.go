@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"concord/internal/clock"
 	"concord/internal/faultinject"
 	"concord/internal/locks"
 	"concord/internal/policy"
@@ -94,7 +95,7 @@ type taskEnv struct {
 	ad   *adapter
 }
 
-func (e *taskEnv) NowNS() int64        { return time.Now().UnixNano() }
+func (e *taskEnv) NowNS() int64        { return clock.NowNS() }
 func (e *taskEnv) CPU() int            { return e.t.CPU() }
 func (e *taskEnv) NUMANode() int       { return e.t.Socket() }
 func (e *taskEnv) TaskID() int64       { return e.t.ID() }
@@ -244,29 +245,35 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	progs := pol.Programs
 	h := &locks.Hooks{Name: a.policyName}
 
-	compiled := make(map[*policy.Program]policy.CompiledFn, len(progs))
-	for k, p := range progs {
+	// bind resolves the tier of kind k's program once, while the table is
+	// built, so a hook fire dispatches straight into the closure it will
+	// run: the JIT closure, or the reference interpreter over p.
+	bind := func(k policy.Kind, p *policy.Program) policy.CompiledFn {
+		var lower bool
 		switch mode {
 		case TierForceVM:
-			// interpreter everywhere: leave the map empty
+			// interpreter everywhere
 		case TierForceJIT:
-			if fn, err := jit.Compile(p); err == nil {
-				compiled[p] = fn
-			}
+			lower = true
 		default:
 			// Honour the admission-time decision but lower at hook-table
 			// build time: the closure must match the bytecode the
 			// interpreter fallback would run, even if the program object
 			// changed since LoadPolicy. A program that no longer lowers
 			// falls back to the VM (which will fault if it is corrupt).
-			if ch, ok := pol.Tiers[k]; ok && ch.Tier == jit.TierJIT {
-				if fn, err := jit.Compile(p); err == nil {
-					compiled[p] = fn
-				}
+			ch, ok := pol.Tiers[k]
+			lower = ok && ch.Tier == jit.TierJIT
+		}
+		if lower {
+			if fn, err := jit.Compile(p); err == nil {
+				return fn
 			}
 		}
+		return func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
+			return policy.Exec(p, ctx, env)
+		}
 	}
-	exec := func(p *policy.Program, ctx *policy.Ctx, t *task.T) (ret uint64, ok bool) {
+	exec := func(run policy.CompiledFn, ctx *policy.Ctx, t *task.T) (ret uint64, ok bool) {
 		// Containment: a panicking hook (injected or real) becomes a
 		// policy fault instead of unwinding into the lock algorithm.
 		defer func() {
@@ -291,12 +298,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 				time.Sleep(flt.Delay)
 			}
 		}
-		var err error
-		if fn := compiled[p]; fn != nil {
-			ret, err = fn(ctx, a.envFor(t))
-		} else {
-			ret, err = policy.Exec(p, ctx, a.envFor(t))
-		}
+		ret, err := run(ctx, a.envFor(t))
 		if a.latencyBudget > 0 {
 			if el := time.Since(start); el > a.latencyBudget {
 				a.fault(fmt.Errorf("%w: hook ran %v (budget %v)",
@@ -311,6 +313,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	}
 
 	if p, ok := progs[policy.KindCmpNode]; ok {
+		run := bind(policy.KindCmpNode, p)
 		h.CmpNode = func(info *locks.ShuffleInfo) bool {
 			var words [32]uint64
 			ctx := policy.Ctx{Layout: cmpL, Words: words[:len(cmpL.Fields)]}
@@ -330,12 +333,13 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 				w[cmpIdx.cWeight], w[cmpIdx.cCS], w[cmpIdx.cHeld], w[cmpIdx.cSpeed],
 				w[cmpIdx.cQuota], w[cmpIdx.cPreempted] = taskFields(c.Task)
 			w[cmpIdx.cWait] = uint64(c.WaitNS(info.NowNS))
-			ret, ok := exec(p, &ctx, s.Task)
+			ret, ok := exec(run, &ctx, s.Task)
 			return ok && ret != 0
 		}
 	}
 
 	if p, ok := progs[policy.KindSkipShuffle]; ok {
+		run := bind(policy.KindSkipShuffle, p)
 		h.SkipShuffle = func(info *locks.ShuffleInfo) bool {
 			var words [16]uint64
 			ctx := policy.Ctx{Layout: skipL, Words: words[:len(skipL.Fields)]}
@@ -351,12 +355,13 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			w[skipIdx.sSocket] = uint64(s.Task.Socket())
 			w[skipIdx.sPrio] = uint64(s.Task.Priority())
 			w[skipIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-			ret, ok := exec(p, &ctx, s.Task)
+			ret, ok := exec(run, &ctx, s.Task)
 			return ok && ret != 0
 		}
 	}
 
 	if p, ok := progs[policy.KindScheduleWaiter]; ok {
+		run := bind(policy.KindScheduleWaiter, p)
 		h.ScheduleWaiter = func(info *locks.WaitInfo) int {
 			var words [16]uint64
 			ctx := policy.Ctx{Layout: schedL, Words: words[:len(schedL.Fields)]}
@@ -377,7 +382,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			w[schedIdx.ahead] = uint64(info.WaitersAhead)
 			w[schedIdx.holderCS] = uint64(info.HolderCSAvg)
 			w[schedIdx.spin] = uint64(info.SpinNS)
-			ret, ok := exec(p, &ctx, c.Task)
+			ret, ok := exec(run, &ctx, c.Task)
 			if !ok {
 				return locks.WaitDefault
 			}
@@ -392,8 +397,13 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		}
 	}
 
-	profHook := func(p *policy.Program, op uint64) func(ev *locks.Event) {
+	profHook := func(k policy.Kind, op uint64) func(ev *locks.Event) {
+		p, ok := progs[k]
+		if !ok {
+			return nil
+		}
 		layout := policy.LayoutFor(p.Kind)
+		run := bind(k, p)
 		return func(ev *locks.Event) {
 			var words [16]uint64
 			ctx := policy.Ctx{Layout: layout, Words: words[:len(layout.Fields)]}
@@ -413,20 +423,12 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			if ev.Reader {
 				w[profIdx.reader] = 1
 			}
-			exec(p, &ctx, ev.Task)
+			exec(run, &ctx, ev.Task)
 		}
 	}
-	if p, ok := progs[policy.KindLockAcquire]; ok {
-		h.OnAcquire = profHook(p, opAcquire)
-	}
-	if p, ok := progs[policy.KindLockContended]; ok {
-		h.OnContended = profHook(p, opContended)
-	}
-	if p, ok := progs[policy.KindLockAcquired]; ok {
-		h.OnAcquired = profHook(p, opAcquired)
-	}
-	if p, ok := progs[policy.KindLockRelease]; ok {
-		h.OnRelease = profHook(p, opRelease)
-	}
+	h.OnAcquire = profHook(policy.KindLockAcquire, opAcquire)
+	h.OnContended = profHook(policy.KindLockContended, opContended)
+	h.OnAcquired = profHook(policy.KindLockAcquired, opAcquired)
+	h.OnRelease = profHook(policy.KindLockRelease, opRelease)
 	return h
 }

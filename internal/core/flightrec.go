@@ -11,8 +11,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"concord/internal/clock"
 	"concord/internal/faultinject"
 	"concord/internal/obs"
 	"concord/internal/policy/analysis"
@@ -39,7 +39,7 @@ type FlightRecorderConfig struct {
 	// MaxBundles prunes the oldest bundles beyond this count; 0 keeps
 	// DefaultMaxBundles.
 	MaxBundles int
-	// Clock overrides time.Now().UnixNano (tests).
+	// Clock overrides clock.NowNS (tests).
 	Clock func() int64
 }
 
@@ -133,11 +133,11 @@ func (f *Framework) EnableFlightRecorder(cfg FlightRecorderConfig) (*FlightRecor
 	if max <= 0 {
 		max = DefaultMaxBundles
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = func() int64 { return time.Now().UnixNano() }
+	now := cfg.Clock
+	if now == nil {
+		now = clock.NowNS
 	}
-	fr := &FlightRecorder{f: f, dir: cfg.Dir, max: max, clock: clock}
+	fr := &FlightRecorder{f: f, dir: cfg.Dir, max: max, clock: now}
 	f.mu.Lock()
 	f.flight = fr
 	f.mu.Unlock()

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"concord/internal/clock"
 	"concord/internal/faultinject"
 )
 
@@ -42,7 +43,7 @@ func SetPatchObserver(fn func(patchName string)) {
 }
 
 // SetDrainObserver installs fn to be called when a replaced version
-// fully drains, with the wall-clock latency from retirement to
+// fully drains, with the latency from retirement to
 // quiescence — the livepatch consistency-point (epoch drain) latency.
 // The patch name is the one given to the Replace that retired it.
 func SetDrainObserver(fn func(patchName string, drainNS int64)) {
@@ -71,7 +72,7 @@ func (v *version[T]) finish() {
 	v.once.Do(func() {
 		close(v.done)
 		if fn := drainObserver.Load(); fn != nil {
-			(*fn)(v.retiredBy, time.Now().UnixNano()-v.retiredAt)
+			(*fn)(v.retiredBy, clock.NowNS()-v.retiredAt)
 		}
 	})
 }
@@ -119,12 +120,18 @@ func (h Held[T]) Release() {
 // value; until then, any Patch that replaced this version does not
 // complete.
 //
-// Get never blocks and is safe from any goroutine; the fast path is two
-// atomic operations plus a validation load, with no allocation.
+// A version whose value is nil is never pinned: there is no code to run
+// against a nil table, so there is nothing to drain, and Get returns nil
+// with the zero Held after one load. A Replace of a nil version therefore
+// completes at once.
+//
+// Get never blocks and is safe from any goroutine; pinning a non-nil
+// value costs two locked operations (the pin and, in Release, the unpin)
+// plus a validation load, with no allocation.
 func (s *Slot[T]) Get() (*T, Held[T]) {
 	for {
 		v := s.cur.Load()
-		if v == nil {
+		if v == nil || v.val == nil {
 			return nil, Held[T]{}
 		}
 		v.refs.Add(1)
@@ -137,8 +144,11 @@ func (s *Slot[T]) Get() (*T, Held[T]) {
 	}
 }
 
-// Peek returns the current value without pinning. Use only when the
-// value is immutable or the caller tolerates tearing against Replace.
+// Peek returns the current value without pinning. A published value must
+// be immutable — writers change a slot by Replace, never by storing
+// through the pointer — so a peeked value is safe to read; what Peek
+// does not give is the drain guarantee: a Patch.Wait may return while the
+// caller still uses it. Code that runs the value pins it with Get.
 func (s *Slot[T]) Peek() *T {
 	if v := s.cur.Load(); v != nil {
 		return v.val
@@ -243,7 +253,7 @@ func (s *Slot[T]) replaceLocked(name string, val *T) *Patch {
 		}
 		oldVal = old.val
 		old.retiredBy = name
-		old.retiredAt = time.Now().UnixNano()
+		old.retiredAt = clock.NowNS()
 		old.retired.Store(true)
 		if old.refs.Load() == 0 {
 			old.finish()

@@ -89,6 +89,41 @@ func TestPatchWaitImmediateWhenUnpinned(t *testing.T) {
 	}
 }
 
+// A nil value is no code to run, so Get does not pin it: a reader that
+// never releases cannot hold its replacement's drain open. (The non-nil
+// half of the contract is TestPatchWaitDrainsOldReaders.)
+func TestNilVersionIsNeverPinned(t *testing.T) {
+	s := NewSlot[int](nil)
+	got, held := s.Get()
+	if got != nil || held != (Held[int]{}) {
+		t.Fatalf("Get on a nil slot = (%v, %v), want nil and the zero Held", got, held)
+	}
+	if refs := s.cur.Load().refs.Load(); refs != 0 {
+		t.Fatalf("nil version has %d refs after Get, want 0", refs)
+	}
+
+	v := 1
+	done := make(chan struct{})
+	go func() {
+		s.Replace("p1", &v).Wait() // concurrent with the unreleased reader
+		close(done)
+	}()
+	<-done
+	held.Release() // the zero Held is a no-op
+
+	// Rolling back to nil: the non-nil version still drains its readers.
+	_, held = s.Get()
+	p := s.Replace("p2", nil)
+	if p.WaitTimeout(0) {
+		t.Fatal("drain completed while the replaced value was pinned")
+	}
+	held.Release()
+	p.Wait()
+	if got, _ := s.Get(); got != nil {
+		t.Fatalf("after rollback to nil: Get = %v", got)
+	}
+}
+
 func TestRollback(t *testing.T) {
 	v1, v2 := 1, 2
 	s := NewSlot(&v1)

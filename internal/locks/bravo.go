@@ -115,7 +115,7 @@ func (b *BRAVO) tryFastRead(t *task.T) bool {
 
 // TryRLock implements RWLock.
 func (b *BRAVO) TryRLock(t *task.T) bool {
-	start := b.now()
+	start := b.tryBegin()
 	if !b.tryFastRead(t) {
 		if !b.under.TryRLock(t) {
 			return false
@@ -149,7 +149,7 @@ func (b *BRAVO) Lock(t *task.T) {
 
 // TryLock implements Lock.
 func (b *BRAVO) TryLock(t *task.T) bool {
-	start := b.now()
+	start := b.tryBegin()
 	if !b.under.TryLock(t) {
 		return false
 	}

@@ -55,7 +55,7 @@ func (l *CohortLock) Lock(t *task.T) {
 	s := &l.sockets[t.Socket()]
 	s.waiters.Add(1)
 	if !s.local.CompareAndSwap(0, 1) {
-		l.contended(t, 0, false)
+		start = l.contended(t, start, 0, false)
 		for i := 0; !s.local.CompareAndSwap(0, 1); i++ {
 			spinYield(i)
 		}
@@ -167,7 +167,7 @@ func (l *CNALock) Lock(t *task.T) {
 	if prev != nil {
 		n.locked.Store(true)
 		prev.next.Store(n)
-		l.contended(t, 0, false)
+		start = l.contended(t, start, 0, false)
 		for i := 0; n.locked.Load(); i++ {
 			spinYield(i)
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"concord/internal/livepatch"
 	"concord/internal/task"
@@ -283,5 +284,298 @@ func TestShflRWLockIsOneLock(t *testing.T) {
 	l.ResetSafety()
 	if got := w.SafetyError(); got != "" {
 		t.Errorf("ResetSafety on the RW lock left the writer queue disabled: %q", got)
+	}
+}
+
+// --- Cost shape (DESIGN §7.5): what an operation pays follows what is
+// attached to its lock. ---
+
+// stepClock gives l a clock stepping 10 ns per read and returns its
+// counter, so reads since a mark are (tick-mark)/10.
+func stepClock(l Lock) *atomic.Int64 {
+	tick := new(atomic.Int64)
+	l.(interface{ SetClock(func() int64) }).SetClock(func() int64 { return tick.Add(10) })
+	return tick
+}
+
+type lockSide struct {
+	name         string
+	reader       bool
+	lock, unlock func(*task.T)
+}
+
+func sidesOf(l Lock) []lockSide {
+	sides := []lockSide{{"write", false, l.Lock, l.Unlock}}
+	if rw, ok := l.(RWLock); ok {
+		sides = append(sides, lockSide{"read", true, rw.RLock, rw.RUnlock})
+	}
+	return sides
+}
+
+// waitsItself reports whether l calls contended itself; wrappers leave
+// the waiting to the lock they wrap.
+func waitsItself(l Lock) bool {
+	switch l.(type) {
+	case *BRAVO, *SwitchableRWLock:
+		return false
+	}
+	return true
+}
+
+// TestCostFollowsTheTable: an uncontended pair reads the clock twice —
+// once in acquired, once in release — plus a start-time read only when
+// lock_acquire or lock_acquired has a subscriber, and pins nothing across
+// the held section; the subscriber that is there still gets its fields.
+func TestCostFollowsTheTable(t *testing.T) {
+	topo := topology.New(2, 4)
+	var wait, hold int64
+	tables := []struct {
+		name  string
+		h     *Hooks
+		reads int64
+	}{
+		{"no table", nil, 2},
+		{"cmp_node only", &Hooks{CmpNode: func(*ShuffleInfo) bool { return false }}, 2},
+		{"release only", &Hooks{OnRelease: func(ev *Event) { hold = ev.HoldNS }}, 2},
+		{"acquired only", &Hooks{OnAcquired: func(ev *Event) { wait = ev.WaitNS }}, 3},
+	}
+	for _, tc := range invariantRoster() {
+		for _, tb := range tables {
+			t.Run(tc.name+"/"+tb.name, func(t *testing.T) {
+				l := tc.mk(topo)
+				slot := l.(Hooked).HookSlot()
+				slot.Replace(tb.name, tb.h)
+				for _, s := range sidesOf(l) {
+					if b, ok := l.(*BRAVO); ok {
+						// BRAVO's algorithm reads the clock when a writer
+						// finds the bias on (revocation cost) or a reader
+						// finds it off (inhibit window): measure each side
+						// in the state where it does neither.
+						b.SetBias(s.reader)
+					}
+					tick := stepClock(l)
+					wait, hold = -1, -1
+					tk := task.NewOnCPU(topo, 0)
+					s.lock(tk)
+					if !slot.Replace(tb.name, tb.h).WaitTimeout(0) {
+						t.Errorf("%s: hook table pinned across the held section", s.name)
+					}
+					s.unlock(tk)
+					if reads := tick.Load() / 10; reads != tb.reads {
+						t.Errorf("%s: %d clock reads per pair, want %d", s.name, reads, tb.reads)
+					}
+					if tb.h != nil && tb.h.OnRelease != nil && hold <= 0 {
+						t.Errorf("%s: release-only table got HoldNS=%d, want > 0", s.name, hold)
+					}
+					if tb.h != nil && tb.h.OnAcquired != nil && wait <= 0 {
+						t.Errorf("%s: acquired-only table got WaitNS=%d, want the begin→acquired step", s.name, wait)
+					}
+				}
+			})
+		}
+	}
+}
+
+// drainChecked builds fresh full hook tables whose hooks log events for
+// one task and fail the test if they run after their table's drain was
+// observed (retire) — the livepatch guarantee the peek-then-pin protocol
+// must keep.
+type drainChecked struct {
+	t     *testing.T
+	watch *task.T
+
+	mu  sync.Mutex
+	log []recordedEvent
+}
+
+func (d *drainChecked) table() (h *Hooks, retire func()) {
+	var retired atomic.Bool
+	hook := func(kind string) func(*Event) {
+		return func(ev *Event) {
+			if retired.Load() {
+				d.t.Errorf("%s ran on a table whose drain had completed", kind)
+			}
+			if ev.WaitNS < 0 || (kind == "release" && ev.HoldNS <= 0) {
+				d.t.Errorf("%s: wait=%d hold=%d", kind, ev.WaitNS, ev.HoldNS)
+			}
+			if ev.Task == d.watch {
+				d.mu.Lock()
+				d.log = append(d.log, recordedEvent{kind, *ev})
+				d.mu.Unlock()
+			}
+		}
+	}
+	h = &Hooks{
+		OnAcquire: hook("acquire"), OnContended: hook("contended"),
+		OnAcquired: hook("acquired"), OnRelease: hook("release"),
+	}
+	return h, func() { retired.Store(true) }
+}
+
+// churn publishes a fresh full table and withdraws it again, a thousand
+// times a second, until stop closes.
+func (d *drainChecked) churn(slot *livepatch.Slot[Hooks], swaps *atomic.Int32, stop <-chan struct{}) {
+	tick := time.NewTicker(time.Millisecond / 2)
+	defer tick.Stop()
+	for {
+		h, retire := d.table()
+		slot.Replace("on", h)
+		<-tick.C
+		slot.Replace("off", nil).Wait()
+		retire()
+		swaps.Add(1)
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+		}
+	}
+}
+
+// TestAttachWhileWaiting: a waiter queued on an unhooked lock when a full
+// table is published reports a wait measured from its contended call (the
+// only clock read it had made), and a positive hold. The second pass
+// repeats it with the table swapped against nil at 1 kHz: whatever the
+// waiter catches, no hook outlives its table's drain and no event carries
+// a negative wait or an empty hold.
+func TestAttachWhileWaiting(t *testing.T) {
+	topo := topology.New(2, 4)
+	for _, tc := range invariantRoster() {
+		if !waitsItself(tc.mk(topo)) {
+			continue // a wrapper never learns its operation waited
+		}
+		for _, churn := range []bool{false, true} {
+			name := tc.name
+			if churn {
+				name += "/churn"
+			}
+			t.Run(name, func(t *testing.T) {
+				lockIDs.Store(0)
+				l := tc.mk(topo)
+				slot := l.(Hooked).HookSlot()
+				tick := stepClock(l)
+				holder, tk := task.NewOnCPU(topo, 1), task.NewOnCPU(topo, 0)
+				d := &drainChecked{t: t, watch: tk}
+
+				l.Lock(holder)
+				mark := tick.Load()
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					l.Lock(tk)
+					l.Unlock(tk)
+				}()
+				// With no table, begin reads no clock: the waiter's first
+				// read is the one contended makes for its start time.
+				for tick.Load() == mark {
+					runtime.Gosched()
+				}
+
+				stop := make(chan struct{})
+				var swapper sync.WaitGroup
+				if churn {
+					var swaps atomic.Int32
+					swapper.Add(1)
+					go func() {
+						defer swapper.Done()
+						d.churn(slot, &swaps, stop)
+					}()
+					for swaps.Load() < 5 { // a few swaps land while tk waits
+						runtime.Gosched()
+					}
+				} else {
+					h, _ := d.table()
+					slot.Replace("on", h)
+				}
+				l.Unlock(holder)
+				<-done
+				close(stop)
+				swapper.Wait()
+
+				if m := tk.HeldMask() | holder.HeldMask(); m != 0 {
+					t.Errorf("held mask %#x after release", m)
+				}
+				if churn {
+					return
+				}
+				if len(d.log) != 2 || d.log[0].kind != "acquired" || d.log[1].kind != "release" {
+					t.Fatalf("waiter events %v, want acquired, release", d.log)
+				}
+				if w := d.log[0].ev.WaitNS; w <= 0 {
+					t.Errorf("WaitNS=%d, want the contended→acquired time", w)
+				}
+				if h := d.log[1].ev.HoldNS; h <= 0 {
+					t.Errorf("HoldNS=%d, want > 0", h)
+				}
+			})
+		}
+	}
+}
+
+// TestUnhookedLockFeedsOtherLocksPolicies: the held mask and
+// critical-section average a task accrues on a lock with nothing attached
+// are what another lock's cmp_node sees for it — the accounting in
+// acquired/release is unconditional.
+func TestUnhookedLockFeedsOtherLocksPolicies(t *testing.T) {
+	topo := topology.New(2, 4)
+	for _, tc := range invariantRoster() {
+		t.Run(tc.name, func(t *testing.T) {
+			lockIDs.Store(0)
+			a := tc.mk(topo) // never hooked
+			stepClock(a)
+			// The head shuffles while it waits alone too; don't let it
+			// spend its rounds before the others have queued.
+			b := NewShflLock("b", WithMaxRounds(1<<30))
+			w := task.NewOnCPU(topo, 0)
+
+			var seen atomic.Bool
+			var mask atomic.Uint64
+			var csAvg atomic.Int64
+			b.HookSlot().Replace("cmp", &Hooks{CmpNode: func(info *ShuffleInfo) bool {
+				if info.Curr.Task == w {
+					mask.Store(w.HeldMask())
+					csAvg.Store(w.CSAverage())
+					seen.Store(true)
+				}
+				return false
+			}})
+
+			a.Lock(w)
+			a.Unlock(w) // one completed section: 10 ns on the stepping clock
+			a.Lock(w)   // and a is held while w queues on b
+
+			holder := task.NewOnCPU(topo, 1)
+			b.Lock(holder)
+			// head, w, tail — one at a time, so w is the interior node the
+			// head's shuffler hands to cmp_node (the tail is never scanned).
+			var wg sync.WaitGroup
+			for i, tk := range []*task.T{task.NewOnCPU(topo, 2), w, task.NewOnCPU(topo, 3)} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					b.Lock(tk)
+					b.Unlock(tk)
+				}()
+				for b.QueueLen() != i+1 {
+					runtime.Gosched()
+				}
+			}
+			for !seen.Load() {
+				runtime.Gosched()
+			}
+			b.Unlock(holder)
+			wg.Wait()
+			a.Unlock(w)
+
+			if want := uint64(1) << a.ID(); mask.Load()&want == 0 {
+				t.Errorf("cmp_node saw held mask %#x, want bit %d of the unhooked lock", mask.Load(), a.ID())
+			}
+			if csAvg.Load() != 10 {
+				t.Errorf("cmp_node saw cs average %d, want 10", csAvg.Load())
+			}
+			if m := w.HeldMask(); m != 0 {
+				t.Errorf("held mask %#x after release", m)
+			}
+		})
 	}
 }

@@ -21,8 +21,8 @@ package locks
 
 import (
 	"sync/atomic"
-	"time"
 
+	"concord/internal/clock"
 	"concord/internal/livepatch"
 	"concord/internal/task"
 )
@@ -129,7 +129,9 @@ type Event struct {
 // Hooks is the patchable behaviour table of a lock: the seven Concord
 // APIs of Table 1. Nil members keep the lock's built-in behaviour. A
 // whole-table swap through the livepatch slot is how Concord changes a
-// lock "implementation" on the fly.
+// lock "implementation" on the fly — and the only way: a table is
+// immutable once published (locks read it unpinned to learn which events
+// have subscribers), so changing one member means publishing a new table.
 type Hooks struct {
 	// Name labels the installed policy (for reports).
 	Name string
@@ -174,9 +176,6 @@ var lockIDs atomic.Uint64
 // task held-lock masks (see task.MaxTrackedLockID).
 func NextLockID() uint64 { return lockIDs.Add(1) - 1 }
 
-// nowNS is the default clock.
-func nowNS() int64 { return time.Now().UnixNano() }
-
 // emit invokes fn with a copy of ev drawn from the task's scratch slot.
 // Passing a pointer into an unknown hook function forces the event to
 // the heap; reusing one event per task caps that at one allocation per
@@ -212,7 +211,7 @@ func newHookable(name string) hookable {
 		id:   NextLockID(),
 		name: name,
 		slot: livepatch.NewSlot[Hooks](nil),
-		now:  nowNS,
+		now:  clock.NowNS,
 	}
 }
 
@@ -258,7 +257,7 @@ func (h *hookable) ResetSafety() {
 
 // getHooks pins the current hook table; the caller must call Release on
 // the returned handle. Returns nil hooks when none are attached or
-// safety checks tripped.
+// safety checks tripped (neither holds a pin).
 func (h *hookable) getHooks() (*Hooks, livepatch.Held[Hooks]) {
 	if h.disabled.Load() {
 		return nil, livepatch.Held[Hooks]{}
@@ -266,53 +265,133 @@ func (h *hookable) getHooks() (*Hooks, livepatch.Held[Hooks]) {
 	return h.slot.Get()
 }
 
+// peek returns the published hook table without pinning it (nil when
+// none is attached or safety checks tripped). Tables are immutable once
+// published, so a peeked table is safe to inspect — that is how a lock
+// operation learns whether an event has a subscriber before paying for a
+// pin or a clock read — but only a pinned table (getHooks) may be run:
+// the pin is what Patch.Wait drains.
+func (h *hookable) peek() *Hooks {
+	if h.disabled.Load() {
+		return nil
+	}
+	return h.slot.Peek()
+}
+
 // --- Instrumentation core ---
 //
 // The four profiling events of Table 1 (lock_acquire / contended /
 // acquired / release) and the task bookkeeping that rides on them are
 // raised here and nowhere else: every lock type brackets its algorithm
-// with begin → [contended] → acquired … release (Try paths that skip
-// lock_acquire read h.now() themselves and call acquired on success).
-// Each event pins the hook table for exactly the duration of its own
-// hook call, and each method reads the clock once. DESIGN §7 states the
-// contract, including which fields each lock family fills.
+// with begin → [contended] → acquired … release (Try paths, which skip
+// lock_acquire, open with tryBegin and call acquired on success).
+//
+// An operation pays for what is attached to its lock. acquired and
+// release read the clock once each, always: the critical-section
+// accounting and held mask they maintain are inputs to policies on other
+// locks. Everything else follows the peeked table: the start-time read in
+// begin happens only when lock_acquire or lock_acquired has a subscriber,
+// and a table is pinned only around a hook that fires, for exactly the
+// duration of that call. DESIGN §7 states the contract, including which
+// fields each lock family fills.
 
-// begin raises lock_acquire and returns the operation's start time, which
-// the caller hands back to acquired.
-func (h *hookable) begin(t *task.T, reader bool) int64 {
-	start := h.now()
+// eventKind names one of the four profiling events.
+type eventKind uint8
+
+const (
+	evAcquire eventKind = iota
+	evContended
+	evAcquired
+	evRelease
+)
+
+// fire pins the hook table and raises ev on the hook subscribed to k, if
+// the pinned table (which may be newer than the one peeked) has one.
+func (h *hookable) fire(t *task.T, k eventKind, ev Event) {
 	hk, pin := h.getHooks()
-	if hk != nil && hk.OnAcquire != nil {
-		emit(t, hk.OnAcquire, Event{LockID: h.id, Task: t, NowNS: start, Reader: reader})
+	if hk != nil {
+		var fn func(*Event)
+		switch k {
+		case evAcquire:
+			fn = hk.OnAcquire
+		case evContended:
+			fn = hk.OnContended
+		case evAcquired:
+			fn = hk.OnAcquired
+		case evRelease:
+			fn = hk.OnRelease
+		}
+		if fn != nil {
+			emit(t, fn, ev)
+		}
 	}
 	pin.Release()
+}
+
+// begin raises lock_acquire and returns the operation's start time, which
+// the caller hands to contended and acquired. With no subscriber to
+// lock_acquire or lock_acquired nobody will ask how long the operation
+// waited, so the clock is not read and the start time is 0 (unknown).
+func (h *hookable) begin(t *task.T, reader bool) int64 {
+	pk := h.peek()
+	if pk == nil || (pk.OnAcquire == nil && pk.OnAcquired == nil) {
+		return 0
+	}
+	start := h.now()
+	if pk.OnAcquire != nil {
+		h.fire(t, evAcquire, Event{LockID: h.id, Task: t, NowNS: start, Reader: reader})
+	}
 	return start
+}
+
+// tryBegin opens a Try operation, which raises no lock_acquire: it
+// returns the start time acquired needs, read only when lock_acquired
+// has a subscriber.
+func (h *hookable) tryBegin() int64 {
+	if pk := h.peek(); pk != nil && pk.OnAcquired != nil {
+		return h.now()
+	}
+	return 0
 }
 
 // contended raises lock_contended: the fast path failed and the task is
 // about to wait (for queue locks, its queue position is already fixed).
-func (h *hookable) contended(t *task.T, queueLen int, reader bool) {
-	hk, pin := h.getHooks()
-	if hk != nil && hk.OnContended != nil {
-		emit(t, hk.OnContended, Event{
-			LockID: h.id, Task: t, NowNS: h.now(), QueueLen: queueLen, Reader: reader,
+// It returns the operation's start time: start if begin read one, else
+// the time of this call, so that a profiler attached while the task waits
+// still gets a truthful wait.
+func (h *hookable) contended(t *task.T, start int64, queueLen int, reader bool) int64 {
+	pk := h.peek()
+	subscribed := pk != nil && pk.OnContended != nil
+	if start != 0 && !subscribed {
+		return start
+	}
+	now := h.now()
+	if subscribed {
+		h.fire(t, evContended, Event{
+			LockID: h.id, Task: t, NowNS: now, QueueLen: queueLen, Reader: reader,
 		})
 	}
-	pin.Release()
+	if start == 0 {
+		start = now
+	}
+	return start
 }
 
 // acquired raises lock_acquired, then marks the lock held by t and opens
-// its critical section.
+// its critical section. An unknown start (0: nothing was attached when
+// the operation began, and it never waited) reports a zero wait.
 func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
 	now := h.now()
-	hk, pin := h.getHooks()
-	if hk != nil && hk.OnAcquired != nil {
-		emit(t, hk.OnAcquired, Event{
+	if pk := h.peek(); pk != nil && pk.OnAcquired != nil {
+		var wait int64
+		if start != 0 {
+			wait = now - start
+		}
+		h.fire(t, evAcquired, Event{
 			LockID: h.id, Task: t, NowNS: now,
-			WaitNS: now - start, QueueLen: queueLen, Reader: reader,
+			WaitNS: wait, QueueLen: queueLen, Reader: reader,
 		})
 	}
-	pin.Release()
 	t.NoteAcquired(h.id)
 	t.EnterCS(now)
 }
@@ -321,16 +400,14 @@ func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
 // lock_release. Callers invoke it before the store that frees the lock.
 func (h *hookable) release(t *task.T, queueLen int, reader bool) {
 	now := h.now()
-	t.ExitCS(now)
+	hold := t.ExitCS(now)
 	t.NoteReleased(h.id)
-	hk, pin := h.getHooks()
-	if hk != nil && hk.OnRelease != nil {
-		emit(t, hk.OnRelease, Event{
+	if pk := h.peek(); pk != nil && pk.OnRelease != nil {
+		h.fire(t, evRelease, Event{
 			LockID: h.id, Task: t, NowNS: now,
-			HoldNS: t.CSLast(), QueueLen: queueLen, Reader: reader,
+			HoldNS: hold, QueueLen: queueLen, Reader: reader,
 		})
 	}
-	pin.Release()
 }
 
 // optRead reports a validated speculative read section to the profiling
@@ -341,9 +418,7 @@ func (h *hookable) release(t *task.T, queueLen int, reader bool) {
 // promotion policy's signal doesn't collapse the moment the reads it is
 // based on stop taking the lock.
 func (h *hookable) optRead(t *task.T) {
-	hk, pin := h.getHooks()
-	if hk != nil && hk.OnAcquired != nil {
-		emit(t, hk.OnAcquired, Event{LockID: h.id, Task: t, NowNS: h.now(), Reader: true})
+	if pk := h.peek(); pk != nil && pk.OnAcquired != nil {
+		h.fire(t, evAcquired, Event{LockID: h.id, Task: t, NowNS: h.now(), Reader: true})
 	}
-	pin.Release()
 }

@@ -362,17 +362,12 @@ func TestHookSwapMidFlight(t *testing.T) {
 		p.Wait()
 		runtime.Gosched()
 	}
-	for a.Load() == 0 && b.Load() == 0 {
+	for a.Load() == 0 { // a is the table left installed, and workers are still running
 		runtime.Gosched()
 	}
 	close(stop)
 	wg.Wait()
-	if a.Load() == 0 {
-		t.Error("hook a never fired")
-	}
-	// Hook b may legitimately be zero on extreme schedules, but both
-	// firing is the common case; only a complete absence of *both* would
-	// indicate breakage, which the check on a covers.
+	// Hook b may legitimately be zero on extreme schedules; a cannot be.
 }
 
 func TestTaskHeldLockTracking(t *testing.T) {

@@ -47,7 +47,7 @@ func (l *MCSLock) Lock(t *task.T) {
 	if prev != nil {
 		n.locked.Store(true)
 		prev.next.Store(n)
-		l.contended(t, 0, false)
+		start = l.contended(t, start, 0, false)
 		for i := 0; n.locked.Load(); i++ {
 			spinYield(i)
 		}
@@ -142,7 +142,7 @@ func (l *CLHLock) Lock(t *task.T) {
 	n.state.Or(clhLocked)
 	prev := l.tail.Swap(n)
 	if prev.state.Load()&clhLocked != 0 {
-		l.contended(t, 0, false)
+		start = l.contended(t, start, 0, false)
 		for i := 0; prev.state.Load()&clhLocked != 0; i++ {
 			spinYield(i)
 		}

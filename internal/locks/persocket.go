@@ -49,7 +49,7 @@ func (l *PerSocketRWLock) RLock(t *task.T) {
 		c.n.Add(-1)
 		if !contended {
 			contended = true
-			l.contended(t, 0, true)
+			start = l.contended(t, start, 0, true)
 		}
 		for j := 0; l.writer.Load() != 0; j++ {
 			spinYield(j)
@@ -82,7 +82,7 @@ func (l *PerSocketRWLock) RUnlock(t *task.T) {
 func (l *PerSocketRWLock) Lock(t *task.T) {
 	start := l.begin(t, false)
 	if !l.writer.CompareAndSwap(0, 1) {
-		l.contended(t, 0, false)
+		start = l.contended(t, start, 0, false)
 		for i := 0; !l.writer.CompareAndSwap(0, 1); i++ {
 			spinYield(i)
 		}

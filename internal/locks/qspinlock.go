@@ -49,7 +49,7 @@ func (l *QSpinLock) Lock(t *task.T) {
 		l.acquired(t, start, 0, false)
 		return
 	}
-	l.contended(t, 0, false)
+	start = l.contended(t, start, 0, false)
 	l.slowPath(t)
 	l.acquired(t, start, 0, false)
 }

@@ -111,7 +111,7 @@ func (s *RWSem) RLock(t *task.T) {
 	w.reader = true
 	s.rq.push(w)
 	s.mu.Unlock()
-	s.contended(t, 0, true)
+	start = s.contended(t, start, 0, true)
 	s.await(t, w)
 	s.acquired(t, start, 0, true)
 }
@@ -165,7 +165,7 @@ func (s *RWSem) Lock(t *task.T) {
 	w.reader = false
 	s.wq.push(w)
 	s.mu.Unlock()
-	s.contended(t, 0, false)
+	start = s.contended(t, start, 0, false)
 	s.await(t, w)
 	s.occ.beginWrite()
 	s.acquired(t, start, 0, false)

@@ -165,13 +165,13 @@ func (l *ShflLock) Lock(t *task.T) {
 		l.finishAcquire(t, start)
 		return
 	}
-	l.contended(t, int(l.qlen.Load()), false)
+	start = l.contended(t, start, int(l.qlen.Load()), false)
 	l.slowPath(t, start)
 }
 
 // TryLock implements Lock.
 func (l *ShflLock) TryLock(t *task.T) bool {
-	start := l.now()
+	start := l.tryBegin()
 	if l.tail.Load() == nil && l.locked.CompareAndSwap(0, 1) {
 		l.finishAcquire(t, start)
 		return true
@@ -254,24 +254,8 @@ func (l *ShflLock) waitForHead(n *shflNode) {
 	spinStart := l.now()
 	for i := 0; n.status.Load() != shflHead; i++ {
 		decision := WaitDefault
-		if h, release := l.getHooks(); h != nil && h.ScheduleWaiter != nil {
-			info := WaitInfo{
-				LockID:   l.id,
-				NowNS:    l.now(),
-				QueueLen: int(l.qlen.Load()),
-				SpinNS:   l.now() - spinStart,
-				Curr:     &n.Waiter,
-			}
-			// Expose the holder's typical critical-section length so
-			// parking policies can size their spin window (§3.1.1
-			// "adaptable parking/wake-up strategy").
-			if holder := l.holder.Load(); holder != nil {
-				info.HolderCSAvg = holder.CSAverage()
-			}
-			decision = h.ScheduleWaiter(&info)
-			release.Release()
-		} else {
-			release.Release()
+		if pk := l.peek(); pk != nil && pk.ScheduleWaiter != nil {
+			decision = l.scheduleWaiter(n, spinStart)
 		}
 
 		switch {
@@ -287,6 +271,32 @@ func (l *ShflLock) waitForHead(n *shflNode) {
 			}
 		}
 	}
+}
+
+// scheduleWaiter pins the hook table and asks its schedule_waiter hook,
+// if the pinned table has one, how n should wait.
+func (l *ShflLock) scheduleWaiter(n *shflNode, spinStart int64) int {
+	h, release := l.getHooks()
+	if h == nil || h.ScheduleWaiter == nil {
+		release.Release()
+		return WaitDefault
+	}
+	info := WaitInfo{
+		LockID:   l.id,
+		NowNS:    l.now(),
+		QueueLen: int(l.qlen.Load()),
+		SpinNS:   l.now() - spinStart,
+		Curr:     &n.Waiter,
+	}
+	// Expose the holder's typical critical-section length so parking
+	// policies can size their spin window (§3.1.1 "adaptable
+	// parking/wake-up strategy").
+	if holder := l.holder.Load(); holder != nil {
+		info.HolderCSAvg = holder.CSAverage()
+	}
+	decision := h.ScheduleWaiter(&info)
+	release.Release()
+	return decision
 }
 
 // parkRescueInterval bounds how long a parked waiter sleeps before
@@ -313,6 +323,9 @@ func (l *ShflLock) park(n *shflNode) {
 // next pointers; enqueuers only ever write the next pointer of the node
 // that was the tail, and the scan treats next == nil as a hard barrier.
 func (l *ShflLock) shuffle(n *shflNode, round *int) {
+	if pk := l.peek(); pk == nil || pk.CmpNode == nil {
+		return
+	}
 	h, release := l.getHooks()
 	defer release.Release()
 	if h == nil || h.CmpNode == nil {

@@ -68,7 +68,7 @@ func (l *ShflRWLock) RLock(t *task.T) {
 	start := l.begin(t, true)
 	for i := 0; !l.tryRead(); i++ {
 		if i == 0 {
-			l.contended(t, 0, true)
+			start = l.contended(t, start, 0, true)
 		}
 		spinYield(i)
 	}
@@ -90,7 +90,7 @@ func (l *ShflRWLock) tryRead() bool {
 
 // TryRLock implements RWLock.
 func (l *ShflRWLock) TryRLock(t *task.T) bool {
-	start := l.now()
+	start := l.tryBegin()
 	if !l.tryRead() {
 		return false
 	}

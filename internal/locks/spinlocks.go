@@ -38,7 +38,7 @@ func (l *TASLock) Lock(t *task.T) {
 		l.acquired(t, start, 0, false)
 		return
 	}
-	l.contended(t, 0, false)
+	start = l.contended(t, start, 0, false)
 	for i := 0; !l.state.CompareAndSwap(0, 1); i++ {
 		spinYield(i)
 	}
@@ -82,7 +82,7 @@ func (l *TTASLock) Lock(t *task.T) {
 		l.acquired(t, start, 0, false)
 		return
 	}
-	l.contended(t, 0, false)
+	start = l.contended(t, start, 0, false)
 	for i := 0; ; i++ {
 		if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
 			break
@@ -128,7 +128,7 @@ func (l *TicketLock) Lock(t *task.T) {
 	start := l.begin(t, false)
 	ticket := l.next.Add(1) - 1
 	if l.owner.Load() != ticket {
-		l.contended(t, 0, false)
+		start = l.contended(t, start, 0, false)
 		for i := 0; l.owner.Load() != ticket; i++ {
 			spinYield(i)
 		}

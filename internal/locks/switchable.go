@@ -239,7 +239,7 @@ func (s *SwitchableRWLock) tryPin(t *task.T, reader bool) (*pinned, bool) {
 
 // TryLock implements Lock.
 func (s *SwitchableRWLock) TryLock(t *task.T) bool {
-	start := s.now()
+	start := s.tryBegin()
 	p, ok := s.tryPin(t, false)
 	if !ok {
 		return false
@@ -273,7 +273,7 @@ func (s *SwitchableRWLock) RLock(t *task.T) {
 
 // TryRLock implements RWLock.
 func (s *SwitchableRWLock) TryRLock(t *task.T) bool {
-	start := s.now()
+	start := s.tryBegin()
 	p, ok := s.tryPin(t, true)
 	if !ok {
 		return false

@@ -5,7 +5,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"concord/internal/clock"
 )
 
 // HelperID identifies a helper function callable from policy programs,
@@ -342,10 +343,10 @@ func (e *TestEnv) Traces() []uint64 {
 	return out
 }
 
-// realEnv is the Env used when none is supplied: wall clock, CPU 0.
+// realEnv is the Env used when none is supplied: the stack's clock, CPU 0.
 type realEnv struct{}
 
-func (realEnv) NowNS() int64        { return time.Now().UnixNano() }
+func (realEnv) NowNS() int64        { return clock.NowNS() }
 func (realEnv) CPU() int            { return 0 }
 func (realEnv) NUMANode() int       { return 0 }
 func (realEnv) TaskID() int64       { return 0 }
@@ -353,5 +354,5 @@ func (realEnv) TaskPriority() int64 { return 0 }
 func (realEnv) Rand() uint64        { return rand.Uint64() }
 func (realEnv) Trace(uint64)        {}
 
-// DefaultEnv is the fallback environment (wall clock, CPU 0, no task).
+// DefaultEnv is the fallback environment (the stack's clock, CPU 0, no task).
 var DefaultEnv Env = realEnv{}

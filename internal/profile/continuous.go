@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"concord/internal/clock"
 	"concord/internal/locks"
 )
 
@@ -56,7 +57,7 @@ type ContinuousConfig struct {
 	Window time.Duration
 	// TopK is how many contending call sites text reports keep per lock.
 	TopK int
-	// Clock overrides time.Now().UnixNano for read-side staleness checks
+	// Clock overrides clock.NowNS for read-side staleness checks
 	// and export timestamps (tests). Event timestamps come from the lock
 	// events themselves.
 	Clock func() int64
@@ -124,9 +125,9 @@ func NewContinuous(cfg ContinuousConfig) *Continuous {
 	if topK <= 0 {
 		topK = DefaultTopK
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = func() int64 { return time.Now().UnixNano() }
+	now := cfg.Clock
+	if now == nil {
+		now = clock.NowNS
 	}
 	return &Continuous{
 		mask:     uint64(pow - 1),
@@ -135,8 +136,8 @@ func NewContinuous(cfg ContinuousConfig) *Continuous {
 		siteRate: int64(sitePow),
 		winNS:    int64(win),
 		topK:     topK,
-		clock:    clock,
-		startNS:  clock(),
+		clock:    now,
+		startNS:  now(),
 		stats:    make(map[uint64]*Windowed),
 		byLoc:    make(map[string]*Windowed),
 		hooks:    make(map[string]*locks.Hooks),

@@ -51,7 +51,16 @@ type T struct {
 	heldLocks atomic.Uint64
 
 	// Critical-section accounting for occupancy-aware policies (§3.1.2).
-	csStartNS   atomic.Int64
+	// What one acquire/release pair pays for it: csTotalNS and csCount
+	// (a locked add each) feed CSAverage, which shufflers and
+	// schedule_waiter read from other goroutines, so they stay atomic.
+	// csLastNS and acquisition (a locked store/add each) have no reader
+	// outside tests but back the any-goroutine getters CSLast and
+	// Acquisitions, so they stay atomic too. csStartNS has no getter:
+	// only EnterCS and ExitCS touch it, both on the owner goroutine like
+	// hookScratch, so it is a plain field — as an atomic it cost two
+	// locked stores per pair (the open and the re-zero) for nobody.
+	csStartNS   int64
 	csTotalNS   atomic.Int64
 	csCount     atomic.Int64
 	csLastNS    atomic.Int64
@@ -191,22 +200,28 @@ func (t *T) HeldCount() int {
 
 // EnterCS marks the beginning of a critical section at the given
 // timestamp (nanoseconds on whichever clock the caller uses).
-func (t *T) EnterCS(nowNS int64) { t.csStartNS.Store(nowNS) }
+// Owner-goroutine only.
+func (t *T) EnterCS(nowNS int64) { t.csStartNS = nowNS }
 
-// ExitCS marks the end of a critical section and accumulates its length.
-func (t *T) ExitCS(nowNS int64) {
-	start := t.csStartNS.Load()
+// ExitCS marks the end of a critical section, accumulates its length and
+// returns it. An exit with no section open accumulates nothing and
+// returns the last section's length again (the outer lock of a nested
+// pair, whose section the inner exit already closed). Owner-goroutine
+// only.
+func (t *T) ExitCS(nowNS int64) int64 {
+	start := t.csStartNS
 	if start == 0 {
-		return
+		return t.csLastNS.Load()
 	}
 	d := nowNS - start
 	if d < 0 {
 		d = 0
 	}
-	t.csStartNS.Store(0)
+	t.csStartNS = 0
 	t.csLastNS.Store(d)
 	t.csTotalNS.Add(d)
 	t.csCount.Add(1)
+	return d
 }
 
 // CSTotal returns the cumulative time the task has spent in critical
