@@ -88,11 +88,56 @@ const (
 	opRelease   = 4
 )
 
-// taskEnv adapts a task to the policy VM's execution environment.
+// taskEnv adapts a task to the policy VM's execution environment. It
+// lives in its task's fireScratch: t and the Rand state belong to the
+// task (seeded once from its ID, so a task that fires two attachments'
+// hooks draws one stream rather than replaying it), ad is whichever
+// attachment's hook is firing.
 type taskEnv struct {
 	t    *task.T
 	seed uint64
 	ad   *adapter
+}
+
+// fireScratch is what one hook fire hands the policy by address: the
+// context words, the context and the execution environment. A value whose
+// address crosses the indirect CompiledFn call is heap-allocated, so the
+// three are allocated once per task and parked in the task's fire-scratch
+// slot between fires — the kernel hands a program a pointer to a context
+// that already exists; this is the userspace equivalent.
+type fireScratch struct {
+	words [32]uint64 // the widest layout (cmp_node) has 27 fields
+	ctx   policy.Ctx
+	env   taskEnv
+}
+
+// takeFire takes t's scratch (allocating it on the task's first fire, on
+// a reentrant fire, or for an event without a task) and readies it for
+// one fire of a hook with layout l on attachment a. The returned context
+// words are zeroed: the fills below store conditional fields only when
+// they are set. The caller hands the scratch back with putFire.
+func (a *adapter) takeFire(t *task.T, l *policy.CtxLayout) (*fireScratch, []uint64) {
+	var sc *fireScratch
+	if t != nil {
+		sc, _ = t.TakeFireScratch().(*fireScratch)
+	}
+	if sc == nil {
+		sc = &fireScratch{env: taskEnv{t: t}}
+		if t != nil {
+			sc.env.seed = uint64(t.ID())
+		}
+	}
+	sc.env.ad = a
+	w := sc.words[:len(l.Fields)]
+	clear(w)
+	sc.ctx = policy.Ctx{Layout: l, Words: w}
+	return sc, w
+}
+
+func putFire(t *task.T, sc *fireScratch) {
+	if t != nil {
+		t.PutFireScratch(sc)
+	}
 }
 
 func (e *taskEnv) NowNS() int64        { return clock.NowNS() }
@@ -160,13 +205,10 @@ type adapter struct {
 	// helper reports no change). Set at attach time when the lock has an
 	// optimistic read tier.
 	occSet atomic.Pointer[func(uint64) uint64]
-
-	envs sync.Map // *task.T -> *taskEnv
 }
 
 // setLockStats installs (or clears, with nil) the lock_stats_read
-// backing closure; existing cached task environments observe the swap
-// on their next helper call.
+// backing closure; hooks observe the swap on their next helper call.
 func (a *adapter) setLockStats(fn func(uint64) uint64) {
 	if fn == nil {
 		a.lockStats.Store(nil)
@@ -182,18 +224,6 @@ func (a *adapter) setOCCSet(fn func(uint64) uint64) {
 		return
 	}
 	a.occSet.Store(&fn)
-}
-
-func (a *adapter) envFor(t *task.T) *taskEnv {
-	if t == nil {
-		return &taskEnv{ad: a}
-	}
-	if e, ok := a.envs.Load(t); ok {
-		return e.(*taskEnv)
-	}
-	e := &taskEnv{t: t, seed: uint64(t.ID()), ad: a}
-	actual, _ := a.envs.LoadOrStore(t, e)
-	return actual.(*taskEnv)
 }
 
 // Faults reports how many policy executions faulted.
@@ -241,6 +271,9 @@ func taskFields(t *task.T) (id, cpu, socket, prio, weight, cs, held, speed, quot
 // code"): JIT-tier programs dispatch straight into their fused closures,
 // VM-tier ones through the reference interpreter. mode overrides the
 // per-program choice for ablation (force-VM baseline, force-JIT).
+//
+// Every closure below runs on its task's fireScratch (takeFire … exec …
+// putFire) and allocates nothing in steady state.
 func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	progs := pol.Programs
 	h := &locks.Hooks{Name: a.policyName}
@@ -249,22 +282,17 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	// built, so a hook fire dispatches straight into the closure it will
 	// run: the JIT closure, or the reference interpreter over p.
 	bind := func(k policy.Kind, p *policy.Program) policy.CompiledFn {
-		var lower bool
-		switch mode {
-		case TierForceVM:
-			// interpreter everywhere
-		case TierForceJIT:
-			lower = true
-		default:
-			// Honour the admission-time decision but lower at hook-table
-			// build time: the closure must match the bytecode the
-			// interpreter fallback would run, even if the program object
-			// changed since LoadPolicy. A program that no longer lowers
-			// falls back to the VM (which will fault if it is corrupt).
-			ch, ok := pol.Tiers[k]
-			lower = ok && ch.Tier == jit.TierJIT
-		}
-		if lower {
+		ch := pol.Tiers[k] // absent: the zero Choice, VM tier
+		if mode == TierForceJIT || (mode == TierAuto && ch.Tier == jit.TierJIT) {
+			// The closure must match the bytecode the interpreter fallback
+			// would run. Admission already lowered it; that closure is
+			// reused unless the program changed since LoadPolicy, in which
+			// case it is lowered again here. A program that no longer
+			// lowers falls back to the VM (which will fault if it is
+			// corrupt).
+			if fn := ch.FnFor(p); fn != nil {
+				return fn
+			}
 			if fn, err := jit.Compile(p); err == nil {
 				return fn
 			}
@@ -273,7 +301,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			return policy.Exec(p, ctx, env)
 		}
 	}
-	exec := func(run policy.CompiledFn, ctx *policy.Ctx, t *task.T) (ret uint64, ok bool) {
+	exec := func(run policy.CompiledFn, sc *fireScratch) (ret uint64, ok bool) {
 		// Containment: a panicking hook (injected or real) becomes a
 		// policy fault instead of unwinding into the lock algorithm.
 		defer func() {
@@ -298,7 +326,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 				time.Sleep(flt.Delay)
 			}
 		}
-		ret, err := run(ctx, a.envFor(t))
+		ret, err := run(&sc.ctx, &sc.env)
 		if a.latencyBudget > 0 {
 			if el := time.Since(start); el > a.latencyBudget {
 				a.fault(fmt.Errorf("%w: hook ran %v (budget %v)",
@@ -315,25 +343,23 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	if p, ok := progs[policy.KindCmpNode]; ok {
 		run := bind(policy.KindCmpNode, p)
 		h.CmpNode = func(info *locks.ShuffleInfo) bool {
-			var words [32]uint64
-			ctx := policy.Ctx{Layout: cmpL, Words: words[:len(cmpL.Fields)]}
-			w := ctx.Words
+			s, c := info.Shuffler, info.Curr
+			sc, w := a.takeFire(s.Task, cmpL)
 			w[cmpIdx.lockID] = info.LockID
 			w[cmpIdx.queueLen] = uint64(info.QueueLen)
 			w[cmpIdx.round] = uint64(info.Round)
 			w[cmpIdx.now] = uint64(info.NowNS)
 			w[cmpIdx.batch] = uint64(info.Batch)
-			s := info.Shuffler
 			w[cmpIdx.sTask], w[cmpIdx.sCPU], w[cmpIdx.sSocket], w[cmpIdx.sPrio],
 				w[cmpIdx.sWeight], w[cmpIdx.sCS], w[cmpIdx.sHeld], w[cmpIdx.sSpeed],
 				w[cmpIdx.sQuota], w[cmpIdx.sPreempted] = taskFields(s.Task)
 			w[cmpIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-			c := info.Curr
 			w[cmpIdx.cTask], w[cmpIdx.cCPU], w[cmpIdx.cSocket], w[cmpIdx.cPrio],
 				w[cmpIdx.cWeight], w[cmpIdx.cCS], w[cmpIdx.cHeld], w[cmpIdx.cSpeed],
 				w[cmpIdx.cQuota], w[cmpIdx.cPreempted] = taskFields(c.Task)
 			w[cmpIdx.cWait] = uint64(c.WaitNS(info.NowNS))
-			ret, ok := exec(run, &ctx, s.Task)
+			ret, ok := exec(run, sc)
+			putFire(s.Task, sc)
 			return ok && ret != 0
 		}
 	}
@@ -341,21 +367,20 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	if p, ok := progs[policy.KindSkipShuffle]; ok {
 		run := bind(policy.KindSkipShuffle, p)
 		h.SkipShuffle = func(info *locks.ShuffleInfo) bool {
-			var words [16]uint64
-			ctx := policy.Ctx{Layout: skipL, Words: words[:len(skipL.Fields)]}
-			w := ctx.Words
+			s := info.Shuffler
+			sc, w := a.takeFire(s.Task, skipL)
 			w[skipIdx.lockID] = info.LockID
 			w[skipIdx.queueLen] = uint64(info.QueueLen)
 			w[skipIdx.round] = uint64(info.Round)
 			w[skipIdx.now] = uint64(info.NowNS)
 			w[skipIdx.batch] = uint64(info.Batch)
-			s := info.Shuffler
 			w[skipIdx.sTask] = uint64(s.Task.ID())
 			w[skipIdx.sCPU] = uint64(s.Task.CPU())
 			w[skipIdx.sSocket] = uint64(s.Task.Socket())
 			w[skipIdx.sPrio] = uint64(s.Task.Priority())
 			w[skipIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-			ret, ok := exec(run, &ctx, s.Task)
+			ret, ok := exec(run, sc)
+			putFire(s.Task, sc)
 			return ok && ret != 0
 		}
 	}
@@ -363,13 +388,11 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	if p, ok := progs[policy.KindScheduleWaiter]; ok {
 		run := bind(policy.KindScheduleWaiter, p)
 		h.ScheduleWaiter = func(info *locks.WaitInfo) int {
-			var words [16]uint64
-			ctx := policy.Ctx{Layout: schedL, Words: words[:len(schedL.Fields)]}
-			w := ctx.Words
+			c := info.Curr
+			sc, w := a.takeFire(c.Task, schedL)
 			w[schedIdx.lockID] = info.LockID
 			w[schedIdx.queueLen] = uint64(info.QueueLen)
 			w[schedIdx.now] = uint64(info.NowNS)
-			c := info.Curr
 			w[schedIdx.cTask] = uint64(c.Task.ID())
 			w[schedIdx.cCPU] = uint64(c.Task.CPU())
 			w[schedIdx.cSocket] = uint64(c.Task.Socket())
@@ -382,7 +405,8 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			w[schedIdx.ahead] = uint64(info.WaitersAhead)
 			w[schedIdx.holderCS] = uint64(info.HolderCSAvg)
 			w[schedIdx.spin] = uint64(info.SpinNS)
-			ret, ok := exec(run, &ctx, c.Task)
+			ret, ok := exec(run, sc)
+			putFire(c.Task, sc)
 			if !ok {
 				return locks.WaitDefault
 			}
@@ -405,9 +429,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		layout := policy.LayoutFor(p.Kind)
 		run := bind(k, p)
 		return func(ev *locks.Event) {
-			var words [16]uint64
-			ctx := policy.Ctx{Layout: layout, Words: words[:len(layout.Fields)]}
-			w := ctx.Words
+			sc, w := a.takeFire(ev.Task, layout)
 			w[profIdx.lockID] = ev.LockID
 			w[profIdx.op] = op
 			if ev.Task != nil {
@@ -423,7 +445,8 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			if ev.Reader {
 				w[profIdx.reader] = 1
 			}
-			exec(run, &ctx, ev.Task)
+			exec(run, sc)
+			putFire(ev.Task, sc)
 		}
 	}
 	h.OnAcquire = profHook(policy.KindLockAcquire, opAcquire)

@@ -317,7 +317,10 @@ func (fr *FlightRecorder) write(b *FlightBundle) {
 		return
 	}
 	fr.mu.Lock()
+	// Captures run concurrently and finish in any order; names sort by
+	// sequence number, so sorting keeps "oldest" meaning lowest seq.
 	fr.files = append(fr.files, final)
+	sort.Strings(fr.files)
 	var prune []string
 	if len(fr.files) > fr.max {
 		n := len(fr.files) - fr.max

@@ -56,8 +56,13 @@ func TestFlightRecorderCapturesOnQuarantine(t *testing.T) {
 		InitialBackoff: time.Millisecond,
 	})
 
-	faultinject.PolicyHelper.Arm(faultinject.Config{MaxFires: 1})
+	// One clean acquisition first: the capture goroutine snapshots the
+	// trace ring and profiling windows as soon as the policy trips, which
+	// can be before the tripping event's own telemetry hooks have run.
 	tk := task.New(f.Topology())
+	l.Lock(tk)
+	l.Unlock(tk)
+	faultinject.PolicyHelper.Arm(faultinject.Config{MaxFires: 1})
 	pumpUntil(t, l, tk, "quarantine", func() bool { return att.Quarantined() })
 	fr.Wait()
 	if err := fr.Err(); err != nil {

@@ -1,20 +1,26 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 
+	"concord/internal/core"
+	"concord/internal/locks"
 	"concord/internal/policy"
 	"concord/internal/policy/jit"
+	"concord/internal/task"
+	"concord/internal/topology"
 )
 
 // This file is the wall-clock microbenchmark of the hook dispatch
 // plane: the profiled-shuffler cmp_node policy (context fill + program
-// execution + a map_add on every fire) measured end to end through the
-// interpreter and through the JIT closure tier. The ksim cells in the
-// regression matrix run in virtual time, so policy execution cost is
-// invisible there by construction; these cells are where the JIT tier's
-// speedup (and its zero-allocation contract) is actually measured.
+// execution + a map_add on every fire) measured end to end — through the
+// hook closure the framework builds at Attach — on the interpreter and on
+// the JIT closure tier. The ksim cells in the regression matrix run in
+// virtual time, so policy execution cost is invisible there by
+// construction; these cells are where the JIT tier's speedup (and its
+// zero-allocation contract) is actually measured.
 
 // jitEnabled gates whether the cBPF wrappers and the hook-plane cells
 // execute policies through the JIT closure tier. lockbench -jit=off
@@ -39,39 +45,57 @@ func execClosure(prog *policy.Program) policy.CompiledFn {
 	}
 }
 
-// HookFire is one hook-plane operation: fill a cmp_node context with
-// the shuffler's and candidate's sockets and run the policy, the same
-// work the adapter does per shuffler examination.
+// HookFire is one hook-plane operation: the framework-built cmp_node
+// hook fired for a shuffler and a candidate on the given sockets — the
+// adapter's context fill, containment and program execution, exactly
+// what a ShflLock pays per shuffler examination.
 type HookFire func(shufflerSocket, currSocket uint64) bool
 
-// HookPlaneFire builds the measured hook closure for one tier:
-// "vm" always dispatches through the interpreter, "jit" goes through
-// the JIT closure tier (subject to the -jit toggle). Each call builds
-// a fresh program and map arena so cells don't share profiling state.
+// HookPlaneFire builds the measured hook closure for one tier the way a
+// user gets one: the profiled-shuffler policy is loaded into a framework,
+// attached to a ShflLock, and the closure is the CmpNode member of the
+// hook table the lock publishes. "vm" forces the interpreter, "jit" the
+// JIT closure tier (subject to the -jit toggle). Each call builds a fresh
+// framework, program and map arena so cells don't share profiling state.
+// HookFires are single-threaded.
 func HookPlaneFire(tier string) HookFire {
+	topo := topology.Paper()
+	fw := core.New(topo)
+	l := locks.NewShflLock("hookbench")
 	prog := ProfiledNumaCmpProgram(policy.NewHashMap("hookbench-exams", 8, 8, 16))
-	layout := policy.LayoutFor(policy.KindCmpNode)
-	sSlot := layout.Slot("shuffler_socket")
-	cSlot := layout.Slot("curr_socket")
-	run := func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
-		return policy.Exec(prog, ctx, env)
+	mode := core.TierForceVM
+	if tier == "jit" && jitEnabled {
+		mode = core.TierForceJIT
 	}
-	if tier == "jit" {
-		run = execClosure(prog)
-	}
-	// The ctx buffer lives in the closure, not the call frame: an
-	// indirect CompiledFn call defeats escape analysis, and a
-	// heap-allocated ctx per fire would charge both tiers one malloc
-	// of pure measurement harness. HookFires are single-threaded.
-	ctx := policy.Ctx{Layout: layout, Words: make([]uint64, len(layout.Fields))}
-	return func(shufflerSocket, currSocket uint64) bool {
-		for i := range ctx.Words {
-			ctx.Words[i] = 0
+	must := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("experiments: hook plane setup: %v", err))
 		}
-		ctx.Words[sSlot] = shufflerSocket
-		ctx.Words[cSlot] = currSocket
-		ret, err := run(&ctx, nil)
-		return err == nil && ret != 0
+	}
+	must(fw.RegisterLock(l))
+	_, err := fw.LoadPolicy("numa-prof", prog)
+	must(err)
+	att, err := fw.Attach(l.Name(), "numa-prof")
+	must(err)
+	att.Wait()
+	patch, err := fw.SetTier(l.Name(), mode)
+	must(err)
+	patch.Wait()
+	cmp := l.HookSlot().Peek().CmpNode
+
+	// One task per socket; a fire points the two waiters at the tasks on
+	// the requested sockets.
+	onSocket := make([]*task.T, topo.NumSockets())
+	for s := range onSocket {
+		onSocket[s] = task.NewOnCPU(topo, s*topo.CoresPerSocket())
+	}
+	var shuffler, curr locks.Waiter
+	info := locks.ShuffleInfo{LockID: l.ID(), QueueLen: 4, Round: 1, Batch: 1,
+		Shuffler: &shuffler, Curr: &curr}
+	return func(shufflerSocket, currSocket uint64) bool {
+		shuffler.Task = onSocket[shufflerSocket%uint64(len(onSocket))]
+		curr.Task = onSocket[currSocket%uint64(len(onSocket))]
+		return cmp(&info)
 	}
 }
 

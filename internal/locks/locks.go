@@ -78,7 +78,10 @@ func (w *Waiter) Bypassed() int { return int(w.bypass.Load()) }
 // WaitNS reports how long the waiter has been queued as of now.
 func (w *Waiter) WaitNS(now int64) int64 { return now - w.EnqueueNS }
 
-// ShuffleInfo is the context handed to shuffling hooks.
+// ShuffleInfo is the context handed to shuffling hooks. Like Event, the
+// pointer a hook receives is only valid for the duration of the call: the
+// lock fills one ShuffleInfo per queue node and reuses it for every call
+// of a round, so hooks must copy out any fields they keep.
 type ShuffleInfo struct {
 	LockID   uint64
 	NowNS    int64
@@ -89,7 +92,8 @@ type ShuffleInfo struct {
 	Curr     *Waiter // nil for skip_shuffle
 }
 
-// WaitInfo is the context handed to the schedule_waiter hook.
+// WaitInfo is the context handed to the schedule_waiter hook, valid only
+// for the duration of the call (see ShuffleInfo).
 type WaitInfo struct {
 	LockID       uint64
 	NowNS        int64

@@ -16,12 +16,21 @@ const (
 )
 
 // shflNode is one waiter in the ShflLock queue, pooled per task (see
-// pool.go) and padded past a cache line. Its parker channel is allocated
-// once at node construction and survives pooling, so an unpark in flight
-// from a previous life can never race a reuse; whether *this* life may
-// actually park is the per-acquisition mayPark flag, which also keeps
-// the injected handoff faults (inside park.Unpark) firing only for
-// park-capable waiters — the accounting the chaos suite checks.
+// pool.go). Its parker channel is allocated once at node construction and
+// survives pooling, so an unpark in flight from a previous life can never
+// race a reuse; whether *this* life may actually park is the
+// per-acquisition mayPark flag, which also keeps the injected handoff
+// faults (inside park.Unpark) firing only for park-capable waiters — the
+// accounting the chaos suite checks.
+//
+// The node is three cache lines. The first holds what other tasks touch
+// (the predecessor's promotion store, enqueuers' and the shuffler's next
+// stores, the shuffler's bypass charge). The other two hold the contexts
+// the node's own task hands to its hooks — sinfo while it is the shuffler,
+// winfo while it waits for promotion — which only that task writes. They
+// live here because a context passed by address into an unknown hook is
+// heap-allocated, and the node is the one piece of memory the waiter
+// already owns for exactly as long as it can shuffle or wait.
 type shflNode struct {
 	Waiter
 	status  atomic.Int32
@@ -29,7 +38,11 @@ type shflNode struct {
 	next    atomic.Pointer[shflNode]
 	free    *shflNode
 	park    park.Parker
-	_       [24]byte
+
+	sinfo ShuffleInfo
+	_     [8]byte
+	winfo WaitInfo
+	_     [8]byte
 }
 
 func (n *shflNode) unpark() {
@@ -281,7 +294,8 @@ func (l *ShflLock) scheduleWaiter(n *shflNode, spinStart int64) int {
 		release.Release()
 		return WaitDefault
 	}
-	info := WaitInfo{
+	info := &n.winfo
+	*info = WaitInfo{
 		LockID:   l.id,
 		NowNS:    l.now(),
 		QueueLen: int(l.qlen.Load()),
@@ -294,7 +308,7 @@ func (l *ShflLock) scheduleWaiter(n *shflNode, spinStart int64) int {
 	if holder := l.holder.Load(); holder != nil {
 		info.HolderCSAvg = holder.CSAverage()
 	}
-	decision := h.ScheduleWaiter(&info)
+	decision := h.ScheduleWaiter(info)
 	release.Release()
 	return decision
 }
@@ -338,14 +352,15 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 	l.statRounds.Add(1)
 
 	now := l.now()
-	info := ShuffleInfo{
+	info := &n.sinfo
+	*info = ShuffleInfo{
 		LockID:   l.id,
 		NowNS:    now,
 		QueueLen: int(l.qlen.Load()),
 		Round:    *round,
 		Shuffler: &n.Waiter,
 	}
-	if h.SkipShuffle != nil && h.SkipShuffle(&info) {
+	if h.SkipShuffle != nil && h.SkipShuffle(info) {
 		l.statSkips.Add(1)
 		return
 	}
@@ -369,7 +384,7 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 		}
 		info.Curr = &curr.Waiter
 		info.Batch = batch
-		if h.CmpNode(&info) {
+		if h.CmpNode(info) {
 			// Moving curr overtakes every waiter we previously skipped.
 			// If any of them has already exhausted its bypass budget the
 			// round stops *before* the move — the starvation bound of

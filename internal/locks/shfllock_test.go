@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"concord/internal/task"
 	"concord/internal/topology"
@@ -43,7 +44,6 @@ func buildQueue(t *testing.T, l *ShflLock, topo *topology.Topology, tasks []*tas
 func TestShflLockNUMAGrouping(t *testing.T) {
 	topo := topology.Paper() // 8 sockets × 10 CPUs
 	l := NewShflLock("numa", WithMaxRounds(64), WithMaxScan(32), WithMaxBatch(32))
-	l.HookSlot().Replace("numa", NUMAHooks())
 
 	holder := task.New(topo)
 	l.Lock(holder)
@@ -54,14 +54,28 @@ func TestShflLockNUMAGrouping(t *testing.T) {
 		tasks[i] = task.NewOnCPU(topo, (i%2)*10) // socket 0 or 1
 	}
 	order, wg := buildQueue(t, l, topo, tasks)
+	// Attach the policy only now that every waiter is queued. Rounds are
+	// counted per acquisition from the moment a policy is attached: with
+	// it installed up front, the head could spend all 64 on a queue of
+	// one or two while the other goroutines were still starting, and then
+	// never move anybody however long the holder waited.
+	l.HookSlot().Replace("numa", NUMAHooks())
 	// Keep holding until the head waiter has shuffled the queue:
-	// shuffling happens while the head spins on the held lock word. The
-	// waiters are all queued, so the shuffler is guaranteed to run; wait
-	// on its counter rather than racing a wall-clock deadline against a
-	// loaded scheduler.
-	for {
-		if _, moves, _ := l.ShuffleStats(); moves > 0 {
+	// shuffling happens while the head spins on the held lock word. Seven
+	// waiters share the head's socket and at most one of them is the
+	// untouchable tail, so its first round over the linked queue moves
+	// somebody; wait on the counter, and if it never moves say what the
+	// shuffler did instead of hanging until the binary's deadline.
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		rounds, moves, skips := l.ShuffleStats()
+		if moves > 0 {
 			break
+		}
+		if time.Now().After(deadline) {
+			l.Unlock(holder)
+			wg.Wait()
+			t.Fatalf("shuffler never moved a node: rounds=%d moves=%d skips=%d, queue was %d",
+				rounds, moves, skips, len(tasks))
 		}
 		runtime.Gosched()
 	}

@@ -344,9 +344,9 @@ func Analyze(p *policy.Program) (*Report, error) {
 
 	// Per-map accumulators, indexed like p.Maps.
 	type mapAcc struct {
-		reads, writes       int
-		maxKey, maxVal      int
-		slots               map[int64]Interval
+		reads, writes  int
+		maxKey, maxVal int
+		slots          map[int64]Interval
 	}
 	accs := make([]mapAcc, len(p.Maps))
 	for i := range accs {

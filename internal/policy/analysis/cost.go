@@ -12,11 +12,11 @@ import "concord/internal/policy"
 //
 // Per-instruction base costs.
 const (
-	CostALU  int64 = 1 // register ALU, mov, neg
-	CostJump int64 = 1 // ja and conditional jumps
-	CostMem  int64 = 2 // stack/ctx/map-value loads and stores
+	CostALU   int64 = 1 // register ALU, mov, neg
+	CostJump  int64 = 1 // ja and conditional jumps
+	CostMem   int64 = 2 // stack/ctx/map-value loads and stores
 	CostLdMap int64 = 1 // materializing a map reference
-	CostExit int64 = 1
+	CostExit  int64 = 1
 	// CostCallBase is the helper dispatch overhead (argument marshal,
 	// indirect call) added to every helper's own cost.
 	CostCallBase int64 = 10

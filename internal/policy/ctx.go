@@ -193,8 +193,10 @@ func LayoutFor(k Kind) *CtxLayout {
 }
 
 // Ctx is a populated hook context: one uint64 per field of the layout.
-// The framework builds one per hook invocation (they are small and are
-// usually stack-allocated by the caller).
+// The framework fills one per hook invocation. A Ctx reaches the program
+// through an indirect CompiledFn call, so it and its words are never
+// stack-allocated: a caller on a hot path keeps one in memory it already
+// owns and refills it (core parks one per task, see core.fireScratch).
 type Ctx struct {
 	Layout *CtxLayout
 	Words  []uint64

@@ -2,6 +2,7 @@ package jit
 
 import (
 	"fmt"
+	"slices"
 
 	"concord/internal/policy"
 	"concord/internal/policy/analysis"
@@ -37,6 +38,24 @@ type Choice struct {
 	Reason string
 	// Fn is the compiled closure; nil when Tier is TierVM.
 	Fn policy.CompiledFn
+
+	// What Fn was lowered from: the program object, and copies of the
+	// bytecode and map table it had at admission (see FnFor).
+	prog  *policy.Program
+	insns []policy.Instruction
+	maps  []policy.Map
+}
+
+// FnFor returns the closure lowered at admission if it is still a
+// lowering of p — the same program object with the bytecode and maps it
+// was admitted with — and nil otherwise (VM tier, or p has been modified
+// since), in which case the caller lowers p again or interprets it.
+func (c Choice) FnFor(p *policy.Program) policy.CompiledFn {
+	if c.Fn == nil || c.prog != p ||
+		!slices.Equal(c.insns, p.Insns) || !slices.Equal(c.maps, p.Maps) {
+		return nil
+	}
+	return c.Fn
 }
 
 // Choose picks the execution tier for a verified program using the
@@ -59,5 +78,6 @@ func Choose(p *policy.Program, rep *analysis.Report) Choice {
 	if !rep.Facts.HotPathClean {
 		reason += ", hot path not clean"
 	}
-	return Choice{Tier: TierJIT, Reason: reason, Fn: fn}
+	return Choice{Tier: TierJIT, Reason: reason, Fn: fn,
+		prog: p, insns: slices.Clone(p.Insns), maps: slices.Clone(p.Maps)}
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"sync"
 )
 
 // VerifyError describes why a program was rejected, pointing at the
@@ -143,6 +144,14 @@ func (s *absState) merge(o *absState) {
 	s.stack.intersect(&o.stack)
 }
 
+// verifyStates recycles Verify's per-instruction state array, its one
+// large allocation (512 B per instruction). A policy lifecycle verifies
+// each program twice — once when it is compiled, once more when
+// LoadPolicy admits it — and the lock path makes no garbage for the
+// collector to hand that memory back out of, so without the pool every
+// lifecycle pays for fresh pages. Each run clears the prefix it uses.
+var verifyStates = sync.Pool{New: func() any { return new([]absState) }}
+
 // VerifyStats reports what the verifier proved about a program.
 type VerifyStats struct {
 	Insns        int
@@ -201,7 +210,13 @@ func Verify(p *Program) (VerifyStats, error) {
 	stats.MapRefs = len(p.Maps)
 	layout := LayoutFor(p.Kind)
 
-	states := make([]absState, n)
+	buf := verifyStates.Get().(*[]absState)
+	defer verifyStates.Put(buf)
+	if cap(*buf) < n {
+		*buf = make([]absState, n)
+	}
+	states := (*buf)[:n]
+	clear(states)
 	entry := &states[0]
 	entry.live = true
 	for i := range entry.regs {

@@ -77,6 +77,18 @@ type T struct {
 	// acquiring/releasing path), so it needs no synchronisation.
 	hookScratch any
 
+	// fireScratch is a second free-list of one with the same discipline,
+	// for the layer that turns a hook call into a policy execution
+	// (core's context words and execution environment). It is separate
+	// from hookScratch because the two are in use at once: the lock holds
+	// the event scratch while the hook it calls holds this one. Owner-
+	// goroutine only, which holds because every hook runs on the goroutine
+	// of the task it takes the slot from: cmp_node and skip_shuffle run on
+	// the queue head's acquirer (the shuffler), schedule_waiter on the
+	// waiter itself, and the four events on the acquiring or releasing
+	// task. `go test -race` over core and locks checks it.
+	fireScratch any
+
 	// nodeCache holds per-class free lists of lock queue nodes, so a
 	// contended acquire reuses the node freed by a previous acquisition
 	// instead of heap-allocating (a kernel thread keeps its MCS node on
@@ -280,6 +292,19 @@ func (t *T) TakeScratch() any {
 // PutScratch stashes a value for the next TakeScratch on this task.
 // Owner-goroutine only.
 func (t *T) PutScratch(s any) { t.hookScratch = s }
+
+// TakeFireScratch removes and returns the task's hook-fire scratch (nil
+// if absent or already taken, so a reentrant fire allocates its own).
+// Owner-goroutine only.
+func (t *T) TakeFireScratch() any {
+	s := t.fireScratch
+	t.fireScratch = nil
+	return s
+}
+
+// PutFireScratch stashes a value for the next TakeFireScratch on this
+// task. Owner-goroutine only.
+func (t *T) PutFireScratch(s any) { t.fireScratch = s }
 
 // CSAverage returns the task's mean critical-section length, or 0 if the
 // task has not completed one yet.
