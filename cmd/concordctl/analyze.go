@@ -85,6 +85,9 @@ func cmdAnalyze(args []string, stdout io.Writer) error {
 			fmt.Fprint(stdout, rep.String())
 			ch := jit.Choose(progs[i], rep)
 			fmt.Fprintf(stdout, "  tier:          %s (%s)\n", ch.Tier, ch.Reason)
+			if low := ch.Lowering(); low != "" {
+				fmt.Fprintf(stdout, "  lowering:      %s\n", low)
+			}
 			if unit != nil {
 				// Map warning pcs back to DSL source lines.
 				for _, w := range rep.Warnings {

@@ -88,6 +88,84 @@ const (
 	opRelease   = 4
 )
 
+// The live source of every context word, by field name: where the value
+// the eager fills below store into a slot comes from. A program lowered to
+// a decision tree (jit.LowerTree) is evaluated over these directly — each
+// word it compares is read where it lives, and no context is built. One
+// table serves cmp_node and skip_shuffle, whose layouts share the
+// shuffler's fields. TestCtxSourcesMatchFill holds the two definitions of
+// a word together.
+var (
+	shuffleSrc = map[string]func(*locks.ShuffleInfo) uint64{
+		"lock_id":       func(i *locks.ShuffleInfo) uint64 { return i.LockID },
+		"queue_len":     func(i *locks.ShuffleInfo) uint64 { return uint64(i.QueueLen) },
+		"shuffle_round": func(i *locks.ShuffleInfo) uint64 { return uint64(i.Round) },
+		"now_ns":        func(i *locks.ShuffleInfo) uint64 { return uint64(i.NowNS) },
+		"batch":         func(i *locks.ShuffleInfo) uint64 { return uint64(i.Batch) },
+
+		"shuffler_task_id":   func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.Task.ID()) },
+		"shuffler_cpu":       func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.Task.CPU()) },
+		"shuffler_socket":    func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.Task.Socket()) },
+		"shuffler_prio":      func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.Task.Priority()) },
+		"shuffler_weight":    func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.Task.Weight()) },
+		"shuffler_cs_avg":    func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.Task.CSAverage()) },
+		"shuffler_wait_ns":   func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.WaitNS(i.NowNS)) },
+		"shuffler_held_mask": func(i *locks.ShuffleInfo) uint64 { return i.Shuffler.Task.HeldMask() },
+		"shuffler_speed_pct": func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.Task.Speed() * 100) },
+		"shuffler_quota":     func(i *locks.ShuffleInfo) uint64 { return uint64(i.Shuffler.Task.Quota()) },
+		"shuffler_preempted": func(i *locks.ShuffleInfo) uint64 { return b2u(i.Shuffler.Task.Preempted()) },
+
+		"curr_task_id":   func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.Task.ID()) },
+		"curr_cpu":       func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.Task.CPU()) },
+		"curr_socket":    func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.Task.Socket()) },
+		"curr_prio":      func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.Task.Priority()) },
+		"curr_weight":    func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.Task.Weight()) },
+		"curr_cs_avg":    func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.Task.CSAverage()) },
+		"curr_wait_ns":   func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.WaitNS(i.NowNS)) },
+		"curr_held_mask": func(i *locks.ShuffleInfo) uint64 { return i.Curr.Task.HeldMask() },
+		"curr_speed_pct": func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.Task.Speed() * 100) },
+		"curr_quota":     func(i *locks.ShuffleInfo) uint64 { return uint64(i.Curr.Task.Quota()) },
+		"curr_preempted": func(i *locks.ShuffleInfo) uint64 { return b2u(i.Curr.Task.Preempted()) },
+	}
+	waitSrc = map[string]func(*locks.WaitInfo) uint64{
+		"lock_id":        func(i *locks.WaitInfo) uint64 { return i.LockID },
+		"queue_len":      func(i *locks.WaitInfo) uint64 { return uint64(i.QueueLen) },
+		"now_ns":         func(i *locks.WaitInfo) uint64 { return uint64(i.NowNS) },
+		"curr_task_id":   func(i *locks.WaitInfo) uint64 { return uint64(i.Curr.Task.ID()) },
+		"curr_cpu":       func(i *locks.WaitInfo) uint64 { return uint64(i.Curr.Task.CPU()) },
+		"curr_socket":    func(i *locks.WaitInfo) uint64 { return uint64(i.Curr.Task.Socket()) },
+		"curr_prio":      func(i *locks.WaitInfo) uint64 { return uint64(i.Curr.Task.Priority()) },
+		"curr_wait_ns":   func(i *locks.WaitInfo) uint64 { return uint64(i.Curr.WaitNS(i.NowNS)) },
+		"curr_quota":     func(i *locks.WaitInfo) uint64 { return uint64(i.Curr.Task.Quota()) },
+		"curr_preempted": func(i *locks.WaitInfo) uint64 { return b2u(i.Curr.Task.Preempted()) },
+		"waiters_ahead":  func(i *locks.WaitInfo) uint64 { return uint64(i.WaitersAhead) },
+		"holder_cs_avg":  func(i *locks.WaitInfo) uint64 { return uint64(i.HolderCSAvg) },
+		"spin_ns":        func(i *locks.WaitInfo) uint64 { return uint64(i.SpinNS) },
+	}
+
+	cmpSrc   = slotSources(cmpL, shuffleSrc)
+	skipSrc  = slotSources(skipL, shuffleSrc)
+	schedSrc = slotSources(schedL, waitSrc)
+)
+
+// slotSources orders byName's sources by l's slots. A field without one
+// is left nil; a tree that loads it faults (and its policy detaches)
+// rather than read a made-up value.
+func slotSources[T any](l *policy.CtxLayout, byName map[string]func(T) uint64) []func(T) uint64 {
+	src := make([]func(T) uint64, len(l.Fields))
+	for i, f := range l.Fields {
+		src[i] = byName[f.Name]
+	}
+	return src
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // taskEnv adapts a task to the policy VM's execution environment. It
 // lives in its task's fireScratch: t and the Rand state belong to the
 // task (seeded once from its ID, so a task that fires two attachments'
@@ -266,31 +344,157 @@ func taskFields(t *task.T) (id, cpu, socket, prio, weight, cs, held, speed, quot
 	return
 }
 
+// fillCmp, fillSkip and fillSched marshal one fire's context eagerly, for
+// the general path: every word of the layout, whatever the program reads.
+// w is zeroed (takeFire); conditional fields are stored only when set.
+func fillCmp(w []uint64, info *locks.ShuffleInfo) {
+	s, c := info.Shuffler, info.Curr
+	w[cmpIdx.lockID] = info.LockID
+	w[cmpIdx.queueLen] = uint64(info.QueueLen)
+	w[cmpIdx.round] = uint64(info.Round)
+	w[cmpIdx.now] = uint64(info.NowNS)
+	w[cmpIdx.batch] = uint64(info.Batch)
+	w[cmpIdx.sTask], w[cmpIdx.sCPU], w[cmpIdx.sSocket], w[cmpIdx.sPrio],
+		w[cmpIdx.sWeight], w[cmpIdx.sCS], w[cmpIdx.sHeld], w[cmpIdx.sSpeed],
+		w[cmpIdx.sQuota], w[cmpIdx.sPreempted] = taskFields(s.Task)
+	w[cmpIdx.sWait] = uint64(s.WaitNS(info.NowNS))
+	w[cmpIdx.cTask], w[cmpIdx.cCPU], w[cmpIdx.cSocket], w[cmpIdx.cPrio],
+		w[cmpIdx.cWeight], w[cmpIdx.cCS], w[cmpIdx.cHeld], w[cmpIdx.cSpeed],
+		w[cmpIdx.cQuota], w[cmpIdx.cPreempted] = taskFields(c.Task)
+	w[cmpIdx.cWait] = uint64(c.WaitNS(info.NowNS))
+}
+
+func fillSkip(w []uint64, info *locks.ShuffleInfo) {
+	s := info.Shuffler
+	w[skipIdx.lockID] = info.LockID
+	w[skipIdx.queueLen] = uint64(info.QueueLen)
+	w[skipIdx.round] = uint64(info.Round)
+	w[skipIdx.now] = uint64(info.NowNS)
+	w[skipIdx.batch] = uint64(info.Batch)
+	w[skipIdx.sTask] = uint64(s.Task.ID())
+	w[skipIdx.sCPU] = uint64(s.Task.CPU())
+	w[skipIdx.sSocket] = uint64(s.Task.Socket())
+	w[skipIdx.sPrio] = uint64(s.Task.Priority())
+	w[skipIdx.sWait] = uint64(s.WaitNS(info.NowNS))
+}
+
+func fillSched(w []uint64, info *locks.WaitInfo) {
+	c := info.Curr
+	w[schedIdx.lockID] = info.LockID
+	w[schedIdx.queueLen] = uint64(info.QueueLen)
+	w[schedIdx.now] = uint64(info.NowNS)
+	w[schedIdx.cTask] = uint64(c.Task.ID())
+	w[schedIdx.cCPU] = uint64(c.Task.CPU())
+	w[schedIdx.cSocket] = uint64(c.Task.Socket())
+	w[schedIdx.cPrio] = uint64(c.Task.Priority())
+	w[schedIdx.cWait] = uint64(c.WaitNS(info.NowNS))
+	w[schedIdx.cQuota] = uint64(c.Task.Quota())
+	if c.Task.Preempted() {
+		w[schedIdx.cPreempted] = 1
+	}
+	w[schedIdx.ahead] = uint64(info.WaitersAhead)
+	w[schedIdx.holderCS] = uint64(info.HolderCSAvg)
+	w[schedIdx.spin] = uint64(info.SpinNS)
+}
+
+// exec runs one hook fire under the attachment's containment, whichever
+// lowering run dispatches into: a panicking hook (injected or real)
+// becomes a policy fault instead of unwinding into the lock algorithm, a
+// run over the latency budget is a fault, and so is a run that returns an
+// error. The general path hands run the context and environment it
+// marshalled; a decision tree reads its words at their sources and is
+// handed neither.
+func (a *adapter) exec(run policy.CompiledFn, ctx *policy.Ctx, env policy.Env) (ret uint64, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			a.fault(fmt.Errorf("%w: %v", ErrHookPanic, r))
+			ret, ok = 0, false
+		}
+	}()
+	if faultinject.CoreHookPanic.Enabled() {
+		if flt, fire := faultinject.CoreHookPanic.Fire(); fire {
+			panic(flt.Err)
+		}
+	}
+	var start time.Time
+	if a.latencyBudget > 0 {
+		start = time.Now()
+	}
+	// Injected hook latency lands inside the watchdog's measurement
+	// window — exactly how a slow policy would present.
+	if faultinject.PolicyLatency.Enabled() {
+		if flt, fire := faultinject.PolicyLatency.Fire(); fire && flt.Delay > 0 {
+			time.Sleep(flt.Delay)
+		}
+	}
+	ret, err := run(ctx, env)
+	if a.latencyBudget > 0 {
+		if el := time.Since(start); el > a.latencyBudget {
+			a.fault(fmt.Errorf("%w: hook ran %v (budget %v)",
+				ErrHookLatency, el, a.latencyBudget))
+		}
+	}
+	if err != nil {
+		a.fault(err)
+		return 0, false
+	}
+	return ret, true
+}
+
+// waitDecision maps a schedule_waiter program's result onto the lock's
+// wait decisions; a faulted run and an out-of-range value keep the
+// built-in behaviour.
+func waitDecision(ret uint64, ok bool) int {
+	if !ok {
+		return locks.WaitDefault
+	}
+	switch ret {
+	case policy.WaiterKeepSpinning:
+		return locks.WaitKeepSpinning
+	case policy.WaiterParkNow:
+		return locks.WaitParkNow
+	default:
+		return locks.WaitDefault
+	}
+}
+
 // hooks builds the lock hook table executing the policy's programs on
 // the tier chosen for each at admission (§4.2's "translated into native
-// code"): JIT-tier programs dispatch straight into their fused closures,
+// code"): JIT-tier programs dispatch straight into their lowering,
 // VM-tier ones through the reference interpreter. mode overrides the
 // per-program choice for ablation (force-VM baseline, force-JIT).
 //
-// Every closure below runs on its task's fireScratch (takeFire … exec …
-// putFire) and allocates nothing in steady state.
+// A decision program the JIT tier lowered to a tree is evaluated where
+// its inputs live: exec around jit.RunTree over the layout's sources —
+// no scratch, no marshal, no machine. Every other closure below runs on
+// its task's fireScratch (takeFire … fill … exec … putFire). Neither
+// allocates in steady state.
 func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	progs := pol.Programs
 	h := &locks.Hooks{Name: a.policyName}
 
-	// bind resolves the tier of kind k's program once, while the table is
-	// built, so a hook fire dispatches straight into the closure it will
-	// run: the JIT closure, or the reference interpreter over p.
+	// jitTier reports whether kind k's program runs on the JIT tier under
+	// mode; tree and bind resolve its lowering once, while the table is
+	// built, so a fire dispatches straight into what it will run.
+	jitTier := func(k policy.Kind) bool {
+		// absent: the zero Choice, VM tier
+		return mode == TierForceJIT || (mode == TierAuto && pol.Tiers[k].Tier == jit.TierJIT)
+	}
+	tree := func(k policy.Kind, p *policy.Program) *jit.Tree {
+		if !jitTier(k) {
+			return nil
+		}
+		return pol.Tiers[k].TreeFor(p)
+	}
 	bind := func(k policy.Kind, p *policy.Program) policy.CompiledFn {
-		ch := pol.Tiers[k] // absent: the zero Choice, VM tier
-		if mode == TierForceJIT || (mode == TierAuto && ch.Tier == jit.TierJIT) {
+		if jitTier(k) {
 			// The closure must match the bytecode the interpreter fallback
 			// would run. Admission already lowered it; that closure is
 			// reused unless the program changed since LoadPolicy, in which
 			// case it is lowered again here. A program that no longer
 			// lowers falls back to the VM (which will fault if it is
 			// corrupt).
-			if fn := ch.FnFor(p); fn != nil {
+			if fn := pol.Tiers[k].FnFor(p); fn != nil {
 				return fn
 			}
 			if fn, err := jit.Compile(p); err == nil {
@@ -301,122 +505,49 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			return policy.Exec(p, ctx, env)
 		}
 	}
-	exec := func(run policy.CompiledFn, sc *fireScratch) (ret uint64, ok bool) {
-		// Containment: a panicking hook (injected or real) becomes a
-		// policy fault instead of unwinding into the lock algorithm.
-		defer func() {
-			if r := recover(); r != nil {
-				a.fault(fmt.Errorf("%w: %v", ErrHookPanic, r))
-				ret, ok = 0, false
-			}
-		}()
-		if faultinject.CoreHookPanic.Enabled() {
-			if flt, fire := faultinject.CoreHookPanic.Fire(); fire {
-				panic(flt.Err)
-			}
-		}
-		var start time.Time
-		if a.latencyBudget > 0 {
-			start = time.Now()
-		}
-		// Injected hook latency lands inside the watchdog's measurement
-		// window — exactly how a slow policy would present.
-		if faultinject.PolicyLatency.Enabled() {
-			if flt, fire := faultinject.PolicyLatency.Fire(); fire && flt.Delay > 0 {
-				time.Sleep(flt.Delay)
-			}
-		}
-		ret, err := run(&sc.ctx, &sc.env)
-		if a.latencyBudget > 0 {
-			if el := time.Since(start); el > a.latencyBudget {
-				a.fault(fmt.Errorf("%w: hook ran %v (budget %v)",
-					ErrHookLatency, el, a.latencyBudget))
-			}
-		}
-		if err != nil {
-			a.fault(err)
-			return 0, false
-		}
-		return ret, true
-	}
 
-	if p, ok := progs[policy.KindCmpNode]; ok {
-		run := bind(policy.KindCmpNode, p)
-		h.CmpNode = func(info *locks.ShuffleInfo) bool {
-			s, c := info.Shuffler, info.Curr
-			sc, w := a.takeFire(s.Task, cmpL)
-			w[cmpIdx.lockID] = info.LockID
-			w[cmpIdx.queueLen] = uint64(info.QueueLen)
-			w[cmpIdx.round] = uint64(info.Round)
-			w[cmpIdx.now] = uint64(info.NowNS)
-			w[cmpIdx.batch] = uint64(info.Batch)
-			w[cmpIdx.sTask], w[cmpIdx.sCPU], w[cmpIdx.sSocket], w[cmpIdx.sPrio],
-				w[cmpIdx.sWeight], w[cmpIdx.sCS], w[cmpIdx.sHeld], w[cmpIdx.sSpeed],
-				w[cmpIdx.sQuota], w[cmpIdx.sPreempted] = taskFields(s.Task)
-			w[cmpIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-			w[cmpIdx.cTask], w[cmpIdx.cCPU], w[cmpIdx.cSocket], w[cmpIdx.cPrio],
-				w[cmpIdx.cWeight], w[cmpIdx.cCS], w[cmpIdx.cHeld], w[cmpIdx.cSpeed],
-				w[cmpIdx.cQuota], w[cmpIdx.cPreempted] = taskFields(c.Task)
-			w[cmpIdx.cWait] = uint64(c.WaitNS(info.NowNS))
-			ret, ok := exec(run, sc)
-			putFire(s.Task, sc)
+	// cmp_node and skip_shuffle are the same hook over different layouts.
+	shuffleHook := func(k policy.Kind, l *policy.CtxLayout, src []func(*locks.ShuffleInfo) uint64,
+		fill func([]uint64, *locks.ShuffleInfo)) func(*locks.ShuffleInfo) bool {
+		p, ok := progs[k]
+		if !ok {
+			return nil
+		}
+		if t := tree(k, p); t != nil {
+			return func(info *locks.ShuffleInfo) bool {
+				ret, ok := a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
+					return jit.RunTree(t, src, info)
+				}, nil, nil)
+				return ok && ret != 0
+			}
+		}
+		run := bind(k, p)
+		return func(info *locks.ShuffleInfo) bool {
+			sc, w := a.takeFire(info.Shuffler.Task, l)
+			fill(w, info)
+			ret, ok := a.exec(run, &sc.ctx, &sc.env)
+			putFire(info.Shuffler.Task, sc)
 			return ok && ret != 0
 		}
 	}
-
-	if p, ok := progs[policy.KindSkipShuffle]; ok {
-		run := bind(policy.KindSkipShuffle, p)
-		h.SkipShuffle = func(info *locks.ShuffleInfo) bool {
-			s := info.Shuffler
-			sc, w := a.takeFire(s.Task, skipL)
-			w[skipIdx.lockID] = info.LockID
-			w[skipIdx.queueLen] = uint64(info.QueueLen)
-			w[skipIdx.round] = uint64(info.Round)
-			w[skipIdx.now] = uint64(info.NowNS)
-			w[skipIdx.batch] = uint64(info.Batch)
-			w[skipIdx.sTask] = uint64(s.Task.ID())
-			w[skipIdx.sCPU] = uint64(s.Task.CPU())
-			w[skipIdx.sSocket] = uint64(s.Task.Socket())
-			w[skipIdx.sPrio] = uint64(s.Task.Priority())
-			w[skipIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-			ret, ok := exec(run, sc)
-			putFire(s.Task, sc)
-			return ok && ret != 0
-		}
-	}
+	h.CmpNode = shuffleHook(policy.KindCmpNode, cmpL, cmpSrc, fillCmp)
+	h.SkipShuffle = shuffleHook(policy.KindSkipShuffle, skipL, skipSrc, fillSkip)
 
 	if p, ok := progs[policy.KindScheduleWaiter]; ok {
-		run := bind(policy.KindScheduleWaiter, p)
-		h.ScheduleWaiter = func(info *locks.WaitInfo) int {
-			c := info.Curr
-			sc, w := a.takeFire(c.Task, schedL)
-			w[schedIdx.lockID] = info.LockID
-			w[schedIdx.queueLen] = uint64(info.QueueLen)
-			w[schedIdx.now] = uint64(info.NowNS)
-			w[schedIdx.cTask] = uint64(c.Task.ID())
-			w[schedIdx.cCPU] = uint64(c.Task.CPU())
-			w[schedIdx.cSocket] = uint64(c.Task.Socket())
-			w[schedIdx.cPrio] = uint64(c.Task.Priority())
-			w[schedIdx.cWait] = uint64(c.WaitNS(info.NowNS))
-			w[schedIdx.cQuota] = uint64(c.Task.Quota())
-			if c.Task.Preempted() {
-				w[schedIdx.cPreempted] = 1
+		if t := tree(policy.KindScheduleWaiter, p); t != nil {
+			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
+				return waitDecision(a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
+					return jit.RunTree(t, schedSrc, info)
+				}, nil, nil))
 			}
-			w[schedIdx.ahead] = uint64(info.WaitersAhead)
-			w[schedIdx.holderCS] = uint64(info.HolderCSAvg)
-			w[schedIdx.spin] = uint64(info.SpinNS)
-			ret, ok := exec(run, sc)
-			putFire(c.Task, sc)
-			if !ok {
-				return locks.WaitDefault
-			}
-			switch ret {
-			case policy.WaiterKeepSpinning:
-				return locks.WaitKeepSpinning
-			case policy.WaiterParkNow:
-				return locks.WaitParkNow
-			default:
-				return locks.WaitDefault
+		} else {
+			run := bind(policy.KindScheduleWaiter, p)
+			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
+				sc, w := a.takeFire(info.Curr.Task, schedL)
+				fillSched(w, info)
+				ret, ok := a.exec(run, &sc.ctx, &sc.env)
+				putFire(info.Curr.Task, sc)
+				return waitDecision(ret, ok)
 			}
 		}
 	}
@@ -445,7 +576,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			if ev.Reader {
 				w[profIdx.reader] = 1
 			}
-			exec(run, sc)
+			a.exec(run, &sc.ctx, &sc.env)
 			putFire(ev.Task, sc)
 		}
 	}

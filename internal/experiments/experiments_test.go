@@ -73,6 +73,9 @@ func TestFigure2cSimShape(t *testing.T) {
 }
 
 func TestFigure2cRealSmall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock gate: the race detector's slowdown is not uniform across what is compared")
+	}
 	// Real-lock variant at reduced scale (full sweep is the bench's
 	// job). Overhead band is loose: a 1-CPU CI host adds noise.
 	pts := Figure2cReal([]int{2, 4}, 400)

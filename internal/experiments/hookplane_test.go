@@ -8,6 +8,9 @@ import "testing"
 // must not allocate. Best-of-3 on each side absorbs scheduler noise on
 // loaded CI hosts; the real ratio is well above the gate.
 func TestHookPlaneJITSpeedup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock gate: the race detector's slowdown is not uniform across what is compared")
+	}
 	const ops = 200_000
 	best := func(fire HookFire) float64 {
 		var b float64
@@ -33,6 +36,9 @@ func TestHookPlaneJITSpeedup(t *testing.T) {
 // TestHookPlaneJITZeroAllocs pins the other half of the contract: a
 // JIT hook fire performs no heap allocation in steady state.
 func TestHookPlaneJITZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race, so the closure tier's pooled machine is reallocated; the contract holds in normal builds")
+	}
 	if a := HookPlaneAllocsPerOp(HookPlaneFire("jit"), 4096); a != 0 {
 		t.Errorf("JIT hook fire allocates %.4f/op, want 0", a)
 	}

@@ -95,9 +95,13 @@ type ShuffleInfo struct {
 // WaitInfo is the context handed to the schedule_waiter hook, valid only
 // for the duration of the call (see ShuffleInfo).
 type WaitInfo struct {
-	LockID       uint64
-	NowNS        int64
-	QueueLen     int
+	LockID   uint64
+	NowNS    int64
+	QueueLen int
+	// WaitersAhead estimates how many waiters are queued in front of
+	// Curr: the queue length it saw on joining less the acquisitions
+	// through the queue since. Exact in FIFO order; approximate once a
+	// shuffler reorders the queue or enqueues race.
 	WaitersAhead int
 	SpinNS       int64
 	// HolderCSAvg is the current holder's mean critical-section length

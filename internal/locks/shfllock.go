@@ -27,7 +27,8 @@ const (
 // (the predecessor's promotion store, enqueuers' and the shuffler's next
 // stores, the shuffler's bypass charge). The other two hold the contexts
 // the node's own task hands to its hooks — sinfo while it is the shuffler,
-// winfo while it waits for promotion — which only that task writes. They
+// winfo (and what it is computed from) while it waits for promotion —
+// which only that task writes. They
 // live here because a context passed by address into an unknown hook is
 // heap-allocated, and the node is the one piece of memory the waiter
 // already owns for exactly as long as it can shuffle or wait.
@@ -42,7 +43,10 @@ type shflNode struct {
 	sinfo ShuffleInfo
 	_     [8]byte
 	winfo WaitInfo
-	_     [8]byte
+	// What the node's task saw as it enqueued, for winfo.WaitersAhead:
+	// the queue's length and the lock's grant count (see ShflLock.grants).
+	aheadSeen  int32
+	grantsSeen uint32
 }
 
 func (n *shflNode) unpark() {
@@ -89,6 +93,11 @@ type ShflLock struct {
 	// holder is the task currently inside the critical section, for
 	// occupancy-aware policies (priority inheritance, §3.1.2).
 	holder atomic.Pointer[task.T]
+	// grants counts acquisitions through the queue. Only the task that
+	// has just won the lock word stores it, on the line holder already
+	// dirties; waiters subtract the count they enqueued at from it to
+	// estimate how many of the waiters they queued behind are gone.
+	grants atomic.Uint32
 
 	// Shuffle statistics (tests and reports).
 	statRounds atomic.Int64
@@ -214,7 +223,8 @@ func (l *ShflLock) slowPath(t *task.T, start int64) {
 	// Fix the park capability for this node life before publication;
 	// waiters already queued keep the mode they enqueued with.
 	n.mayPark.Store(l.blocking.Load())
-	l.qlen.Add(1)
+	n.grantsSeen = l.grants.Load()
+	n.aheadSeen = l.qlen.Add(1) - 1
 	prev := l.tail.Swap(n)
 	if prev != nil {
 		prev.next.Store(n)
@@ -238,6 +248,7 @@ func (l *ShflLock) slowPath(t *task.T, start int64) {
 	}
 
 	// Lock word owned; leave the queue and promote our successor.
+	l.grants.Store(l.grants.Load() + 1)
 	next := n.next.Load()
 	if next == nil {
 		if !l.tail.CompareAndSwap(n, nil) {
@@ -301,6 +312,13 @@ func (l *ShflLock) scheduleWaiter(n *shflNode, spinStart int64) int {
 		QueueLen: int(l.qlen.Load()),
 		SpinNS:   l.now() - spinStart,
 		Curr:     &n.Waiter,
+	}
+	// Waiters ahead: those queued when n joined, less the grants since.
+	// Approximate — the two counters are not read together, and a
+	// shuffler may have moved n past waiters it still counts (or others
+	// past n) — and exact in FIFO order without racing enqueues.
+	if ahead := int(n.aheadSeen) - int(l.grants.Load()-n.grantsSeen); ahead > 0 {
+		info.WaitersAhead = ahead
 	}
 	// Expose the holder's typical critical-section length so parking
 	// policies can size their spin window (§3.1.1 "adaptable

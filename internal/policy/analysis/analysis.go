@@ -33,6 +33,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strings"
 
 	"concord/internal/policy"
 )
@@ -196,6 +197,9 @@ type Report struct {
 	// a scalar narrower than top (joined over reachable exits).
 	Registers map[string]Interval `json:"registers,omitempty"`
 
+	// CtxReads is the context half of the footprint: the names of the
+	// context fields some reachable instruction loads, sorted.
+	CtxReads  []string       `json:"ctx_reads,omitempty"`
 	Footprint []MapFootprint `json:"footprint,omitempty"`
 	Facts     Facts          `json:"facts"`
 	Warnings  []Warning      `json:"warnings,omitempty"`
@@ -209,6 +213,9 @@ func (r *Report) String() string {
 	out += fmt.Sprintf("  return:        %s\n", r.Return)
 	out += fmt.Sprintf("  facts:         terminates=%v ctx_read_only=%v deterministic=%v read_only=%v hot_path_clean=%v\n",
 		r.Facts.Terminates, r.Facts.CtxReadOnly, r.Facts.Deterministic, r.Facts.ReadOnly, r.Facts.HotPathClean)
+	if len(r.CtxReads) > 0 {
+		out += fmt.Sprintf("  ctx reads:     %s\n", strings.Join(r.CtxReads, " "))
+	}
 	for _, f := range r.Footprint {
 		out += fmt.Sprintf("  map %-12s key=%dB value=%dB entries=%d reads=%d writes=%d",
 			f.Map, f.KeySize, f.ValueSize, f.MaxEntries, f.ReadSites, f.WriteSites)
@@ -377,6 +384,8 @@ func Analyze(p *policy.Program) (*Report, error) {
 	entry.regs[policy.RFP] = absVal{kind: vStackPtr}
 
 	hot := !p.Kind.IsProfiling()
+	layout := policy.LayoutFor(p.Kind)
+	var ctxReads uint64    // by slot; layouts have well under 64 fields
 	var exitState absState // join of states at reachable exits
 
 	propagate := func(st *absState, to int) {
@@ -499,6 +508,10 @@ func Analyze(p *policy.Program) (*Report, error) {
 			ptr := st.regs[in.Src]
 			loaded := scalar(Top)
 			switch ptr.kind {
+			case vCtxPtr:
+				if f, ok := layout.FieldAt(int(ptr.off) + int(in.Off)); ok {
+					ctxReads |= 1 << (f.Off / 8)
+				}
 			case vStackPtr:
 				if off := ptr.off + int64(in.Off); op == policy.OpLdxDW {
 					if iv, ok := st.stack[off]; ok {
@@ -607,6 +620,16 @@ func Analyze(p *policy.Program) (*Report, error) {
 			}
 		}
 		r.Footprint = append(r.Footprint, fp)
+	}
+
+	if n := bits.OnesCount64(ctxReads); n > 0 {
+		r.CtxReads = make([]string, 0, n)
+		for i, f := range layout.Fields {
+			if ctxReads&(1<<i) != 0 {
+				r.CtxReads = append(r.CtxReads, f.Name)
+			}
+		}
+		sort.Strings(r.CtxReads)
 	}
 
 	sort.Slice(r.Warnings, func(i, j int) bool {

@@ -8,25 +8,30 @@ import (
 )
 
 // DiffHarness runs one program on both execution tiers — the reference
-// VM and the JIT closure tier — against isolated but identically-seeded
-// state, and reports the first observable divergence: register result,
-// error presence and text, ExecStats deltas, trace sequences, or final
-// map contents. It is the equivalence obligation for admitting the JIT
-// tier, used by the unit tests, the golden tests, and FuzzVMvsJIT.
+// VM and the JIT closure tier — and, when the program lowers to a decision
+// tree, on the tree as a third column, each against isolated but
+// identically-seeded state, and reports the first observable divergence:
+// register result, error presence and text, ExecStats deltas, trace
+// sequences, or final map contents. It is the equivalence obligation for
+// admitting the JIT tier, used by the unit tests, the golden tests, and
+// FuzzVMvsJIT.
 type DiffHarness struct {
-	vmProg  *policy.Program
-	jitProg *policy.Program
-	fn      policy.CompiledFn
-	vmEnv   *policy.TestEnv
-	jitEnv  *policy.TestEnv
-	steps   int
+	vmProg   *policy.Program
+	jitProg  *policy.Program
+	treeProg *policy.Program // nil: the program is not a tree
+	fn       policy.CompiledFn
+	treeFn   policy.CompiledFn
+	vmEnv    *policy.TestEnv
+	jitEnv   *policy.TestEnv
+	steps    int
 }
 
 // NewDiffHarness builds a harness from a program constructor and an env
-// constructor. build is called twice so each tier gets its own map
+// constructor. build is called once per column so each gets its own map
 // arena and ExecStats (shared maps would hide single-tier mutation
 // bugs); mkEnv is called twice so stateful env pieces (Rand, Trace)
-// advance independently but identically.
+// advance independently but identically — a tree program calls no helper
+// and takes no env.
 func NewDiffHarness(build func() (*policy.Program, error), mkEnv func() *policy.TestEnv) (*DiffHarness, error) {
 	vmProg, err := build()
 	if err != nil {
@@ -46,13 +51,44 @@ func NewDiffHarness(build func() (*policy.Program, error), mkEnv func() *policy.
 	if mkEnv == nil {
 		mkEnv = func() *policy.TestEnv { return &policy.TestEnv{} }
 	}
-	return &DiffHarness{
+	h := &DiffHarness{
 		vmProg:  vmProg,
 		jitProg: jitProg,
 		fn:      fn,
 		vmEnv:   mkEnv(),
 		jitEnv:  mkEnv(),
-	}, nil
+	}
+	if treeProg, err := build(); err == nil {
+		if tree, err := LowerTree(treeProg); err == nil {
+			h.treeProg, h.treeFn = treeProg, treeOverCtx(tree)
+		}
+	}
+	return h, nil
+}
+
+// HasTree reports whether the program lowered to a decision tree, i.e.
+// whether Step compares three columns rather than two.
+func (h *DiffHarness) HasTree() bool { return h.treeFn != nil }
+
+// ctxWord[i] reads word i of a context: a tree's sources when its words
+// sit in a Ctx rather than in the structures they were marshalled from.
+var ctxWord = func() (src [maxTreeWords]func(*policy.Ctx) uint64) {
+	for i := range src {
+		src[i] = func(c *policy.Ctx) uint64 { return c.Words[i] }
+	}
+	return src
+}()
+
+// treeOverCtx gives a tree the CompiledFn shape: the same context-kind
+// check as the other tiers, and the VM's bounds check by offering only
+// the sources the context has words for.
+func treeOverCtx(t *Tree) policy.CompiledFn {
+	return func(ctx *policy.Ctx, _ policy.Env) (uint64, error) {
+		if ctx == nil || ctx.Layout.Kind != t.prog.Kind {
+			return 0, &policy.RuntimeError{Name: t.prog.Name, PC: -1, Msg: "context kind mismatch"}
+		}
+		return RunTree(t, ctxWord[:min(len(ctx.Words), maxTreeWords)], ctx)
+	}
 }
 
 // Divergence describes how the two tiers disagreed.
@@ -70,13 +106,14 @@ func (h *DiffHarness) diverged(format string, args ...any) *Divergence {
 }
 
 type statSnap struct {
-	runs, insns, helpers, mapOps, faults int64
+	runs, jitRuns, insns, helpers, mapOps, faults int64
 }
 
 func snap(p *policy.Program) statSnap {
 	st := p.Stats()
 	return statSnap{
 		runs:    st.Runs.Load(),
+		jitRuns: st.JITRuns.Load(),
 		insns:   st.Insns.Load(),
 		helpers: st.HelperCalls.Load(),
 		mapOps:  st.MapOps.Load(),
@@ -85,11 +122,12 @@ func snap(p *policy.Program) statSnap {
 }
 
 func (s statSnap) sub(o statSnap) statSnap {
-	return statSnap{s.runs - o.runs, s.insns - o.insns, s.helpers - o.helpers, s.mapOps - o.mapOps, s.faults - o.faults}
+	return statSnap{s.runs - o.runs, s.jitRuns - o.jitRuns, s.insns - o.insns,
+		s.helpers - o.helpers, s.mapOps - o.mapOps, s.faults - o.faults}
 }
 
-// Step executes both tiers on a context built from ctxWords (copied per
-// tier; any length is allowed — short or long slices exercise the ctx
+// Step executes every column on a context built from ctxWords (copied per
+// column; any length is allowed — short or long slices exercise the ctx
 // bounds checks) and compares every observable. A non-nil error is a
 // *Divergence.
 func (h *DiffHarness) Step(ctxWords []uint64) error {
@@ -102,23 +140,42 @@ func (h *DiffHarness) Step(ctxWords []uint64) error {
 	vmBefore, jitBefore := snap(h.vmProg), snap(h.jitProg)
 	vmRet, vmErr := policy.Exec(h.vmProg, mkCtx(h.vmProg.Kind), h.vmEnv)
 	jitRet, jitErr := h.fn(mkCtx(h.jitProg.Kind), h.jitEnv)
-
-	if (vmErr == nil) != (jitErr == nil) {
-		return h.diverged("vm err=%v, jit err=%v", vmErr, jitErr)
-	}
-	if vmErr != nil {
-		// Errors embed program name and pc; full-text equality pins
-		// fault site and message.
-		if vmErr.Error() != jitErr.Error() {
-			return h.diverged("vm err %q, jit err %q", vmErr, jitErr)
-		}
-	} else if vmRet != jitRet {
-		return h.diverged("vm R0=%#x, jit R0=%#x", vmRet, jitRet)
-	}
 	vmd := snap(h.vmProg).sub(vmBefore)
 	jitd := snap(h.jitProg).sub(jitBefore)
-	if vmd != jitd {
-		return h.diverged("stats delta vm=%+v, jit=%+v", vmd, jitd)
+
+	// against compares one JIT-tier column with the VM's. A JIT run is a
+	// run: the deltas differ in JITRuns alone, which mirrors Runs.
+	against := func(col string, ret uint64, err error, d statSnap) error {
+		if (vmErr == nil) != (err == nil) {
+			return h.diverged("vm err=%v, %s err=%v", vmErr, col, err)
+		}
+		if vmErr != nil {
+			// Errors embed program name and pc; full-text equality pins
+			// fault site and message.
+			if vmErr.Error() != err.Error() {
+				return h.diverged("vm err %q, %s err %q", vmErr, col, err)
+			}
+		} else if vmRet != ret {
+			return h.diverged("vm R0=%#x, %s R0=%#x", vmRet, col, ret)
+		}
+		if d.jitRuns != d.runs {
+			return h.diverged("%s counted %d runs, %d of them jit", col, d.runs, d.jitRuns)
+		}
+		d.jitRuns = vmd.jitRuns
+		if vmd != d {
+			return h.diverged("stats delta vm=%+v, %s=%+v", vmd, col, d)
+		}
+		return nil
+	}
+	if err := against("jit", jitRet, jitErr, jitd); err != nil {
+		return err
+	}
+	if h.treeFn != nil {
+		before := snap(h.treeProg)
+		ret, err := h.treeFn(mkCtx(h.treeProg.Kind), nil)
+		if err := against("tree", ret, err, snap(h.treeProg).sub(before)); err != nil {
+			return err
+		}
 	}
 	vt, jt := h.vmEnv.Traces(), h.jitEnv.Traces()
 	if len(vt) != len(jt) {

@@ -12,9 +12,10 @@ import (
 // FuzzVMvsJIT is the differential companion to the policy package's
 // FuzzVerify: it decodes the same dense instruction encoding, and for
 // every program the verifier admits and the lowerer accepts, runs both
-// execution tiers on identically-seeded context and map state and fails
-// on any observable divergence — register result, fault text, ExecStats
-// deltas, trace sequence, or final map contents. Run under CI as a
+// execution tiers — and the decision tree, whenever the program lowers
+// to one — on identically-seeded context and map state and fails on any
+// observable divergence — register result, fault text, ExecStats deltas,
+// trace sequence, or final map contents. Run under CI as a
 // short -fuzztime smoke; locally,
 // `go test -fuzz=FuzzVMvsJIT ./internal/policy/jit`.
 func FuzzVMvsJIT(f *testing.F) {
@@ -56,6 +57,37 @@ func FuzzVMvsJIT(f *testing.F) {
 		{Op: policy.OpMovReg, Dst: policy.R6, Src: policy.R0},
 		{Op: policy.OpCall, Imm: int64(policy.HelperRand)},
 		{Op: policy.OpXorReg, Dst: policy.R0, Src: policy.R6},
+		{Op: policy.OpExit},
+	}))
+
+	// Decision trees: helper-free compares of context words, the shapes
+	// the harness also runs on its third (tree) column. The DSL's spill
+	// through the stack with a shift on each side of the compare…
+	f.Add(encodeDiffFuzz(0, []policy.Instruction{
+		{Op: policy.OpMovReg, Dst: policy.R6, Src: policy.R1},
+		{Op: policy.OpLdxDW, Dst: policy.R0, Src: policy.R6, Off: 144},
+		{Op: policy.OpRshImm, Dst: policy.R0, Imm: 1},
+		{Op: policy.OpStxDW, Dst: policy.RFP, Src: policy.R0, Off: -24},
+		{Op: policy.OpLdxDW, Dst: policy.R2, Src: policy.R6, Off: 56},
+		{Op: policy.OpRshImm, Dst: policy.R2, Imm: 1},
+		{Op: policy.OpLdxDW, Dst: policy.R1, Src: policy.RFP, Off: -24},
+		{Op: policy.OpMovImm, Dst: policy.R0, Imm: 1},
+		{Op: policy.OpJeqReg, Dst: policy.R1, Src: policy.R2, Off: 1},
+		{Op: policy.OpMovImm, Dst: policy.R0, Imm: 0},
+		{Op: policy.OpExit},
+	}))
+	// …and a two-level ladder with a constant-folded branch, a signed
+	// compare and a word returned as is.
+	f.Add(encodeDiffFuzz(2, []policy.Instruction{
+		{Op: policy.OpLdxDW, Dst: policy.R2, Src: policy.R1, Off: 72},
+		{Op: policy.OpMovImm, Dst: policy.R3, Imm: 4},
+		{Op: policy.OpJgtImm, Dst: policy.R3, Imm: 9, Off: 5},
+		{Op: policy.OpJsgtImm, Dst: policy.R2, Imm: -1, Off: 2},
+		{Op: policy.OpMovImm, Dst: policy.R0, Imm: 2},
+		{Op: policy.OpExit},
+		{Op: policy.OpLdxDW, Dst: policy.R0, Src: policy.R1, Off: 96},
+		{Op: policy.OpExit},
+		{Op: policy.OpMovImm, Dst: policy.R0, Imm: 0},
 		{Op: policy.OpExit},
 	}))
 

@@ -30,11 +30,15 @@ type goldenVector struct {
 
 // goldenProgram is the per-program record in a policy's golden file.
 type goldenProgram struct {
-	Program string         `json:"program"`
-	Kind    string         `json:"kind"`
-	Tier    string         `json:"tier"`
-	Reason  string         `json:"reason"`
-	Vectors []goldenVector `json:"vectors"`
+	Program string `json:"program"`
+	Kind    string `json:"kind"`
+	Tier    string `json:"tier"`
+	Reason  string `json:"reason"`
+	// Lowering is "tree (N compares, M leaves)" or "closures (pc N:
+	// <what is outside the tree grammar>)": which JIT lowering serves
+	// the program, pinned like the tier.
+	Lowering string         `json:"lowering"`
+	Vectors  []goldenVector `json:"vectors"`
 }
 
 // goldenEnv returns the deterministic env used for golden records; both
@@ -69,29 +73,48 @@ func goldenCtxVectors(k policy.Kind) [][]uint64 {
 }
 
 // TestGoldenEquivalence pins, for every shipped policy in policies/,
-// (a) the tier the admission heuristic selects, and (b) the observable
-// outcome of each program on both execution tiers over fixed context
-// vectors. Divergence between VM and JIT fails immediately via the
-// DiffHarness; drift of the pinned outcome or tier decision over time
-// shows up as a golden diff — rerun with
-// `go test ./internal/policy/jit -run Golden -update` after review.
+// (a) the tier the admission heuristic selects and the lowering that
+// serves it, and (b) the observable outcome of each program on every
+// execution column over fixed context vectors. Divergence between VM, JIT
+// and tree fails immediately via the DiffHarness; drift of the pinned
+// outcome or tier decision over time shows up as a golden diff — rerun
+// with `go test ./internal/policy/jit -run Golden -update` after review.
 func TestGoldenEquivalence(t *testing.T) {
-	dir := filepath.Join("..", "..", "..", "policies")
-	entries, err := os.ReadDir(dir)
+	goldenDir(t, filepath.Join("..", "..", "..", "policies"), filepath.Join("testdata", "golden"))
+}
+
+// TestGoldenThirdParty does the same for three policies shaped like what
+// a user, not this repository, would write — grouping by socket pair, by
+// priority band, by vCPU parity. They are the check that the tree grammar
+// fits programs, not the six shipped files: each must lower to a tree, or
+// its golden names the pc that stops it.
+func TestGoldenThirdParty(t *testing.T) {
+	dir := filepath.Join("testdata", "thirdparty")
+	for name, rec := range goldenDir(t, dir, dir) {
+		if !strings.HasPrefix(rec.Lowering, "tree (") {
+			t.Errorf("%s: third-party-shaped policy does not lower to a tree: %s", name, rec.Lowering)
+		}
+	}
+}
+
+// goldenDir checks (or with -update rewrites) one golden record per .pol
+// file of srcDir, kept in outDir, and returns the records by program.
+func goldenDir(t *testing.T, srcDir, outDir string) map[string]goldenProgram {
+	entries, err := os.ReadDir(srcDir)
 	if err != nil {
 		t.Fatalf("policies dir: %v", err)
 	}
-	goldenDir := filepath.Join("testdata", "golden")
+	all := map[string]goldenProgram{}
 	seen := map[string]bool{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".pol") {
 			continue
 		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		src, err := os.ReadFile(filepath.Join(srcDir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden := filepath.Join(goldenDir, strings.TrimSuffix(e.Name(), ".pol")+".json")
+		golden := filepath.Join(outDir, strings.TrimSuffix(e.Name(), ".pol")+".json")
 		seen[filepath.Base(golden)] = true
 		t.Run(e.Name(), func(t *testing.T) {
 			unit, err := policydsl.CompileAndVerify(string(src))
@@ -100,7 +123,9 @@ func TestGoldenEquivalence(t *testing.T) {
 			}
 			var records []goldenProgram
 			for _, prog := range unit.Programs {
-				records = append(records, goldenRecord(t, string(src), prog))
+				rec := goldenRecord(t, string(src), prog)
+				records = append(records, rec)
+				all[e.Name()+"/"+rec.Program] = rec
 			}
 			sort.Slice(records, func(i, j int) bool { return records[i].Program < records[j].Program })
 			got, err := json.MarshalIndent(records, "", "  ")
@@ -109,7 +134,7 @@ func TestGoldenEquivalence(t *testing.T) {
 			}
 			got = append(got, '\n')
 			if *update {
-				if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+				if err := os.MkdirAll(outDir, 0o755); err != nil {
 					t.Fatal(err)
 				}
 				if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -129,12 +154,13 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 
 	// Stale goldens (a policy was removed or renamed) fail too.
-	files, _ := os.ReadDir(goldenDir)
+	files, _ := os.ReadDir(outDir)
 	for _, f := range files {
-		if !seen[f.Name()] {
+		if strings.HasSuffix(f.Name(), ".json") && !seen[f.Name()] {
 			t.Errorf("stale golden %s: no matching policy source", f.Name())
 		}
 	}
+	return all
 }
 
 // goldenRecord runs one program through the differential harness over
@@ -168,11 +194,17 @@ func goldenRecord(t *testing.T, src string, prog *policy.Program) goldenProgram 
 			prog.Name, ch.Tier, ch.Reason)
 	}
 
+	if lowers := strings.HasPrefix(ch.Lowering(), "tree ("); lowers != h.HasTree() {
+		t.Errorf("%s: admission says %q but the harness's tree column is %v",
+			prog.Name, ch.Lowering(), h.HasTree())
+	}
+
 	rec := goldenProgram{
-		Program: prog.Name,
-		Kind:    prog.Kind.String(),
-		Tier:    ch.Tier.String(),
-		Reason:  ch.Reason,
+		Program:  prog.Name,
+		Kind:     prog.Kind.String(),
+		Tier:     ch.Tier.String(),
+		Reason:   ch.Reason,
+		Lowering: ch.Lowering(),
 	}
 	pinProg, err := build()
 	if err != nil {

@@ -32,30 +32,70 @@ func (t Tier) String() string {
 const MaxJITCostNS = 1_000_000 // 1ms
 
 // Choice records the tier decision made for one program at admission,
-// along with the compiled closure when the JIT tier was selected.
+// along with what the JIT tier lowered it to.
 type Choice struct {
 	Tier   Tier
 	Reason string
 	// Fn is the compiled closure; nil when Tier is TierVM.
 	Fn policy.CompiledFn
 
-	// What Fn was lowered from: the program object, and copies of the
-	// bytecode and map table it had at admission (see FnFor).
-	prog  *policy.Program
-	insns []policy.Instruction
-	maps  []policy.Map
+	// from is what was lowered and, beside Fn, its tree. A policy keeps
+	// its choices in a map for as long as it is loaded; what only attach
+	// and reports read sits behind one pointer to keep the map's slots
+	// small.
+	from *admitted
+}
+
+// admitted is the program a Choice was made for — the object, and copies
+// of the bytecode and map table it had at admission — and its
+// decision-tree lowering: the tree, or the reason it has none.
+type admitted struct {
+	prog    *policy.Program
+	insns   []policy.Instruction
+	maps    []policy.Map
+	tree    *Tree  // nil: not a tree, and notTree says why
+	notTree string // "pc N: <what is outside the tree grammar>"
+}
+
+// Lowering names the JIT lowering that serves the program, and why:
+// "tree (N compares, M leaves)" for a decision tree (see LowerTree),
+// "closures (pc N: <what is outside the tree grammar>)" otherwise. Empty
+// when Tier is TierVM.
+func (c Choice) Lowering() string {
+	switch {
+	case c.from == nil:
+		return ""
+	case c.from.tree != nil:
+		return c.from.tree.String()
+	}
+	return "closures (" + c.from.notTree + ")"
+}
+
+// current reports whether p is still what was lowered at admission: the
+// same program object with the bytecode and maps it was admitted with.
+func (c Choice) current(p *policy.Program) bool {
+	a := c.from
+	return a != nil && a.prog == p && slices.Equal(a.insns, p.Insns) && slices.Equal(a.maps, p.Maps)
 }
 
 // FnFor returns the closure lowered at admission if it is still a
-// lowering of p — the same program object with the bytecode and maps it
-// was admitted with — and nil otherwise (VM tier, or p has been modified
+// lowering of p, and nil otherwise (VM tier, or p has been modified
 // since), in which case the caller lowers p again or interprets it.
 func (c Choice) FnFor(p *policy.Program) policy.CompiledFn {
-	if c.Fn == nil || c.prog != p ||
-		!slices.Equal(c.insns, p.Insns) || !slices.Equal(c.maps, p.Maps) {
+	if c.Fn == nil || !c.current(p) {
 		return nil
 	}
 	return c.Fn
+}
+
+// TreeFor returns the decision tree lowered at admission under the same
+// condition as FnFor: nil when the program has none or has been modified
+// since, and the caller takes the general path.
+func (c Choice) TreeFor(p *policy.Program) *Tree {
+	if !c.current(p) {
+		return nil
+	}
+	return c.from.tree
 }
 
 // Choose picks the execution tier for a verified program using the
@@ -78,6 +118,12 @@ func Choose(p *policy.Program, rep *analysis.Report) Choice {
 	if !rep.Facts.HotPathClean {
 		reason += ", hot path not clean"
 	}
-	return Choice{Tier: TierJIT, Reason: reason, Fn: fn,
-		prog: p, insns: slices.Clone(p.Insns), maps: slices.Clone(p.Maps)}
+	ch := Choice{Tier: TierJIT, Reason: reason, Fn: fn,
+		from: &admitted{prog: p, insns: slices.Clone(p.Insns), maps: slices.Clone(p.Maps)}}
+	tree, err := LowerTree(p)
+	if err != nil {
+		ch.from.notTree = err.Error()
+	}
+	ch.from.tree = tree
+	return ch
 }
