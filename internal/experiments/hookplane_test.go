@@ -6,23 +6,20 @@ import "testing"
 // tier on the profiled-shuffler cell: the lowered closure must beat
 // the interpreter by at least 1.5× on the same hook-fire work, and it
 // must not allocate. Best-of-3 on each side absorbs scheduler noise on
-// loaded CI hosts; the real ratio is well above the gate.
+// loaded CI hosts, and the six runs alternate vm/jit so that one burst on
+// the host lands on both sides rather than on all of one side's runs;
+// the real ratio is well above the gate.
 func TestHookPlaneJITSpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock gate: the race detector's slowdown is not uniform across what is compared")
 	}
 	const ops = 200_000
-	best := func(fire HookFire) float64 {
-		var b float64
-		for i := 0; i < 3; i++ {
-			if v := HookPlaneOpsPerMSec(fire, ops); v > b {
-				b = v
-			}
-		}
-		return b
+	vmFire, jitFire := HookPlaneFire("vm"), HookPlaneFire("jit")
+	var vm, jit float64
+	for i := 0; i < 3; i++ {
+		vm = max(vm, HookPlaneOpsPerMSec(vmFire, ops))
+		jit = max(jit, HookPlaneOpsPerMSec(jitFire, ops))
 	}
-	vm := best(HookPlaneFire("vm"))
-	jit := best(HookPlaneFire("jit"))
 	if vm <= 0 || jit <= 0 {
 		t.Fatalf("degenerate measurement: vm=%.1f jit=%.1f", vm, jit)
 	}

@@ -2,6 +2,7 @@ package locks
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -312,32 +313,54 @@ func sidesOf(l Lock) []lockSide {
 	return sides
 }
 
-// waitsItself reports whether l calls contended itself; wrappers leave
-// the waiting to the lock they wrap.
-func waitsItself(l Lock) bool {
-	switch l.(type) {
-	case *BRAVO, *SwitchableRWLock:
-		return false
+// wrapped returns the lock l wraps, or nil if l is not a wrapper.
+func wrapped(l Lock) Lock {
+	switch w := l.(type) {
+	case *BRAVO:
+		return w.Underlying()
+	case *SwitchableRWLock:
+		return w.Current()
 	}
-	return true
+	return nil
 }
 
-// TestCostFollowsTheTable: an uncontended pair reads the clock twice —
-// once in acquired, once in release — plus a start-time read only when
-// lock_acquire or lock_acquired has a subscriber, and pins nothing across
-// the held section; the subscriber that is there still gets its fields.
+// waitsItself reports whether l calls contended itself; wrappers leave
+// the waiting to the lock they wrap.
+func waitsItself(l Lock) bool { return wrapped(l) == nil }
+
+// sampleEvery is task's csSampleEvery, which this package cannot see: an
+// acquisition on a lock whose table subscribes to neither lock_acquired
+// nor lock_release is timed one time in sampleEvery.
+const sampleEvery = 16
+
+// binomialOK reports whether hits successes in n draws at 1-in-sampleEvery
+// lie within five standard deviations of the mean.
+func binomialOK(hits, n int) bool {
+	p := 1.0 / sampleEvery
+	mean, sd := float64(n)*p, math.Sqrt(float64(n)*p*(1-p))
+	return math.Abs(float64(hits)-mean) <= 5*sd
+}
+
+// TestCostFollowsTheTable: what an uncontended pair reads of the clock
+// follows its own lock's table. With no subscriber to lock_acquired or
+// lock_release it reads nothing, except on the task's 1-in-sampleEvery
+// draw, where acquired and release read once each; with one, it reads
+// twice every time, plus a start-time read when lock_acquire or
+// lock_acquired has a subscriber. Nothing is pinned across the held
+// section, and the subscriber that is there still gets its fields.
 func TestCostFollowsTheTable(t *testing.T) {
 	topo := topology.New(2, 4)
 	var wait, hold int64
 	tables := []struct {
-		name  string
-		h     *Hooks
-		reads int64
+		name    string
+		h       *Hooks
+		reads   int64 // per timed pair
+		sampled bool  // most pairs are not timed, and read nothing
 	}{
-		{"no table", nil, 2},
-		{"cmp_node only", &Hooks{CmpNode: func(*ShuffleInfo) bool { return false }}, 2},
-		{"release only", &Hooks{OnRelease: func(ev *Event) { hold = ev.HoldNS }}, 2},
-		{"acquired only", &Hooks{OnAcquired: func(ev *Event) { wait = ev.WaitNS }}, 3},
+		{"no table", nil, 2, true},
+		{"cmp_node only", &Hooks{CmpNode: func(*ShuffleInfo) bool { return false }}, 2, true},
+		{"release only", &Hooks{OnRelease: func(ev *Event) { hold = ev.HoldNS }}, 2, false},
+		{"acquired only", &Hooks{OnAcquired: func(ev *Event) { wait = ev.WaitNS }}, 3, false},
 	}
 	for _, tc := range invariantRoster() {
 		for _, tb := range tables {
@@ -361,7 +384,8 @@ func TestCostFollowsTheTable(t *testing.T) {
 						t.Errorf("%s: hook table pinned across the held section", s.name)
 					}
 					s.unlock(tk)
-					if reads := tick.Load() / 10; reads != tb.reads {
+					reads := tick.Load() / 10
+					if reads != tb.reads && !(tb.sampled && reads == 0) {
 						t.Errorf("%s: %d clock reads per pair, want %d", s.name, reads, tb.reads)
 					}
 					if tb.h != nil && tb.h.OnRelease != nil && hold <= 0 {
@@ -369,6 +393,28 @@ func TestCostFollowsTheTable(t *testing.T) {
 					}
 					if tb.h != nil && tb.h.OnAcquired != nil && wait <= 0 {
 						t.Errorf("%s: acquired-only table got WaitNS=%d, want the begin→acquired step", s.name, wait)
+					}
+					if !tb.sampled {
+						continue
+					}
+					// Every pair reads the clock twice or not at all, and
+					// the share that does is the draw's.
+					const pairs = 4096
+					timed := 0
+					for i := 0; i < pairs; i++ {
+						mark := tick.Load()
+						s.lock(tk)
+						s.unlock(tk)
+						switch reads := (tick.Load() - mark) / 10; reads {
+						case 0:
+						case tb.reads:
+							timed++
+						default:
+							t.Fatalf("%s: %d clock reads in one pair, want 0 or %d", s.name, reads, tb.reads)
+						}
+					}
+					if !binomialOK(timed, pairs) {
+						t.Errorf("%s: %d of %d pairs timed, want about 1 in %d", s.name, timed, pairs, sampleEvery)
 					}
 				}
 			})
@@ -395,7 +441,7 @@ func (d *drainChecked) table() (h *Hooks, retire func()) {
 			if retired.Load() {
 				d.t.Errorf("%s ran on a table whose drain had completed", kind)
 			}
-			if ev.WaitNS < 0 || (kind == "release" && ev.HoldNS <= 0) {
+			if ev.WaitNS < 0 || ev.HoldNS < 0 {
 				d.t.Errorf("%s: wait=%d hold=%d", kind, ev.WaitNS, ev.HoldNS)
 			}
 			if ev.Task == d.watch {
@@ -434,10 +480,12 @@ func (d *drainChecked) churn(slot *livepatch.Slot[Hooks], swaps *atomic.Int32, s
 
 // TestAttachWhileWaiting: a waiter queued on an unhooked lock when a full
 // table is published reports a wait measured from its contended call (the
-// only clock read it had made), and a positive hold. The second pass
+// only clock read it had made), and a positive hold. The holder, whose
+// section the table was published in the middle of, reports a hold of 0
+// (unknown) unless that section happened to be drawn. The second pass
 // repeats it with the table swapped against nil at 1 kHz: whatever the
 // waiter catches, no hook outlives its table's drain and no event carries
-// a negative wait or an empty hold.
+// a negative wait or hold.
 func TestAttachWhileWaiting(t *testing.T) {
 	topo := topology.New(2, 4)
 	for _, tc := range invariantRoster() {
@@ -512,10 +560,11 @@ func TestAttachWhileWaiting(t *testing.T) {
 	}
 }
 
-// TestUnhookedLockFeedsOtherLocksPolicies: the held mask and
-// critical-section average a task accrues on a lock with nothing attached
-// are what another lock's cmp_node sees for it — the accounting in
-// acquired/release is unconditional.
+// TestUnhookedLockFeedsOtherLocksPolicies: what a task accrues on a lock
+// with nothing attached is what another lock's cmp_node sees for it — the
+// held mask exactly, from the first acquisition on, and the
+// critical-section average as an estimate from the sections the task's
+// draw timed.
 func TestUnhookedLockFeedsOtherLocksPolicies(t *testing.T) {
 	topo := topology.New(2, 4)
 	for _, tc := range invariantRoster() {
@@ -523,6 +572,11 @@ func TestUnhookedLockFeedsOtherLocksPolicies(t *testing.T) {
 			lockIDs.Store(0)
 			a := tc.mk(topo) // never hooked
 			stepClock(a)
+			held := uint64(1) << a.ID()
+			if u := wrapped(a); u != nil { // held, and timed, alongside a
+				stepClock(u)
+				held |= 1 << u.ID()
+			}
 			// The head shuffles while it waits alone too; don't let it
 			// spend its rounds before the others have queued.
 			b := NewShflLock("b", WithMaxRounds(1<<30))
@@ -541,8 +595,20 @@ func TestUnhookedLockFeedsOtherLocksPolicies(t *testing.T) {
 			}})
 
 			a.Lock(w)
-			a.Unlock(w) // one completed section: 10 ns on the stepping clock
-			a.Lock(w)   // and a is held while w queues on b
+			if w.HeldMask() != held {
+				t.Errorf("held mask %#x after one acquisition, want exactly %#x", w.HeldMask(), held)
+			}
+			a.Unlock(w)
+			if m := w.HeldMask(); m != 0 {
+				t.Errorf("held mask %#x after one release", m)
+			}
+			// Every timed section is one clock step long: 10 ns.
+			const sections, trueNS = 2048, 10.0
+			for i := 1; i < sections; i++ {
+				a.Lock(w)
+				a.Unlock(w)
+			}
+			a.Lock(w) // and a is held while w queues on b
 
 			holder := task.NewOnCPU(topo, 1)
 			b.Lock(holder)
@@ -570,8 +636,8 @@ func TestUnhookedLockFeedsOtherLocksPolicies(t *testing.T) {
 			if want := uint64(1) << a.ID(); mask.Load()&want == 0 {
 				t.Errorf("cmp_node saw held mask %#x, want bit %d of the unhooked lock", mask.Load(), a.ID())
 			}
-			if csAvg.Load() != 10 {
-				t.Errorf("cmp_node saw cs average %d, want 10", csAvg.Load())
+			if got := csAvg.Load(); !within15(got, trueNS) {
+				t.Errorf("cmp_node saw cs average %d after %d sections, want within 15%% of %v", got, sections, trueNS)
 			}
 			if m := w.HeldMask(); m != 0 {
 				t.Errorf("held mask %#x after release", m)

@@ -294,14 +294,18 @@ func (h *hookable) peek() *Hooks {
 // with begin → [contended] → acquired … release (Try paths, which skip
 // lock_acquire, open with tryBegin and call acquired on success).
 //
-// An operation pays for what is attached to its lock. acquired and
-// release read the clock once each, always: the critical-section
-// accounting and held mask they maintain are inputs to policies on other
-// locks. Everything else follows the peeked table: the start-time read in
-// begin happens only when lock_acquire or lock_acquired has a subscriber,
-// and a table is pinned only around a hook that fires, for exactly the
-// duration of that call. DESIGN §7 states the contract, including which
-// fields each lock family fills.
+// An operation pays for what is attached to its lock. The held mask is
+// exact, always: acquired sets the task's bit and release clears it. Hold
+// time is measured on every acquisition only while the lock's own table
+// subscribes to lock_acquired or lock_release; otherwise on the task's
+// sampling draw (task.SampleCS), as a section accounted at the draw's
+// weight, so that policies on other locks still read an unbiased
+// CSAverage — an undrawn pair reads no clock at all. Everything else
+// follows the peeked table too: the start-time read in begin happens only
+// when lock_acquire or lock_acquired has a subscriber, and a table is
+// pinned only around a hook that fires, for exactly the duration of that
+// call. DESIGN §7 states the contract, including which fields each lock
+// family fills (decision 5), and why hold time is sampled (decision 6).
 
 // eventKind names one of the four profiling events.
 type eventKind uint8
@@ -386,11 +390,21 @@ func (h *hookable) contended(t *task.T, start int64, queueLen int, reader bool) 
 }
 
 // acquired raises lock_acquired, then marks the lock held by t and opens
-// its critical section. An unknown start (0: nothing was attached when
+// its critical section: at weight 1 when this lock's table subscribes to
+// lock_acquired or lock_release, else only when t's draw comes up, at the
+// weight the draw returns. An unknown start (0: nothing was attached when
 // the operation began, and it never waited) reports a zero wait.
 func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
+	pk := h.peek()
+	if pk == nil || (pk.OnAcquired == nil && pk.OnRelease == nil) {
+		t.NoteAcquired(h.id)
+		if w := t.SampleCS(); w != 0 {
+			t.EnterCSOn(h.id, h.now(), w)
+		}
+		return
+	}
 	now := h.now()
-	if pk := h.peek(); pk != nil && pk.OnAcquired != nil {
+	if pk.OnAcquired != nil {
 		var wait int64
 		if start != 0 {
 			wait = now - start
@@ -401,16 +415,26 @@ func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
 		})
 	}
 	t.NoteAcquired(h.id)
-	t.EnterCS(now)
+	t.EnterCSOn(h.id, now, 1)
 }
 
-// release closes t's critical section, clears the held bit and raises
-// lock_release. Callers invoke it before the store that frees the lock.
+// release closes t's critical section if this lock's acquisition opened
+// it, clears the held bit and raises lock_release. HoldNS is 0 (unknown)
+// when the open section is not this lock's: the acquisition was not timed,
+// a nested timed section replaced it, or the table was attached
+// mid-section. Callers invoke it before the store that frees the lock.
 func (h *hookable) release(t *task.T, queueLen int, reader bool) {
-	now := h.now()
-	hold := t.ExitCS(now)
+	pk := h.peek()
+	subscribed := pk != nil && pk.OnRelease != nil
+	var now, hold int64
+	if timed := t.CSOpenOn(h.id); timed || subscribed {
+		now = h.now()
+		if timed {
+			hold = t.ExitCS(now)
+		}
+	}
 	t.NoteReleased(h.id)
-	if pk := h.peek(); pk != nil && pk.OnRelease != nil {
+	if subscribed {
 		h.fire(t, evRelease, Event{
 			LockID: h.id, Task: t, NowNS: now,
 			HoldNS: hold, QueueLen: queueLen, Reader: reader,

@@ -144,6 +144,18 @@ func (l *CtxLayout) Slot(name string) int {
 // "curr_*" the node under examination (cmp_node) or the calling waiter
 // (schedule_waiter). Speed is an AMP speed class scaled by 100 so it fits
 // an integer register.
+//
+// "shuffler_cs_avg", "curr_cs_avg" and "holder_cs_avg" are the task's mean
+// critical-section length over every lock it takes, as a scaled estimate:
+// a lock times each section only while its own table subscribes to
+// lock_acquired or lock_release, and one section in 16 otherwise, accounted
+// at weight 16 (task.CSAverage; DESIGN §7 decision 6). They are exact for a
+// task that only takes such subscribed locks, unbiased otherwise, and 0
+// until the task's first timed section. "*_held_mask" is exact, always.
+// "hold_ns" of lock_release is exact whenever the lock's table subscribed
+// to lock_acquired or lock_release when the section began, and 0 (unknown)
+// when the table was attached mid-section or a nested timed section took
+// the section over — the rule "wait_ns" follows for a start it never saw.
 var (
 	cmpNodeLayout = newLayout(KindCmpNode,
 		"lock_id", "queue_len", "shuffle_round", "now_ns", "batch",

@@ -51,20 +51,26 @@ type T struct {
 	heldLocks atomic.Uint64
 
 	// Critical-section accounting for occupancy-aware policies (§3.1.2).
-	// What one acquire/release pair pays for it: csTotalNS and csCount
-	// (a locked add each) feed CSAverage, which shufflers and
-	// schedule_waiter read from other goroutines, so they stay atomic.
-	// csLastNS and acquisition (a locked store/add each) have no reader
-	// outside tests but back the any-goroutine getters CSLast and
-	// Acquisitions, so they stay atomic too. csStartNS has no getter:
-	// only EnterCS and ExitCS touch it, both on the owner goroutine like
-	// hookScratch, so it is a plain field — as an atomic it cost two
-	// locked stores per pair (the open and the re-zero) for nobody.
-	csStartNS   int64
-	csTotalNS   atomic.Int64
-	csCount     atomic.Int64
-	csLastNS    atomic.Int64
-	acquisition atomic.Int64
+	// What one acquire/release pair pays for it: two locked operations on
+	// heldLocks (set, clear), always, because the held mask is exact. A
+	// section is timed only when the lock's own table subscribes to
+	// lock_acquired or lock_release, or else on this task's 1-in-
+	// csSampleEvery draw (DESIGN §7 decision 6); a timed section adds two
+	// clock reads in the lock and three locked operations here: csTotalNS
+	// and csCount (an add each) feed CSAverage, which shufflers and
+	// schedule_waiter read from other goroutines, and csLastNS (a store)
+	// backs the any-goroutine getter CSLast. The rest of the open section
+	// — when it started, which lock opened it, what weight it is accounted
+	// with — and the draw's state have no getter another goroutine may
+	// call: only the owner goroutine touches them, like hookScratch, so
+	// they are plain fields.
+	csStartNS int64  // 0: no section open
+	csLockID  uint64 // lock whose acquisition opened the section
+	csWeight  int64  // 1 exact, csSampleEvery sampled
+	csDraw    uint64 // xorshift64* state, never 0
+	csTotalNS atomic.Int64
+	csCount   atomic.Int64
+	csLastNS  atomic.Int64
 
 	// vCPU scheduling info a hypervisor would expose (§3.1.1,
 	// "Exposing scheduler semantics").
@@ -104,6 +110,9 @@ type T struct {
 func New(topo *topology.Topology) *T {
 	t := &T{topo: topo}
 	t.id = nextID.Add(1)
+	// A distinct draw sequence per task; the low bit keeps the xorshift
+	// state non-zero.
+	t.csDraw = uint64(t.id)*0x9e3779b97f4a7c15 | 1
 	t.cpu.Store(int64(topo.AutoPin()))
 	t.prio.Store(PrioNormal)
 	t.weight.Store(1)
@@ -178,7 +187,6 @@ func (t *T) NoteAcquired(lockID uint64) {
 	if lockID <= MaxTrackedLockID {
 		t.heldLocks.Or(1 << lockID)
 	}
-	t.acquisition.Add(1)
 }
 
 // NoteReleased records that the task released the lock with the given ID.
@@ -210,20 +218,72 @@ func (t *T) HeldCount() int {
 
 // --- Critical-section accounting (scheduler subversion, §3.1.2) ---
 
-// EnterCS marks the beginning of a critical section at the given
-// timestamp (nanoseconds on whichever clock the caller uses).
-// Owner-goroutine only.
-func (t *T) EnterCS(nowNS int64) { t.csStartNS = nowNS }
+// A task has at most one critical section open at a time, tagged with
+// the lock whose acquisition opened it. Sections come in two weights:
+// exact ones (weight 1), which a lock opens on every acquisition while
+// its own hook table subscribes to lock_acquired or lock_release, and
+// sampled ones (weight csSampleEvery), which every other lock opens on the
+// task's 1-in-csSampleEvery draw. A section of length d and weight w adds
+// d·w to the total and w to the count, so CSAverage over any mix of the
+// two stays an unbiased estimate of the task's true mean section length;
+// CSTotal and CSCount are scaled estimates, not tallies.
 
-// ExitCS marks the end of a critical section, accumulates its length and
-// returns it. An exit with no section open accumulates nothing and
-// returns the last section's length again (the outer lock of a nested
-// pair, whose section the inner exit already closed). Owner-goroutine
-// only.
+// csSampleEvery is how many acquisitions of a lock that did not ask for
+// exact hold times go by, on average, per timed one — and therefore the
+// weight a sampled section is accounted with. An unhooked pair measured
+// at 16, 32 and 64 costs the same to within the host's noise (DESIGN §7
+// decision 6), so the smallest, whose estimate converges soonest, stays.
+const csSampleEvery = 16
+
+// noLock tags a section opened through EnterCS, which names no lock.
+const noLock = ^uint64(0)
+
+// SampleCS draws whether the acquisition at hand opens a sampled section:
+// it returns the weight to open it with (EnterCSOn) one time in
+// csSampleEvery, and 0 otherwise. The draw is a per-task xorshift64*
+// step, not a masked counter: lock traffic is near-periodic, and a task
+// alternating a short and a long lock would put one of them on every
+// counted acquisition and the other on none (DESIGN §8 makes the same
+// argument for the profiler). Owner-goroutine only.
+func (t *T) SampleCS() int64 {
+	x := t.csDraw
+	x ^= x >> 12
+	x ^= x << 25
+	x ^= x >> 27
+	t.csDraw = x
+	if ((x*0x2545f4914f6cdd1d)>>32)%csSampleEvery != 0 {
+		return 0
+	}
+	return csSampleEvery
+}
+
+// EnterCSOn opens lockID's critical section at the given timestamp
+// (nanoseconds on whichever clock the caller uses), to be accounted with
+// the given weight: 1, or what SampleCS returned. It replaces a section
+// still open, whose lock's release then finds nothing to close.
+// Owner-goroutine only.
+func (t *T) EnterCSOn(lockID uint64, nowNS, weight int64) {
+	t.csStartNS, t.csLockID, t.csWeight = nowNS, lockID, weight
+}
+
+// EnterCS opens an exact critical section that belongs to no lock.
+// Owner-goroutine only.
+func (t *T) EnterCS(nowNS int64) { t.EnterCSOn(noLock, nowNS, 1) }
+
+// CSOpenOn reports whether the open critical section is lockID's: whether
+// its release has a section to close, and so a reason to read the clock.
+// Owner-goroutine only.
+func (t *T) CSOpenOn(lockID uint64) bool {
+	return t.csStartNS != 0 && t.csLockID == lockID
+}
+
+// ExitCS closes the open critical section, accumulates its length at its
+// weight and returns the length. With no section open it accumulates
+// nothing and returns 0 (unknown). Owner-goroutine only.
 func (t *T) ExitCS(nowNS int64) int64 {
 	start := t.csStartNS
 	if start == 0 {
-		return t.csLastNS.Load()
+		return 0
 	}
 	d := nowNS - start
 	if d < 0 {
@@ -231,19 +291,21 @@ func (t *T) ExitCS(nowNS int64) int64 {
 	}
 	t.csStartNS = 0
 	t.csLastNS.Store(d)
-	t.csTotalNS.Add(d)
-	t.csCount.Add(1)
+	t.csTotalNS.Add(d * t.csWeight)
+	t.csCount.Add(t.csWeight)
 	return d
 }
 
-// CSTotal returns the cumulative time the task has spent in critical
-// sections.
+// CSTotal estimates the cumulative time the task has spent in critical
+// sections: exact sections at their length, sampled ones scaled by their
+// weight.
 func (t *T) CSTotal() int64 { return t.csTotalNS.Load() }
 
-// CSCount returns how many critical sections the task has completed.
+// CSCount estimates how many critical sections the task has completed
+// (a sampled section counts for csSampleEvery).
 func (t *T) CSCount() int64 { return t.csCount.Load() }
 
-// CSLast returns the duration of the most recent critical section.
+// CSLast returns the duration of the most recent timed critical section.
 func (t *T) CSLast() int64 { return t.csLastNS.Load() }
 
 // --- Per-task lock-node caches (alloc-free queue locks) ---
@@ -306,8 +368,10 @@ func (t *T) TakeFireScratch() any {
 // task. Owner-goroutine only.
 func (t *T) PutFireScratch(s any) { t.fireScratch = s }
 
-// CSAverage returns the task's mean critical-section length, or 0 if the
-// task has not completed one yet.
+// CSAverage estimates the task's mean critical-section length, or returns
+// 0 if no section of the task has been timed yet. Exact when every lock
+// the task takes subscribes to lock_acquired or lock_release; otherwise
+// the weighted mean over the timed sections, which is unbiased.
 func (t *T) CSAverage() int64 {
 	n := t.csCount.Load()
 	if n == 0 {
@@ -315,9 +379,6 @@ func (t *T) CSAverage() int64 {
 	}
 	return t.csTotalNS.Load() / n
 }
-
-// Acquisitions returns the total number of lock acquisitions by the task.
-func (t *T) Acquisitions() int64 { return t.acquisition.Load() }
 
 // --- vCPU scheduling info (§3.1.1, "Exposing scheduler semantics") ---
 

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -85,9 +86,6 @@ func TestHeldLockTracking(t *testing.T) {
 	if !tk.Holds(3) || !tk.Holds(7) || tk.HeldCount() != 2 {
 		t.Errorf("held: %b", tk.HeldMask())
 	}
-	if tk.Acquisitions() != 2 {
-		t.Errorf("acquisitions = %d", tk.Acquisitions())
-	}
 	tk.NoteReleased(3)
 	if tk.Holds(3) || !tk.Holds(7) || tk.HeldCount() != 1 {
 		t.Errorf("after release: %b", tk.HeldMask())
@@ -140,6 +138,86 @@ func TestCSAccounting(t *testing.T) {
 	tk.ExitCS(8000)
 	if tk.CSLast() != 0 {
 		t.Errorf("negative CS not clamped: %d", tk.CSLast())
+	}
+}
+
+// TestCSSectionTagAndWeight: a section belongs to the lock that opened it
+// and is accounted at its weight.
+func TestCSSectionTagAndWeight(t *testing.T) {
+	tk := New(topo())
+	tk.EnterCSOn(3, 1000, 1)
+	if !tk.CSOpenOn(3) || tk.CSOpenOn(7) {
+		t.Error("open section not tagged with the lock that opened it")
+	}
+	tk.EnterCSOn(7, 1100, csSampleEvery) // a nested timed section replaces it
+	if tk.CSOpenOn(3) || !tk.CSOpenOn(7) {
+		t.Error("nested section did not take the tag")
+	}
+	if d := tk.ExitCS(1400); d != 300 {
+		t.Errorf("section length %d, want 300", d)
+	}
+	if tk.CSOpenOn(7) {
+		t.Error("section still open after exit")
+	}
+	// Lock 3's release finds nothing to close: its hold is unknown (0),
+	// not lock 7's.
+	if d := tk.ExitCS(1500); d != 0 {
+		t.Errorf("exit with no section open returned %d, want 0", d)
+	}
+	if tk.CSCount() != csSampleEvery || tk.CSTotal() != 300*csSampleEvery || tk.CSLast() != 300 || tk.CSAverage() != 300 {
+		t.Errorf("weighted section: count=%d total=%d last=%d avg=%d",
+			tk.CSCount(), tk.CSTotal(), tk.CSLast(), tk.CSAverage())
+	}
+	tk.EnterCS(2000) // belongs to no lock
+	if tk.CSOpenOn(0) || tk.CSOpenOn(7) {
+		t.Error("EnterCS section attributed to a lock")
+	}
+	tk.ExitCS(2100)
+	if want := int64(300*csSampleEvery+100) / (csSampleEvery + 1); tk.CSAverage() != want {
+		t.Errorf("mixed average %d, want %d", tk.CSAverage(), want)
+	}
+}
+
+// TestSampleCSRate: the draw comes up one time in csSampleEvery — overall
+// and on every fixed phase of a periodic stream, which is the property a
+// masked counter lacks — returns the weight when it does, and differs
+// from task to task.
+func TestSampleCSRate(t *testing.T) {
+	const n = 1 << 16
+	tp := topo()
+	a, b := New(tp), New(tp)
+	var hits, phase [2]int
+	same := 0
+	for i := 0; i < n; i++ {
+		wa, wb := a.SampleCS(), b.SampleCS()
+		if wa != 0 && wa != csSampleEvery {
+			t.Fatalf("draw returned weight %d", wa)
+		}
+		if (wa != 0) == (wb != 0) {
+			same++
+		}
+		if wa != 0 {
+			hits[0]++
+			phase[i%2]++
+		}
+		if wb != 0 {
+			hits[1]++
+		}
+	}
+	// Binomial(n, p): five standard deviations either side of the mean.
+	within := func(got, trials int) bool {
+		p := 1.0 / csSampleEvery
+		mean, sd := float64(trials)*p, math.Sqrt(float64(trials)*p*(1-p))
+		return math.Abs(float64(got)-mean) <= 5*sd
+	}
+	if !within(hits[0], n) || !within(hits[1], n) {
+		t.Errorf("hits %v of %d draws, want about 1 in %d", hits, n, csSampleEvery)
+	}
+	if !within(phase[0], n/2) || !within(phase[1], n/2) {
+		t.Errorf("hits by phase %v of %d draws each, want about 1 in %d on both", phase, n/2, csSampleEvery)
+	}
+	if same == n {
+		t.Error("two tasks drew the same sequence")
 	}
 }
 
