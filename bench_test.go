@@ -11,6 +11,8 @@ package concord_test
 
 import (
 	"fmt"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -607,4 +609,64 @@ func BenchmarkFaultInjectionOverhead(b *testing.B) {
 			"core.hook_panic": {Probability: 1e-12},
 		})
 	})
+}
+
+// BenchmarkOptReadAttached measures one validated optimistic read section
+// on a lock set up the way rw_occ_gate's is: an RWSem registered with a
+// framework that has a continuous profiler, occ-gate.pol attached, and the
+// lock promoted by that policy (not forced on). It is the number the
+// bench's locks.optread_ns probe cannot give, because that probe attaches
+// nothing; DESIGN §7 decision 7 quotes it before and after.
+func BenchmarkOptReadAttached(b *testing.B) {
+	topo := topology.Paper()
+	fw := concord.New(topo, concord.WithContinuousProfiling(concord.ContinuousProfilerConfig{
+		Window: 5 * time.Millisecond,
+	}))
+	l := locks.NewRWSem("rw")
+	if err := fw.RegisterLock(l); err != nil {
+		b.Fatal(err)
+	}
+	src, err := os.ReadFile("policies/occ-gate.pol")
+	if err != nil {
+		b.Fatal(err)
+	}
+	unit, err := concord.CompileDSL(string(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := fw.LoadPolicy("occ-gate", unit.Programs...); err != nil {
+		b.Fatal(err)
+	}
+	att, err := fw.Attach("rw", "occ-gate")
+	if err != nil {
+		b.Fatal(err)
+	}
+	att.Wait()
+
+	var data atomic.Uint64
+	// Reads through the read lock until a window has sealed read-dominated
+	// and the policy has promoted the lock.
+	warm := concord.NewTask(topo)
+	for deadline := time.Now().Add(10 * time.Second); !l.OCCStats().Promoted; {
+		if time.Now().After(deadline) {
+			b.Fatalf("occ-gate.pol never promoted the lock: %+v", l.OCCStats())
+		}
+		l.OptRead(warm, func() { _ = data.Load() })
+	}
+	before := l.OCCStats()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		tk := concord.NewTask(topo)
+		var got uint64
+		read := func() { got = data.Load() }
+		for pb.Next() {
+			l.OptRead(tk, read)
+		}
+		_ = got
+	})
+	b.StopTimer()
+	if st := l.OCCStats(); st.Reads-before.Reads != uint64(b.N) || st.Demotions != 0 {
+		b.Fatalf("%d of %d reads validated, %d demotions: not measuring the speculative path (%+v)",
+			st.Reads-before.Reads, b.N, st.Demotions, st)
+	}
 }

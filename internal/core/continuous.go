@@ -31,6 +31,7 @@ func (f *Framework) EnableContinuousProfiling(c *profile.Continuous) {
 	}
 	var patches []repatch
 	for _, st := range f.locks {
+		f.observeSpeculativeReadsLocked(st)
 		var p *Policy
 		var ad *adapter
 		if st.attached != nil && st.sup != nil {
@@ -56,6 +57,23 @@ func (f *Framework) statReaderLocked(st *lockState) func(uint64) uint64 {
 		return nil
 	}
 	return f.cprof.StatReader(st.lock.ID(), st.lock.Name())
+}
+
+// observeSpeculativeReadsLocked hands the continuous profiler the
+// validated-read counter of a lock with an optimistic tier: such reads
+// raise no lock_acquired for the profiler's hooks to sample, so its
+// windows pull the lock's own count instead (DESIGN §7 decision 7). It
+// runs where a lock and a profiler first meet — RegisterLock and
+// EnableContinuousProfiling — and is a no-op for any other pair. Called
+// with f.mu held.
+func (f *Framework) observeSpeculativeReadsLocked(st *lockState) {
+	if f.cprof == nil {
+		return
+	}
+	if occ, ok := st.lock.(locks.OCCCapable); ok {
+		f.cprof.ObserveSpeculativeReads(st.lock.ID(), st.lock.Name(),
+			func() uint64 { return occ.OCCStats().Reads })
+	}
 }
 
 // ContinuousProfiler returns the profiler passed to

@@ -310,6 +310,7 @@ func (f *Framework) RegisterLock(l locks.Lock) error {
 	if f.tel != nil {
 		f.tel.LocksRegistered.Set(int64(len(f.locks)))
 	}
+	f.observeSpeculativeReadsLocked(st)
 	if f.tel != nil || f.cprof != nil {
 		// Instrument immediately so a lock is observable before any
 		// policy or profiler touches it.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -78,10 +79,25 @@ func TestFigure2cRealSmall(t *testing.T) {
 	}
 	// Real-lock variant at reduced scale (full sweep is the bench's
 	// job). Overhead band is loose: a 1-CPU CI host adds noise.
-	pts := Figure2cReal([]int{2, 4}, 400)
-	for _, p := range pts {
-		if p.Value <= 0.2 || p.Value > 2.5 {
-			t.Errorf("normalized throughput at %d threads = %.3f looks broken", p.Threads, p.Value)
+	//
+	// Each side of one ratio is a single run of ~0.2 ms, and one park
+	// rescue, GC or descheduled vCPU inside it (4-44 ms, a few runs in a
+	// hundred) moves that ratio a hundredfold either way. The band is about
+	// the locks, not about one run's luck: take the median of interleaved
+	// repetitions, which a stall has to hit six times out of eleven, on the
+	// same side, to move.
+	const reps = 11
+	threads := []int{2, 4}
+	ratios := make([][]float64, len(threads))
+	for r := 0; r < reps; r++ {
+		for i, p := range Figure2cReal(threads, 400) {
+			ratios[i] = append(ratios[i], p.Value)
+		}
+	}
+	for i, n := range threads {
+		sort.Float64s(ratios[i])
+		if v := ratios[i][reps/2]; v <= 0.2 || v > 2.5 {
+			t.Errorf("normalized throughput at %d threads = %.3f (median of %v) looks broken", n, v, ratios[i])
 		}
 	}
 }

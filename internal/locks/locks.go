@@ -441,16 +441,3 @@ func (h *hookable) release(t *task.T, queueLen int, reader bool) {
 		})
 	}
 }
-
-// optRead reports a validated speculative read section to the profiling
-// plane as a zero-wait read acquisition. It deliberately skips the
-// task's held-lock accounting (no lock is held, so there is no ordering
-// edge to record) — its only job is keeping the profiler's window read
-// share truthful after a lock is promoted to the optimistic tier, so the
-// promotion policy's signal doesn't collapse the moment the reads it is
-// based on stop taking the lock.
-func (h *hookable) optRead(t *task.T) {
-	if pk := h.peek(); pk != nil && pk.OnAcquired != nil {
-		h.fire(t, evAcquired, Event{LockID: h.id, Task: t, NowNS: h.now(), Reader: true})
-	}
-}

@@ -81,27 +81,53 @@ type OCCCapable interface {
 	// OCCPromote requests policy-driven promotion (on=true) or demotion.
 	// It is a no-op outside OCCAuto; returns whether the state changed.
 	OCCPromote(on bool) bool
-	// OCCStats snapshots the tier's counters.
+	// OCCStats snapshots the tier's counters. It must take no lock and
+	// raise no event: the continuous profiler calls it while rotating a
+	// window, possibly from inside a hook of this lock.
 	OCCStats() OCCStats
 }
 
+// occStripes is how many line-padded counters the validated-read count is
+// spread over (a power of two: the stripe index is the top bits of a
+// hash). More stripes mean fewer readers sharing a line and a longer sum
+// in OCCStats; at 16 a lock carries 1 KiB of them.
+const occStripes = 16
+
 // occState embeds the optimistic tier into a readers-writer lock. The
-// owning lock must call beginWrite after every writer acquisition and
-// endWrite before every writer release; speculative readers never touch
-// the lock itself.
+// owning lock must call beginWrite as the last step of every writer
+// acquisition and endWrite as the first step of every writer release;
+// speculative readers never touch the lock itself.
+//
+// The layout follows who writes what (DESIGN §7 decision 7). The first
+// line is loaded by every reader and written only by writers and the
+// control plane; the second takes the rare events; the validated-read
+// count, the one word a speculative reader writes, is striped so that a
+// reader's add lands on a line no other CPU writes. The pads are whole
+// lines, so none of this depends on how the enclosing lock is aligned.
 type occState struct {
-	seq      atomic.Uint64 // odd while a writer holds the lock
+	seq      atomic.Uint64 // odd while a writer's stores may be in flight
 	mode     atomic.Uint32 // OCCMode
 	promoted atomic.Bool   // policy-driven state, honoured in OCCAuto
+	_        [64]byte
 
-	reads      atomic.Uint64
 	aborts     atomic.Uint64
 	promotions atomic.Uint64
 	demotions  atomic.Uint64
+	_          [64]byte
+
+	reads [occStripes]struct {
+		n atomic.Uint64
+		_ [56]byte
+	}
 }
 
 // beginWrite marks the writer critical section open (seq becomes odd).
-// Runs under the lock's exclusion, so bumps are totally ordered.
+// Runs under the lock's exclusion, so bumps are totally ordered. Callers
+// invoke it after acquired(...), not before: the lock_acquired hooks write
+// nothing a reader looks at, and a sequence that is odd while they run
+// aborts every reader for the length of a policy fire. What the seqlock
+// needs is that the word is odd before the writer's first store, and the
+// writer cannot store before Lock returns.
 func (o *occState) beginWrite() { o.seq.Add(1) }
 
 // endWrite marks it closed (seq becomes even again).
@@ -130,7 +156,10 @@ func (o *occState) OCCPromote(on bool) bool {
 	if OCCMode(o.mode.Load()) != OCCAuto {
 		return false
 	}
-	if !o.promoted.CompareAndSwap(!on, on) {
+	// Load first: a CAS is a locked write to the line every speculative
+	// reader loads whether or not it succeeds, and occ-gate.pol asks for
+	// the state the lock is already in on nearly every fire.
+	if o.promoted.Load() == on || !o.promoted.CompareAndSwap(!on, on) {
 		return false
 	}
 	if on {
@@ -141,10 +170,17 @@ func (o *occState) OCCPromote(on bool) bool {
 	return true
 }
 
-// OCCStats implements OCCCapable.
+// OCCStats implements OCCCapable: atomic loads only, as the interface
+// requires. Every stripe is monotone, so their sum is a valid reading of
+// the exact count: no less than it was when the call began, no more than
+// it is when the call returns.
 func (o *occState) OCCStats() OCCStats {
+	var reads uint64
+	for i := range o.reads {
+		reads += o.reads[i].n.Load()
+	}
 	return OCCStats{
-		Reads:      o.reads.Load(),
+		Reads:      reads,
 		Aborts:     o.aborts.Load(),
 		Promotions: o.promotions.Load(),
 		Demotions:  o.demotions.Load(),
@@ -160,18 +196,21 @@ func (o *occState) OCCStats() OCCStats {
 // on re-execution), it must load shared words atomically, and it must
 // tolerate observing a torn multi-word snapshot — the final, validated
 // (or lock-protected) execution is the one whose results count.
-// sampled is invoked once per validated speculative section so the
-// profiling plane still observes these reads (keeping the promotion
-// policy's read-share signal truthful after promotion).
-func (o *occState) optRead(fn func(), pessimistic func(), sampled func()) {
+//
+// A validated section acquired nothing, so it raises no event, reads no
+// clock and pins no table: it is counted, on the stripe t's CPU hashes to
+// (Fibonacci hashing, top bits; two tasks that collide share a line,
+// never lose a count). The continuous profiler pulls the count into each
+// window it seals (profile.Continuous.ObserveSpeculativeReads), which is
+// what keeps the promotion policy's read share truthful after promotion.
+func (o *occState) optRead(t *task.T, fn func(), pessimistic func()) {
 	if o.speculative() {
 		for attempt := 0; attempt < occRetryBudget; attempt++ {
 			s1 := o.seq.Load()
 			if s1&1 == 0 {
 				fn()
 				if o.seq.Load() == s1 {
-					o.reads.Add(1)
-					sampled()
+					o.reads[uint32(t.CPU())*0x9E3779B9/(1<<32/occStripes)].n.Add(1)
 					return
 				}
 			}
@@ -187,9 +226,7 @@ func (o *occState) optRead(fn func(), pessimistic func(), sampled func()) {
 // occState.optRead for the re-execution contract), falling back to
 // RLock/RUnlock after the retry budget or while the tier is disengaged.
 func (s *RWSem) OptRead(t *task.T, fn func()) {
-	s.occ.optRead(fn,
-		func() { s.RLock(t); fn(); s.RUnlock(t) },
-		func() { s.optRead(t) })
+	s.occ.optRead(t, fn, func() { s.RLock(t); fn(); s.RUnlock(t) })
 }
 
 // OCCSetMode implements OCCCapable.
@@ -216,9 +253,7 @@ func (s *RWSem) OCCStats() OCCStats { return s.occ.OCCStats() }
 // falling back to RLock/RUnlock (on the current implementation) after
 // the retry budget or while the tier is disengaged.
 func (s *SwitchableRWLock) OptRead(t *task.T, fn func()) {
-	s.occ.optRead(fn,
-		func() { s.RLock(t); fn(); s.RUnlock(t) },
-		func() { s.optRead(t) })
+	s.occ.optRead(t, fn, func() { s.RLock(t); fn(); s.RUnlock(t) })
 }
 
 // OCCSetMode implements OCCCapable.

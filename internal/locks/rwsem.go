@@ -157,8 +157,8 @@ func (s *RWSem) Lock(t *task.T) {
 	if !s.writer && s.readers == 0 {
 		s.writer = true
 		s.mu.Unlock()
-		s.occ.beginWrite()
 		s.acquired(t, start, 0, false)
+		s.occ.beginWrite()
 		return
 	}
 	w := takeSemWaiter(t)
@@ -167,8 +167,8 @@ func (s *RWSem) Lock(t *task.T) {
 	s.mu.Unlock()
 	start = s.contended(t, start, 0, false)
 	s.await(t, w)
-	s.occ.beginWrite()
 	s.acquired(t, start, 0, false)
+	s.occ.beginWrite()
 }
 
 // TryLock implements Lock.
@@ -181,8 +181,8 @@ func (s *RWSem) TryLock(t *task.T) bool {
 	}
 	s.writer = true
 	s.mu.Unlock()
-	s.occ.beginWrite()
 	s.acquired(t, start, 0, false)
+	s.occ.beginWrite()
 	return true
 }
 

@@ -215,8 +215,8 @@ func (s *SwitchableRWLock) Lock(t *task.T) {
 	start := s.begin(t, false)
 	p := s.pin(t, false)
 	p.impl.Lock(t)
-	s.occ.beginWrite()
 	s.acquired(t, start, 0, false)
+	s.occ.beginWrite()
 }
 
 // tryPin is pin for Try paths: it fails instead of blocking when a
@@ -249,8 +249,8 @@ func (s *SwitchableRWLock) TryLock(t *task.T) bool {
 		p.release.Release()
 		return false
 	}
-	s.occ.beginWrite()
 	s.acquired(t, start, 0, false)
+	s.occ.beginWrite()
 	return true
 }
 

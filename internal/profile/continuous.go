@@ -179,7 +179,7 @@ func (c *Continuous) statsFor(id uint64, name string) *Windowed {
 	defer c.mu.Unlock()
 	w := c.stats[id]
 	if w == nil {
-		w = &Windowed{LockID: id, Name: name, winNS: c.winNS, sites: make(map[uint64]*callSite)}
+		w = &Windowed{LockID: id, Name: name, winNS: c.winNS, rate: c.rate, sites: make(map[uint64]*callSite)}
 		c.stats[id] = w
 		c.byLoc[name] = w
 	}
@@ -281,19 +281,54 @@ func (c *Continuous) StatReader(lockID uint64, lockName string) func(field uint6
 	}
 }
 
+// ObserveSpeculativeReads gives one lock's windows a second source of
+// read acquisitions: read is the lock's own exact, monotone count of
+// validated speculative read sections (locks.OCCStats.Reads), which raise
+// no event for the hooks above to sample. Each window includes the reads
+// counted between its opening and its sealing; reads counted before this
+// call, or before the lock's first window opened, are in none. A second
+// call for the same lock replaces the source and starts counting afresh.
+//
+// read runs under the window's rotation mutex, possibly inside a hook of
+// the very lock it reads, so it must take no lock and raise no event.
+func (c *Continuous) ObserveSpeculativeReads(lockID uint64, lockName string, read func() uint64) {
+	w := c.statsFor(lockID, lockName)
+	w.mu.Lock()
+	w.specRead = read
+	w.specAt = read()
+	w.mu.Unlock()
+}
+
 // Windowed holds one lock's epoch-windowed statistics plus its
 // cumulative contending call sites.
 type Windowed struct {
 	LockID uint64
 	Name   string
 	winNS  int64
+	rate   int64 // the profiler's 1-in-rate sampling, for finalize
 
 	cur  atomic.Pointer[window]
 	last atomic.Pointer[WindowSnapshot]
 
-	mu           sync.Mutex // rotation and site-table inserts
+	mu           sync.Mutex // rotation, site-table inserts, spec*
 	sites        map[uint64]*callSite
 	siteOverflow atomic.Int64
+
+	// specRead is the lock's speculative-read counter, nil for a lock
+	// without one; specAt is its reading when the current window opened
+	// (or when the source was registered, if that came later).
+	specRead func() uint64
+	specAt   uint64
+}
+
+// specDelta reads the speculative-read counter and returns the reading
+// with the reads counted since specAt. Called with w.mu held.
+func (w *Windowed) specDelta() (now uint64, delta int64) {
+	if w.specRead == nil {
+		return 0, 0
+	}
+	now = w.specRead()
+	return now, int64(now - w.specAt)
 }
 
 // window is the mutable current epoch.
@@ -325,18 +360,27 @@ func (w *Windowed) rotate(now int64) *window {
 		return win
 	}
 	fresh := &window{startNS: now}
+	// One reading of the lock's counter both closes the old window and
+	// opens the new one, so no speculative read falls between windows.
+	at, spec := w.specDelta()
+	w.specAt = at
 	if win != nil {
-		snap := w.finalize(win, now)
+		snap := w.finalize(win, now, spec)
 		w.last.Store(&snap)
 	}
 	w.cur.Store(fresh)
 	return fresh
 }
 
-// finalize turns a closed window into an immutable snapshot, scaling
-// sampled counts back up by the sampling rate. The scale factor is
-// resolved by the caller-side profiler; rotation keeps raw counts.
-func (w *Windowed) finalize(win *window, endNS int64) WindowSnapshot {
+// finalize turns a closed window into an immutable snapshot of raw
+// sampled counts; exports scale them back up by the sampling rate
+// (WindowSnapshot.scale). spec is the lock-counted speculative reads of
+// the window: an exact count beside 1-in-rate samples, so it joins Acqs
+// and ReadAcqs divided by the rate, rounded to the nearest sample — the
+// raw window keeps one unit, and scale, Field and the JSON need not know
+// a second source exists. Samples, the wait and hold histograms and the
+// queue depths describe sampled acquisitions only.
+func (w *Windowed) finalize(win *window, endNS, spec int64) WindowSnapshot {
 	wait := win.wait.Snapshot()
 	hold := win.hold.Snapshot()
 	s := WindowSnapshot{
@@ -361,6 +405,9 @@ func (w *Windowed) finalize(win *window, endNS int64) WindowSnapshot {
 
 		QueueMax: win.qmax.Load(),
 	}
+	specSamples := (spec + w.rate/2) / w.rate
+	s.Acqs += specSamples
+	s.ReadAcqs += specSamples
 	if s.Acqs > 0 {
 		s.ContentionPerMille = 1000 * s.Conts / s.Acqs
 		s.QueueMeanX100 = 100 * win.qsum.Load() / s.Acqs
@@ -525,7 +572,9 @@ func (s WindowSnapshot) scale(rate int64) WindowSnapshot {
 // snapshotAt returns the lock's freshest window view at time now:
 // rotating first if the current window expired, then preferring the
 // last completed window, and falling back to a live partial snapshot
-// during the very first window so short runs still report.
+// during the very first window so short runs still report. The partial
+// view includes the speculative reads counted so far and leaves them in
+// the window.
 func (w *Windowed) snapshotAt(now int64) (WindowSnapshot, bool) {
 	if win := w.cur.Load(); win != nil && now-win.startNS >= w.winNS {
 		w.rotate(now)
@@ -533,11 +582,14 @@ func (w *Windowed) snapshotAt(now int64) (WindowSnapshot, bool) {
 	if s := w.last.Load(); s != nil {
 		return *s, true
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	win := w.cur.Load()
 	if win == nil {
 		return WindowSnapshot{LockID: w.LockID, Lock: w.Name}, false
 	}
-	return w.finalize(win, now), true
+	_, spec := w.specDelta()
+	return w.finalize(win, now, spec), true
 }
 
 // Snapshots returns the freshest window snapshot of every profiled

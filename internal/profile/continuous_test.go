@@ -414,3 +414,98 @@ func TestPprofProfileEmpty(t *testing.T) {
 		t.Fatal("empty profile has samples")
 	}
 }
+
+// TestContinuousSpeculativeReadsJoinWindows checks the window arithmetic
+// of ObserveSpeculativeReads at an exact and a sampled rate: a lock's own
+// count of validated speculative reads joins the window it was counted
+// in, as read acquisitions, within one sample of the truth — while
+// Samples, the contention count and a lock without a source read as they
+// always did.
+func TestContinuousSpeculativeReadsJoinWindows(t *testing.T) {
+	for _, rate := range []int64{1, 64} {
+		now := int64(0)
+		c := NewContinuous(ContinuousConfig{SampleRate: int(rate), Window: time.Millisecond, Clock: func() int64 { return now }})
+		c.SetEnabled(true)
+		var counted uint64 // the lock's counter; this test is one goroutine
+		const id, plainID = 9, 10
+		h, plain := c.Hooks("rw"), c.Hooks("plain")
+		w, wPlain := c.statsFor(id, "rw"), c.statsFor(plainID, "plain")
+
+		// Contended writer acquisitions at event time at, to both locks,
+		// until cond holds: sampling is random, so "until a sample opened
+		// or sealed a window" is the only deterministic way to say it.
+		writers := func(at int64, cond func() bool) {
+			for !cond() {
+				contend(h, id, at, 100, 50, 1)
+				contend(plain, plainID, at, 100, 50, 1)
+			}
+		}
+		near := func(what string, got, want int64) {
+			t.Helper()
+			if d := got - want; d < -rate || d > rate {
+				t.Errorf("rate %d: %s = %d, want %d within one sample (%d)", rate, what, got, want, rate)
+			}
+		}
+
+		counted = 500 // before registration: in no window
+		c.ObserveSpeculativeReads(id, "rw", func() uint64 { return counted })
+		counted += 300 // before the first window opened: in no window
+		writers(0, func() bool { return w.cur.Load() != nil && wPlain.cur.Load() != nil })
+
+		const n1, n2 = 6417, 1200
+		counted += n1
+		for i := 0; i < 10*int(rate); i++ {
+			contend(h, id, 1000, 100, 50, 1)
+		}
+
+		// The partial view of the first window has the reads so far, and
+		// looking does not take them out of the window.
+		now = 2000
+		for i := 0; i < 2; i++ {
+			s, ok := c.SnapshotFor("rw")
+			if !ok {
+				t.Fatalf("rate %d: no partial snapshot", rate)
+			}
+			near("partial ReadAcqs", s.ReadAcqs, n1)
+			near("partial Acqs", s.Acqs, n1+rate*s.Samples)
+		}
+
+		writers(int64(2*time.Millisecond), func() bool { return w.last.Load() != nil && wPlain.last.Load() != nil })
+		raw := *w.last.Load()
+		if want := (n1 + rate/2) / rate; raw.ReadAcqs != want || raw.Acqs != raw.Samples+want {
+			t.Errorf("rate %d: raw window ReadAcqs %d Acqs %d with %d samples, want %d and %d",
+				rate, raw.ReadAcqs, raw.Acqs, raw.Samples, want, raw.Samples+want)
+		}
+		if raw.ContentionPerMille != 1000*raw.Conts/raw.Acqs {
+			t.Errorf("rate %d: ContentionPerMille %d from %d contentions in %d acquisitions",
+				rate, raw.ContentionPerMille, raw.Conts, raw.Acqs)
+		}
+		if got, want := raw.Field(FieldReadShare), uint64(raw.ReadAcqs*1000/raw.Acqs); got != want {
+			t.Errorf("rate %d: FieldReadShare = %d, want %d", rate, got, want)
+		}
+		now = int64(2*time.Millisecond) + 1
+		s, _ := c.SnapshotFor("rw")
+		near("exported ReadAcqs", s.ReadAcqs, n1)
+		near("exported Acqs", s.Acqs, n1+rate*s.Samples)
+		if rate == 1 {
+			// Nothing is estimated at rate 1: the truth, exactly.
+			m := s.Samples
+			if s.ReadAcqs != n1 || s.Acqs != n1+m || s.ContentionPerMille != 1000*m/(n1+m) ||
+				s.Field(FieldReadShare) != uint64(n1*1000/(n1+m)) {
+				t.Errorf("rate 1: window %+v, want %d reads beside %d contended writers", s, n1, m)
+			}
+		}
+
+		// A lock without a source: every acquisition it reports is a sample.
+		if p := *wPlain.last.Load(); p.Acqs != p.Samples || p.ReadAcqs != 0 {
+			t.Errorf("rate %d: window of a lock with no counter changed: %+v", rate, p)
+		}
+
+		// The next window gets the reads counted since the seal, no more.
+		counted += n2
+		writers(int64(4*time.Millisecond), func() bool { return w.last.Load().StartNS >= int64(2*time.Millisecond) })
+		if got, want := w.last.Load().ReadAcqs, (n2+rate/2)/rate; got != want {
+			t.Errorf("rate %d: second window ReadAcqs = %d, want %d", rate, got, want)
+		}
+	}
+}
