@@ -516,7 +516,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if t := tree(k, p); t != nil {
 			return func(info *locks.ShuffleInfo) bool {
 				ret, ok := a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, src, info)
+					return jit.RunTree(t, p, src, info)
 				}, nil, nil)
 				return ok && ret != 0
 			}
@@ -537,7 +537,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if t := tree(policy.KindScheduleWaiter, p); t != nil {
 			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
 				return waitDecision(a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, schedSrc, info)
+					return jit.RunTree(t, p, schedSrc, info)
 				}, nil, nil))
 			}
 		} else {

@@ -255,20 +255,24 @@ type Framework struct {
 	mu       sync.Mutex
 	locks    map[string]*lockState
 	policies map[string]*Policy
-	shadow   *livepatch.ShadowStore
-	tel      *obs.Telemetry
-	cprof    *profile.Continuous
-	flight   *FlightRecorder
-	supCfg   SupervisorConfig
+	// artifacts is the artifact store: what LoadPolicy derived from each
+	// distinct program it has verified, by artifactKey.
+	artifacts map[string]*artifact
+	shadow    *livepatch.ShadowStore
+	tel       *obs.Telemetry
+	cprof     *profile.Continuous
+	flight    *FlightRecorder
+	supCfg    SupervisorConfig
 }
 
 // New returns an empty framework for the given topology.
 func New(topo *topology.Topology) *Framework {
 	f := &Framework{
-		topo:     topo,
-		locks:    make(map[string]*lockState),
-		policies: make(map[string]*Policy),
-		shadow:   livepatch.NewShadowStore(),
+		topo:      topo,
+		locks:     make(map[string]*lockState),
+		policies:  make(map[string]*Policy),
+		artifacts: make(map[string]*artifact),
+		shadow:    livepatch.NewShadowStore(),
 	}
 	// Route lock runtime safety trips into the policy supervisor. The
 	// observer is process-global (locks sits below core in the import
@@ -355,7 +359,8 @@ func (f *Framework) Locks() []LockInfo {
 
 // LoadPolicy verifies and registers a set of programs under one policy
 // name. Each program kind may appear at most once. Verification failure
-// rejects the whole policy (Figure 1 steps 2–4).
+// rejects the whole policy (Figure 1 steps 2–4). A program whose bytes
+// were loaded before shares that load's analysis report and lowering.
 func (f *Framework) LoadPolicy(name string, progs ...*policy.Program) (*Policy, error) {
 	p := &Policy{
 		Name:     name,
@@ -368,20 +373,21 @@ func (f *Framework) LoadPolicy(name string, progs ...*policy.Program) (*Policy, 
 		if _, dup := p.Programs[prog.Kind]; dup {
 			return nil, fmt.Errorf("%w: %s", ErrDuplicateKind, prog.Kind)
 		}
+		// Verify runs on every load: it is the trust gate, and it marks
+		// this program object verified. The store keeps only what is
+		// derived from verified bytes.
 		stats, err := policy.Verify(prog)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := analysis.Analyze(prog)
+		rep, tier, err := f.admit(prog)
 		if err != nil {
-			return nil, fmt.Errorf("concord: analyzing %s: %w", prog.Name, err)
+			return nil, err
 		}
 		p.Programs[prog.Kind] = prog
 		p.Verify[prog.Kind] = stats
 		p.Analysis[prog.Kind] = rep
-		// Tier selection from the analysis report (admission-time, so
-		// every attach of this policy shares one compiled artifact).
-		p.Tiers[prog.Kind] = jit.Choose(prog, rep)
+		p.Tiers[prog.Kind] = tier
 	}
 	return p, f.addPolicy(p)
 }
@@ -512,9 +518,10 @@ func (f *Framework) Attach(lockName, policyName string) (*Attachment, error) {
 	}
 
 	// Cross-policy interference admission: compare the candidate's map
-	// footprint against every policy attached to another lock. Maps are
-	// a shared namespace, so two policies writing the same map race no
-	// matter which locks they ride on.
+	// footprint against every policy attached to another lock. Maps with
+	// the same name are treated as one storage, which is conservative:
+	// programs are bound to the map objects they were built with, and
+	// two loads from source build two (DESIGN §10).
 	findings := f.interferenceLocked(lockName, p)
 	if f.supCfg.Interference == InterferenceReject {
 		for _, fi := range findings {

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 
 	"concord/internal/locks"
+	"concord/internal/policy"
 	"concord/internal/policydsl"
+	"concord/internal/task"
 )
 
 // loadDSL compiles a DSL source and registers it as a policy.
@@ -205,5 +208,57 @@ func TestNativePoliciesSkipInterference(t *testing.T) {
 	a2.Wait()
 	if n := len(a2.Interference()); n != 0 {
 		t.Fatalf("native policy has %d findings", n)
+	}
+}
+
+// TestMapStorageIsPerLoad pins what equal map names mean at runtime:
+// nothing. Each load from source brings its own maps and LoadPolicy binds
+// them as given, so wait-gate.pol beside profile-waits.pol reads its own,
+// empty worstwait — while the analyzer, treating equal names as one
+// storage, still reports the pair's read-write finding.
+func TestMapStorageIsPerLoad(t *testing.T) {
+	srcs := shippedPolicies(t)
+	f := newFramework()
+	l1, l2 := locks.NewShflLock("l1"), locks.NewShflLock("l2")
+	for _, l := range []*locks.ShflLock{l1, l2} {
+		if err := f.RegisterLock(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pw := loadDSL(t, f, "profile-waits", srcs["profile-waits"])
+	wg := loadDSL(t, f, "wait-gate", srcs["wait-gate"])
+	written, _ := pw.Programs[policy.KindLockAcquired].MapByName("worstwait")
+	read, _ := wg.Programs[policy.KindSkipShuffle].MapByName("worstwait")
+	if written == nil || read == nil || written == read {
+		t.Fatalf("worstwait objects %p and %p: want two", written, read)
+	}
+	for _, a := range []struct{ lock, policy string }{{"l1", "profile-waits"}, {"l2", "wait-gate"}} {
+		att, err := f.Attach(a.lock, a.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att.Wait()
+		if a.policy == "wait-gate" {
+			fs := att.Interference()
+			if len(fs) != 1 || fs[0].Conflict.Map != "worstwait" || fs[0].Conflict.Class != "read-write" {
+				t.Errorf("wait-gate findings = %+v, want the read-write finding on worstwait", fs)
+			}
+		}
+	}
+
+	// profile-waits records a 5 ms wait under l2's ID; wait-gate on l2
+	// would stop shuffling past 1 ms if it could see it.
+	tk := task.New(f.Topology())
+	l1.HookSlot().Peek().OnAcquired(&locks.Event{LockID: l2.ID(), Task: tk, WaitNS: 5_000_000})
+	key := binary.LittleEndian.AppendUint64(nil, l2.ID())
+	if v := written.Lookup(key, 0); len(v) == 0 || v[0] != 5_000_000 {
+		t.Fatalf("profile-waits did not record the wait: %v", v)
+	}
+	if v := read.Lookup(key, 0); v != nil {
+		t.Errorf("wait-gate's worstwait holds %v: storage shared across loads", v)
+	}
+	info := locks.ShuffleInfo{LockID: l2.ID(), Shuffler: &locks.Waiter{Task: tk}, Curr: &locks.Waiter{Task: tk}}
+	if l2.HookSlot().Peek().SkipShuffle(&info) {
+		t.Error("wait-gate skipped the shuffle on a wait recorded in another load's map")
 	}
 }

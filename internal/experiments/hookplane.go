@@ -59,6 +59,13 @@ type HookFire func(shufflerSocket, currSocket uint64) bool
 // framework, program and map arena so cells don't share profiling state.
 // HookFires are single-threaded.
 func HookPlaneFire(tier string) HookFire {
+	fire, _ := hookPlane(tier)
+	return fire
+}
+
+// hookPlane is HookPlaneFire, also returning the loaded program, whose
+// ExecStats count the fires.
+func hookPlane(tier string) (HookFire, *policy.Program) {
 	topo := topology.Paper()
 	fw := core.New(topo)
 	l := locks.NewShflLock("hookbench")
@@ -96,7 +103,7 @@ func HookPlaneFire(tier string) HookFire {
 		shuffler.Task = onSocket[shufflerSocket%uint64(len(onSocket))]
 		curr.Task = onSocket[currSocket%uint64(len(onSocket))]
 		return cmp(&info)
-	}
+	}, prog
 }
 
 // HookPlaneOpsPerMSec times ops hook fires and returns throughput.
@@ -118,7 +125,11 @@ func HookPlaneOpsPerMSec(fire HookFire, ops int) float64 {
 // counters. The JIT tier's contract is 0.00 here — one heap allocation
 // per fire would dominate the win at hook frequencies.
 func HookPlaneAllocsPerOp(fire HookFire, ops int) float64 {
-	// Warm the map arena (first map_add per key allocates the entry).
+	// Collect first, so that garbage left by whatever ran before does not
+	// start a collection inside the measured fires: one would empty the
+	// closure tier's machine pool and count its refill. Then warm the pool
+	// and the map arena (first map_add per key allocates the entry).
+	runtime.GC()
 	for i := 0; i < 64; i++ {
 		fire(uint64(i&3), uint64(i&7))
 	}

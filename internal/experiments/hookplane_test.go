@@ -2,31 +2,22 @@ package experiments
 
 import "testing"
 
-// TestHookPlaneJITSpeedup is the acceptance gate for the JIT closure
-// tier on the profiled-shuffler cell: the lowered closure must beat
-// the interpreter by at least 1.5× on the same hook-fire work, and it
-// must not allocate. Best-of-3 on each side absorbs scheduler noise on
-// loaded CI hosts, and the six runs alternate vm/jit so that one burst on
-// the host lands on both sides rather than on all of one side's runs;
-// the real ratio is well above the gate.
-func TestHookPlaneJITSpeedup(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock gate: the race detector's slowdown is not uniform across what is compared")
+// TestHookPlaneJITRuns is the functional half of the hook-plane gate
+// (its wall-clock floor, TestHookPlaneJITSpeedup, is built with -tags
+// perfgate): the "jit" cell runs its program on the JIT tier, every fire
+// counted as a JIT run, and decides exactly as the interpreter does.
+func TestHookPlaneJITRuns(t *testing.T) {
+	vmFire := HookPlaneFire("vm")
+	jitFire, prog := hookPlane("jit")
+	const fires = 64
+	for i := uint64(0); i < fires; i++ {
+		s, c := i&3, i&7
+		if vm, jit := vmFire(s, c), jitFire(s, c); vm != jit {
+			t.Errorf("sockets (%d, %d): jit decided %v, vm %v", s, c, jit, vm)
+		}
 	}
-	const ops = 200_000
-	vmFire, jitFire := HookPlaneFire("vm"), HookPlaneFire("jit")
-	var vm, jit float64
-	for i := 0; i < 3; i++ {
-		vm = max(vm, HookPlaneOpsPerMSec(vmFire, ops))
-		jit = max(jit, HookPlaneOpsPerMSec(jitFire, ops))
-	}
-	if vm <= 0 || jit <= 0 {
-		t.Fatalf("degenerate measurement: vm=%.1f jit=%.1f", vm, jit)
-	}
-	ratio := jit / vm
-	t.Logf("hook_plane: vm=%.0f ops/ms, jit=%.0f ops/ms, speedup=%.2fx", vm, jit, ratio)
-	if ratio < 1.5 {
-		t.Errorf("JIT speedup %.2fx below the 1.5x acceptance floor", ratio)
+	if st := prog.Stats(); st.JITRuns.Load() != fires || st.Runs.Load() != fires {
+		t.Errorf("jit cell: %d runs, %d on the JIT tier, want %d each", st.Runs.Load(), st.JITRuns.Load(), fires)
 	}
 }
 

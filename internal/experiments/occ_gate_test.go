@@ -18,33 +18,24 @@ func runOCCReadHeavy(mode locks.OCCMode, measureAlloc bool) workloads.Result {
 	})
 }
 
-// TestOCCReadHeavySpeedup is the acceptance gate for the optimistic
-// read tier: on the read-dominated mix, sequence-validated speculation
-// must beat the pessimistic read lock by at least 1.5×. Best-of-3 on
-// each side absorbs scheduler noise on loaded CI hosts; the real ratio
-// is well above the gate.
-func TestOCCReadHeavySpeedup(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock gate: the race detector's slowdown is not uniform across what is compared")
-	}
-	best := func(mode locks.OCCMode) float64 {
-		var b float64
-		for i := 0; i < 3; i++ {
-			if v := runOCCReadHeavy(mode, false).OpsPerMSec(); v > b {
-				b = v
-			}
-		}
-		return b
-	}
-	off := best(locks.OCCOff)
-	on := best(locks.OCCOn)
-	if off <= 0 || on <= 0 {
-		t.Fatalf("degenerate measurement: off=%.1f on=%.1f", off, on)
-	}
-	ratio := on / off
-	t.Logf("occ_read_heavy: pessimistic=%.0f ops/ms, speculative=%.0f ops/ms, speedup=%.2fx", off, on, ratio)
-	if ratio < 1.5 {
-		t.Errorf("OCC speedup %.2fx below the 1.5x acceptance floor", ratio)
+// TestOCCReadHeavyValidates is the functional half of the optimistic
+// tier's gate (its wall-clock floor, TestOCCReadHeavySpeedup, is built with
+// -tags perfgate): on the read-dominated mix a promoted lock stays
+// promoted and at least nine reads in ten validate speculatively.
+func TestOCCReadHeavyValidates(t *testing.T) {
+	l := locks.NewRWSem("occ-gate")
+	l.OCCPromote(true)
+	cfg := workloads.OCCReadHeavyConfig{Workers: 8, OpsPerWorker: 20_000}
+	workloads.RunOCCReadHeavy(l, topology.Paper(), cfg)
+	// Each worker runs 512 warm-up ops and then the measured ones; one op
+	// in 512 is a writer.
+	ops := cfg.Workers * (512 + cfg.OpsPerWorker)
+	reads := ops - ops/512
+	st := l.OCCStats()
+	share := float64(st.Reads) / float64(reads)
+	t.Logf("occ_read_heavy: %d of %d reads validated (%.3f), promoted %v", st.Reads, reads, share, st.Promoted)
+	if !st.Promoted || share < 0.9 {
+		t.Error("want the lock promoted and at least 0.9 of reads validated")
 	}
 }
 

@@ -92,8 +92,11 @@ func (v *version[T]) release() {
 type Slot[T any] struct {
 	cur atomic.Pointer[version[T]]
 
-	mu      sync.Mutex // serializes Replace; stack bookkeeping
-	history []*Patch
+	mu sync.Mutex // serializes Replace
+	// depth counts the patches applied. It is a count and not a list: each
+	// Patch's rollback holds the value it replaced, so a slot that kept its
+	// patches would keep every value it ever held.
+	depth int
 }
 
 // NewSlot returns a slot initially holding val (which may be nil).
@@ -263,7 +266,7 @@ func (s *Slot[T]) replaceLocked(name string, val *T) *Patch {
 	p.rollback = func() *Patch {
 		return s.Replace(name+"(rollback)", oldVal)
 	}
-	s.history = append(s.history, p)
+	s.depth++
 	return p
 }
 
@@ -271,7 +274,7 @@ func (s *Slot[T]) replaceLocked(name string, val *T) *Patch {
 func (s *Slot[T]) Depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.history)
+	return s.depth
 }
 
 // --- Shadow variables ---

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"concord/internal/faultinject"
 )
@@ -138,6 +139,39 @@ func TestRollback(t *testing.T) {
 	}
 	if s.Depth() != 2 {
 		t.Fatalf("Depth = %d, want 2 (patch + rollback)", s.Depth())
+	}
+}
+
+// TestReplacedValueIsReleased: a slot keeps nothing that reaches a value
+// it no longer publishes. Once a value is replaced and its readers have
+// drained it is garbage, unless the caller still holds the Patch that
+// replaced it — whose Rollback needs it. Depth still counts every patch.
+func TestReplacedValueIsReleased(t *testing.T) {
+	type table struct{ payload [64]byte }
+	s := NewSlot(&table{})
+	replaced := func(name string) (weak.Pointer[table], *Patch) {
+		old := s.Peek()
+		p := s.Replace(name, &table{})
+		p.Wait()
+		return weak.Make(old), p
+	}
+	dropped, _ := replaced("p1")
+	kept, p := replaced("p2")
+	runtime.GC()
+	runtime.GC()
+	if dropped.Value() != nil {
+		t.Error("a replaced and drained value is still reachable from the slot")
+	}
+	restored := kept.Value()
+	if restored == nil {
+		t.Fatal("the value a held Patch replaced was collected: Rollback has nothing to restore")
+	}
+	p.Rollback().Wait()
+	if s.Peek() != restored {
+		t.Error("Rollback did not restore the value its patch replaced")
+	}
+	if s.Depth() != 3 {
+		t.Errorf("Depth = %d, want 3 (two patches and a rollback)", s.Depth())
 	}
 }
 

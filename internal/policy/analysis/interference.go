@@ -1,11 +1,11 @@
 // Cross-policy interference: two verified policies may each be safe in
-// isolation yet interact badly when attached concurrently, because maps
-// are a global namespace — a policy on lock A and a policy on lock B
-// that both write map "stats" race through it (§6's conflicting-policies
-// hazard, lifted from hook decisions to shared state). This file
-// classifies those interactions statically from the per-program map
-// footprints, so the framework can reject or surface them at Attach
-// time instead of debugging them at runtime.
+// isolation yet interact badly when attached concurrently if they share a
+// map — a policy on lock A and a policy on lock B that both write map
+// "stats" race through it (§6's conflicting-policies hazard, lifted from
+// hook decisions to shared state). This file classifies those
+// interactions statically from the per-program map footprints, so the
+// framework can reject or surface them at Attach time instead of
+// debugging them at runtime.
 package analysis
 
 import (
@@ -113,8 +113,10 @@ func (c Conflict) String() string {
 
 // Interference compares two policies' map footprints (each given as the
 // reports of its programs) and returns their conflicts sorted by map
-// name. Map identity is the map name: the runtime registers maps in a
-// shared namespace, so same name means same storage.
+// name. Two maps with the same name are treated as one storage. That is
+// conservative, not a fact about the runtime: a report carries map names,
+// not identities, and each load from source has maps of its own, so a
+// finding is the conflict the pair would have if they shared the map.
 func Interference(left, right []*Report) []Conflict {
 	lu, ru := Uses(left), Uses(right)
 	var out []Conflict

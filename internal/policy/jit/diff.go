@@ -60,7 +60,7 @@ func NewDiffHarness(build func() (*policy.Program, error), mkEnv func() *policy.
 	}
 	if treeProg, err := build(); err == nil {
 		if tree, err := LowerTree(treeProg); err == nil {
-			h.treeProg, h.treeFn = treeProg, treeOverCtx(tree)
+			h.treeProg, h.treeFn = treeProg, treeOverCtx(tree, treeProg)
 		}
 	}
 	return h, nil
@@ -79,15 +79,15 @@ var ctxWord = func() (src [maxTreeWords]func(*policy.Ctx) uint64) {
 	return src
 }()
 
-// treeOverCtx gives a tree the CompiledFn shape: the same context-kind
-// check as the other tiers, and the VM's bounds check by offering only
-// the sources the context has words for.
-func treeOverCtx(t *Tree) policy.CompiledFn {
+// treeOverCtx gives a tree the CompiledFn shape of a run of p: the same
+// context-kind check as the other tiers, and the VM's bounds check by
+// offering only the sources the context has words for.
+func treeOverCtx(t *Tree, p *policy.Program) policy.CompiledFn {
 	return func(ctx *policy.Ctx, _ policy.Env) (uint64, error) {
-		if ctx == nil || ctx.Layout.Kind != t.prog.Kind {
-			return 0, &policy.RuntimeError{Name: t.prog.Name, PC: -1, Msg: "context kind mismatch"}
+		if ctx == nil || ctx.Layout.Kind != p.Kind {
+			return 0, &policy.RuntimeError{Name: p.Name, PC: -1, Msg: "context kind mismatch"}
 		}
-		return RunTree(t, ctxWord[:min(len(ctx.Words), maxTreeWords)], ctx)
+		return RunTree(t, p, ctxWord[:min(len(ctx.Words), maxTreeWords)], ctx)
 	}
 }
 

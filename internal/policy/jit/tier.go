@@ -36,23 +36,29 @@ const MaxJITCostNS = 1_000_000 // 1ms
 type Choice struct {
 	Tier   Tier
 	Reason string
-	// Fn is the compiled closure; nil when Tier is TierVM.
+	// Fn is the compiled closure, counting into the ExecStats of the
+	// program the choice was made for; nil when Tier is TierVM.
 	Fn policy.CompiledFn
 
-	// from is what was lowered and, beside Fn, its tree. A policy keeps
-	// its choices in a map for as long as it is loaded; what only attach
-	// and reports read sits behind one pointer to keep the map's slots
-	// small.
+	// from is what was lowered and what it was lowered to, shared by every
+	// choice For makes from this one. A policy keeps its choices in a map
+	// for as long as it is loaded; what only attach and reports read sits
+	// behind one pointer to keep the map's slots small.
 	from *admitted
+	// stats is what Fn counts into: FnFor serves Fn to that program only.
+	stats *policy.ExecStats
 }
 
-// admitted is the program a Choice was made for — the object, and copies
-// of the bytecode and map table it had at admission — and its
-// decision-tree lowering: the tree, or the reason it has none.
+// admitted is what a Choice was made for — copies of the name, kind,
+// bytecode and map table a program had at admission, not the program — and
+// its lowerings: the closure body, and the decision tree or the reason
+// there is none.
 type admitted struct {
-	prog    *policy.Program
+	name    string
+	kind    policy.Kind
 	insns   []policy.Instruction
 	maps    []policy.Map
+	body    *body
 	tree    *Tree  // nil: not a tree, and notTree says why
 	notTree string // "pc N: <what is outside the tree grammar>"
 }
@@ -71,31 +77,54 @@ func (c Choice) Lowering() string {
 	return "closures (" + c.from.notTree + ")"
 }
 
-// current reports whether p is still what was lowered at admission: the
-// same program object with the bytecode and maps it was admitted with.
+// current reports whether what was lowered at admission is a lowering of
+// p: p has the name, kind and bytecode it had, and the same map objects
+// (the closures call the maps they were lowered against).
 func (c Choice) current(p *policy.Program) bool {
 	a := c.from
-	return a != nil && a.prog == p && slices.Equal(a.insns, p.Insns) && slices.Equal(a.maps, p.Maps)
+	return a != nil && a.name == p.Name && a.kind == p.Kind &&
+		slices.Equal(a.insns, p.Insns) && slices.Equal(a.maps, p.Maps)
 }
 
-// FnFor returns the closure lowered at admission if it is still a
-// lowering of p, and nil otherwise (VM tier, or p has been modified
-// since), in which case the caller lowers p again or interprets it.
+// FnFor returns the closure lowered at admission if p is the program it
+// counts into and is still what was lowered, and nil otherwise (VM tier,
+// another program, or p has been modified since), in which case the
+// caller lowers p again or interprets it.
 func (c Choice) FnFor(p *policy.Program) policy.CompiledFn {
-	if c.Fn == nil || !c.current(p) {
+	if c.Fn == nil || c.stats != p.Stats() || !c.current(p) {
 		return nil
 	}
 	return c.Fn
 }
 
-// TreeFor returns the decision tree lowered at admission under the same
-// condition as FnFor: nil when the program has none or has been modified
-// since, and the caller takes the general path.
+// TreeFor returns the decision tree lowered at admission if it is still a
+// lowering of p, and nil when the program has none or has been modified
+// since, in which case the caller takes the general path. A tree holds no
+// program: the caller runs it as p's (RunTree).
 func (c Choice) TreeFor(p *policy.Program) *Tree {
 	if !c.current(p) {
 		return nil
 	}
 	return c.from.tree
+}
+
+// For returns c's decision for p, sharing c's lowering — its closure body
+// and tree — with a closure of its own that counts into p's ExecStats. It
+// reports false when that lowering is not one of p (see current), and the
+// caller chooses for p afresh. A VM-tier choice holds no lowering and
+// applies to any program. For(nil) is c bound to no program: what a cache
+// of lowerings keeps without keeping a program reachable.
+func (c Choice) For(p *policy.Program) (Choice, bool) {
+	c.Fn, c.stats = nil, nil
+	switch {
+	case p == nil || c.from == nil:
+		return c, true
+	case !c.current(p):
+		return Choice{}, false
+	}
+	c.stats = p.Stats()
+	c.Fn = c.from.body.bind(c.stats)
+	return c, true
 }
 
 // Choose picks the execution tier for a verified program using the
@@ -110,7 +139,7 @@ func Choose(p *policy.Program, rep *analysis.Report) Choice {
 		return Choice{Tier: TierVM, Reason: fmt.Sprintf(
 			"cost bound %dns exceeds jit ceiling %dns", rep.CostBound, int64(MaxJITCostNS))}
 	}
-	fn, err := Compile(p)
+	b, err := lowerBody(p)
 	if err != nil {
 		return Choice{Tier: TierVM, Reason: fmt.Sprintf("lowering unsupported: %v", err)}
 	}
@@ -118,12 +147,10 @@ func Choose(p *policy.Program, rep *analysis.Report) Choice {
 	if !rep.Facts.HotPathClean {
 		reason += ", hot path not clean"
 	}
-	ch := Choice{Tier: TierJIT, Reason: reason, Fn: fn,
-		from: &admitted{prog: p, insns: slices.Clone(p.Insns), maps: slices.Clone(p.Maps)}}
-	tree, err := LowerTree(p)
-	if err != nil {
-		ch.from.notTree = err.Error()
+	a := &admitted{name: p.Name, kind: p.Kind, insns: slices.Clone(p.Insns), maps: slices.Clone(p.Maps), body: b}
+	if a.tree, err = LowerTree(p); err != nil {
+		a.notTree = err.Error()
 	}
-	ch.from.tree = tree
+	ch, _ := Choice{Tier: TierJIT, Reason: reason, from: a}.For(p)
 	return ch
 }

@@ -104,10 +104,11 @@ type treeNode struct {
 	slot  uint8
 }
 
-// Tree is a program lowered to a decision tree; node 0 is the root.
+// Tree is a program lowered to a decision tree; node 0 is the root. It
+// holds no program: every program with the same bytecode can share it, and
+// RunTree is told which one is running.
 type Tree struct {
 	nodes []treeNode
-	prog  *policy.Program // for its name, kind and ExecStats
 }
 
 // String is how Choice.Lowering reports the tree.
@@ -172,7 +173,7 @@ func LowerTree(p *policy.Program) (*Tree, error) {
 	if _, err := b.walk(0, &st, 0); err != nil {
 		return nil, err
 	}
-	return &Tree{nodes: slices.Clone(b.nodes), prog: p}, nil
+	return &Tree{nodes: slices.Clone(b.nodes)}, nil
 }
 
 func (b *treeBuilder) add(pc int, n treeNode) (int16, error) {
@@ -386,22 +387,22 @@ func symALUOp(op policy.Op, dst, src sym, imm uint64) (sym, string) {
 	return sym{}, "operation on two context words"
 }
 
-// RunTree evaluates t, reading context word i as src[i](arg), and is
-// observationally a JIT run of the program t was lowered from: the same
-// ExecStats deltas (Runs, JITRuns, Insns, Faults), the same injected
-// trap, and a word src does not cover faults as the VM's out-of-bounds
-// context load would. It allocates nothing and needs no context, machine
-// or scratch.
-func RunTree[T any](t *Tree, src []func(T) uint64, arg T) (uint64, error) {
+// RunTree evaluates t as a run of p, a program t was lowered from, reading
+// context word i as src[i](arg). It is observationally a JIT run of p: the
+// same ExecStats deltas (Runs, JITRuns, Insns, Faults) on p's counters, the
+// same injected trap, and a word src does not cover faults as the VM's
+// out-of-bounds context load would. It allocates nothing and needs no
+// context, machine or scratch.
+func RunTree[T any](t *Tree, p *policy.Program, src []func(T) uint64, arg T) (uint64, error) {
 	// A run starts as Compile's wrapper starts one: counted, then the
 	// injected-trap site the VM also consults at this point.
-	st := t.prog.Stats()
+	st := p.Stats()
 	st.Runs.Add(1)
 	st.JITRuns.Add(1)
 	if faultinject.PolicyTrap.Enabled() {
 		if flt, ok := faultinject.PolicyTrap.Fire(); ok {
 			st.Faults.Add(1)
-			return 0, &policy.RuntimeError{Name: t.prog.Name, PC: -1,
+			return 0, &policy.RuntimeError{Name: p.Name, PC: -1,
 				Msg: fmt.Sprintf("injected trap: %v", flt.Err)}
 		}
 	}
@@ -413,7 +414,7 @@ func RunTree[T any](t *Tree, src []func(T) uint64, arg T) (uint64, error) {
 			if int(n.slot) >= len(src) || src[n.slot] == nil {
 				st.Insns.Add(int64(n.insns))
 				st.Faults.Add(1)
-				return 0, &policy.RuntimeError{Name: t.prog.Name, PC: int(n.pc), Msg: "ctx load out of bounds"}
+				return 0, &policy.RuntimeError{Name: p.Name, PC: int(n.pc), Msg: "ctx load out of bounds"}
 			}
 			w[n.slot%maxTreeWords] = src[n.slot](arg)
 			i = n.next

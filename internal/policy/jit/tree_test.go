@@ -233,7 +233,9 @@ func TestTreeTrapParity(t *testing.T) {
 
 // TestTreeServedOnlyWhileUnmodified: the tree follows the closure's rule
 // — a program edited after admission is served neither, so Attach takes
-// the general path and the edit (or the corruption) reaches the VM.
+// the general path and the edit (or the corruption) reaches the VM. A
+// second program with the same bytes is served the same tree, and For
+// gives it the same lowering with a closure counting into its own stats.
 func TestTreeServedOnlyWhileUnmodified(t *testing.T) {
 	p, err := buildFn(numaShaped)()
 	if err != nil {
@@ -251,8 +253,23 @@ func TestTreeServedOnlyWhileUnmodified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.TreeFor(other) != nil {
-		t.Error("a different program object is served this program's tree")
+	if ch.TreeFor(other) != ch.TreeFor(p) {
+		t.Error("a program with the same bytes is not served the same tree")
+	}
+	if ch.FnFor(other) != nil {
+		t.Error("a different program object is served a closure counting into this program's stats")
+	}
+	bound, ok := ch.For(other)
+	if !ok || bound.TreeFor(other) != ch.TreeFor(p) || bound.FnFor(other) == nil || bound.FnFor(p) != nil {
+		t.Errorf("For(same bytes) = %v: want the shared tree and a closure for the new program only", ok)
+	}
+	renamed, err := buildFn(numaShaped)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed.Name += "-renamed"
+	if _, ok := ch.For(renamed); ok || ch.TreeFor(renamed) != nil {
+		t.Error("a program with another name is served this program's lowering")
 	}
 	p.Insns[len(p.Insns)-2].Imm = 0
 	if ch.TreeFor(p) != nil || ch.FnFor(p) != nil {
@@ -280,16 +297,16 @@ func TestRunTreeZeroAlloc(t *testing.T) {
 	src[l.Slot("curr_socket")] = func(p *pair) uint64 { return p.curr }
 	src[l.Slot("shuffler_socket")] = func(p *pair) uint64 { return p.shuffler }
 	arg := &pair{1, 1}
-	if ret, err := jit.RunTree(tree, src, arg); err != nil || ret != 1 {
+	if ret, err := jit.RunTree(tree, p, src, arg); err != nil || ret != 1 {
 		t.Fatalf("RunTree = %d, %v; want 1", ret, err)
 	}
-	if avg := testing.AllocsPerRun(100, func() { _, _ = jit.RunTree(tree, src, arg) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { _, _ = jit.RunTree(tree, p, src, arg) }); avg != 0 {
 		t.Errorf("RunTree allocates %.2f/op, want 0", avg)
 	}
 	// A word with no source faults like the VM's out-of-bounds load.
 	src[l.Slot("shuffler_socket")] = nil
 	before := p.Stats().Faults.Load()
-	_, err = jit.RunTree(tree, src, arg)
+	_, err = jit.RunTree(tree, p, src, arg)
 	if err == nil || !strings.Contains(err.Error(), "pc 1: ctx load out of bounds") {
 		t.Errorf("missing source: err = %v, want the load's out-of-bounds fault", err)
 	}

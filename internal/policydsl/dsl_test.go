@@ -3,6 +3,7 @@ package policydsl
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"concord/internal/policy"
 )
@@ -309,6 +310,31 @@ func TestMultiplePoliciesShareMaps(t *testing.T) {
 	pc := u.Maps["hits"].(*policy.PerCPUArrayMap)
 	if got := pc.Sum(0); got != 11 {
 		t.Errorf("shared map sum = %d, want 11", got)
+	}
+}
+
+// TestNamesDoNotPinSource: the names a compiled unit keeps are copies, so
+// a loaded program or map does not keep its whole DSL source reachable.
+func TestNamesDoNotPinSource(t *testing.T) {
+	src := `map worstwait hash(key = 8, value = 8, entries = 4);
+		policy lock_acquired worst { worstwait[ctx.lock_id] = ctx.wait_ns; return 0; }`
+	u, err := CompileAndVerify(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	inSource := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= start && p < start+uintptr(len(src))
+	}
+	p := u.Programs[0]
+	if inSource(p.Name) {
+		t.Errorf("program name %q is a substring of the source", p.Name)
+	}
+	for _, m := range p.Maps {
+		if inSource(m.Name()) {
+			t.Errorf("map name %q is a substring of the source", m.Name())
+		}
 	}
 }
 

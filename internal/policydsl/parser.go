@@ -1,6 +1,9 @@
 package policydsl
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // parser is a recursive-descent / precedence-climbing parser over the
 // token stream.
@@ -92,7 +95,9 @@ func (p *parser) parseMapDecl() (*MapDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MapDecl{pos: pos{kw.line, kw.col}, Name: name.text, Kind: kind.text}
+	// Names outlive the parse (a map and a program keep theirs) and a
+	// token's text is a substring of the source: a copy lets it go.
+	m := &MapDecl{pos: pos{kw.line, kw.col}, Name: strings.Clone(name.text), Kind: kind.text}
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
@@ -151,7 +156,7 @@ func (p *parser) parsePolicyDecl() (*PolicyDecl, error) {
 		return nil, err
 	}
 	return &PolicyDecl{
-		pos: pos{kw.line, kw.col}, HookKind: kind.text, Name: name.text, Body: body,
+		pos: pos{kw.line, kw.col}, HookKind: kind.text, Name: strings.Clone(name.text), Body: body,
 	}, nil
 }
 
