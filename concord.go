@@ -229,18 +229,6 @@ var NewLockedHashMap = policy.NewLockedHashMap
 // insert-probe collisions, optimistic read retries).
 type MapStats = policy.MapStats
 
-// --- Profiling (§3.2) ---
-
-// Profiler collects per-lock-instance statistics.
-type Profiler = profile.Profiler
-
-// LockStats is one lock's profile (a lockstat row).
-type LockStats = profile.LockStats
-
-// NewProfiler returns an empty profiler; attach it with
-// Framework.StartProfiling.
-func NewProfiler() *Profiler { return profile.New() }
-
 // --- Livepatch primitives (advanced use) ---
 
 // Patch is an in-flight hook-table replacement; Wait is the consistency
@@ -296,7 +284,7 @@ type SwitchableRWLock = locks.SwitchableRWLock
 var NewSwitchableRWLock = locks.NewSwitchableRWLock
 
 // TraceRing is a lock-free ring of raw lock events (finest-grained
-// profiling; see Profiler for aggregates).
+// profiling; see ContinuousProfiler for aggregates).
 type TraceRing = profile.TraceRing
 
 // NewTraceRing returns a ring holding 2^order trace records.

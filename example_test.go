@@ -59,8 +59,8 @@ func Example_profiling() {
 		hot.Lock(t)
 		hot.Unlock(t)
 	}
-	stats, _ := prof.Stats(hot.ID())
-	fmt.Println("acquisitions:", stats.Acquisitions.Load())
+	stats, _ := prof.SnapshotFor("hot_lock")
+	fmt.Println("acquisitions:", stats.Acqs)
 	// Output: acquisitions: 3
 }
 

@@ -91,7 +91,7 @@ func main() {
 	}
 
 	fmt.Printf("\ncBPF per-CPU contended counter (sum over CPUs): %d\n", perCPU.Sum(0))
-	if _, ok := prof.Stats(warm.ID()); !ok {
+	if _, ok := prof.SnapshotFor(warm.Name()); !ok {
 		fmt.Println("inode_lock/stat_lock: no stats — not profiled, zero overhead")
 	}
 }

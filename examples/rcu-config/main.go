@@ -113,7 +113,7 @@ func main() {
 	readerWG.Wait()
 
 	fmt.Printf("seqlock: %d torn reads (must be 0), %d reader retries\n", torn, seq.Retries())
-	if s, ok := prof.Stats(writeLock.ID()); ok {
-		fmt.Printf("write side profiled through Concord: %d acquisitions\n", s.Acquisitions.Load())
+	if s, ok := prof.SnapshotFor(writeLock.Name()); ok {
+		fmt.Printf("write side profiled through Concord: %d acquisitions\n", s.Acqs)
 	}
 }

@@ -13,10 +13,11 @@ var ErrNoContinuousProfiling = errors.New("concord: continuous profiling not ena
 
 // EnableContinuousProfiling attaches a continuous contention profiler
 // to the framework: every registered lock (current and future) gets the
-// profiler's sampling-gated hooks composed between its on-demand
-// profiler and telemetry, and policies attached afterwards can read the
-// windowed signals through the lock_stats_read helper. Call with nil to
-// detach (existing hook chains are re-published without the profiler).
+// profiler's sampling-gated hooks composed after the lock's own profiler
+// (StartProfiling) and before telemetry, and policies attached afterwards
+// can read the windowed signals through the lock_stats_read helper. Call
+// with nil to detach (existing hook chains are re-published without the
+// profiler).
 func (f *Framework) EnableContinuousProfiling(c *profile.Continuous) {
 	f.mu.Lock()
 	f.cprof = c
@@ -31,17 +32,11 @@ func (f *Framework) EnableContinuousProfiling(c *profile.Continuous) {
 	}
 	var patches []repatch
 	for _, st := range f.locks {
-		f.observeSpeculativeReadsLocked(st)
-		var p *Policy
-		var ad *adapter
-		if st.attached != nil && st.sup != nil {
-			p = f.policies[st.attached.Policy]
-			ad = st.sup.ad
-			if ad != nil {
-				ad.setLockStats(f.statReaderLocked(st))
-			}
+		observeSpeculativeReads(c, st)
+		if st.attached != nil && st.sup != nil && st.sup.ad != nil {
+			st.sup.ad.setLockStats(f.statReaderLocked(st))
 		}
-		patches = append(patches, repatch{st, f.effectiveHooks(st, p, ad)})
+		patches = append(patches, repatch{st, f.currentHooksLocked(st)})
 	}
 	f.mu.Unlock()
 
@@ -59,19 +54,19 @@ func (f *Framework) statReaderLocked(st *lockState) func(uint64) uint64 {
 	return f.cprof.StatReader(st.lock.ID(), st.lock.Name())
 }
 
-// observeSpeculativeReadsLocked hands the continuous profiler the
-// validated-read counter of a lock with an optimistic tier: such reads
-// raise no lock_acquired for the profiler's hooks to sample, so its
-// windows pull the lock's own count instead (DESIGN §7 decision 7). It
-// runs where a lock and a profiler first meet — RegisterLock and
-// EnableContinuousProfiling — and is a no-op for any other pair. Called
+// observeSpeculativeReads hands profiler c the validated-read counter of
+// a lock with an optimistic tier: such reads raise no lock_acquired for
+// the profiler's hooks to see, so its windows pull the lock's own count
+// instead (DESIGN §7 decision 7). It runs where a lock and a profiler
+// first meet — RegisterLock, EnableContinuousProfiling and StartProfiling
+// — and is a no-op for a nil profiler or a lock without the tier. Called
 // with f.mu held.
-func (f *Framework) observeSpeculativeReadsLocked(st *lockState) {
-	if f.cprof == nil {
+func observeSpeculativeReads(c *profile.Continuous, st *lockState) {
+	if c == nil {
 		return
 	}
 	if occ, ok := st.lock.(locks.OCCCapable); ok {
-		f.cprof.ObserveSpeculativeReads(st.lock.ID(), st.lock.Name(),
+		c.ObserveSpeculativeReads(st.lock.ID(), st.lock.Name(),
 			func() uint64 { return occ.OCCStats().Reads })
 	}
 }

@@ -238,7 +238,7 @@ type lockState struct {
 	lock     locks.Lock
 	hooked   locks.Hooked
 	attached *Attachment
-	profiler *profile.Profiler
+	profiler *profile.Continuous
 	// sup supervises the newest attachment on this lock. It outlives
 	// st.attached (a quarantined policy clears attached but keeps its
 	// supervisor visible in health reporting) and is replaced on the
@@ -314,7 +314,7 @@ func (f *Framework) RegisterLock(l locks.Lock) error {
 	if f.tel != nil {
 		f.tel.LocksRegistered.Set(int64(len(f.locks)))
 	}
-	f.observeSpeculativeReadsLocked(st)
+	observeSpeculativeReads(f.cprof, st)
 	if f.tel != nil || f.cprof != nil {
 		// Instrument immediately so a lock is observable before any
 		// policy or profiler touches it.
@@ -632,8 +632,7 @@ func (f *Framework) SetTier(lockName string, mode TierMode) (*livepatch.Patch, e
 		return nil, fmt.Errorf("%w: %s", ErrNothingAttached, lockName)
 	}
 	st.attached.tierMode.Store(int32(mode))
-	p := f.policies[st.attached.Policy]
-	hooks := f.effectiveHooks(st, p, st.sup.ad)
+	hooks := f.currentHooksLocked(st)
 	f.mu.Unlock()
 	return st.hooked.HookSlot().Replace("tier:"+mode.String(), hooks), nil
 }
@@ -658,57 +657,42 @@ func (f *Framework) SetOCC(lockName string, mode locks.OCCMode) (*livepatch.Patc
 		return nil, fmt.Errorf("%w: %s", ErrNoOCCTier, lockName)
 	}
 	occ.OCCSetMode(mode)
-	var p *Policy
-	var ad *adapter
-	if st.attached != nil && st.sup != nil {
-		p = f.policies[st.attached.Policy]
-		ad = st.sup.ad
-	}
-	hooks := f.effectiveHooks(st, p, ad)
+	hooks := f.currentHooksLocked(st)
 	f.mu.Unlock()
 	return st.hooked.HookSlot().Replace("occ:"+mode.String(), hooks), nil
 }
 
 // StartProfiling attaches a profiler to the lock, composed with whatever
 // policy is installed — the selective, per-instance profiling of §3.2.
-func (f *Framework) StartProfiling(lockName string, prof *profile.Profiler) error {
-	f.mu.Lock()
-	st, ok := f.locks[lockName]
-	if !ok {
-		f.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoSuchLock, lockName)
-	}
-	st.profiler = prof
-	var p *Policy
-	var ad *adapter
-	if st.attached != nil && st.sup != nil {
-		p = f.policies[st.attached.Policy]
-		ad = st.sup.ad
-	}
-	hooks := f.effectiveHooks(st, p, ad)
-	f.mu.Unlock()
-	st.hooked.HookSlot().Replace("profile:"+lockName, hooks).Wait()
-	return nil
+// NewProfiler's exact preset counts every event of the lock; a lock with
+// an optimistic read tier also hands the profiler its validated-read count.
+func (f *Framework) StartProfiling(lockName string, prof *profile.Continuous) error {
+	return f.setProfiler(lockName, prof, "profile:")
 }
 
 // StopProfiling removes the profiler from a lock, keeping any policy.
 func (f *Framework) StopProfiling(lockName string) error {
+	return f.setProfiler(lockName, nil, "unprofile:")
+}
+
+// setProfiler sets (or, with nil, clears) a lock's own profiler and
+// republishes the lock's hook table.
+func (f *Framework) setProfiler(lockName string, prof *profile.Continuous, label string) error {
 	f.mu.Lock()
 	st, ok := f.locks[lockName]
 	if !ok {
 		f.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoSuchLock, lockName)
 	}
-	st.profiler = nil
-	var p *Policy
-	var ad *adapter
-	if st.attached != nil && st.sup != nil {
-		p = f.policies[st.attached.Policy]
-		ad = st.sup.ad
+	// The framework's profiler already has the lock's read counter, and a
+	// second hand-over would restart the count of the open window.
+	if prof != st.profiler && prof != f.cprof {
+		observeSpeculativeReads(prof, st)
 	}
-	hooks := f.effectiveHooks(st, p, ad)
+	st.profiler = prof
+	hooks := f.currentHooksLocked(st)
 	f.mu.Unlock()
-	st.hooked.HookSlot().Replace("unprofile:"+lockName, hooks).Wait()
+	st.hooked.HookSlot().Replace(label+lockName, hooks).Wait()
 	return nil
 }
 
@@ -790,7 +774,7 @@ func (f *Framework) AttachAll(pattern, policyName string) ([]*Attachment, error)
 // ProfileAll attaches one profiler to every lock matching pattern — the
 // "profile all spinlocks in this namespace" use case. It returns the
 // matched lock names.
-func (f *Framework) ProfileAll(pattern string, prof *profile.Profiler) ([]string, error) {
+func (f *Framework) ProfileAll(pattern string, prof *profile.Continuous) ([]string, error) {
 	names, err := f.matchLocks(pattern)
 	if err != nil {
 		return nil, err
@@ -804,6 +788,15 @@ func (f *Framework) ProfileAll(pattern string, prof *profile.Profiler) ([]string
 		}
 	}
 	return names, nil
+}
+
+// currentHooksLocked is effectiveHooks around the policy attached now,
+// if any. Called with f.mu held.
+func (f *Framework) currentHooksLocked(st *lockState) *locks.Hooks {
+	if st.attached == nil || st.sup == nil {
+		return f.effectiveHooks(st, nil, nil)
+	}
+	return f.effectiveHooks(st, f.policies[st.attached.Policy], st.sup.ad)
 }
 
 // effectiveHooks builds the hook table for a lock from its policy (if
@@ -826,12 +819,14 @@ func (f *Framework) effectiveHooks(st *lockState, p *Policy, ad *adapter) *locks
 			hooks.Name = p.Name
 		}
 	}
-	if st.profiler != nil {
+	// The lock's own profiler composes unless it is the framework's, which
+	// follows: one profiler twice in a chain would count every event twice.
+	if st.profiler != nil && st.profiler != f.cprof {
 		hooks = locks.ComposeHooks(hooks, st.profiler.Hooks(st.lock.Name()))
 	}
-	// The continuous profiler composes after the on-demand profiler: its
-	// hooks are sampling-gated and profiling-only, cheap enough to leave
-	// in every chain.
+	// The framework's profiler composes after the lock's own: its hooks
+	// are sampling-gated and profiling-only, cheap enough to leave in
+	// every chain.
 	if f.cprof != nil {
 		hooks = locks.ComposeHooks(hooks, f.cprof.Hooks(st.lock.Name()))
 	}

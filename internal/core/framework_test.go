@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -313,6 +314,14 @@ func TestPolicyFaultDetaches(t *testing.T) {
 	}
 }
 
+// exactProfiler counts as concord.NewProfiler does: every
+// event recorded, in one window that never closes.
+func exactProfiler() *profile.Continuous {
+	c := profile.NewContinuous(profile.ContinuousConfig{SampleRate: 1, Window: math.MaxInt64})
+	c.SetEnabled(true)
+	return c
+}
+
 func TestSelectiveProfiling(t *testing.T) {
 	f := newFramework()
 	a := locks.NewShflLock("hot")
@@ -323,7 +332,7 @@ func TestSelectiveProfiling(t *testing.T) {
 	if err := f.RegisterLock(b); err != nil {
 		t.Fatal(err)
 	}
-	prof := profile.New()
+	prof := exactProfiler()
 	if err := f.StartProfiling("hot", prof); err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +345,10 @@ func TestSelectiveProfiling(t *testing.T) {
 		b.Unlock(tk)
 	}
 	// Only the profiled lock has stats — the §3.2 selling point.
-	if s, ok := prof.Stats(a.ID()); !ok || s.Acquisitions.Load() != 10 {
+	if s, ok := prof.SnapshotFor("hot"); !ok || s.Acqs != 10 {
 		t.Errorf("hot lock stats missing or wrong: %+v", s)
 	}
-	if _, ok := prof.Stats(b.ID()); ok {
+	if _, ok := prof.SnapshotFor("cold"); ok {
 		t.Error("unprofiled lock has stats")
 	}
 
@@ -348,7 +357,7 @@ func TestSelectiveProfiling(t *testing.T) {
 	}
 	a.Lock(tk)
 	a.Unlock(tk)
-	if s, _ := prof.Stats(a.ID()); s.Acquisitions.Load() != 10 {
+	if s, _ := prof.SnapshotFor("hot"); s.Acqs != 10 {
 		t.Error("profiling continued after stop")
 	}
 }
@@ -367,7 +376,7 @@ func TestProfilingComposesWithPolicy(t *testing.T) {
 	} else {
 		att.Wait()
 	}
-	prof := profile.New()
+	prof := exactProfiler()
 	if err := f.StartProfiling("l", prof); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +388,7 @@ func TestProfilingComposesWithPolicy(t *testing.T) {
 	tk := task.New(f.Topology())
 	l.Lock(tk)
 	l.Unlock(tk)
-	if s, ok := prof.Stats(l.ID()); !ok || s.Acquisitions.Load() != 1 {
+	if s, ok := prof.SnapshotFor("l"); !ok || s.Acqs != 1 {
 		t.Error("profiler not recording alongside policy")
 	}
 	// Stopping profiling retains the policy.
@@ -389,6 +398,30 @@ func TestProfilingComposesWithPolicy(t *testing.T) {
 	h = l.HookSlot().Peek()
 	if h == nil || h.CmpNode == nil {
 		t.Error("policy lost when profiling stopped")
+	}
+}
+
+// TestProfilingTheFrameworkProfilerCountsOnce: a lock handed the
+// framework's own profiler must not compose it a second time, or every
+// event would count twice.
+func TestProfilingTheFrameworkProfilerCountsOnce(t *testing.T) {
+	f := newFramework()
+	f.EnableContinuousProfiling(exactProfiler())
+	l := locks.NewShflLock("l")
+	if err := f.RegisterLock(l); err != nil {
+		t.Fatal(err)
+	}
+	prof := f.ContinuousProfiler()
+	if err := f.StartProfiling("l", prof); err != nil {
+		t.Fatal(err)
+	}
+	tk := task.New(f.Topology())
+	for i := 0; i < 10; i++ {
+		l.Lock(tk)
+		l.Unlock(tk)
+	}
+	if s, ok := prof.SnapshotFor("l"); !ok || s.Acqs != 10 || s.Rels != 10 {
+		t.Errorf("10 lock/unlock pairs recorded as %+v", s)
 	}
 }
 
@@ -511,7 +544,7 @@ func TestPatternOperations(t *testing.T) {
 		}
 	}
 
-	prof := profile.New()
+	prof := exactProfiler()
 	names, err := f.ProfileAll("*", prof)
 	if err != nil {
 		t.Fatal(err)
@@ -524,8 +557,11 @@ func TestPatternOperations(t *testing.T) {
 	tk := task.New(f.Topology())
 	l.Lock(tk)
 	l.Unlock(tk)
-	if s, ok := prof.Stats(l.ID()); !ok || s.Acquisitions.Load() != 1 {
+	if s, ok := prof.SnapshotFor("net.sock"); !ok || s.Acqs != 1 {
 		t.Error("pattern-attached profiler not recording")
+	}
+	if _, ok := prof.SnapshotFor("vfs.rename"); ok {
+		t.Error("lock with no traffic has stats")
 	}
 
 	// No match is an error.

@@ -160,6 +160,41 @@ func TestSetOCCSurvivesReattach(t *testing.T) {
 	}
 }
 
+// TestStartProfilingCountsSpeculativeReads: a lock profiled on demand
+// hands its profiler the validated-read count, so the reads of a promoted
+// rwsem that raised no lock_acquired are in the snapshot beside the
+// locked ones, exactly.
+func TestStartProfilingCountsSpeculativeReads(t *testing.T) {
+	f := newFramework()
+	l := locks.NewRWSem("rw")
+	if err := f.RegisterLock(l); err != nil {
+		t.Fatal(err)
+	}
+	l.OCCPromote(true)
+	prof := exactProfiler()
+	if err := f.StartProfiling("rw", prof); err != nil {
+		t.Fatal(err)
+	}
+	tk := task.New(f.Topology())
+	l.Lock(tk) // the first event opens the window
+	l.Unlock(tk)
+	const n, m = 37, 5
+	var sink uint64
+	for i := 0; i < n; i++ {
+		l.OptRead(tk, func() { sink++ })
+	}
+	for i := 0; i < m; i++ {
+		l.RLock(tk)
+		l.RUnlock(tk)
+	}
+	if st := l.OCCStats(); st.Reads != n {
+		t.Fatalf("%d validated reads, want %d: %+v", st.Reads, n, st)
+	}
+	if s, ok := prof.SnapshotFor("rw"); !ok || s.ReadAcqs != n+m || s.Acqs != n+m+1 {
+		t.Errorf("snapshot %+v, want %d read acquisitions of %d", s, n+m, n+m+1)
+	}
+}
+
 // occGateLock is what the promotion-loop test needs of its lock.
 type occGateLock interface {
 	locks.RWLock

@@ -67,27 +67,29 @@ func formatValue(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
+// writePromHistogram renders one histogram from a single snapshot, so
+// _count always equals the +Inf bucket even while writers record.
 func writePromHistogram(w io.Writer, name, labels string, h *profile.Histogram) error {
-	buckets := h.Buckets()
+	s := h.Snapshot()
 	var cum int64
-	for i, n := range buckets {
+	for i, n := range s.Buckets {
 		cum += n
 		bound := profile.BucketUpperBound(i)
 		le := fmt.Sprintf(`le="%d"`, bound)
-		if i == len(buckets)-1 {
+		if i == len(s.Buckets)-1 {
 			le = `le="+Inf"`
 		}
 		if err := writeSample(w, name+"_bucket", labels, le, float64(cum)); err != nil {
 			return err
 		}
 	}
-	if err := writeSample(w, name+"_sum", labels, "", float64(h.Sum())); err != nil {
+	if err := writeSample(w, name+"_sum", labels, "", float64(s.Sum)); err != nil {
 		return err
 	}
-	if err := writeSample(w, name+"_count", labels, "", float64(h.Count())); err != nil {
+	if err := writeSample(w, name+"_count", labels, "", float64(s.Count)); err != nil {
 		return err
 	}
-	return writeSample(w, name+"_max", labels, "", float64(h.Max()))
+	return writeSample(w, name+"_max", labels, "", float64(s.Max))
 }
 
 // jsonBucket is one histogram bucket in the JSON exposition.
@@ -131,10 +133,10 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 				v := float64(s.g.Value())
 				js.Value = &v
 			case KindHistogram:
-				h := &s.h.Histogram
-				js.Count, js.Sum, js.Max = h.Count(), h.Sum(), h.Max()
-				js.P50, js.P99 = h.Percentile(50), h.Percentile(99)
-				for i, n := range h.Buckets() {
+				hs := s.h.Snapshot()
+				js.Count, js.Sum, js.Max = hs.Count, hs.Sum, hs.Max
+				js.P50, js.P99 = hs.Percentile(50), hs.Percentile(99)
+				for i, n := range hs.Buckets {
 					if n != 0 {
 						js.Bucket = append(js.Bucket, jsonBucket{UpperBound: profile.BucketUpperBound(i), Count: n})
 					}

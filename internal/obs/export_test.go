@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -131,5 +133,49 @@ func TestJSONExport(t *testing.T) {
 	}
 	if n != 2 {
 		t.Errorf("bucket counts sum to %d, want 2", n)
+	}
+}
+
+// TestPrometheusCountMatchesInfUnderObserve scrapes while four writers
+// record: every scrape must print _count equal to the +Inf bucket, as
+// Prometheus requires, which holds only if both come from one snapshot.
+func TestPrometheusCountMatchesInfUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat_ns", "")
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int64(w); !stop.Load(); i++ {
+				h.Observe(i * 17)
+			}
+		}(w)
+	}
+	const scrapes = 1000
+	torn := 0
+	for i := 0; i < scrapes; i++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, line := range strings.Split(sb.String(), "\n") {
+			switch {
+			case strings.HasPrefix(line, `lat_ns_bucket{le="+Inf"} `):
+				inf = strings.Fields(line)[1]
+			case strings.HasPrefix(line, "lat_ns_count "):
+				count = strings.Fields(line)[1]
+			}
+		}
+		if inf == "" || inf != count {
+			torn++
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if torn != 0 {
+		t.Errorf("%d of %d scrapes printed _count != _bucket{le=\"+Inf\"}", torn, scrapes)
 	}
 }

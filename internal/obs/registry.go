@@ -84,9 +84,8 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a lock-free log2 latency histogram (the registry-managed
-// generalization of the profiler's per-lock histogram; same buckets,
-// same atomics).
+// Histogram is the registry-managed profile.Histogram, embedded: same
+// buckets, same atomics, and Snapshot its one read path.
 type Histogram struct {
 	profile.Histogram
 }

@@ -104,7 +104,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	var hcount int64
 	for _, name := range locknames {
-		hcount += r.Histogram("conc_ns", "", "lock", name).Count()
+		hcount += r.Histogram("conc_ns", "", "lock", name).Snapshot().Count
 	}
 	if hcount != workers*iters {
 		t.Errorf("histograms saw %d samples, want %d", hcount, workers*iters)

@@ -292,17 +292,18 @@ func (t *Telemetry) LockRows() []LockRow {
 
 	rows := make([]LockRow, len(names))
 	for i, m := range stats {
+		wait, hold := m.wait.Snapshot(), m.hold.Snapshot()
 		rows[i] = LockRow{
 			Lock:         names[i],
 			Acquisitions: m.acquisitions.Value(),
 			Contentions:  m.contentions.Value(),
 			Releases:     m.releases.Value(),
 			ReadAcqs:     m.readAcqs.Value(),
-			WaitTotalNS:  m.wait.Sum(),
-			WaitMeanNS:   m.wait.Mean(),
-			WaitP99NS:    m.wait.Percentile(99),
-			HoldMeanNS:   m.hold.Mean(),
-			HoldMaxNS:    m.hold.Max(),
+			WaitTotalNS:  wait.Sum,
+			WaitMeanNS:   wait.Mean(),
+			WaitP99NS:    wait.Percentile(99),
+			HoldMeanNS:   hold.Mean(),
+			HoldMaxNS:    hold.Max,
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -93,7 +93,7 @@ func TestTelemetryComposesWithPolicy(t *testing.T) {
 		t.Error("user CmpNode not invoked")
 	}
 	h.OnAcquired(&locks.Event{WaitNS: 50})
-	if got := tel.Registry.Histogram("concord_lock_wait_ns", "", "lock", "l").Count(); got != 1 {
+	if got := tel.Registry.Histogram("concord_lock_wait_ns", "", "lock", "l").Snapshot().Count; got != 1 {
 		t.Errorf("wait histogram count = %d, want 1", got)
 	}
 }

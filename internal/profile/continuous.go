@@ -63,10 +63,9 @@ type ContinuousConfig struct {
 	Clock func() int64
 }
 
-// Continuous is the sampled, epoch-windowed continuous profiler: the
-// always-on complement of the attach-on-demand Profiler. It is designed
-// to be composed into every lock's hook chain and left enabled in
-// production:
+// Continuous is the lock profiler of §3.2: sampled, epoch-windowed, and
+// attached framework-wide or per lock. It is designed to be composed into
+// every lock's hook chain and left enabled in production:
 //
 //   - Disabled (or between samples) the hook body is a single atomic
 //     load (plus one masked per-thread RNG draw when enabled), no

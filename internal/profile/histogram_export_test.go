@@ -33,7 +33,7 @@ func TestBucketUpperBoundMatchesRecord(t *testing.T) {
 	for _, ns := range []int64{0, 1, 2, 3, 4, 7, 8, 1000, 1 << 20, 1<<33 - 1, 1 << 33, math.MaxInt64} {
 		var h Histogram
 		h.Record(ns)
-		buckets := h.Buckets()
+		buckets := h.Snapshot().Buckets
 		b := -1
 		for i, n := range buckets {
 			if n == 1 {
@@ -54,8 +54,9 @@ func TestBucketUpperBoundMatchesRecord(t *testing.T) {
 
 func TestPercentileEmpty(t *testing.T) {
 	var h Histogram
+	s := h.Snapshot()
 	for _, p := range []float64{0, 50, 99, 100} {
-		if got := h.Percentile(p); got != 0 {
+		if got := s.Percentile(p); got != 0 {
 			t.Errorf("empty Percentile(%v) = %d, want 0", p, got)
 		}
 	}
@@ -67,17 +68,18 @@ func TestPercentileEdges(t *testing.T) {
 		h.Record(100) // bucket 7, bound 127
 	}
 	h.Record(100_000) // bucket 17, bound 131071
+	s := h.Snapshot()
 
 	// p=0 clamps to the first sample: the smallest non-empty bucket.
-	if got := h.Percentile(0); got != 128 {
+	if got := s.Percentile(0); got != 128 {
 		t.Errorf("Percentile(0) = %d, want 128", got)
 	}
 	// p=100 covers the largest sample's bucket.
-	if got := h.Percentile(100); got != 1<<17 {
+	if got := s.Percentile(100); got != 1<<17 {
 		t.Errorf("Percentile(100) = %d, want %d", got, 1<<17)
 	}
 	// The reported bound is an upper bound for the true percentile.
-	if got := h.Percentile(50); got < 100 {
+	if got := s.Percentile(50); got < 100 {
 		t.Errorf("Percentile(50) = %d, below true median 100", got)
 	}
 }
@@ -86,7 +88,8 @@ func TestPercentileZeroBucket(t *testing.T) {
 	var h Histogram
 	h.Record(0)
 	h.Record(0)
-	if got := h.Percentile(50); got != 0 {
+	s := h.Snapshot()
+	if got := s.Percentile(50); got != 0 {
 		t.Errorf("all-zero Percentile(50) = %d, want 0", got)
 	}
 }
@@ -96,8 +99,9 @@ func TestPercentileClampBucketReportsMax(t *testing.T) {
 	const huge = int64(1) << 40 // beyond the last exact bucket
 	h.Record(huge)
 	h.Record(huge + 12345)
+	s := h.Snapshot()
 	for _, p := range []float64{50, 99, 100} {
-		if got := h.Percentile(p); got != huge+12345 {
+		if got := s.Percentile(p); got != huge+12345 {
 			t.Errorf("clamp-bucket Percentile(%v) = %d, want recorded max %d", p, got, huge+12345)
 		}
 	}
@@ -108,7 +112,7 @@ func TestHistogramSum(t *testing.T) {
 	h.Record(10)
 	h.Record(20)
 	h.Record(30)
-	if got := h.Sum(); got != 60 {
+	if got := h.Snapshot().Sum; got != 60 {
 		t.Errorf("Sum = %d, want 60", got)
 	}
 }

@@ -1,21 +1,20 @@
-// Package profile is the dynamic lock profiler of §3.2: unlike lockstat,
-// which profiles every lock in the kernel at once, a Profiler is attached
-// to exactly the lock instances the developer cares about — a single
-// contended lock, a handful in one code path, or everything — through the
-// same hook mechanism policies use, and can therefore be installed and
-// removed at runtime.
+// Package profile is the dynamic lock profiler of §3.2. There is one
+// recorder, Continuous, and two ways to attach it. Framework-wide, at a
+// sampled rate, it rides every lock's hook chain in production. Per lock,
+// unlike lockstat, which profiles every lock in the kernel at once, it is
+// attached to exactly the lock instances the developer cares about — a
+// single contended lock, a handful in one code path, or everything —
+// through the same hook mechanism policies use, and so is installed and
+// removed at runtime. At SampleRate 1 with a window longer than the run
+// the recorder counts every event: its live window is the cumulative,
+// exact profile.
 package profile
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
-
-	"concord/internal/locks"
 )
 
 // histBuckets is the number of log2 latency buckets (ns to ~9.2s).
@@ -41,8 +40,8 @@ func BucketUpperBound(i int) int64 {
 }
 
 // Histogram is a lock-free log2 latency histogram. The sample count is
-// not kept as its own atomic — it is the sum of the buckets, computed on
-// read — so the write path stays at two uncontended-width atomic adds
+// not kept as its own atomic — it is the sum of the buckets, computed by
+// Snapshot — so the write path stays at two uncontended-width atomic adds
 // plus a usually-read-only max update.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
@@ -69,22 +68,13 @@ func (h *Histogram) Record(ns int64) {
 	}
 }
 
-// Count returns the number of samples (summed over the buckets).
-func (h *Histogram) Count() int64 {
-	var n int64
-	for b := 0; b < histBuckets; b++ {
-		n += h.buckets[b].Load()
-	}
-	return n
-}
-
 // HistogramSnapshot is a self-consistent copy of a Histogram. The live
 // histogram's words are independent atomics, so a reader interleaving
 // with Record can pair a sum that includes a sample with a bucket array
 // that does not (or vice versa); Snapshot reconciles the pair so that
 // derived statistics (Mean, Percentile) always lie within the bounds
-// implied by the bucket counts. All exports should derive from one
-// snapshot rather than re-reading the live histogram per statistic.
+// implied by the bucket counts. Snapshot is the histogram's only read
+// path, so every statistic an export prints comes from one snapshot.
 type HistogramSnapshot struct {
 	Buckets [histBuckets]int64
 	Count   int64
@@ -189,8 +179,11 @@ func (s *HistogramSnapshot) Mean() int64 {
 	return s.Sum / s.Count
 }
 
-// Percentile returns an upper bound for the p-th percentile of the
-// snapshot, with the same edge-case semantics as Histogram.Percentile.
+// Percentile returns an upper bound for the p-th percentile (p in
+// [0,100]) at log2 resolution. Edge cases: an empty snapshot reports 0;
+// p <= 0 reports the bound of the smallest non-empty bucket; when the
+// target lands in the final clamp bucket the recorded Max is returned,
+// since the bucket's nominal bound (MaxInt64) carries no information.
 func (s *HistogramSnapshot) Percentile(p float64) int64 {
 	if s.Count == 0 {
 		return 0
@@ -213,174 +206,6 @@ func (s *HistogramSnapshot) Percentile(p float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the mean sample, or 0 with no samples. It reads through
-// Snapshot so the sum/count pair is never torn under concurrent Record.
-func (h *Histogram) Mean() int64 {
-	s := h.Snapshot()
-	return s.Mean()
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() int64 { return h.max.Load() }
-
-// Sum returns the sum of all samples (nanoseconds).
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Percentile returns an upper bound for the p-th percentile (p in
-// [0,100]) at log2 resolution, computed over one consistent Snapshot.
-// Edge cases: an empty histogram reports 0; p <= 0 reports the bound of
-// the smallest non-empty bucket; when the target lands in the final
-// clamp bucket the recorded Max is returned, since the bucket's nominal
-// bound (MaxInt64) carries no information.
-func (h *Histogram) Percentile(p float64) int64 {
-	s := h.Snapshot()
-	return s.Percentile(p)
-}
-
-// Buckets returns a copy of the raw bucket counts.
-func (h *Histogram) Buckets() [histBuckets]int64 {
-	var out [histBuckets]int64
-	for i := range out {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
-// LockStats aggregates one lock's profile, the per-lock analogue of a
-// lockstat row.
-type LockStats struct {
-	LockID       uint64
-	Name         string
-	Acquisitions atomic.Int64
-	Contentions  atomic.Int64
-	Releases     atomic.Int64
-	ReadAcqs     atomic.Int64
-	Wait         Histogram
-	Hold         Histogram
-}
-
-// ContentionRate returns contended acquisitions / total acquisitions.
-func (s *LockStats) ContentionRate() float64 {
-	a := s.Acquisitions.Load()
-	if a == 0 {
-		return 0
-	}
-	return float64(s.Contentions.Load()) / float64(a)
-}
-
-// Profiler collects per-lock statistics via profiling hooks.
-type Profiler struct {
-	mu    sync.Mutex
-	stats map[uint64]*LockStats
-}
-
-// New returns an empty profiler.
-func New() *Profiler {
-	return &Profiler{stats: make(map[uint64]*LockStats)}
-}
-
-// statsFor returns (creating if needed) the stats of one lock.
-func (p *Profiler) statsFor(id uint64, name string) *LockStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stats[id]
-	if s == nil {
-		s = &LockStats{LockID: id, Name: name}
-		p.stats[id] = s
-	}
-	return s
-}
-
-// Hooks builds the hook table that records into this profiler. The
-// caller attaches it to whichever locks it wants profiled; composing it
-// with a behavioural policy via locks.ComposeHooks profiles and steers
-// at the same time.
-func (p *Profiler) Hooks(lockName string) *locks.Hooks {
-	var cached atomic.Pointer[LockStats]
-	get := func(ev *locks.Event) *LockStats {
-		if s := cached.Load(); s != nil && s.LockID == ev.LockID {
-			return s
-		}
-		s := p.statsFor(ev.LockID, lockName)
-		cached.Store(s)
-		return s
-	}
-	return &locks.Hooks{
-		Name: "profiler",
-		OnAcquire: func(ev *locks.Event) {
-			get(ev).Acquisitions.Add(1)
-		},
-		OnContended: func(ev *locks.Event) {
-			get(ev).Contentions.Add(1)
-		},
-		OnAcquired: func(ev *locks.Event) {
-			s := get(ev)
-			s.Wait.Record(ev.WaitNS)
-			if ev.Reader {
-				s.ReadAcqs.Add(1)
-			}
-		},
-		OnRelease: func(ev *locks.Event) {
-			s := get(ev)
-			s.Releases.Add(1)
-			s.Hold.Record(ev.HoldNS)
-		},
-	}
-}
-
-// Stats returns the stats for one lock ID, if recorded.
-func (p *Profiler) Stats(lockID uint64) (*LockStats, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.stats[lockID]
-	return s, ok
-}
-
-// All returns every recorded lock's stats, sorted by contention count
-// (most contended first, like lockstat's default sort).
-func (p *Profiler) All() []*LockStats {
-	p.mu.Lock()
-	out := make([]*LockStats, 0, len(p.stats))
-	for _, s := range p.stats {
-		out = append(out, s)
-	}
-	p.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := out[i].Contentions.Load(), out[j].Contentions.Load()
-		if ci != cj {
-			return ci > cj
-		}
-		return out[i].LockID < out[j].LockID
-	})
-	return out
-}
-
-// Reset discards all recorded statistics.
-func (p *Profiler) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats = make(map[uint64]*LockStats)
-}
-
-// Report writes a lockstat-style table.
-func (p *Profiler) Report(w io.Writer) error {
-	all := p.All()
-	if _, err := fmt.Fprintf(w, "%-24s %10s %10s %8s %12s %12s %12s %12s\n",
-		"lock", "acq", "contended", "rate%", "wait-avg", "wait-p99", "hold-avg", "hold-max"); err != nil {
-		return err
-	}
-	for _, s := range all {
-		if _, err := fmt.Fprintf(w, "%-24s %10d %10d %8.2f %12s %12s %12s %12s\n",
-			fmt.Sprintf("%s#%d", s.Name, s.LockID),
-			s.Acquisitions.Load(), s.Contentions.Load(), 100*s.ContentionRate(),
-			fmtNS(s.Wait.Mean()), fmtNS(s.Wait.Percentile(99)),
-			fmtNS(s.Hold.Mean()), fmtNS(s.Hold.Max())); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func fmtNS(ns int64) string {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -14,24 +15,25 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Percentile(99) != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Mean() != 0 || s.Max != 0 || s.Percentile(99) != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 	for _, v := range []int64{100, 200, 300, 400} {
 		h.Record(v)
 	}
-	if h.Count() != 4 {
-		t.Errorf("Count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 4 {
+		t.Errorf("Count = %d", s.Count)
 	}
-	if h.Mean() != 250 {
-		t.Errorf("Mean = %d", h.Mean())
+	if s.Mean() != 250 {
+		t.Errorf("Mean = %d", s.Mean())
 	}
-	if h.Max() != 400 {
-		t.Errorf("Max = %d", h.Max())
+	if s.Max != 400 {
+		t.Errorf("Max = %d", s.Max)
 	}
 	// Negative samples clamp to zero rather than corrupting state.
 	h.Record(-50)
-	if h.Max() != 400 {
+	if h.Snapshot().Max != 400 {
 		t.Error("negative sample changed max")
 	}
 }
@@ -41,15 +43,16 @@ func TestHistogramPercentileBounds(t *testing.T) {
 	for i := int64(1); i <= 1000; i++ {
 		h.Record(i)
 	}
-	p50 := h.Percentile(50)
-	p99 := h.Percentile(99)
+	s := h.Snapshot()
+	p50 := s.Percentile(50)
+	p99 := s.Percentile(99)
 	if p50 < 256 || p50 > 1024 {
 		t.Errorf("p50 = %d, want log2 bucket containing ~500", p50)
 	}
 	if p99 < p50 {
 		t.Errorf("p99 %d < p50 %d", p99, p50)
 	}
-	if h.Percentile(100) < p99 {
+	if s.Percentile(100) < p99 {
 		t.Error("p100 < p99")
 	}
 }
@@ -67,13 +70,14 @@ func TestHistogramMonotoneProperty(t *testing.T) {
 				max = ns
 			}
 		}
+		s := h.Snapshot()
 		if len(vals) == 0 {
-			return h.Count() == 0
+			return s.Count == 0
 		}
-		return h.Count() == int64(len(vals)) &&
-			h.Max() == max &&
-			h.Mean() == sum/int64(len(vals)) &&
-			h.Percentile(50) <= h.Percentile(99)
+		return s.Count == int64(len(vals)) &&
+			s.Max == max &&
+			s.Mean() == sum/int64(len(vals)) &&
+			s.Percentile(50) <= s.Percentile(99)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -93,94 +97,81 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("Count = %d, want 8000", h.Count())
+	if n := h.Snapshot().Count; n != 8000 {
+		t.Errorf("Count = %d, want 8000", n)
 	}
 }
 
+// exactProfiler is the on-demand preset: every event recorded, in one
+// window that never closes.
+func exactProfiler() *Continuous {
+	c := NewContinuous(ContinuousConfig{SampleRate: 1, Window: math.MaxInt64})
+	c.SetEnabled(true)
+	return c
+}
+
+// TestProfilerEndToEnd drives real locks through the exact preset: its
+// snapshot is the cumulative count of every event, nothing estimated.
 func TestProfilerEndToEnd(t *testing.T) {
-	topo := topology.New(2, 2)
-	p := New()
-	l := locks.NewShflLock("target")
-	l.HookSlot().Replace("prof", p.Hooks("target"))
-
-	tk := task.New(topo)
-	for i := 0; i < 25; i++ {
-		l.Lock(tk)
-		l.Unlock(tk)
-	}
-
-	s, ok := p.Stats(l.ID())
-	if !ok {
-		t.Fatal("no stats recorded")
-	}
-	if s.Acquisitions.Load() != 25 || s.Releases.Load() != 25 {
-		t.Errorf("acq=%d rel=%d", s.Acquisitions.Load(), s.Releases.Load())
-	}
-	if s.Wait.Count() != 25 || s.Hold.Count() != 25 {
-		t.Errorf("wait=%d hold=%d samples", s.Wait.Count(), s.Hold.Count())
-	}
-	if s.ContentionRate() != 0 {
-		t.Errorf("uncontended rate = %f", s.ContentionRate())
-	}
-}
-
-func TestProfilerAllSortsByContention(t *testing.T) {
-	p := New()
-	a := p.statsFor(1, "a")
-	b := p.statsFor(2, "b")
-	a.Contentions.Store(5)
-	b.Contentions.Store(50)
-	all := p.All()
-	if len(all) != 2 || all[0].Name != "b" {
-		t.Errorf("sort order: %v", []string{all[0].Name, all[1].Name})
-	}
-}
-
-func TestProfilerReset(t *testing.T) {
-	p := New()
-	p.statsFor(1, "a").Acquisitions.Add(3)
-	p.Reset()
-	if _, ok := p.Stats(1); ok {
-		t.Error("stats survived Reset")
-	}
+	tk := task.New(topology.New(2, 2))
+	t.Run("shfllock", func(t *testing.T) {
+		c := exactProfiler()
+		l := locks.NewShflLock("target")
+		l.HookSlot().Replace("prof", c.Hooks("target"))
+		for i := 0; i < 25; i++ {
+			l.Lock(tk)
+			l.Unlock(tk)
+		}
+		s, ok := c.SnapshotFor("target")
+		if !ok {
+			t.Fatal("no stats recorded")
+		}
+		if s.Acqs != 25 || s.Rels != 25 {
+			t.Errorf("acq=%d rel=%d", s.Acqs, s.Rels)
+		}
+		win := c.statsFor(l.ID(), "target").cur.Load()
+		if wait, hold := win.wait.Snapshot().Count, win.hold.Snapshot().Count; wait != 25 || hold != 25 {
+			t.Errorf("wait=%d hold=%d samples", wait, hold)
+		}
+		if s.Conts != 0 || s.ContentionPerMille != 0 {
+			t.Errorf("uncontended lock: %d contentions, %d per mille", s.Conts, s.ContentionPerMille)
+		}
+	})
+	t.Run("bravo-readers", func(t *testing.T) {
+		c := exactProfiler()
+		l := locks.NewBRAVO("rw", locks.NewRWSem("u"))
+		l.HookSlot().Replace("prof", c.Hooks("rw"))
+		for i := 0; i < 5; i++ {
+			l.RLock(tk)
+			l.RUnlock(tk)
+		}
+		if s, ok := c.SnapshotFor("rw"); !ok || s.ReadAcqs != 5 {
+			t.Errorf("ReadAcqs = %d, want 5", s.ReadAcqs)
+		}
+	})
 }
 
 func TestReportFormat(t *testing.T) {
-	p := New()
-	s := p.statsFor(9, "mmap_sem")
-	s.Acquisitions.Store(100)
-	s.Contentions.Store(40)
-	s.Wait.Record(1500)
-	s.Hold.Record(2_500_000)
+	c := exactProfiler()
+	h := c.Hooks("mmap_sem")
+	for i := 0; i < 100; i++ {
+		if i < 40 {
+			contend(h, 9, int64(i), 1500, 2_500_000, 1)
+			continue
+		}
+		ev := locks.Event{LockID: 9, NowNS: int64(i), HoldNS: 2_500_000}
+		h.OnAcquired(&ev)
+		h.OnRelease(&ev)
+	}
 	var buf bytes.Buffer
-	if err := p.Report(&buf); err != nil {
+	if err := c.Report(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"mmap_sem#9", "100", "40", "40.00", "ms"} {
+	for _, want := range []string{"mmap_sem#9", "100", "40", "400", "ms"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestReaderAccounting(t *testing.T) {
-	topo := topology.New(2, 2)
-	p := New()
-	l := locks.NewBRAVO("rw", locks.NewRWSem("u"))
-	l.HookSlot().Replace("prof", p.Hooks("rw"))
-	tk := task.New(topo)
-	for i := 0; i < 5; i++ {
-		l.RLock(tk)
-		l.RUnlock(tk)
-	}
-	s, ok := p.Stats(l.ID())
-	if !ok {
-		t.Fatal("no stats")
-	}
-	if s.ReadAcqs.Load() != 5 {
-		t.Errorf("ReadAcqs = %d, want 5", s.ReadAcqs.Load())
 	}
 }
 

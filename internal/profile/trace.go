@@ -44,10 +44,10 @@ type TraceRecord struct {
 }
 
 // TraceRing is a lock-free, fixed-size ring of lock events — the
-// finest-grained §3.2 profiling mode: where LockStats aggregates, the
-// ring keeps the raw event sequence for offline analysis (per-task
-// timelines, queue reconstruction). Writers never block; old records
-// are overwritten. Slots are flat atomic words, so Record never
+// finest-grained §3.2 profiling mode: where the profiler's windows
+// aggregate, the ring keeps the raw event sequence for offline analysis
+// (per-task timelines, queue reconstruction). Writers never block; old
+// records are overwritten. Slots are flat atomic words, so Record never
 // allocates — cheap enough to leave on at full event rate. A snapshot
 // taken while writers are active is best-effort: a record being
 // overwritten concurrently may mix fields of the old and new event.
