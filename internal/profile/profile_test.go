@@ -151,6 +151,26 @@ func TestProfilerEndToEnd(t *testing.T) {
 	})
 }
 
+func TestProfilerAllSortsByContention(t *testing.T) {
+	c := exactProfiler()
+	a, b := c.Hooks("a"), c.Hooks("b")
+	// The calmer lock has the lower ID: only its contention rate orders it.
+	for i := 0; i < 50; i++ {
+		if i < 5 {
+			contend(a, 1, int64(i), 10, 10, 1)
+		} else {
+			ev := locks.Event{LockID: 1, NowNS: int64(i)}
+			a.OnAcquired(&ev)
+			a.OnRelease(&ev)
+		}
+		contend(b, 2, int64(i), 10, 10, 1)
+	}
+	all := c.Snapshots()
+	if len(all) != 2 || all[0].Lock != "b" || all[0].Conts != 50 || all[1].Conts != 5 || all[1].Acqs != 50 {
+		t.Errorf("not most contended first: %+v", all)
+	}
+}
+
 func TestReportFormat(t *testing.T) {
 	c := exactProfiler()
 	h := c.Hooks("mmap_sem")
