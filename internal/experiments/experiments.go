@@ -84,17 +84,16 @@ func NUMACmpProgram() *policy.Program {
 
 // CBPFNumaCmp wraps the verified cBPF program as a simulator cmp_node
 // decision: every simulated shuffling comparison runs the real policy,
-// through the JIT closure tier when enabled (interpreter fallback).
+// through the JIT closure tier (interpreter fallback).
 func CBPFNumaCmp() ksim.CmpFunc {
 	return cbpfCmp(NUMACmpProgram())
 }
 
 // cbpfCmp builds the simulator decision closure for a verified
-// cmp_node program, dispatching through execClosure so the sim series
-// exercise the same tier the -jit toggle selects. Sim results are
-// virtual-time deterministic either way — the tiers are proven
-// equivalent, so this only changes which executor's code path the
-// sweep keeps hot.
+// cmp_node program, dispatching through execClosure. Sim results are
+// virtual-time deterministic whichever tier runs the program — the
+// tiers are proven equivalent — and TestSimCellsGolden pins them
+// exactly.
 func cbpfCmp(prog *policy.Program) ksim.CmpFunc {
 	layout := policy.LayoutFor(policy.KindCmpNode)
 	sSlot := layout.Slot("shuffler_socket")
@@ -145,7 +144,7 @@ func ProfiledNumaCmpProgram(exams policy.Map) *policy.Program {
 
 // CBPFProfiledNumaCmp wraps ProfiledNumaCmpProgram as a simulator
 // cmp_node decision, counting examinations per socket in m as it goes,
-// through the JIT closure tier when enabled (interpreter fallback).
+// through the JIT closure tier (interpreter fallback).
 func CBPFProfiledNumaCmp(m policy.Map) ksim.CmpFunc {
 	return cbpfCmp(ProfiledNumaCmpProgram(m))
 }

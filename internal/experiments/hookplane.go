@@ -17,28 +17,18 @@ import (
 // plane: the profiled-shuffler cmp_node policy (context fill + program
 // execution + a map_add on every fire) measured end to end — through the
 // hook closure the framework builds at Attach — on the interpreter and on
-// the JIT closure tier. The ksim cells in the regression matrix run in
-// virtual time, so policy execution cost is invisible there by
-// construction; these cells are where the JIT tier's speedup (and its
-// zero-allocation contract) is actually measured.
-
-// jitEnabled gates whether the cBPF wrappers and the hook-plane cells
-// execute policies through the JIT closure tier. lockbench -jit=off
-// flips it for ablation runs, turning the hook-jit cell into a second
-// interpreter measurement so the regression gate surfaces the delta.
-var jitEnabled = true
-
-// SetJIT toggles the JIT tier for subsequently built policy closures.
-func SetJIT(on bool) { jitEnabled = on }
+// the JIT closure tier. The ksim figures run in virtual time, so policy
+// execution cost is invisible there by construction; the hook plane is
+// where the JIT tier's speedup (and its zero-allocation contract) is
+// actually measured: TestHookPlaneJITRuns, TestHookPlaneJITZeroAllocs
+// and, with -tags perfgate, TestHookPlaneJITSpeedup.
 
 // execClosure returns the fastest available executor for a verified
-// program honoring the JIT toggle: the lowered closure when the tier
-// is on and the program lowers, else the interpreter.
+// program: the lowered closure when the program lowers, else the
+// interpreter.
 func execClosure(prog *policy.Program) policy.CompiledFn {
-	if jitEnabled {
-		if fn, err := jit.Compile(prog); err == nil {
-			return fn
-		}
+	if fn, err := jit.Compile(prog); err == nil {
+		return fn
 	}
 	return func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
 		return policy.Exec(prog, ctx, env)
@@ -55,9 +45,9 @@ type HookFire func(shufflerSocket, currSocket uint64) bool
 // user gets one: the profiled-shuffler policy is loaded into a framework,
 // attached to a ShflLock, and the closure is the CmpNode member of the
 // hook table the lock publishes. "vm" forces the interpreter, "jit" the
-// JIT closure tier (subject to the -jit toggle). Each call builds a fresh
-// framework, program and map arena so cells don't share profiling state.
-// HookFires are single-threaded.
+// JIT closure tier. Each call builds a fresh framework, program and map
+// arena so fires don't share profiling state. HookFires are
+// single-threaded.
 func HookPlaneFire(tier string) HookFire {
 	fire, _ := hookPlane(tier)
 	return fire
@@ -71,7 +61,7 @@ func hookPlane(tier string) (HookFire, *policy.Program) {
 	l := locks.NewShflLock("hookbench")
 	prog := ProfiledNumaCmpProgram(policy.NewHashMap("hookbench-exams", 8, 8, 16))
 	mode := core.TierForceVM
-	if tier == "jit" && jitEnabled {
+	if tier == "jit" {
 		mode = core.TierForceJIT
 	}
 	must := func(err error) {

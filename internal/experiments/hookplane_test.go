@@ -31,19 +31,3 @@ func TestHookPlaneJITZeroAllocs(t *testing.T) {
 		t.Errorf("JIT hook fire allocates %.4f/op, want 0", a)
 	}
 }
-
-// TestHookPlaneJITToggle pins the -jit=off ablation: with the tier
-// disabled, the "jit" cell falls back to the interpreter (no closure
-// is compiled), and re-enabling restores it.
-func TestHookPlaneJITToggle(t *testing.T) {
-	SetJIT(false)
-	defer SetJIT(true)
-	fire := HookPlaneFire("jit")
-	// Interpreter fallback still computes the same decisions.
-	if !fire(2, 2) || fire(1, 2) {
-		t.Error("ablation closure decisions wrong")
-	}
-	if a := HookPlaneAllocsPerOp(fire, 512); a == 0 {
-		t.Log("interpreter path also reads 0 allocs/op on this host")
-	}
-}

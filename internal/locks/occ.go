@@ -42,19 +42,6 @@ func (m OCCMode) String() string {
 	}
 }
 
-// OCCModeByName parses an OCC mode name.
-func OCCModeByName(s string) (OCCMode, bool) {
-	switch s {
-	case "auto":
-		return OCCAuto, true
-	case "off":
-		return OCCOff, true
-	case "on":
-		return OCCOn, true
-	}
-	return OCCAuto, false
-}
-
 // occRetryBudget bounds speculative re-execution before the section
 // falls back to the pessimistic read lock: enough to ride out a short
 // writer, not enough to starve under a write burst.

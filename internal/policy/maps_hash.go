@@ -736,11 +736,6 @@ func NewGrowableHashMap(name string, keySize, valueSize, maxEntries int) *HashMa
 	return m
 }
 
-// SetGrowable flips online resize on or off — the ablation switch for
-// the map-resize-churn bench. Disabling mid-drain lets the in-flight
-// migration finish; it only stops new epochs from starting.
-func (m *HashMap) SetGrowable(on bool) { m.tab.growable = on }
-
 // Growable reports whether online resize is enabled.
 func (m *HashMap) Growable() bool { return m.tab.growable }
 
@@ -961,9 +956,6 @@ func NewGrowablePerCPUHashMap(name string, keySize, valueSize, maxEntries, numCP
 	m.tab.growable = true
 	return m
 }
-
-// SetGrowable flips online resize on or off.
-func (m *PerCPUHashMap) SetGrowable(on bool) { m.tab.growable = on }
 
 // Growable reports whether online resize is enabled.
 func (m *PerCPUHashMap) Growable() bool { return m.tab.growable }

@@ -7,8 +7,8 @@ import (
 	"concord/internal/policy/jit"
 )
 
-// mapPlaneKinds is the roster the map-plane tests and benchmarks run:
-// every hash kind the bench matrix measures, sized for a 64-key space.
+// mapPlaneTestKinds is the roster the map-plane tests and benchmarks
+// run: every hash kind, sized for a 64-key space.
 func mapPlaneTestKinds() []struct {
 	name string
 	mk   func() policy.Map

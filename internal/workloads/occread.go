@@ -57,9 +57,9 @@ func (c *OCCReadHeavyConfig) setDefaults() {
 // common case) or an exclusive writer bumping every slot. Reads go
 // through OptRead, so the measured throughput depends on the lock's
 // optimistic tier: promoted or forced on, validated speculative
-// sections bypass the reader path entirely; forced off (`lockbench
-// -occ off`), every read pays the full pessimistic RLock — the
-// ablation pair behind the occ_read_heavy regression cell.
+// sections bypass the reader path entirely; forced off (OCCOff), every
+// read pays the full pessimistic RLock — the ablation pair behind the
+// occ_read_heavy speedup floor.
 //
 // Table slots are word-atomic on both sides because a speculative
 // section runs concurrently with the writer by design; sequence
