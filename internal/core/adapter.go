@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,8 +94,9 @@ const (
 // a decision tree (jit.LowerTree) is evaluated over these directly — each
 // word it compares is read where it lives, and no context is built. One
 // table serves cmp_node and skip_shuffle, whose layouts share the
-// shuffler's fields. TestCtxSourcesMatchFill holds the two definitions of
-// a word together.
+// shuffler's fields; the four profiling hooks share one layout and differ
+// in their constant "op" word. TestCtxSourcesMatchFill holds the two
+// definitions of a word together.
 var (
 	shuffleSrc = map[string]func(*locks.ShuffleInfo) uint64{
 		"lock_id":       func(i *locks.ShuffleInfo) uint64 { return i.LockID },
@@ -142,11 +144,53 @@ var (
 		"holder_cs_avg":  func(i *locks.WaitInfo) uint64 { return uint64(i.HolderCSAvg) },
 		"spin_ns":        func(i *locks.WaitInfo) uint64 { return uint64(i.SpinNS) },
 	}
+	eventSrc = map[string]func(*locks.Event) uint64{
+		"lock_id":   func(ev *locks.Event) uint64 { return ev.LockID },
+		"task_id":   eventTask(func(t *task.T) uint64 { return uint64(t.ID()) }),
+		"cpu":       eventTask(func(t *task.T) uint64 { return uint64(t.CPU()) }),
+		"socket":    eventTask(func(t *task.T) uint64 { return uint64(t.Socket()) }),
+		"prio":      eventTask(func(t *task.T) uint64 { return uint64(t.Priority()) }),
+		"now_ns":    func(ev *locks.Event) uint64 { return uint64(ev.NowNS) },
+		"wait_ns":   func(ev *locks.Event) uint64 { return uint64(ev.WaitNS) },
+		"hold_ns":   func(ev *locks.Event) uint64 { return uint64(ev.HoldNS) },
+		"queue_len": func(ev *locks.Event) uint64 { return uint64(ev.QueueLen) },
+		"reader":    func(ev *locks.Event) uint64 { return b2u(ev.Reader) },
+	}
 
 	cmpSrc   = slotSources(cmpL, shuffleSrc)
 	skipSrc  = slotSources(skipL, shuffleSrc)
 	schedSrc = slotSources(schedL, waitSrc)
+	// profSrc[op] is the profiling layout's sources for the hook whose
+	// context carries op.
+	profSrc = func() (src [opRelease + 1][]func(*locks.Event) uint64) {
+		for op := uint64(opAcquire); op <= opRelease; op++ {
+			byName := maps.Clone(eventSrc)
+			byName["op"] = func(*locks.Event) uint64 { return op }
+			src[op] = slotSources(profL, byName)
+		}
+		return src
+	}()
 )
+
+// The CPU a tree's map calls run on: the CPU of the task whose scratch the
+// general path would fire on (taskEnv.CPU), read at the call. A profiling
+// event without a task panics here as it does there, inside the same exec.
+var (
+	shufflerCPU = func(i *locks.ShuffleInfo) int { return i.Shuffler.Task.CPU() }
+	waiterCPU   = func(i *locks.WaitInfo) int { return i.Curr.Task.CPU() }
+	eventCPU    = func(ev *locks.Event) int { return ev.Task.CPU() }
+)
+
+// eventTask is the source of a task field of an event: 0 for an event
+// without a task, as fillProf leaves it.
+func eventTask(f func(*task.T) uint64) func(*locks.Event) uint64 {
+	return func(ev *locks.Event) uint64 {
+		if ev.Task == nil {
+			return 0
+		}
+		return f(ev.Task)
+	}
+}
 
 // slotSources orders byName's sources by l's slots. A field without one
 // is left nil; a tree that loads it faults (and its policy detaches)
@@ -397,6 +441,26 @@ func fillSched(w []uint64, info *locks.WaitInfo) {
 	w[schedIdx.spin] = uint64(info.SpinNS)
 }
 
+// fillProf marshals a profiling hook's context: the event, and op, the
+// constant that tells the four hooks apart.
+func fillProf(w []uint64, ev *locks.Event, op uint64) {
+	w[profIdx.lockID] = ev.LockID
+	w[profIdx.op] = op
+	if ev.Task != nil {
+		w[profIdx.taskID] = uint64(ev.Task.ID())
+		w[profIdx.cpu] = uint64(ev.Task.CPU())
+		w[profIdx.socket] = uint64(ev.Task.Socket())
+		w[profIdx.prio] = uint64(ev.Task.Priority())
+	}
+	w[profIdx.now] = uint64(ev.NowNS)
+	w[profIdx.wait] = uint64(ev.WaitNS)
+	w[profIdx.hold] = uint64(ev.HoldNS)
+	w[profIdx.qlen] = uint64(ev.QueueLen)
+	if ev.Reader {
+		w[profIdx.reader] = 1
+	}
+}
+
 // exec runs one hook fire under the attachment's containment, whichever
 // lowering run dispatches into: a panicking hook (injected or real)
 // becomes a policy fault instead of unwinding into the lock algorithm, a
@@ -464,11 +528,11 @@ func waitDecision(ret uint64, ok bool) int {
 // VM-tier ones through the reference interpreter. mode overrides the
 // per-program choice for ablation (force-VM baseline, force-JIT).
 //
-// A decision program the JIT tier lowered to a tree is evaluated where
-// its inputs live: exec around jit.RunTree over the layout's sources —
-// no scratch, no marshal, no machine. Every other closure below runs on
-// its task's fireScratch (takeFire … fill … exec … putFire). Neither
-// allocates in steady state.
+// A program the JIT tier lowered to a tree — a decision or a profiling
+// hook — is evaluated where its inputs live: exec around jit.RunTree over
+// the layout's sources — no scratch, no marshal, no machine. Every other
+// closure below runs on its task's fireScratch (takeFire … fill … exec …
+// putFire). Neither allocates in steady state.
 func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	progs := pol.Programs
 	h := &locks.Hooks{Name: a.policyName}
@@ -516,7 +580,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if t := tree(k, p); t != nil {
 			return func(info *locks.ShuffleInfo) bool {
 				ret, ok := a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, p, src, info)
+					return jit.RunTree(t, p, src, shufflerCPU, info)
 				}, nil, nil)
 				return ok && ret != 0
 			}
@@ -537,7 +601,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if t := tree(policy.KindScheduleWaiter, p); t != nil {
 			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
 				return waitDecision(a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, p, schedSrc, info)
+					return jit.RunTree(t, p, schedSrc, waiterCPU, info)
 				}, nil, nil))
 			}
 		} else {
@@ -557,25 +621,19 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if !ok {
 			return nil
 		}
+		if t := tree(k, p); t != nil {
+			src := profSrc[op]
+			return func(ev *locks.Event) {
+				a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
+					return jit.RunTree(t, p, src, eventCPU, ev)
+				}, nil, nil)
+			}
+		}
 		layout := policy.LayoutFor(p.Kind)
 		run := bind(k, p)
 		return func(ev *locks.Event) {
 			sc, w := a.takeFire(ev.Task, layout)
-			w[profIdx.lockID] = ev.LockID
-			w[profIdx.op] = op
-			if ev.Task != nil {
-				w[profIdx.taskID] = uint64(ev.Task.ID())
-				w[profIdx.cpu] = uint64(ev.Task.CPU())
-				w[profIdx.socket] = uint64(ev.Task.Socket())
-				w[profIdx.prio] = uint64(ev.Task.Priority())
-			}
-			w[profIdx.now] = uint64(ev.NowNS)
-			w[profIdx.wait] = uint64(ev.WaitNS)
-			w[profIdx.hold] = uint64(ev.HoldNS)
-			w[profIdx.qlen] = uint64(ev.QueueLen)
-			if ev.Reader {
-				w[profIdx.reader] = 1
-			}
+			fillProf(w, ev, op)
 			a.exec(run, &sc.ctx, &sc.env)
 			putFire(ev.Task, sc)
 		}

@@ -36,7 +36,9 @@ func shippedPolicies(t *testing.T) map[string]string {
 // contract on the closures the framework itself builds: for every
 // shipped policy, attached the public way on both tiers, each member of
 // the published hook table runs a fire without touching the allocator
-// once its task's scratch exists.
+// once its task's scratch exists — profile-waits.pol's map calls
+// included: a lookup that hits, one that misses and inserts, and a
+// per-CPU add.
 func TestHookFireZeroAlloc(t *testing.T) {
 	for name, src := range shippedPolicies(t) {
 		for _, mode := range []TierMode{TierAuto, TierForceVM} {
@@ -95,6 +97,10 @@ func TestHookFireZeroAlloc(t *testing.T) {
 				} {
 					if fn != nil {
 						fires[k] = func() { fn(&ev) }
+						// a lock not seen before: a lookup that misses, then
+						// an insert
+						fresh := ev
+						fires[k+"/new-lock"] = func() { fresh.LockID++; fn(&fresh) }
 					}
 				}
 				if len(fires) == 0 {
@@ -215,62 +221,79 @@ func TestLifecycleAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAttachDoesNotServeStaleClosure: the closure lowered at admission is
-// reused by Attach only while the program is what was admitted. A
-// bytecode edit after LoadPolicy must reach the hook table — here it
-// flips the policy's decision, on both the auto and the forced-JIT path.
+// TestAttachDoesNotServeStaleClosure: the lowering made at admission — a
+// closure, or a decision tree — is reused by Attach only while the program
+// is what was admitted. A bytecode edit after LoadPolicy must reach the
+// hook table — here it flips the policy's decision, on both the auto and
+// the forced-JIT path.
 func TestAttachDoesNotServeStaleClosure(t *testing.T) {
+	progs := map[string]func() *policy.Program{
+		"closures": func() *policy.Program {
+			return policy.NewBuilder("const", policy.KindCmpNode).Call(policy.HelperRand).ReturnImm(1).MustProgram()
+		},
+		"tree": func() *policy.Program {
+			return policy.NewBuilder("const", policy.KindCmpNode).ReturnImm(1).MustProgram()
+		},
+	}
 	for _, mode := range []TierMode{TierAuto, TierForceJIT} {
 		t.Run(mode.String(), func(t *testing.T) {
-			f := newFramework()
-			l := locks.NewShflLock("l")
-			if err := f.RegisterLock(l); err != nil {
-				t.Fatal(err)
-			}
-			prog := policy.NewBuilder("const", policy.KindCmpNode).ReturnImm(1).MustProgram()
-			pol, err := f.LoadPolicy("const", prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pol.Tier(policy.KindCmpNode) != "jit" {
-				t.Fatalf("admitted on %q, test needs the JIT tier", pol.Tier(policy.KindCmpNode))
-			}
-			ch := pol.Tiers[policy.KindCmpNode]
-			if ch.FnFor(prog) == nil {
-				t.Fatal("unmodified program is not served its admission closure")
-			}
-
-			tk := task.New(f.Topology())
-			info := locks.ShuffleInfo{Shuffler: &locks.Waiter{Task: tk}, Curr: &locks.Waiter{Task: tk}}
-			table := func() *locks.Hooks {
-				att, err := f.Attach("l", "const")
-				if err != nil {
-					t.Fatal(err)
-				}
-				att.Wait()
-				if mode != TierAuto {
-					patch, err := f.SetTier("l", mode)
+			for lowering, mk := range progs {
+				t.Run(lowering, func(t *testing.T) {
+					f := newFramework()
+					l := locks.NewShflLock("l")
+					if err := f.RegisterLock(l); err != nil {
+						t.Fatal(err)
+					}
+					prog := mk()
+					pol, err := f.LoadPolicy("const", prog)
 					if err != nil {
 						t.Fatal(err)
 					}
-					patch.Wait()
-				}
-				return l.HookSlot().Peek()
-			}
-			if !table().CmpNode(&info) {
-				t.Fatal("return 1 policy said no")
-			}
+					if pol.Tier(policy.KindCmpNode) != "jit" {
+						t.Fatalf("admitted on %q, test needs the JIT tier", pol.Tier(policy.KindCmpNode))
+					}
+					ch := pol.Tiers[policy.KindCmpNode]
+					served := func() bool { return ch.FnFor(prog) != nil || ch.TreeFor(prog) != nil }
+					if !served() {
+						t.Fatal("unmodified program is not served its admission lowering")
+					}
+					if got := strings.Fields(ch.Lowering())[0]; got != lowering {
+						t.Fatalf("admitted as %q, test needs %s", ch.Lowering(), lowering)
+					}
 
-			for i := range prog.Insns {
-				if prog.Insns[i].Imm == 1 {
-					prog.Insns[i].Imm = 0
-				}
-			}
-			if ch.FnFor(prog) != nil {
-				t.Error("edited program is still served the admission closure")
-			}
-			if table().CmpNode(&info) {
-				t.Error("hook table built after the edit still runs the admitted bytecode")
+					tk := task.New(f.Topology())
+					info := locks.ShuffleInfo{Shuffler: &locks.Waiter{Task: tk}, Curr: &locks.Waiter{Task: tk}}
+					table := func() *locks.Hooks {
+						att, err := f.Attach("l", "const")
+						if err != nil {
+							t.Fatal(err)
+						}
+						att.Wait()
+						if mode != TierAuto {
+							patch, err := f.SetTier("l", mode)
+							if err != nil {
+								t.Fatal(err)
+							}
+							patch.Wait()
+						}
+						return l.HookSlot().Peek()
+					}
+					if !table().CmpNode(&info) {
+						t.Fatal("return 1 policy said no")
+					}
+
+					for i := range prog.Insns {
+						if prog.Insns[i].Imm == 1 {
+							prog.Insns[i].Imm = 0
+						}
+					}
+					if served() {
+						t.Error("edited program is still served the admission lowering")
+					}
+					if table().CmpNode(&info) {
+						t.Error("hook table built after the edit still runs the admitted bytecode")
+					}
+				})
 			}
 		})
 	}

@@ -66,14 +66,17 @@ func TestArtifactSharedAcrossLoads(t *testing.T) {
 				if want := len(pa.Maps) == 0; shared != want {
 					t.Errorf("%s: lowering shared = %v, want %v (program names %d maps)", k, shared, want, len(pa.Maps))
 				}
-				if ca.FnFor(pa) == nil || cb.FnFor(pb) == nil {
+				ta, tb := ca.TreeFor(pa), cb.TreeFor(pb)
+				switch {
+				case ta == nil && (ca.FnFor(pa) == nil || cb.FnFor(pb) == nil):
 					t.Errorf("%s: a loaded program is not served its own closure", k)
-				}
-				if ca.FnFor(pb) != nil {
+				case ta == nil && ca.FnFor(pb) != nil:
 					t.Errorf("%s: one policy's closure is served to the other's program", k)
+				case ta != nil && (ca.Fn != nil || cb.Fn != nil):
+					t.Errorf("%s: a tree-served program was lowered to closures too", k)
 				}
-				if ta := ca.TreeFor(pa); ta != cb.TreeFor(pb) {
-					t.Errorf("%s: two trees for the same bytes", k)
+				if (ta == nil) != (tb == nil) || ta != nil && (ta == tb) != shared {
+					t.Errorf("%s: trees %p and %p for the same bytes, shared = %v", k, ta, tb, shared)
 				}
 			}
 		})

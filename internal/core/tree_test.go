@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,6 +57,14 @@ func randWaitInfo(r *rand.Rand, topo *topology.Topology) *locks.WaitInfo {
 	}
 }
 
+func randEvent(r *rand.Rand, topo *topology.Topology) *locks.Event {
+	return &locks.Event{
+		LockID: uint64(1 + r.Intn(8)), Task: randTask(r, topo), NowNS: int64(1_000_000 + r.Intn(1_000_000)),
+		WaitNS: int64(r.Intn(2_000_000)), HoldNS: int64(r.Intn(100_000)), QueueLen: r.Intn(64),
+		Reader: r.Intn(2) == 1,
+	}
+}
+
 // wordOf reads slots through a layout's sources, as a tree's loads do.
 func wordOf[T any](src []func(T) uint64, arg T) func(slot int) (uint64, bool) {
 	return func(slot int) (uint64, bool) {
@@ -66,9 +76,10 @@ func wordOf[T any](src []func(T) uint64, arg T) func(slot int) (uint64, bool) {
 }
 
 // TestCtxSourcesMatchFill holds the two definitions of a context word
-// together: for each decision layout and every slot, the live source a
-// decision tree reads is the word the eager fill stores for the general
-// path, over randomised tasks and infos. A field that gains a slot in the
+// together: for each decision layout, the profiling layout under each of
+// its four ops, and every slot, the live source a tree reads is the word
+// the eager fill stores for the general path, over randomised tasks, infos
+// and events (some without a task). A field that gains a slot in the
 // layout without gaining a source (or a fill) fails here by name.
 func TestCtxSourcesMatchFill(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
@@ -107,6 +118,15 @@ func TestCtxSourcesMatchFill(t *testing.T) {
 		note(cmpL, cmp)
 		note(skipL, skip)
 		note(schedL, sched)
+		ev := randEvent(r, topo)
+		if n%5 == 0 {
+			ev.Task = nil
+		}
+		for op := uint64(opAcquire); op <= opRelease; op++ {
+			prof := wordOf(profSrc[op], ev)
+			check(profL, n, prof, func(w []uint64) { fillProf(w, ev, op) })
+			note(profL, prof)
+		}
 	}
 	// The comparison means something only if the samples move every word.
 	for name, vals := range varied {
@@ -144,23 +164,24 @@ func treePolicies(t *testing.T) map[string]string {
 }
 
 // TestShippedTreeRoster pins which shipped policies take the tree path:
-// the six helper-free ones. A policy dropping off this list silently is a
-// performance regression no other test would notice.
+// all but the two that call lock_stats_read (contention-gate, occ-gate).
+// A policy dropping off this list silently is a performance regression no
+// other test would notice.
 func TestShippedTreeRoster(t *testing.T) {
 	var got []string
 	for name := range treePolicies(t) {
 		got = append(got, name)
 	}
 	sort.Strings(got)
-	want := []string{"amp", "bounded-shuffle", "inheritance", "numa", "priority", "vcpu"}
+	want := []string{"amp", "bounded-shuffle", "inheritance", "numa", "priority", "profile-waits", "vcpu", "wait-gate"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("tree-lowered shipped policies = %v, want %v", got, want)
 	}
 }
 
 // fireOutcome is everything one scenario of TestTreePathMatchesVM
-// observes: what the hooks decided, what the programs counted, and what
-// the supervisor made of the faults.
+// observes: what the hooks decided, what the programs counted, what the
+// fires left in the maps, and what the supervisor made of the faults.
 type fireOutcome struct {
 	decisions   []int
 	runs, insns int64
@@ -170,6 +191,7 @@ type fireOutcome struct {
 	faults      int64
 	errClass    string
 	quarantined bool
+	maps        string
 }
 
 // errClass reduces a trip error to what must agree between tiers: the
@@ -185,13 +207,78 @@ func errClass(err error) string {
 	return err.Error()
 }
 
+// policyMaps returns the maps pol's programs use, each once, by name.
+func policyMaps(pol *Policy) map[string]policy.Map {
+	out := map[string]policy.Map{}
+	for _, p := range pol.Programs {
+		for _, m := range p.Maps {
+			out[m.Name()] = m
+		}
+	}
+	return out
+}
+
+// mapContents renders what pol's maps hold, sorted: every hash entry, and
+// every non-zero per-CPU array word with its CPU.
+func mapContents(t *testing.T, pol *Policy) string {
+	var rows []string
+	for name, m := range policyMaps(pol) {
+		switch m := m.(type) {
+		case *policy.HashMap:
+			m.Range(func(k []byte, v []uint64) bool {
+				rows = append(rows, fmt.Sprintf("%s[%x]=%v", name, k, v))
+				return true
+			})
+		case *policy.PerCPUArrayMap:
+			for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+				for i := 0; i < m.MaxEntries(); i++ {
+					if v := m.Lookup([]byte{byte(i), 0, 0, 0}, cpu); v[0] != 0 {
+						rows = append(rows, fmt.Sprintf("%s[%d]@cpu%d=%v", name, i, cpu, v))
+					}
+				}
+			}
+		default:
+			t.Fatalf("map %s: no dump for %T", name, m)
+		}
+	}
+	sort.Strings(rows)
+	return strings.Join(rows, " ")
+}
+
+// seedWorstWait gives a worstwait map the waits of locks 1–4, two of them
+// past wait-gate's 1ms; full fills it to its 512 entries besides, so that
+// recording any other lock's wait fails.
+func seedWorstWait(t *testing.T, pol *Policy, full bool) {
+	m, ok := policyMaps(pol)["worstwait"].(*policy.HashMap)
+	if !ok {
+		return
+	}
+	for k, v := range []uint64{500_000, 2_000_000, 0, 1_500_000} {
+		if err := m.Update(binary.LittleEndian.AppendUint64(nil, uint64(k+1)), []uint64{v}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(1000); full && m.Len() < m.MaxEntries(); k++ {
+		if err := m.Update(binary.LittleEndian.AppendUint64(nil, k), []uint64{k}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if full && m.Update(binary.LittleEndian.AppendUint64(nil, 5), []uint64{1}, 0) == nil {
+		t.Fatal("worstwait took a 513th key")
+	}
+}
+
 // TestTreePathMatchesVM is the adapter-level half of the tree's
 // equivalence contract. For every shipped policy on the tree path, the
 // same seeded sequence of fires is driven through the framework's own
-// hook table under TierAuto (tree) and TierForceVM (marshal + reference
-// interpreter), undisturbed and with each containment site armed:
-// decisions, ExecStats deltas and the supervisor's fault accounting must
-// be identical — a tree run is a JIT run, contained by the same exec.
+// hook table — decision and profiling hooks — under TierAuto (tree) and
+// TierForceVM (marshal + reference interpreter), undisturbed and with each
+// containment site armed: decisions, ExecStats deltas, the maps' contents
+// after the fires and the supervisor's fault accounting must be identical
+// — a tree run is a JIT run, contained by the same exec. Two scenarios are
+// about the maps: worstwait filled to its 512 entries, so that recording a
+// new lock's wait takes map_update's −1 path, and events from tasks on
+// every CPU, so that count's per-CPU adds land on many CPUs.
 func TestTreePathMatchesVM(t *testing.T) {
 	t.Cleanup(faultinject.DisarmAll)
 	const fires = 64
@@ -199,18 +286,30 @@ func TestTreePathMatchesVM(t *testing.T) {
 		name   string
 		budget time.Duration
 		arm    func()
-		faults int64 // expected supervisor-counted faults
+		faults int64 // expected supervisor-counted faults: per hook fire if < 0
+		maps   bool  // the plan fires only in programs that call map helpers
+		full   bool  // worstwait starts full
+		cpus   bool  // event i comes from a task on CPU i
 	}{
-		{"undisturbed", 0, func() {}, 0},
-		{"hook-panic", 0, func() { faultinject.CoreHookPanic.Arm(faultinject.Config{MaxFires: 3}) }, 3},
-		{"policy-trap", 0, func() { faultinject.PolicyTrap.Arm(faultinject.Config{MaxFires: 3}) }, 3},
+		{name: "undisturbed", arm: func() {}},
+		{name: "hook-panic", arm: func() { faultinject.CoreHookPanic.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3},
+		{name: "policy-trap", arm: func() { faultinject.PolicyTrap.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3},
 		// a budget no healthy fire comes near, even on a busy host
-		{"policy-latency", 20 * time.Millisecond, func() {
+		{name: "policy-latency", budget: 20 * time.Millisecond, arm: func() {
 			faultinject.PolicyLatency.Arm(faultinject.Config{MaxFires: 1, Delay: 50 * time.Millisecond})
-		}, 1},
-		{"budget-1ns", time.Nanosecond, func() {}, fires},
+		}, faults: 1},
+		{name: "budget-1ns", budget: time.Nanosecond, arm: func() {}, faults: -1},
+		{name: "helper-fault", arm: func() { faultinject.PolicyHelper.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3, maps: true},
+		{name: "map-op-fault", arm: func() { faultinject.PolicyMapOp.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3, maps: true},
+		{name: "worstwait-full", arm: func() {}, full: true},
+		{name: "several-cpus", arm: func() {}, cpus: true},
 	}
-	run := func(t *testing.T, name, src string, mode TierMode, budget time.Duration, arm func()) fireOutcome {
+	type run struct {
+		out   fireOutcome
+		hooks int // hooks called per fire
+		maps  bool
+	}
+	fire := func(t *testing.T, name, src string, mode TierMode, budget time.Duration, arm func(), full, cpus bool) run {
 		f := newFramework()
 		f.SetSupervisorConfig(SupervisorConfig{MaxRetries: 0, LatencyBudget: budget})
 		l := locks.NewShflLock("l")
@@ -225,6 +324,7 @@ func TestTreePathMatchesVM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		seedWorstWait(t, pol, full)
 		att, err := f.Attach("l", name)
 		if err != nil {
 			t.Fatal(err)
@@ -244,21 +344,37 @@ func TestTreePathMatchesVM(t *testing.T) {
 		if h == nil {
 			t.Fatal("no hook table published")
 		}
+		profiling := []func(*locks.Event){h.OnAcquire, h.OnContended, h.OnAcquired, h.OnRelease}
 
 		arm()
 		defer faultinject.DisarmAll()
-		var out fireOutcome
+		var rn run
+		out := &rn.out
 		r := rand.New(rand.NewSource(5))
+		topo := f.Topology()
 		for i := 0; i < fires; i++ {
-			si, wi := randShuffleInfo(r, f.Topology()), randWaitInfo(r, f.Topology())
+			si, wi, ev := randShuffleInfo(r, topo), randWaitInfo(r, topo), randEvent(r, topo)
+			if cpus {
+				ev.Task.Migrate(i % topo.NumCPUs())
+			}
+			rn.hooks = 0
 			if h.CmpNode != nil {
 				out.decisions = append(out.decisions, int(b2u(h.CmpNode(si))))
+				rn.hooks++
 			}
 			if h.SkipShuffle != nil {
 				out.decisions = append(out.decisions, int(b2u(h.SkipShuffle(si))))
+				rn.hooks++
 			}
 			if h.ScheduleWaiter != nil {
 				out.decisions = append(out.decisions, h.ScheduleWaiter(wi))
+				rn.hooks++
+			}
+			for _, hook := range profiling {
+				if hook != nil {
+					hook(ev)
+					rn.hooks++
+				}
 			}
 		}
 		for _, p := range pol.Programs {
@@ -268,6 +384,7 @@ func TestTreePathMatchesVM(t *testing.T) {
 			out.helpers += st.HelperCalls.Load() + st.MapOps.Load()
 			out.progFaults += st.Faults.Load()
 			out.jitRuns += st.JITRuns.Load()
+			rn.maps = rn.maps || len(p.Maps) > 0
 		}
 		if att.Faults() > 0 {
 			for deadline := time.Now().Add(10 * time.Second); !att.Quarantined(); time.Sleep(time.Millisecond) {
@@ -277,25 +394,52 @@ func TestTreePathMatchesVM(t *testing.T) {
 			}
 		}
 		out.faults, out.errClass, out.quarantined = att.Faults(), errClass(att.Err()), att.Quarantined()
-		return out
+		out.maps = mapContents(t, pol)
+		if full {
+			if m, ok := policyMaps(pol)["worstwait"].(*policy.HashMap); ok && m.Len() != m.MaxEntries() {
+				t.Errorf("worstwait holds %d keys after the fires, want %d", m.Len(), m.MaxEntries())
+			}
+		}
+		if cpus {
+			if m, ok := policyMaps(pol)["contended"].(*policy.PerCPUArrayMap); ok {
+				counted := 0
+				for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+					if m.Lookup([]byte{0, 0, 0, 0}, cpu)[0] != 0 {
+						counted++
+					}
+				}
+				if counted < 2 {
+					t.Errorf("contended counted on %d CPUs, want several", counted)
+				}
+			}
+		}
+		return rn
 	}
 	for name, src := range treePolicies(t) {
 		for _, sc := range scenarios {
 			t.Run(name+"/"+sc.name, func(t *testing.T) {
-				vm := run(t, name, src, TierForceVM, sc.budget, sc.arm)
-				tree := run(t, name, src, TierAuto, sc.budget, sc.arm)
-				if vm.jitRuns != 0 || tree.jitRuns != tree.runs {
-					t.Errorf("jit runs: vm %d of %d, tree %d of %d; want none and all", vm.jitRuns, vm.runs, tree.jitRuns, tree.runs)
+				vm := fire(t, name, src, TierForceVM, sc.budget, sc.arm, sc.full, sc.cpus)
+				tree := fire(t, name, src, TierAuto, sc.budget, sc.arm, sc.full, sc.cpus)
+				if vm.out.jitRuns != 0 || tree.out.jitRuns != tree.out.runs {
+					t.Errorf("jit runs: vm %d of %d, tree %d of %d; want none and all",
+						vm.out.jitRuns, vm.out.runs, tree.out.jitRuns, tree.out.runs)
 				}
-				vm.jitRuns, tree.jitRuns = 0, 0
-				if fmt.Sprintf("%+v", vm) != fmt.Sprintf("%+v", tree) {
-					t.Errorf("paths disagree:\n  vm   %+v\n  tree %+v", vm, tree)
+				vm.out.jitRuns, tree.out.jitRuns = 0, 0
+				if fmt.Sprintf("%+v", vm.out) != fmt.Sprintf("%+v", tree.out) {
+					t.Errorf("paths disagree:\n  vm   %+v\n  tree %+v", vm.out, tree.out)
 				}
-				if tree.faults != sc.faults {
-					t.Errorf("supervisor counted %d faults, want %d", tree.faults, sc.faults)
+				want := sc.faults
+				switch {
+				case want < 0:
+					want = int64(fires * tree.hooks)
+				case sc.maps && !tree.maps:
+					want = 0
 				}
-				if tree.runs == 0 || len(tree.decisions) != fires {
-					t.Errorf("%d runs, %d decisions for %d fires", tree.runs, len(tree.decisions), fires)
+				if tree.out.faults != want {
+					t.Errorf("supervisor counted %d faults, want %d", tree.out.faults, want)
+				}
+				if tree.out.runs == 0 || tree.hooks == 0 || len(tree.out.decisions) > fires*tree.hooks {
+					t.Errorf("%d runs, %d decisions for %d fires of %d hooks", tree.out.runs, len(tree.out.decisions), fires, tree.hooks)
 				}
 			})
 		}

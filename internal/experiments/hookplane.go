@@ -14,14 +14,18 @@ import (
 )
 
 // This file is the wall-clock microbenchmark of the hook dispatch
-// plane: the profiled-shuffler cmp_node policy (context fill + program
-// execution + a map_add on every fire) measured end to end — through the
-// hook closure the framework builds at Attach — on the interpreter and on
-// the JIT closure tier. The ksim figures run in virtual time, so policy
-// execution cost is invisible there by construction; the hook plane is
-// where the JIT tier's speedup (and its zero-allocation contract) is
-// actually measured: TestHookPlaneJITRuns, TestHookPlaneJITZeroAllocs
-// and, with -tags perfgate, TestHookPlaneJITSpeedup.
+// plane: the profiled-shuffler cmp_node policy (a map_add and a socket
+// compare on every fire) measured end to end — through the hook closure
+// the framework builds at Attach — on the interpreter and on the JIT
+// tier. Its "jit" column is a decision tree: the program's map_add is an
+// effect node (jit.LowerTree), so the fire reads its two context words
+// where they live, with no context fill and no machine; the "vm" column
+// fills a context and interprets. The ksim figures run in virtual time,
+// so policy execution cost is invisible there by construction; the hook
+// plane is where the JIT tier's speedup (and its zero-allocation
+// contract) is actually measured: TestHookPlaneJITRuns,
+// TestHookPlaneJITZeroAllocs and, with -tags perfgate,
+// TestHookPlaneJITSpeedup.
 
 // execClosure returns the fastest available executor for a verified
 // program: the lowered closure when the program lowers, else the
@@ -45,7 +49,7 @@ type HookFire func(shufflerSocket, currSocket uint64) bool
 // user gets one: the profiled-shuffler policy is loaded into a framework,
 // attached to a ShflLock, and the closure is the CmpNode member of the
 // hook table the lock publishes. "vm" forces the interpreter, "jit" the
-// JIT closure tier. Each call builds a fresh framework, program and map
+// JIT tier (here, the decision tree). Each call builds a fresh framework, program and map
 // arena so fires don't share profiling state. HookFires are
 // single-threaded.
 func HookPlaneFire(tier string) HookFire {
@@ -117,7 +121,7 @@ func HookPlaneOpsPerMSec(fire HookFire, ops int) float64 {
 func HookPlaneAllocsPerOp(fire HookFire, ops int) float64 {
 	// Collect first, so that garbage left by whatever ran before does not
 	// start a collection inside the measured fires: one would empty the
-	// closure tier's machine pool and count its refill. Then warm the pool
+	// interpreter's stack pool and count its refill. Then warm the pool
 	// and the map arena (first map_add per key allocates the entry).
 	runtime.GC()
 	for i := 0; i < 64; i++ {

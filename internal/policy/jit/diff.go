@@ -11,10 +11,10 @@ import (
 // VM and the JIT closure tier — and, when the program lowers to a decision
 // tree, on the tree as a third column, each against isolated but
 // identically-seeded state, and reports the first observable divergence:
-// register result, error presence and text, ExecStats deltas, trace
-// sequences, or final map contents. It is the equivalence obligation for
-// admitting the JIT tier, used by the unit tests, the golden tests, and
-// FuzzVMvsJIT.
+// register result, error presence and text, ExecStats deltas (helper calls
+// and map ops included), trace sequences, or final map contents. It is the
+// equivalence obligation for admitting the JIT tier, used by the unit
+// tests, the golden tests, and FuzzVMvsJIT.
 type DiffHarness struct {
 	vmProg   *policy.Program
 	jitProg  *policy.Program
@@ -23,15 +23,15 @@ type DiffHarness struct {
 	treeFn   policy.CompiledFn
 	vmEnv    *policy.TestEnv
 	jitEnv   *policy.TestEnv
+	treeEnv  *policy.TestEnv
 	steps    int
 }
 
 // NewDiffHarness builds a harness from a program constructor and an env
-// constructor. build is called once per column so each gets its own map
-// arena and ExecStats (shared maps would hide single-tier mutation
-// bugs); mkEnv is called twice so stateful env pieces (Rand, Trace)
-// advance independently but identically — a tree program calls no helper
-// and takes no env.
+// constructor. build and mkEnv are called once per column so each gets its
+// own map arena, ExecStats and env (shared maps would hide single-tier
+// mutation bugs; stateful env pieces such as Rand and Trace advance
+// independently but identically). A tree reads its env's CPU alone.
 func NewDiffHarness(build func() (*policy.Program, error), mkEnv func() *policy.TestEnv) (*DiffHarness, error) {
 	vmProg, err := build()
 	if err != nil {
@@ -60,7 +60,7 @@ func NewDiffHarness(build func() (*policy.Program, error), mkEnv func() *policy.
 	}
 	if treeProg, err := build(); err == nil {
 		if tree, err := LowerTree(treeProg); err == nil {
-			h.treeProg, h.treeFn = treeProg, treeOverCtx(tree, treeProg)
+			h.treeProg, h.treeFn, h.treeEnv = treeProg, treeOverCtx(tree, treeProg), mkEnv()
 		}
 	}
 	return h, nil
@@ -80,14 +80,19 @@ var ctxWord = func() (src [maxTreeWords]func(*policy.Ctx) uint64) {
 }()
 
 // treeOverCtx gives a tree the CompiledFn shape of a run of p: the same
-// context-kind check as the other tiers, and the VM's bounds check by
-// offering only the sources the context has words for.
+// context-kind check as the other tiers, the VM's bounds check by offering
+// only the sources the context has words for, and env's CPU for its map
+// calls.
 func treeOverCtx(t *Tree, p *policy.Program) policy.CompiledFn {
-	return func(ctx *policy.Ctx, _ policy.Env) (uint64, error) {
+	return func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
+		if env == nil {
+			env = policy.DefaultEnv
+		}
 		if ctx == nil || ctx.Layout.Kind != p.Kind {
 			return 0, &policy.RuntimeError{Name: p.Name, PC: -1, Msg: "context kind mismatch"}
 		}
-		return RunTree(t, p, ctxWord[:min(len(ctx.Words), maxTreeWords)], ctx)
+		cpu := func(*policy.Ctx) int { return env.CPU() }
+		return RunTree(t, p, ctxWord[:min(len(ctx.Words), maxTreeWords)], cpu, ctx)
 	}
 }
 
@@ -172,7 +177,7 @@ func (h *DiffHarness) Step(ctxWords []uint64) error {
 	}
 	if h.treeFn != nil {
 		before := snap(h.treeProg)
-		ret, err := h.treeFn(mkCtx(h.treeProg.Kind), nil)
+		ret, err := h.treeFn(mkCtx(h.treeProg.Kind), h.treeEnv)
 		if err := against("tree", ret, err, snap(h.treeProg).sub(before)); err != nil {
 			return err
 		}
@@ -189,28 +194,37 @@ func (h *DiffHarness) Step(ctxWords []uint64) error {
 	return nil
 }
 
-// Check compares the final contents of every map pair. Returns the
-// number of maps whose contents could not be dumped (unknown Map
-// implementations are skipped, not failed).
+// Check compares the final contents of every map with the VM column's.
+// Returns the number of maps whose contents could not be dumped (unknown
+// Map implementations are skipped, not failed). Every column's maps come
+// from the same build, so one column's kinds are all of them.
 func (h *DiffHarness) Check() (unchecked int, err error) {
-	for i := range h.vmProg.Maps {
-		vm, jm := h.vmProg.Maps[i], h.jitProg.Maps[i]
-		vd, vok := dumpMap(vm)
-		jd, jok := dumpMap(jm)
-		if !vok || !jok {
+	cols := []struct {
+		name string
+		p    *policy.Program
+	}{{"jit", h.jitProg}, {"tree", h.treeProg}}
+	for i, vm := range h.vmProg.Maps {
+		vd, ok := dumpMap(vm)
+		if !ok {
 			unchecked++
 			continue
 		}
-		if len(vd) != len(jd) {
-			return unchecked, h.diverged("map %q entry count vm=%d, jit=%d", vm.Name(), len(vd), len(jd))
-		}
-		for k, vv := range vd {
-			jv, ok := jd[k]
-			if !ok {
-				return unchecked, h.diverged("map %q key %x present only on vm", vm.Name(), k)
+		for _, col := range cols {
+			if col.p == nil {
+				continue
 			}
-			if vv != jv {
-				return unchecked, h.diverged("map %q key %x vm=%v, jit=%v", vm.Name(), k, vv, jv)
+			cd, _ := dumpMap(col.p.Maps[i])
+			if len(vd) != len(cd) {
+				return unchecked, h.diverged("map %q entry count vm=%d, %s=%d", vm.Name(), len(vd), col.name, len(cd))
+			}
+			for k, vv := range vd {
+				cv, ok := cd[k]
+				if !ok {
+					return unchecked, h.diverged("map %q key %s present only on vm", vm.Name(), k)
+				}
+				if vv != cv {
+					return unchecked, h.diverged("map %q key %s vm=%v, %s=%v", vm.Name(), k, vv, col.name, cv)
+				}
 			}
 		}
 	}

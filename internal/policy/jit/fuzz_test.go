@@ -91,6 +91,109 @@ func FuzzVMvsJIT(f *testing.F) {
 		{Op: policy.OpExit},
 	}))
 
+	// Map calls on the tree: a lookup that hits what an update stored…
+	f.Add(encodeDiffFuzz(3, []policy.Instruction{
+		{Op: policy.OpStDW, Dst: policy.RFP, Off: -8, Imm: 1},
+		{Op: policy.OpStDW, Dst: policy.RFP, Off: -24, Imm: 5},
+		{Op: policy.OpStDW, Dst: policy.RFP, Off: -16, Imm: 77},
+		{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 1},
+		{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+		{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+		{Op: policy.OpMovReg, Dst: policy.R3, Src: policy.RFP},
+		{Op: policy.OpAddImm, Dst: policy.R3, Imm: -24},
+		{Op: policy.OpCall, Imm: int64(policy.HelperMapUpdate)},
+		{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 1},
+		{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+		{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+		{Op: policy.OpCall, Imm: int64(policy.HelperMapLookup)},
+		{Op: policy.OpJeqImm, Dst: policy.R0, Imm: 0, Off: 2},
+		{Op: policy.OpLdxDW, Dst: policy.R0, Src: policy.R0, Off: 8},
+		{Op: policy.OpExit},
+		{Op: policy.OpMovImm, Dst: policy.R0, Imm: 0},
+		{Op: policy.OpExit},
+	}))
+	// …a lookup of a context word that misses…
+	f.Add(encodeDiffFuzz(1, []policy.Instruction{
+		{Op: policy.OpLdxDW, Dst: policy.R2, Src: policy.R1, Off: 0},
+		{Op: policy.OpStxDW, Dst: policy.RFP, Src: policy.R2, Off: -8},
+		{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 1},
+		{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+		{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+		{Op: policy.OpCall, Imm: int64(policy.HelperMapLookup)},
+		{Op: policy.OpJneImm, Dst: policy.R0, Imm: 0, Off: 2},
+		{Op: policy.OpMovImm, Dst: policy.R0, Imm: 3},
+		{Op: policy.OpExit},
+		{Op: policy.OpLdxDW, Dst: policy.R0, Src: policy.R0},
+		{Op: policy.OpExit},
+	}))
+	// …33 updates with distinct keys into the 32-entry hash map, the last
+	// into a full map, then a lookup of that last key…
+	full := []policy.Instruction{
+		{Op: policy.OpStDW, Dst: policy.RFP, Off: -24, Imm: 5},
+		{Op: policy.OpStDW, Dst: policy.RFP, Off: -16, Imm: 6},
+	}
+	for key := int64(0); key <= 32; key++ {
+		full = append(full,
+			policy.Instruction{Op: policy.OpStDW, Dst: policy.RFP, Off: -8, Imm: key},
+			policy.Instruction{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 1},
+			policy.Instruction{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+			policy.Instruction{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+			policy.Instruction{Op: policy.OpMovReg, Dst: policy.R3, Src: policy.RFP},
+			policy.Instruction{Op: policy.OpAddImm, Dst: policy.R3, Imm: -24},
+			policy.Instruction{Op: policy.OpCall, Imm: int64(policy.HelperMapUpdate)})
+	}
+	f.Add(encodeDiffFuzz(3, append(full,
+		policy.Instruction{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 1},
+		policy.Instruction{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+		policy.Instruction{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+		policy.Instruction{Op: policy.OpCall, Imm: int64(policy.HelperMapLookup)},
+		policy.Instruction{Op: policy.OpMovImm, Dst: policy.R6, Imm: 1},
+		policy.Instruction{Op: policy.OpJeqImm, Dst: policy.R0, Imm: 0, Off: 1},
+		policy.Instruction{Op: policy.OpMovImm, Dst: policy.R6, Imm: 2},
+		policy.Instruction{Op: policy.OpMovReg, Dst: policy.R0, Src: policy.R6},
+		policy.Instruction{Op: policy.OpExit},
+	)))
+	// …an add into the per-CPU array, read back on the same CPU…
+	f.Add(encodeDiffFuzz(3, []policy.Instruction{
+		{Op: policy.OpStW, Dst: policy.RFP, Off: -8, Imm: 1},
+		{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 2},
+		{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+		{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+		{Op: policy.OpMovImm, Dst: policy.R3, Imm: 7},
+		{Op: policy.OpCall, Imm: int64(policy.HelperMapAdd)},
+		{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 2},
+		{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+		{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+		{Op: policy.OpCall, Imm: int64(policy.HelperMapLookup)},
+		{Op: policy.OpJeqImm, Dst: policy.R0, Imm: 0, Off: 2},
+		{Op: policy.OpLdxDW, Dst: policy.R0, Src: policy.R0},
+		{Op: policy.OpExit},
+		{Op: policy.OpMovImm, Dst: policy.R0, Imm: 0},
+		{Op: policy.OpExit},
+	}))
+	// …and a hash key built from three narrow stores, two of context words.
+	f.Add(encodeDiffFuzz(0, []policy.Instruction{
+		{Op: policy.OpLdxDW, Dst: policy.R2, Src: policy.R1, Off: 0},
+		{Op: policy.OpStxW, Dst: policy.RFP, Src: policy.R2, Off: -8},
+		{Op: policy.OpLdxDW, Dst: policy.R3, Src: policy.R1, Off: 8},
+		{Op: policy.OpStxH, Dst: policy.RFP, Src: policy.R3, Off: -4},
+		{Op: policy.OpStH, Dst: policy.RFP, Off: -2, Imm: 0x55},
+		{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 1},
+		{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+		{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+		{Op: policy.OpMovImm, Dst: policy.R3, Imm: 1},
+		{Op: policy.OpCall, Imm: int64(policy.HelperMapAdd)},
+		{Op: policy.OpLoadMapPtr, Dst: policy.R1, Imm: 1},
+		{Op: policy.OpMovReg, Dst: policy.R2, Src: policy.RFP},
+		{Op: policy.OpAddImm, Dst: policy.R2, Imm: -8},
+		{Op: policy.OpCall, Imm: int64(policy.HelperMapLookup)},
+		{Op: policy.OpJeqImm, Dst: policy.R0, Imm: 0, Off: 2},
+		{Op: policy.OpLdxDW, Dst: policy.R0, Src: policy.R0},
+		{Op: policy.OpExit},
+		{Op: policy.OpMovImm, Dst: policy.R0, Imm: 0},
+		{Op: policy.OpExit},
+	}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		build := func() (*policy.Program, error) {
 			p := decodeDiffFuzz(data)
@@ -167,7 +270,8 @@ func decodeDiffFuzz(data []byte) *policy.Program {
 	p := &policy.Program{
 		Name: "fuzz",
 		Kind: kinds[int(data[0])%len(kinds)],
-		Maps: []policy.Map{policy.NewArrayMap("a", 8, 4), policy.NewHashMap("h", 8, 16, 32)},
+		Maps: []policy.Map{policy.NewArrayMap("a", 8, 4), policy.NewHashMap("h", 8, 16, 32),
+			policy.NewPerCPUArrayMap("p", 8, 2, 4)},
 	}
 	for data = data[1:]; len(data) >= 10 && len(p.Insns) <= policy.MaxInsns; data = data[10:] {
 		p.Insns = append(p.Insns, policy.Instruction{

@@ -380,6 +380,16 @@ func TestChoose(t *testing.T) {
 		t.Fatalf("analyze: %v", err)
 	}
 	c := jit.Choose(p, rep)
+	if c.Tier != jit.TierJIT || c.Fn != nil || c.TreeFor(p) == nil {
+		t.Fatalf("got tier %s (%s, %s), want jit served by a tree alone", c.Tier, c.Reason, c.Lowering())
+	}
+	// A program outside the tree grammar is lowered to closures.
+	p = verify(t, policy.NewBuilder("choose", policy.KindLockAcquire).
+		Call(policy.HelperKtimeNS).ReturnImm(1).MustProgram())
+	if rep, err = analysis.Analyze(p); err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	c = jit.Choose(p, rep)
 	if c.Tier != jit.TierJIT || c.Fn == nil {
 		t.Fatalf("got tier %s (%s), want jit", c.Tier, c.Reason)
 	}

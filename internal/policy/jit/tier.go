@@ -37,7 +37,8 @@ type Choice struct {
 	Tier   Tier
 	Reason string
 	// Fn is the compiled closure, counting into the ExecStats of the
-	// program the choice was made for; nil when Tier is TierVM.
+	// program the choice was made for; nil when Tier is TierVM and when
+	// the program is served a decision tree (TreeFor), which needs none.
 	Fn policy.CompiledFn
 
 	// from is what was lowered and what it was lowered to, shared by every
@@ -51,14 +52,14 @@ type Choice struct {
 
 // admitted is what a Choice was made for — copies of the name, kind,
 // bytecode and map table a program had at admission, not the program — and
-// its lowerings: the closure body, and the decision tree or the reason
-// there is none.
+// its lowering: the decision tree, or the reason there is none and the
+// closure body.
 type admitted struct {
 	name    string
 	kind    policy.Kind
 	insns   []policy.Instruction
 	maps    []policy.Map
-	body    *body
+	body    *body  // nil for a tree
 	tree    *Tree  // nil: not a tree, and notTree says why
 	notTree string // "pc N: <what is outside the tree grammar>"
 }
@@ -79,7 +80,8 @@ func (c Choice) Lowering() string {
 
 // current reports whether what was lowered at admission is a lowering of
 // p: p has the name, kind and bytecode it had, and the same map objects
-// (the closures call the maps they were lowered against).
+// (the closures call the maps they were lowered against; a tree was
+// checked against their kinds and sized by their keys and values).
 func (c Choice) current(p *policy.Program) bool {
 	a := c.from
 	return a != nil && a.name == p.Name && a.kind == p.Kind &&
@@ -87,9 +89,9 @@ func (c Choice) current(p *policy.Program) bool {
 }
 
 // FnFor returns the closure lowered at admission if p is the program it
-// counts into and is still what was lowered, and nil otherwise (VM tier,
-// another program, or p has been modified since), in which case the
-// caller lowers p again or interprets it.
+// counts into and is still what was lowered, and nil otherwise (VM tier, a
+// tree, another program, or p has been modified since), in which case the
+// caller runs the tree, lowers p again or interprets it.
 func (c Choice) FnFor(p *policy.Program) policy.CompiledFn {
 	if c.Fn == nil || c.stats != p.Stats() || !c.current(p) {
 		return nil
@@ -108,8 +110,8 @@ func (c Choice) TreeFor(p *policy.Program) *Tree {
 	return c.from.tree
 }
 
-// For returns c's decision for p, sharing c's lowering — its closure body
-// and tree — with a closure of its own that counts into p's ExecStats. It
+// For returns c's decision for p, sharing c's lowering — its tree, or its
+// closure body with a closure of its own that counts into p's ExecStats. It
 // reports false when that lowering is not one of p (see current), and the
 // caller chooses for p afresh. A VM-tier choice holds no lowering and
 // applies to any program. For(nil) is c bound to no program: what a cache
@@ -123,14 +125,18 @@ func (c Choice) For(p *policy.Program) (Choice, bool) {
 		return Choice{}, false
 	}
 	c.stats = p.Stats()
-	c.Fn = c.from.body.bind(c.stats)
+	if c.from.body != nil {
+		c.Fn = c.from.body.bind(c.stats)
+	}
 	return c, true
 }
 
 // Choose picks the execution tier for a verified program using the
 // analyzer's report (cost bound, footprint, hot-path facts). The report
 // may be nil — e.g. analysis disabled at admission — in which case the
-// program conservatively stays on the VM.
+// program conservatively stays on the VM. A JIT-tier program is lowered to
+// a decision tree where it can be, and to closures only where it cannot:
+// a tree-served program keeps no closure body.
 func Choose(p *policy.Program, rep *analysis.Report) Choice {
 	if rep == nil {
 		return Choice{Tier: TierVM, Reason: "no analysis report (analysis disabled at admission)"}
@@ -139,17 +145,18 @@ func Choose(p *policy.Program, rep *analysis.Report) Choice {
 		return Choice{Tier: TierVM, Reason: fmt.Sprintf(
 			"cost bound %dns exceeds jit ceiling %dns", rep.CostBound, int64(MaxJITCostNS))}
 	}
-	b, err := lowerBody(p)
-	if err != nil {
-		return Choice{Tier: TierVM, Reason: fmt.Sprintf("lowering unsupported: %v", err)}
+	a := &admitted{name: p.Name, kind: p.Kind}
+	var err error
+	if a.tree, err = LowerTree(p); err != nil {
+		a.notTree = err.Error()
+		if a.body, err = lowerBody(p); err != nil {
+			return Choice{Tier: TierVM, Reason: fmt.Sprintf("lowering unsupported: %v", err)}
+		}
 	}
+	a.insns, a.maps = slices.Clone(p.Insns), slices.Clone(p.Maps)
 	reason := fmt.Sprintf("%d insns, cost bound %dns, %d maps pinned", len(p.Insns), rep.CostBound, len(rep.Footprint))
 	if !rep.Facts.HotPathClean {
 		reason += ", hot path not clean"
-	}
-	a := &admitted{name: p.Name, kind: p.Kind, insns: slices.Clone(p.Insns), maps: slices.Clone(p.Maps), body: b}
-	if a.tree, err = LowerTree(p); err != nil {
-		a.notTree = err.Error()
 	}
 	ch, _ := Choice{Tier: TierJIT, Reason: reason, from: a}.For(p)
 	return ch

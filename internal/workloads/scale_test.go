@@ -3,7 +3,10 @@ package workloads
 import (
 	"encoding/binary"
 	"errors"
+	"runtime/pprof"
+	"strings"
 	"testing"
+	"time"
 
 	"concord/internal/locks"
 	"concord/internal/policy"
@@ -38,11 +41,37 @@ func TestRunOCCReadHeavyAblation(t *testing.T) {
 	}
 }
 
+// churnDeadline bounds one churn run: tens of milliseconds when healthy,
+// a few hundred under -race.
+const churnDeadline = 30 * time.Second
+
+// TestRunMapResizeChurnGrowable fails rather than hangs: a run past
+// churnDeadline reports every goroutine's stack (a writer wedged in a
+// resize drain shows as oaTable.drainResize), as the schedfuzz harness
+// does on its deadline. The wedged workers are left spinning.
 func TestRunMapResizeChurnGrowable(t *testing.T) {
 	m := policy.NewGrowableHashMap("churn-g", 8, 8, 256)
-	res, err := RunMapResizeChurn(m, MapChurnConfig{
-		Workers: 4, TotalKeys: 1 << 14, LiveWindow: 512, MeasureAlloc: true,
-	})
+	type result struct {
+		res Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := RunMapResizeChurn(m, MapChurnConfig{
+			Workers: 4, TotalKeys: 1 << 14, LiveWindow: 512, MeasureAlloc: true,
+		})
+		done <- result{res, err}
+	}()
+	var res Result
+	var err error
+	select {
+	case r := <-done:
+		res, err = r.res, r.err
+	case <-time.After(churnDeadline):
+		var dump strings.Builder
+		_ = pprof.Lookup("goroutine").WriteTo(&dump, 2)
+		t.Fatalf("growable churn still running after %v; goroutines:\n%s", churnDeadline, dump.String())
+	}
 	if err != nil {
 		t.Fatalf("growable churn failed: %v", err)
 	}
