@@ -135,7 +135,7 @@ func TestPublicLockSwitching(t *testing.T) {
 	tk := concord.NewTask(topo)
 	sw.RLock(tk)
 	sw.RUnlock(tk)
-	sw.Switch(concord.NewPerSocketRWLock("dist", topo)).Wait()
+	sw.Switch(concord.NewBRAVO("biased", concord.NewRWSem("under"))).Wait()
 	sw.RLock(tk)
 	sw.RUnlock(tk)
 	if sw.Switches() != 1 {

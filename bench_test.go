@@ -411,23 +411,16 @@ func BenchmarkAMPSim(b *testing.B) {
 	b.Run("amp", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkLockAlgorithms (ablation A9) compares every real lock in the
-// library on the lock2 workload at fixed concurrency — the §2.2 lock
-// lineage measured side by side on this host.
+// BenchmarkLockAlgorithms (ablation A9) compares the library's mutual-
+// exclusion paths on the lock2 workload at fixed concurrency: ShflLock in
+// FIFO order, ShflLock with the NUMA cmp_node policy, and RWSem's writer
+// side.
 func BenchmarkLockAlgorithms(b *testing.B) {
 	topo := topology.Paper()
 	mk := []struct {
 		name string
 		ctor func() locks.Lock
 	}{
-		{"tas", func() locks.Lock { return locks.NewTASLock("l") }},
-		{"ttas", func() locks.Lock { return locks.NewTTASLock("l") }},
-		{"ticket", func() locks.Lock { return locks.NewTicketLock("l") }},
-		{"qspinlock", func() locks.Lock { return locks.NewQSpinLock("l") }},
-		{"mcs", func() locks.Lock { return locks.NewMCSLock("l") }},
-		{"clh", func() locks.Lock { return locks.NewCLHLock("l") }},
-		{"cohort", func() locks.Lock { return locks.NewCohortLock("l", topo, 64) }},
-		{"cna", func() locks.Lock { return locks.NewCNALock("l", 16, 64) }},
 		{"shfl-fifo", func() locks.Lock { return locks.NewShflLock("l") }},
 		{"shfl-numa", func() locks.Lock {
 			l := locks.NewShflLock("l", locks.WithMaxRounds(8))
@@ -451,8 +444,8 @@ func BenchmarkLockAlgorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkRWLockAlgorithms compares the readers-writer designs on the
-// read-heavy page_fault2 workload.
+// BenchmarkRWLockAlgorithms compares the readers-writer designs, RWSem
+// and BRAVO over it, on the read-heavy page_fault2 workload.
 func BenchmarkRWLockAlgorithms(b *testing.B) {
 	topo := topology.Paper()
 	mk := []struct {
@@ -461,8 +454,6 @@ func BenchmarkRWLockAlgorithms(b *testing.B) {
 	}{
 		{"rwsem", func() locks.RWLock { return locks.NewRWSem("l") }},
 		{"bravo", func() locks.RWLock { return locks.NewBRAVO("l", locks.NewRWSem("u")) }},
-		{"persocket", func() locks.RWLock { return locks.NewPerSocketRWLock("l", topo) }},
-		{"shflrw", func() locks.RWLock { return locks.NewShflRWLock("l") }},
 	}
 	for _, tc := range mk {
 		b.Run(tc.name, func(b *testing.B) {

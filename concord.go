@@ -9,8 +9,9 @@
 //
 //   - a Framework that registers locks, verifies policies, and
 //     livepatches hook tables (the paper's Concord prototype, §4);
-//   - the lock library (ShflLock, BRAVO, MCS, CNA, cohort, rwsem, …)
-//     whose Table 1 hook points policies attach to;
+//   - the lock library (ShflLock, RWSem, BRAVO, and SwitchableRWLock
+//     for switching between them) whose Table 1 hook points policies
+//     attach to;
 //   - the cBPF policy machine: assembler, verifier, VM and maps — the
 //     eBPF stand-in;
 //   - a selective, per-lock-instance profiler (§3.2);
@@ -139,19 +140,9 @@ type RWSem = locks.RWSem
 
 // Lock constructors, re-exported.
 var (
-	NewShflLock        = locks.NewShflLock
-	NewShflRWLock      = locks.NewShflRWLock
-	NewBRAVO           = locks.NewBRAVO
-	NewRWSem           = locks.NewRWSem
-	NewPerSocketRWLock = locks.NewPerSocketRWLock
-	NewMCSLock         = locks.NewMCSLock
-	NewCLHLock         = locks.NewCLHLock
-	NewCNALock         = locks.NewCNALock
-	NewCohortLock      = locks.NewCohortLock
-	NewTicketLock      = locks.NewTicketLock
-	NewQSpinLock       = locks.NewQSpinLock
-	NewTASLock         = locks.NewTASLock
-	NewTTASLock        = locks.NewTTASLock
+	NewShflLock = locks.NewShflLock
+	NewBRAVO    = locks.NewBRAVO
+	NewRWSem    = locks.NewRWSem
 )
 
 // ShflLock options, re-exported.

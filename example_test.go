@@ -74,9 +74,9 @@ func Example_lockSwitching() {
 	sw.RLock(t) // read-mostly phase begins on the neutral lock
 	sw.RUnlock(t)
 
-	// Switch to the distributed readers-intensive design; Wait is the
-	// consistency point after which the old lock has fully drained.
-	sw.Switch(concord.NewPerSocketRWLock("dist", topo)).Wait()
+	// Switch to BRAVO's reader-biased design; Wait is the consistency
+	// point after which the old lock has fully drained.
+	sw.Switch(concord.NewBRAVO("biased", concord.NewRWSem("under"))).Wait()
 
 	sw.RLock(t)
 	sw.RUnlock(t)

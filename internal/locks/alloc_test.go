@@ -15,7 +15,7 @@ import (
 // acquisition per task legitimately allocates (a pool miss) — each
 // measurement warms up first.
 
-func allocRoster(topo *topology.Topology) []struct {
+func allocRoster() []struct {
 	name string
 	l    Lock
 } {
@@ -23,10 +23,6 @@ func allocRoster(topo *topology.Topology) []struct {
 		name string
 		l    Lock
 	}{
-		{"mcs", NewMCSLock("alloc-mcs")},
-		{"clh", NewCLHLock("alloc-clh")},
-		{"qspin", NewQSpinLock("alloc-qspin")},
-		{"cna", NewCNALock("alloc-cna", 0, 0)},
 		{"shfl", NewShflLock("alloc-shfl")},
 		{"shfl-block", NewShflLock("alloc-shflb", WithBlocking(true), WithSpinBudget(0))},
 		{"rwsem-w", NewRWSem("alloc-rwsem")},
@@ -35,7 +31,7 @@ func allocRoster(topo *topology.Topology) []struct {
 
 func TestFastPathZeroAlloc(t *testing.T) {
 	topo := topology.New(2, 4)
-	for _, tc := range allocRoster(topo) {
+	for _, tc := range allocRoster() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			tk := task.New(topo)
@@ -54,8 +50,8 @@ func TestFastPathZeroAlloc(t *testing.T) {
 // contendedAllocs drives acquisitions of l through the contended slow
 // path and reports allocations and queue-node pool misses per steady-
 // state acquisition: a partner goroutine holds the lock until the main
-// task's OnContended hook proves it has enqueued (its queue position is
-// fixed), then releases. base is the hook table to run under; its
+// task's OnContended hook proves it has left the fast path, then
+// releases. base is the hook table to run under; its
 // OnContended is taken over by the harness. Parkers, pooled nodes and
 // hook scratch are warmed before measuring.
 func contendedAllocs(l Lock, topo *topology.Topology, base Hooks) (allocs float64, misses int64) {
@@ -116,7 +112,7 @@ func contendedAllocs(l Lock, topo *topology.Topology, base Hooks) (allocs float6
 // allocation-free in steady state.
 func TestContendedPathZeroAlloc(t *testing.T) {
 	topo := topology.New(2, 4)
-	for _, tc := range allocRoster(topo) {
+	for _, tc := range allocRoster() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			allocs, misses := contendedAllocs(tc.l, topo, Hooks{})

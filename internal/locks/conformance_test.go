@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -149,7 +151,7 @@ func TestInstrumentationConformance(t *testing.T) {
 			// allocator is safe and puts every lock built here inside
 			// the 64 IDs a task's held mask can track.
 			lockIDs.Store(0)
-			l := tc.mk(topo)
+			l := tc.mk()
 			r := record(t, l)
 			type side struct {
 				name         string
@@ -179,8 +181,7 @@ func TestInstrumentationConformance(t *testing.T) {
 				checkPair(t, s.name, r.take(), l, tk, s.reader, false)
 
 				// Contended: a writer holds the lock until the waiter has
-				// announced itself (same socket, so the cohort lock
-				// contends on its local tier).
+				// announced itself.
 				holder := task.NewOnCPU(topo, 1)
 				l.Lock(holder)
 				r.take()
@@ -269,25 +270,6 @@ func TestShflLockEventSequencePinned(t *testing.T) {
 	}
 }
 
-// TestShflRWLockIsOneLock: the readers-writer lock and its writer queue
-// share one hookable, so a safety trip in the shuffler is visible on —
-// and reset through — the lock the framework registered.
-func TestShflRWLockIsOneLock(t *testing.T) {
-	l := NewShflRWLock("one")
-	w := l.WriterQueue()
-	if w.ID() != l.ID() || w.HookSlot() != l.HookSlot() {
-		t.Fatalf("writer queue has its own identity: id %d/%d", w.ID(), l.ID())
-	}
-	w.disablePolicy("tripped")
-	if got := l.SafetyError(); got != "tripped" {
-		t.Errorf("SafetyError on the RW lock = %q, want the writer queue's trip", got)
-	}
-	l.ResetSafety()
-	if got := w.SafetyError(); got != "" {
-		t.Errorf("ResetSafety on the RW lock left the writer queue disabled: %q", got)
-	}
-}
-
 // --- Cost shape (DESIGN §7.5): what an operation pays follows what is
 // attached to its lock. ---
 
@@ -365,7 +347,7 @@ func TestCostFollowsTheTable(t *testing.T) {
 	for _, tc := range invariantRoster() {
 		for _, tb := range tables {
 			t.Run(tc.name+"/"+tb.name, func(t *testing.T) {
-				l := tc.mk(topo)
+				l := tc.mk()
 				slot := l.(Hooked).HookSlot()
 				slot.Replace(tb.name, tb.h)
 				for _, s := range sidesOf(l) {
@@ -489,7 +471,7 @@ func (d *drainChecked) churn(slot *livepatch.Slot[Hooks], swaps *atomic.Int32, s
 func TestAttachWhileWaiting(t *testing.T) {
 	topo := topology.New(2, 4)
 	for _, tc := range invariantRoster() {
-		if !waitsItself(tc.mk(topo)) {
+		if !waitsItself(tc.mk()) {
 			continue // a wrapper never learns its operation waited
 		}
 		for _, churn := range []bool{false, true} {
@@ -499,7 +481,7 @@ func TestAttachWhileWaiting(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				lockIDs.Store(0)
-				l := tc.mk(topo)
+				l := tc.mk()
 				slot := l.(Hooked).HookSlot()
 				tick := stepClock(l)
 				holder, tk := task.NewOnCPU(topo, 1), task.NewOnCPU(topo, 0)
@@ -560,6 +542,11 @@ func TestAttachWhileWaiting(t *testing.T) {
 	}
 }
 
+// seenDeadline bounds the wait for the shuffler to hand w to cmp_node:
+// microseconds when healthy. The test fails past it with every
+// goroutine's stack, and leaves the queued tasks where they are.
+const seenDeadline = 30 * time.Second
+
 // TestUnhookedLockFeedsOtherLocksPolicies: what a task accrues on a lock
 // with nothing attached is what another lock's cmp_node sees for it — the
 // held mask exactly, from the first acquisition on, and the
@@ -570,7 +557,7 @@ func TestUnhookedLockFeedsOtherLocksPolicies(t *testing.T) {
 	for _, tc := range invariantRoster() {
 		t.Run(tc.name, func(t *testing.T) {
 			lockIDs.Store(0)
-			a := tc.mk(topo) // never hooked
+			a := tc.mk() // never hooked
 			stepClock(a)
 			held := uint64(1) << a.ID()
 			if u := wrapped(a); u != nil { // held, and timed, alongside a
@@ -615,18 +602,23 @@ func TestUnhookedLockFeedsOtherLocksPolicies(t *testing.T) {
 			// head, w, tail — one at a time, so w is the interior node the
 			// head's shuffler hands to cmp_node (the tail is never scanned).
 			var wg sync.WaitGroup
-			for i, tk := range []*task.T{task.NewOnCPU(topo, 2), w, task.NewOnCPU(topo, 3)} {
+			for _, tk := range []*task.T{task.NewOnCPU(topo, 2), w, task.NewOnCPU(topo, 3)} {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					b.Lock(tk)
 					b.Unlock(tk)
 				}()
-				for b.QueueLen() != i+1 {
+				for !isTail(b, tk) {
 					runtime.Gosched()
 				}
 			}
-			for !seen.Load() {
+			for deadline := time.Now().Add(seenDeadline); !seen.Load(); {
+				if time.Now().After(deadline) {
+					var dump strings.Builder
+					_ = pprof.Lookup("goroutine").WriteTo(&dump, 2)
+					t.Fatalf("cmp_node never saw w after %v; goroutines:\n%s", seenDeadline, dump.String())
+				}
 				runtime.Gosched()
 			}
 			b.Unlock(holder)

@@ -20,33 +20,23 @@ import (
 // invariantLock adapts both Lock and the write side of RWLock.
 type invariantLock struct {
 	name string
-	mk   func(topo *topology.Topology) Lock
-	// fifo marks locks whose queue hands off in strict arrival order,
-	// making per-worker progress near-uniform under churn.
+	mk   func() Lock
+	// fifo marks locks whose queue hands off in strict arrival order
+	// while no policy reorders it (ShflLock with nothing attached).
 	fifo bool
 }
 
 func invariantRoster() []invariantLock {
 	return []invariantLock{
-		{"tas", func(*topology.Topology) Lock { return NewTASLock("inv-tas") }, false},
-		{"ttas", func(*topology.Topology) Lock { return NewTTASLock("inv-ttas") }, false},
-		{"ticket", func(*topology.Topology) Lock { return NewTicketLock("inv-ticket") }, true},
-		{"mcs", func(*topology.Topology) Lock { return NewMCSLock("inv-mcs") }, true},
-		{"clh", func(*topology.Topology) Lock { return NewCLHLock("inv-clh") }, true},
-		{"qspin", func(*topology.Topology) Lock { return NewQSpinLock("inv-qspin") }, false},
-		{"cna", func(*topology.Topology) Lock { return NewCNALock("inv-cna", 0, 0) }, false},
-		{"cohort", func(tp *topology.Topology) Lock { return NewCohortLock("inv-cohort", tp, 0) }, false},
-		{"shfl", func(*topology.Topology) Lock { return NewShflLock("inv-shfl") }, false},
-		{"shfl-block", func(*topology.Topology) Lock {
+		{"shfl", func() Lock { return NewShflLock("inv-shfl") }, true},
+		{"shfl-block", func() Lock {
 			return NewShflLock("inv-shflb", WithBlocking(true), WithSpinBudget(16))
-		}, false},
-		{"rwsem-w", func(*topology.Topology) Lock { return NewRWSem("inv-rwsem") }, false},
-		{"persocket-w", func(tp *topology.Topology) Lock { return NewPerSocketRWLock("inv-ps", tp) }, false},
-		{"shflrw-w", func(*topology.Topology) Lock { return NewShflRWLock("inv-shflrw") }, false},
-		{"bravo-w", func(*topology.Topology) Lock {
+		}, true},
+		{"rwsem-w", func() Lock { return NewRWSem("inv-rwsem") }, false},
+		{"bravo-w", func() Lock {
 			return NewBRAVO("inv-bravo", NewRWSem("inv-bravo-under"))
 		}, false},
-		{"switchable-w", func(tp *topology.Topology) Lock {
+		{"switchable-w", func() Lock {
 			return NewSwitchableRWLock("inv-sw", NewRWSem("inv-sw-under"))
 		}, false},
 	}
@@ -69,7 +59,7 @@ func TestLockInvariants(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			topo := topology.New(2, 4)
-			l := tc.mk(topo)
+			l := tc.mk()
 
 			var inCS atomic.Int32
 			var total atomic.Int64
@@ -134,20 +124,9 @@ func TestLockFIFOOrder(t *testing.T) {
 		if !tc.fifo {
 			continue
 		}
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			const waiters = 6
-			l := tc.mk(topo)
-
-			// OnContended fires only after a waiter's queue position is
-			// fixed (tail swapped / ticket taken), so it is a precise
-			// "enqueued" signal — no wall-clock guessing.
-			var contended atomic.Int32
-			l.(Hooked).HookSlot().Replace("count", &Hooks{
-				Name:        "count",
-				OnContended: func(*Event) { contended.Add(1) },
-			})
-
+			l := tc.mk().(*ShflLock)
 			holder := task.New(topo)
 			l.Lock(holder)
 
@@ -156,17 +135,17 @@ func TestLockFIFOOrder(t *testing.T) {
 			var mu sync.Mutex
 			var wg sync.WaitGroup
 			for i := 0; i < waiters; i++ {
+				tk := task.New(topo)
 				wg.Add(1)
-				go func(i int) {
+				go func() {
 					defer wg.Done()
-					tk := task.New(topo)
 					l.Lock(tk)
 					mu.Lock()
 					order = append(order, i)
 					mu.Unlock()
 					l.Unlock(tk)
-				}(i)
-				for contended.Load() != int32(i+1) {
+				}()
+				for !isTail(l, tk) {
 					runtime.Gosched()
 				}
 			}
@@ -185,13 +164,13 @@ func TestLockFIFOOrder(t *testing.T) {
 // TestTryLockNeverBlocksOrLeaks drives TryLock against a held lock:
 // it must fail fast, and the failed attempts must not corrupt queue
 // state for subsequent blocking acquisitions (regression cover for the
-// pooled-node TryLock paths, including CLH's generation validation).
+// pooled-node TryLock paths).
 func TestTryLockNeverBlocksOrLeaks(t *testing.T) {
 	topo := topology.New(2, 4)
 	for _, tc := range invariantRoster() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			l := tc.mk(topo)
+			l := tc.mk()
 			holder := task.New(topo)
 			other := task.New(topo)
 

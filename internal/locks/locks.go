@@ -1,15 +1,16 @@
-// Package locks is a library of kernel-style lock algorithms implemented
-// with Go atomics, structured the way the paper needs them: every
-// decision point a Concord policy can influence is factored into a hook
-// table (Table 1's seven APIs) that can be replaced at runtime through
-// the livepatch slot, without touching the lock's code.
+// Package locks holds the kernel-style locks the paper patches,
+// implemented with Go atomics and structured the way the paper needs
+// them: every decision point a Concord policy can influence is factored
+// into a hook table (Table 1's seven APIs) that can be replaced at
+// runtime through the livepatch slot, without touching the lock's code.
 //
-// The roster mirrors the lock lineage the paper recounts in §2.2: test-
-// and-set and ticket spinlocks, MCS/CLH queue locks, cohort (hierarchical)
-// NUMA locks, CNA, ShflLock (the primary policy target), a neutral
-// blocking readers-writer semaphore, BRAVO reader biasing, and a
-// per-socket distributed readers-writer lock (the "switch to a
-// readers-intensive design" target of §3.1.1).
+// The roster is the paper's targets and their baselines, not the §2.2
+// lineage: ShflLock (the primary policy target, spinning or blocking),
+// a neutral blocking readers-writer semaphore (RWSem), BRAVO reader
+// biasing over it, and SwitchableRWLock, which swaps one readers-writer
+// implementation for another at runtime (§3.1.1's lock switching).
+// NUMA-awareness, priority and AMP are cmp_node policies on ShflLock,
+// not lock types of their own.
 //
 // Execution substrate note: threads are goroutines with a virtual CPU
 // identity from internal/topology; spin loops always yield
@@ -20,6 +21,7 @@
 package locks
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"concord/internal/clock"
@@ -198,6 +200,15 @@ func emit(t *task.T, fn func(*Event), ev Event) {
 	*p = ev
 	fn(p)
 	t.PutScratch(p)
+}
+
+// spinYield is the body of every spin loop: on a multicore host a short
+// busy loop would be fine, but yielding keeps the algorithms live on any
+// GOMAXPROCS, including 1.
+func spinYield(i int) {
+	if i&3 == 3 {
+		runtime.Gosched()
+	}
 }
 
 // hookable is the embeddable base wiring a lock to its hook slot.

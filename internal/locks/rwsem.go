@@ -70,7 +70,8 @@ func (w *semWaiter) grantAndWake() {
 // structure that every reader and writer serializes through, in the
 // style of Linux's rwsem. Its read-side centralization is precisely the
 // scalability weakness that Figure 2(a)'s page_fault2 benchmark exposes
-// and that BRAVO/per-socket designs fix (§3.1.1 "Lock switching").
+// and that reader-biased designs such as BRAVO fix (§3.1.1 "Lock
+// switching").
 //
 // Writers waiting block new readers, the usual anti-starvation rule.
 // Waiters spin-then-park (park.Parker) instead of condvar-waiting, so a

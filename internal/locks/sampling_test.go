@@ -45,7 +45,7 @@ func within15(got int64, want float64) bool {
 // same lock of the two, and the estimate is 10 or 1000 — this test fails.
 func TestSampledAverageNoPhaseLock(t *testing.T) {
 	topo := topology.New(2, 4)
-	short, long := NewShflLock("short"), NewMCSLock("long")
+	short, long := NewShflLock("short"), NewShflLock("long")
 	now := handClock(short, long)
 	tk := task.NewOnCPU(topo, 0)
 	const rounds = 8192

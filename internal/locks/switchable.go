@@ -17,9 +17,9 @@ var ErrSwitchAborted = errors.New("locks: implementation switch aborted (drain d
 
 // SwitchableRWLock realizes §3.1.1's "lock switching" use case literally:
 // a readers-writer lock whose *implementation* can be replaced at
-// runtime — e.g. from a neutral rwsem to a per-socket readers-intensive
-// design for a read-mostly phase, and back for a write burst — without
-// stopping the application.
+// runtime — e.g. from a neutral rwsem to BRAVO's reader-biased design
+// for a read-mostly phase, and back for a write burst — without stopping
+// the application.
 //
 // The mechanism is the livepatch slot: every acquisition pins the
 // current implementation and remembers it until the matching release,

@@ -60,7 +60,7 @@ func TestSwitchDrainsOldImplementation(t *testing.T) {
 	holder := task.New(topo)
 	s.RLock(holder) // pin the old implementation
 
-	patch := s.Switch(NewPerSocketRWLock("new", topo))
+	patch := s.Switch(NewBRAVO("new", NewRWSem("new-under")))
 	// The old reader still pins its implementation, so the drain cannot
 	// have completed — checked with an immediate probe, not a sleep.
 	if patch.WaitTimeout(0) {
@@ -122,8 +122,6 @@ func TestSwitchPreservesMutualExclusion(t *testing.T) {
 	}
 	impls := []func() RWLock{
 		func() RWLock { return NewRWSem("r") },
-		func() RWLock { return NewPerSocketRWLock("p", topo) },
-		func() RWLock { return NewShflRWLock("s") },
 		func() RWLock { return NewBRAVO("b", NewRWSem("ub")) },
 	}
 	for i := 0; i < 24; i++ {
@@ -164,7 +162,7 @@ func TestSwitchTimeoutAborts(t *testing.T) {
 	holder := task.New(topo)
 	s.RLock(holder) // a wedged critical section pins the old implementation
 
-	rb, err := s.SwitchTimeout(NewPerSocketRWLock("new", topo), 15*time.Millisecond)
+	rb, err := s.SwitchTimeout(NewBRAVO("new", NewRWSem("new-under")), 15*time.Millisecond)
 	if !errors.Is(err, ErrSwitchAborted) {
 		t.Fatalf("err = %v, want ErrSwitchAborted", err)
 	}
@@ -200,7 +198,7 @@ func TestSwitchTimeoutAborts(t *testing.T) {
 
 	// A later unbounded switch still lands: abort is per-attempt state,
 	// not a poisoned lock.
-	p := s.Switch(NewShflRWLock("s2"))
+	p := s.Switch(NewRWSem("s2"))
 	p.Wait()
 	tk, probe := task.New(topo), task.New(topo)
 	s.Lock(tk)
@@ -335,7 +333,7 @@ func TestSwitchableReaderWriterStorm(t *testing.T) {
 
 	impls := []func() RWLock{
 		func() RWLock { return NewRWSem("r") },
-		func() RWLock { return NewPerSocketRWLock("p", topo) },
+		func() RWLock { return NewBRAVO("p", NewRWSem("up")) },
 		func() RWLock { return NewBRAVO("b", NewRWSem("ub")) },
 	}
 	aborted := 0

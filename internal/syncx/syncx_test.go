@@ -73,7 +73,7 @@ func TestSeqLockReadersSeeConsistentPairs(t *testing.T) {
 
 func TestSeqLockRetrySemantics(t *testing.T) {
 	tp := topo()
-	s := NewSeqLock(locks.NewTASLock("w"))
+	s := NewSeqLock(locks.NewShflLock("w"))
 	tk := task.New(tp)
 	seq := s.ReadBegin()
 	if s.ReadRetry(seq) {
@@ -91,7 +91,7 @@ func TestSeqLockRetrySemantics(t *testing.T) {
 
 func TestSeqLockReadBeginSkipsWriter(t *testing.T) {
 	tp := topo()
-	s := NewSeqLock(locks.NewTASLock("w"))
+	s := NewSeqLock(locks.NewShflLock("w"))
 	tk := task.New(tp)
 	s.WriteLock(tk)
 	done := make(chan uint64, 1)

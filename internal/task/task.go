@@ -312,7 +312,9 @@ func (t *T) CSLast() int64 { return t.csLastNS.Load() }
 
 // MaxNodeClasses bounds how many distinct node cache classes can be
 // registered process-wide. Each queue-lock node type claims one class at
-// package init; 8 leaves headroom over the current roster.
+// package init: ShflLock's queue node and RWSem's waiter take two, and
+// the rest are headroom. The bound sizes task.T, so lowering it changes
+// the task's layout.
 const MaxNodeClasses = 8
 
 var nodeClasses atomic.Int32

@@ -42,7 +42,7 @@ func TestHashTableSemantics(t *testing.T) {
 
 func TestHashTablePropertyPutGet(t *testing.T) {
 	tp := topo()
-	h := NewHashTable(locks.NewTASLock("ht"), 4)
+	h := NewHashTable(locks.NewShflLock("ht"), 4)
 	tk := task.New(tp)
 	f := func(k, v uint64) bool {
 		h.Put(tk, k, v)
@@ -129,8 +129,6 @@ func TestRunPageFault2AllRWLocks(t *testing.T) {
 	}{
 		{"rwsem", locks.NewRWSem("s")},
 		{"bravo", locks.NewBRAVO("b", locks.NewRWSem("u"))},
-		{"persocket", locks.NewPerSocketRWLock("p", tp)},
-		{"shflrw", locks.NewShflRWLock("sr")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
