@@ -178,10 +178,34 @@ func TestShflLockScheduleWaiterHookConsulted(t *testing.T) {
 			return WaitKeepSpinning
 		},
 	})
-	exerciseMutex(t, l, topo, 4, 50)
-	if consulted.Load() == 0 {
-		t.Error("schedule_waiter never consulted")
+	// A waiter queued behind the head asks schedule_waiter on every round
+	// of its wait for promotion: hold the lock until the second of two
+	// waiters has asked. Under contention alone that is likely, not sure.
+	holder := task.New(topo)
+	l.Lock(holder)
+	var wg sync.WaitGroup
+	for _, tk := range []*task.T{task.New(topo), task.New(topo)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.Lock(tk)
+			l.Unlock(tk)
+		}()
+		for !isTail(l, tk) {
+			runtime.Gosched()
+		}
 	}
+	for deadline := time.Now().Add(30 * time.Second); consulted.Load() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			l.Unlock(holder)
+			wg.Wait()
+			t.Fatal("schedule_waiter never consulted by a queued waiter")
+		}
+	}
+	l.Unlock(holder)
+	wg.Wait()
+	// Waiters told to keep spinning still get through.
+	exerciseMutex(t, l, topo, 4, 50)
 }
 
 func TestShflLockParkNowDecision(t *testing.T) {
