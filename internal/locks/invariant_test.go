@@ -22,12 +22,16 @@ type invariantLock struct {
 	name string
 	mk   func() Lock
 	// fifo marks locks whose queue hands off in strict arrival order
-	// while no policy reorders it (ShflLock with nothing attached).
+	// while no policy reorders it (the ticket lock, and ShflLock with
+	// nothing attached).
 	fifo bool
 }
 
 func invariantRoster() []invariantLock {
 	return []invariantLock{
+		{"tas", func() Lock { return NewTASLock("inv-tas") }, false},
+		{"ttas", func() Lock { return NewTTASLock("inv-ttas") }, false},
+		{"ticket", func() Lock { return NewTicketLock("inv-ticket") }, true},
 		{"shfl", func() Lock { return NewShflLock("inv-shfl") }, true},
 		{"shfl-block", func() Lock {
 			return NewShflLock("inv-shflb", WithBlocking(true), WithSpinBudget(16))
@@ -126,7 +130,8 @@ func TestLockFIFOOrder(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			const waiters = 6
-			l := tc.mk().(*ShflLock)
+			l := tc.mk()
+			queued := enqueued(l)
 			holder := task.New(topo)
 			l.Lock(holder)
 
@@ -145,7 +150,7 @@ func TestLockFIFOOrder(t *testing.T) {
 					mu.Unlock()
 					l.Unlock(tk)
 				}()
-				for !isTail(l, tk) {
+				for !queued(i+1, tk) {
 					runtime.Gosched()
 				}
 			}
@@ -159,6 +164,23 @@ func TestLockFIFOOrder(t *testing.T) {
 			}
 		})
 	}
+}
+
+// enqueued returns a check that the n-th waiter, tk, has a fixed place
+// in l's queue. A ticket lock raises lock_contended after drawing the
+// waiter's ticket, so n contended events mean n waiters in order.
+// ShflLock raises it before its tail swap, so there the signal is the
+// tail node's task.
+func enqueued(l Lock) func(n int, tk *task.T) bool {
+	if s, ok := l.(*ShflLock); ok {
+		return func(_ int, tk *task.T) bool { return isTail(s, tk) }
+	}
+	var contended atomic.Int32
+	l.(Hooked).HookSlot().Replace("count", &Hooks{
+		Name:        "count",
+		OnContended: func(*Event) { contended.Add(1) },
+	})
+	return func(n int, _ *task.T) bool { return contended.Load() == int32(n) }
 }
 
 // TestTryLockNeverBlocksOrLeaks drives TryLock against a held lock:

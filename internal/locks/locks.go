@@ -10,7 +10,9 @@
 // biasing over it, and SwitchableRWLock, which swaps one readers-writer
 // implementation for another at runtime (§3.1.1's lock switching).
 // NUMA-awareness, priority and AMP are cmp_node policies on ShflLock,
-// not lock types of their own.
+// not lock types of their own. Three plain spinlocks (TAS, TTAS and
+// ticket, in spinlocks.go) remain only for this package's tests; no
+// other package builds them.
 //
 // Execution substrate note: threads are goroutines with a virtual CPU
 // identity from internal/topology; spin loops always yield

@@ -1,20 +1,10 @@
 package locks
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"concord/internal/task"
 )
-
-// spinYield is the body of every spin loop: on a multicore host a short
-// busy loop would be fine, but yielding keeps the algorithms live on any
-// GOMAXPROCS, including 1.
-func spinYield(i int) {
-	if i&3 == 3 {
-		runtime.Gosched()
-	}
-}
 
 // --- Test-and-set lock ---
 
