@@ -276,33 +276,10 @@ func (e *taskEnv) Rand() uint64 {
 }
 func (e *taskEnv) Trace(uint64) {}
 
-// LockStat implements policy.LockStatReader: it reads the hooked lock's
-// last completed profiling window through the continuous profiler. The
-// closure is swapped atomically so continuous profiling can be enabled
-// or disabled while the policy runs.
-func (e *taskEnv) LockStat(field uint64) uint64 {
-	if e.ad == nil {
-		return 0
-	}
-	if fp := e.ad.lockStats.Load(); fp != nil {
-		return (*fp)(field)
-	}
-	return 0
-}
-
-// OCCSet implements policy.OCCSetter: it routes the occ_set helper's
-// promotion/demotion request to the attached lock's optimistic tier.
-// Like lockStats, the closure is swapped atomically — attachments to
-// locks without the tier leave it nil and the helper reports no change.
-func (e *taskEnv) OCCSet(on uint64) uint64 {
-	if e.ad == nil {
-		return 0
-	}
-	if fp := e.ad.occSet.Load(); fp != nil {
-		return (*fp)(on)
-	}
-	return 0
-}
+// LockStat and OCCSet are the firing attachment's (adapter.LockStat,
+// adapter.OCCSet): the interpreter finds them on its Env.
+func (e *taskEnv) LockStat(field uint64) uint64 { return e.ad.LockStat(field) }
+func (e *taskEnv) OCCSet(on uint64) uint64      { return e.ad.OCCSet(on) }
 
 // adapter turns a set of verified programs into a locks.Hooks table.
 // One adapter backs one attach attempt; it owns fault bookkeeping.
@@ -346,6 +323,29 @@ func (a *adapter) setOCCSet(fn func(uint64) uint64) {
 		return
 	}
 	a.occSet.Store(&fn)
+}
+
+// LockStat implements policy.LockStatReader for both tiers (a tree is
+// handed the adapter, the interpreter its taskEnv): it reads the hooked
+// lock's last completed profiling window through the continuous profiler.
+// The closure is swapped atomically so continuous profiling can be enabled
+// or disabled while the policy runs.
+func (a *adapter) LockStat(field uint64) uint64 {
+	if fp := a.lockStats.Load(); fp != nil {
+		return (*fp)(field)
+	}
+	return 0
+}
+
+// OCCSet implements policy.OCCSetter for both tiers: it routes the occ_set
+// helper's promotion/demotion request to the attached lock's optimistic
+// tier. Like lockStats, the closure is swapped atomically — attachments to
+// locks without the tier leave it nil and the helper reports no change.
+func (a *adapter) OCCSet(on uint64) uint64 {
+	if fp := a.occSet.Load(); fp != nil {
+		return (*fp)(on)
+	}
+	return 0
 }
 
 // Faults reports how many policy executions faulted.
@@ -524,47 +524,40 @@ func waitDecision(ret uint64, ok bool) int {
 
 // hooks builds the lock hook table executing the policy's programs on
 // the tier chosen for each at admission (§4.2's "translated into native
-// code"): JIT-tier programs dispatch straight into their lowering,
-// VM-tier ones through the reference interpreter. mode overrides the
-// per-program choice for ablation (force-VM baseline, force-JIT).
+// code"): JIT-tier programs run as their decision tree, VM-tier ones on the
+// reference interpreter. mode overrides the per-program choice for
+// ablation (force-VM baseline, force-JIT).
 //
-// A program the JIT tier lowered to a tree — a decision or a profiling
-// hook — is evaluated where its inputs live: exec around jit.RunTree over
-// the layout's sources — no scratch, no marshal, no machine. Every other
-// closure below runs on its task's fireScratch (takeFire … fill … exec …
-// putFire). Neither allocates in steady state.
+// A program served a tree — a decision or a profiling hook — is evaluated
+// where its inputs live: exec around jit.RunTree over the layout's sources,
+// with the adapter behind its lock_stats_read and occ_set calls — no
+// scratch, no marshal, no machine. An interpreted program runs on its
+// task's fireScratch (takeFire … fill … exec … putFire). Neither allocates
+// in steady state.
 func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	progs := pol.Programs
 	h := &locks.Hooks{Name: a.policyName}
 
-	// jitTier reports whether kind k's program runs on the JIT tier under
-	// mode; tree and bind resolve its lowering once, while the table is
-	// built, so a fire dispatches straight into what it will run.
-	jitTier := func(k policy.Kind) bool {
-		// absent: the zero Choice, VM tier
-		return mode == TierForceJIT || (mode == TierAuto && pol.Tiers[k].Tier == jit.TierJIT)
-	}
+	// tree resolves kind k's lowering once, while the table is built, so a
+	// fire dispatches straight into what it will run: nil for the
+	// interpreter.
 	tree := func(k policy.Kind, p *policy.Program) *jit.Tree {
-		if !jitTier(k) {
+		// absent: the zero Choice, VM tier
+		if mode != TierForceJIT && (mode != TierAuto || pol.Tiers[k].Tier != jit.TierJIT) {
 			return nil
 		}
-		return pol.Tiers[k].TreeFor(p)
-	}
-	bind := func(k policy.Kind, p *policy.Program) policy.CompiledFn {
-		if jitTier(k) {
-			// The closure must match the bytecode the interpreter fallback
-			// would run. Admission already lowered it; that closure is
-			// reused unless the program changed since LoadPolicy, in which
-			// case it is lowered again here. A program that no longer
-			// lowers falls back to the VM (which will fault if it is
-			// corrupt).
-			if fn := pol.Tiers[k].FnFor(p); fn != nil {
-				return fn
-			}
-			if fn, err := jit.Compile(p); err == nil {
-				return fn
-			}
+		// The tree must match the bytecode the interpreter fallback would
+		// run. Admission already lowered it; that tree is reused unless the
+		// program changed since LoadPolicy, in which case it is lowered
+		// again here. A program that does not lower (any more) falls back
+		// to the VM, which will fault if it is corrupt.
+		if t := pol.Tiers[k].TreeFor(p); t != nil {
+			return t
 		}
+		t, _ := jit.LowerTree(p)
+		return t
+	}
+	vm := func(p *policy.Program) policy.CompiledFn {
 		return func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
 			return policy.Exec(p, ctx, env)
 		}
@@ -580,12 +573,12 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if t := tree(k, p); t != nil {
 			return func(info *locks.ShuffleInfo) bool {
 				ret, ok := a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, p, src, shufflerCPU, info)
+					return jit.RunTree(t, p, src, shufflerCPU, a, info)
 				}, nil, nil)
 				return ok && ret != 0
 			}
 		}
-		run := bind(k, p)
+		run := vm(p)
 		return func(info *locks.ShuffleInfo) bool {
 			sc, w := a.takeFire(info.Shuffler.Task, l)
 			fill(w, info)
@@ -601,11 +594,11 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if t := tree(policy.KindScheduleWaiter, p); t != nil {
 			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
 				return waitDecision(a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, p, schedSrc, waiterCPU, info)
+					return jit.RunTree(t, p, schedSrc, waiterCPU, a, info)
 				}, nil, nil))
 			}
 		} else {
-			run := bind(policy.KindScheduleWaiter, p)
+			run := vm(p)
 			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
 				sc, w := a.takeFire(info.Curr.Task, schedL)
 				fillSched(w, info)
@@ -625,12 +618,12 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			src := profSrc[op]
 			return func(ev *locks.Event) {
 				a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, p, src, eventCPU, ev)
+					return jit.RunTree(t, p, src, eventCPU, a, ev)
 				}, nil, nil)
 			}
 		}
 		layout := policy.LayoutFor(p.Kind)
-		run := bind(k, p)
+		run := vm(p)
 		return func(ev *locks.Event) {
 			sc, w := a.takeFire(ev.Task, layout)
 			fillProf(w, ev, op)

@@ -14,10 +14,10 @@ import (
 // Policy that loads them again (DESIGN §7 decision 8).
 type artifact struct {
 	rep *analysis.Report
-	// tier is the tier choice bound to no program (jit.Choice.For(nil)),
-	// whose lowering every later load shares; nil when the lowering cannot
-	// be shared. A program that names a map is lowered against its own map
-	// objects, which are per load, so its tier is chosen at every load.
+	// tier is the tier choice whose tree every later load shares; nil when
+	// the tree cannot be shared. A program that names a map is lowered
+	// against its own map objects, which are per load, so its tier is
+	// chosen at every load.
 	tier *jit.Choice
 }
 
@@ -70,8 +70,7 @@ func (f *Framework) admit(prog *policy.Program) (*analysis.Report, jit.Choice, e
 		tier := jit.Choose(prog, rep)
 		art = &artifact{rep: rep}
 		if len(prog.Maps) == 0 {
-			shared, _ := tier.For(nil)
-			art.tier = &shared
+			art.tier = &tier
 		}
 		f.mu.Lock()
 		if won := f.artifacts[string(key)]; won != nil {

@@ -16,7 +16,7 @@ import (
 )
 
 // lowering identifies the lowering a choice serves: the object that two
-// loads of the same bytes share, whether it holds a tree or closures.
+// loads of the same bytes share, which holds the tree.
 func lowering(ch jit.Choice) uintptr {
 	return reflect.ValueOf(ch).FieldByName("from").Pointer()
 }
@@ -38,8 +38,8 @@ func loadSrc(t *testing.T, f *Framework, name, src string) *Policy {
 
 // TestArtifactSharedAcrossLoads: the same bytes loaded under two policy
 // names cost one analysis and one lowering. Both policies hold the same
-// report; a map-free program also shares its lowering (tree or closures),
-// while a map-carrying one is lowered against its own maps at each load.
+// report; a map-free program also shares its tree, while a map-carrying
+// one is lowered against its own maps at each load.
 func TestArtifactSharedAcrossLoads(t *testing.T) {
 	srcs := shippedPolicies(t)
 	for _, file := range []string{"numa", "contention-gate", "profile-waits"} {
@@ -67,15 +67,13 @@ func TestArtifactSharedAcrossLoads(t *testing.T) {
 					t.Errorf("%s: lowering shared = %v, want %v (program names %d maps)", k, shared, want, len(pa.Maps))
 				}
 				ta, tb := ca.TreeFor(pa), cb.TreeFor(pb)
-				switch {
-				case ta == nil && (ca.FnFor(pa) == nil || cb.FnFor(pb) == nil):
-					t.Errorf("%s: a loaded program is not served its own closure", k)
-				case ta == nil && ca.FnFor(pb) != nil:
-					t.Errorf("%s: one policy's closure is served to the other's program", k)
-				case ta != nil && (ca.Fn != nil || cb.Fn != nil):
-					t.Errorf("%s: a tree-served program was lowered to closures too", k)
+				if ta == nil || tb == nil {
+					t.Errorf("%s: a loaded program is not served its own tree", k)
 				}
-				if (ta == nil) != (tb == nil) || ta != nil && (ta == tb) != shared {
+				if len(pa.Maps) > 0 && ca.TreeFor(pb) != nil {
+					t.Errorf("%s: one policy's map-carrying tree is served to the other's program", k)
+				}
+				if (ta == tb) != shared {
 					t.Errorf("%s: trees %p and %p for the same bytes, shared = %v", k, ta, tb, shared)
 				}
 			}
@@ -197,9 +195,10 @@ func fireAll(t *testing.T, l *locks.ShflLock, tk, peer *task.T) {
 
 // TestArtifactExecStatsExact: two policies built from identical bytes and
 // attached to two locks count their runs into their own programs, exactly
-// — on the tree tier (numa), the closure tier (contention-gate) and a
-// map-carrying closure (profile-waits). Each policy's Insns equal those of
-// a policy that was the only load of its file and fired as often.
+// — on a tree of compares (numa), one of lock_stats_read calls
+// (contention-gate) and a map-carrying tree (profile-waits). Each policy's
+// Insns equal those of a policy that was the only load of its file and
+// fired as often.
 func TestArtifactExecStatsExact(t *testing.T) {
 	srcs := shippedPolicies(t)
 	for _, file := range []string{"numa", "contention-gate", "profile-waits"} {

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path"
@@ -71,9 +72,9 @@ type Policy struct {
 	// Native policies have none (nothing to analyze).
 	Analysis map[policy.Kind]*analysis.Report
 	// Tiers records the execution-tier decision per program, made at load
-	// time from the analysis report (VM vs JIT closures, with the
-	// compiled closure when JIT was chosen). Attachments honour it unless
-	// a TierMode override forces one tier for ablation.
+	// time from the analysis report (the interpreter, or the JIT tier with
+	// the decision tree the program lowered to). Attachments honour it
+	// unless a TierMode override forces one tier for ablation.
 	Tiers map[policy.Kind]jit.Choice
 }
 
@@ -154,8 +155,8 @@ const (
 	TierAuto TierMode = iota
 	// TierForceVM runs every program on the reference interpreter.
 	TierForceVM
-	// TierForceJIT runs every lowerable program on the JIT tier, even
-	// ones admission left on the VM.
+	// TierForceJIT runs every program that lowers to a decision tree on
+	// the JIT tier, and the others on the VM.
 	TierForceJIT
 )
 
@@ -618,8 +619,8 @@ func (f *Framework) Detach(lockName string) (*livepatch.Patch, error) {
 // SetTier livepatches a lock's attachment to a new tier mode: TierAuto
 // restores the admission-time per-program choices, TierForceVM drops to
 // the interpreter on every program (ablation baseline), TierForceJIT
-// compiles everything lowerable. The returned patch's Wait is the
-// consistency point after which no execution runs the old tier.
+// runs every program that lowers as its tree. The returned patch's Wait
+// is the consistency point after which no execution runs the old tier.
 func (f *Framework) SetTier(lockName string, mode TierMode) (*livepatch.Patch, error) {
 	f.mu.Lock()
 	st, ok := f.locks[lockName]
@@ -819,22 +820,30 @@ func (f *Framework) effectiveHooks(st *lockState, p *Policy, ad *adapter) *locks
 			hooks.Name = p.Name
 		}
 	}
-	// The lock's own profiler composes unless it is the framework's, which
-	// follows: one profiler twice in a chain would count every event twice.
+	// Instrumentation: the lock's own profiler unless it is the
+	// framework's, which follows (one profiler twice in a chain would count
+	// every event twice; the framework's hooks are sampling-gated, cheap
+	// enough to leave in every chain), then telemetry.
+	var inst *locks.Hooks
 	if st.profiler != nil && st.profiler != f.cprof {
-		hooks = locks.ComposeHooks(hooks, st.profiler.Hooks(st.lock.Name()))
+		inst = st.profiler.Hooks(st.lock.Name())
 	}
-	// The framework's profiler composes after the lock's own: its hooks
-	// are sampling-gated and profiling-only, cheap enough to leave in
-	// every chain.
 	if f.cprof != nil {
-		hooks = locks.ComposeHooks(hooks, f.cprof.Hooks(st.lock.Name()))
+		inst = locks.ComposeHooks(inst, f.cprof.Hooks(st.lock.Name()))
 	}
-	// Telemetry composes last: its hooks are profiling-only, so user
-	// policies keep every behavioural decision while instrumentation
-	// stacks underneath them.
 	if f.tel != nil {
-		hooks = locks.ComposeHooks(hooks, f.tel.LockHooks(st.lock.Name()))
+		inst = locks.ComposeHooks(inst, f.tel.LockHooks(st.lock.Name()))
 	}
-	return hooks
+	if hooks == nil || inst == nil {
+		return cmp.Or(hooks, inst)
+	}
+	// Instrumentation hooks are profiling-only, so the policy keeps every
+	// behavioural decision. On each event they run before the policy's: a
+	// policy hook that faults trips the supervisor, whose flight capture
+	// snapshots the trace ring and the profiling windows, and the event
+	// that faulted is in them by then. The table keeps the policy's name
+	// first.
+	out := locks.ComposeHooks(inst, hooks)
+	out.Name = hooks.Name + "+" + inst.Name
+	return out
 }

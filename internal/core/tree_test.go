@@ -164,16 +164,17 @@ func treePolicies(t *testing.T) map[string]string {
 }
 
 // TestShippedTreeRoster pins which shipped policies take the tree path:
-// all but the two that call lock_stats_read (contention-gate, occ-gate).
-// A policy dropping off this list silently is a performance regression no
-// other test would notice.
+// all ten, lock_stats_read callers (contention-gate, occ-gate) included. A
+// policy dropping off this list silently falls back to the interpreter, a
+// performance regression no other test would notice.
 func TestShippedTreeRoster(t *testing.T) {
 	var got []string
 	for name := range treePolicies(t) {
 		got = append(got, name)
 	}
 	sort.Strings(got)
-	want := []string{"amp", "bounded-shuffle", "inheritance", "numa", "priority", "profile-waits", "vcpu", "wait-gate"}
+	want := []string{"amp", "bounded-shuffle", "contention-gate", "inheritance", "numa", "occ-gate",
+		"priority", "profile-waits", "vcpu", "wait-gate"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("tree-lowered shipped policies = %v, want %v", got, want)
 	}
@@ -181,7 +182,8 @@ func TestShippedTreeRoster(t *testing.T) {
 
 // fireOutcome is everything one scenario of TestTreePathMatchesVM
 // observes: what the hooks decided, what the programs counted, what the
-// fires left in the maps, and what the supervisor made of the faults.
+// fires left in the maps, which statistics they read and which occ_set
+// requests they made, and what the supervisor made of the faults.
 type fireOutcome struct {
 	decisions   []int
 	runs, insns int64
@@ -192,6 +194,7 @@ type fireOutcome struct {
 	errClass    string
 	quarantined bool
 	maps        string
+	env         []string
 }
 
 // errClass reduces a trip error to what must agree between tiers: the
@@ -274,11 +277,14 @@ func seedWorstWait(t *testing.T, pol *Policy, full bool) {
 // hook table — decision and profiling hooks — under TierAuto (tree) and
 // TierForceVM (marshal + reference interpreter), undisturbed and with each
 // containment site armed: decisions, ExecStats deltas, the maps' contents
-// after the fires and the supervisor's fault accounting must be identical
-// — a tree run is a JIT run, contained by the same exec. Two scenarios are
-// about the maps: worstwait filled to its 512 entries, so that recording a
-// new lock's wait takes map_update's −1 path, and events from tasks on
-// every CPU, so that count's per-CPU adds land on many CPUs.
+// after the fires, the lock statistics read and occ_set requests made
+// through the attachment, and the supervisor's fault accounting must be
+// identical — a tree run is a JIT run, contained by the same exec. The
+// attachment's statistics read a seeded sequence of values on both sides
+// of every shipped threshold. Two scenarios are about the maps: worstwait
+// filled to its 512 entries, so that recording a new lock's wait takes
+// map_update's −1 path, and events from tasks on every CPU, so that
+// count's per-CPU adds land on many CPUs.
 func TestTreePathMatchesVM(t *testing.T) {
 	t.Cleanup(faultinject.DisarmAll)
 	const fires = 64
@@ -286,10 +292,10 @@ func TestTreePathMatchesVM(t *testing.T) {
 		name   string
 		budget time.Duration
 		arm    func()
-		faults int64 // expected supervisor-counted faults: per hook fire if < 0
-		maps   bool  // the plan fires only in programs that call map helpers
-		full   bool  // worstwait starts full
-		cpus   bool  // event i comes from a task on CPU i
+		faults int64  // expected supervisor-counted faults: per hook fire if < 0
+		needs  string // "helpers", "maps": the plan fires only in programs that call helpers, map helpers
+		full   bool   // worstwait starts full
+		cpus   bool   // event i comes from a task on CPU i
 	}{
 		{name: "undisturbed", arm: func() {}},
 		{name: "hook-panic", arm: func() { faultinject.CoreHookPanic.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3},
@@ -299,15 +305,16 @@ func TestTreePathMatchesVM(t *testing.T) {
 			faultinject.PolicyLatency.Arm(faultinject.Config{MaxFires: 1, Delay: 50 * time.Millisecond})
 		}, faults: 1},
 		{name: "budget-1ns", budget: time.Nanosecond, arm: func() {}, faults: -1},
-		{name: "helper-fault", arm: func() { faultinject.PolicyHelper.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3, maps: true},
-		{name: "map-op-fault", arm: func() { faultinject.PolicyMapOp.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3, maps: true},
+		{name: "helper-fault", arm: func() { faultinject.PolicyHelper.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3, needs: "helpers"},
+		{name: "map-op-fault", arm: func() { faultinject.PolicyMapOp.Arm(faultinject.Config{MaxFires: 3}) }, faults: 3, needs: "maps"},
 		{name: "worstwait-full", arm: func() {}, full: true},
 		{name: "several-cpus", arm: func() {}, cpus: true},
 	}
 	type run struct {
-		out   fireOutcome
-		hooks int // hooks called per fire
-		maps  bool
+		out     fireOutcome
+		hooks   int // hooks called per fire
+		helpers bool
+		maps    bool
 	}
 	fire := func(t *testing.T, name, src string, mode TierMode, budget time.Duration, arm func(), full, cpus bool) run {
 		f := newFramework()
@@ -346,10 +353,25 @@ func TestTreePathMatchesVM(t *testing.T) {
 		}
 		profiling := []func(*locks.Event){h.OnAcquire, h.OnContended, h.OnAcquired, h.OnRelease}
 
-		arm()
-		defer faultinject.DisarmAll()
 		var rn run
 		out := &rn.out
+		f.mu.Lock()
+		ad := f.locks["l"].sup.ad
+		f.mu.Unlock()
+		stats := rand.New(rand.NewSource(9))
+		values := []uint64{0, 100, 250, 500, 760, 880, 999_999, 2_000_000}
+		ad.setLockStats(func(field uint64) uint64 {
+			v := values[stats.Intn(len(values))]
+			out.env = append(out.env, fmt.Sprintf("stat%d=%d", field, v))
+			return v
+		})
+		ad.setOCCSet(func(on uint64) uint64 {
+			out.env = append(out.env, fmt.Sprintf("occ%d", on))
+			return 0
+		})
+
+		arm()
+		defer faultinject.DisarmAll()
 		r := rand.New(rand.NewSource(5))
 		topo := f.Topology()
 		for i := 0; i < fires; i++ {
@@ -385,6 +407,9 @@ func TestTreePathMatchesVM(t *testing.T) {
 			out.progFaults += st.Faults.Load()
 			out.jitRuns += st.JITRuns.Load()
 			rn.maps = rn.maps || len(p.Maps) > 0
+			for _, in := range p.Insns {
+				rn.helpers = rn.helpers || in.Op == policy.OpCall
+			}
 		}
 		if att.Faults() > 0 {
 			for deadline := time.Now().Add(10 * time.Second); !att.Quarantined(); time.Sleep(time.Millisecond) {
@@ -428,11 +453,14 @@ func TestTreePathMatchesVM(t *testing.T) {
 				if fmt.Sprintf("%+v", vm.out) != fmt.Sprintf("%+v", tree.out) {
 					t.Errorf("paths disagree:\n  vm   %+v\n  tree %+v", vm.out, tree.out)
 				}
+				if strings.Contains(src, "lock_stats_read") && len(tree.out.env) == 0 {
+					t.Error("the policy read no lock statistic")
+				}
 				want := sc.faults
 				switch {
 				case want < 0:
 					want = int64(fires * tree.hooks)
-				case sc.maps && !tree.maps:
+				case sc.needs == "helpers" && !tree.helpers, sc.needs == "maps" && !tree.maps:
 					want = 0
 				}
 				if tree.out.faults != want {

@@ -84,7 +84,7 @@ func NUMACmpProgram() *policy.Program {
 
 // CBPFNumaCmp wraps the verified cBPF program as a simulator cmp_node
 // decision: every simulated shuffling comparison runs the real policy,
-// through the JIT closure tier (interpreter fallback).
+// as its decision tree (interpreter fallback).
 func CBPFNumaCmp() ksim.CmpFunc {
 	return cbpfCmp(NUMACmpProgram())
 }
@@ -144,7 +144,7 @@ func ProfiledNumaCmpProgram(exams policy.Map) *policy.Program {
 
 // CBPFProfiledNumaCmp wraps ProfiledNumaCmpProgram as a simulator
 // cmp_node decision, counting examinations per socket in m as it goes,
-// through the JIT closure tier (interpreter fallback).
+// as its decision tree (interpreter fallback).
 func CBPFProfiledNumaCmp(m policy.Map) ksim.CmpFunc {
 	return cbpfCmp(ProfiledNumaCmpProgram(m))
 }

@@ -16,20 +16,19 @@ import (
 // This file is the wall-clock microbenchmark of the hook dispatch
 // plane: the profiled-shuffler cmp_node policy (a map_add and a socket
 // compare on every fire) measured end to end — through the hook closure
-// the framework builds at Attach — on the interpreter and on the JIT
-// tier. Its "jit" column is a decision tree: the program's map_add is an
-// effect node (jit.LowerTree), so the fire reads its two context words
-// where they live, with no context fill and no machine; the "vm" column
-// fills a context and interprets. The ksim figures run in virtual time,
-// so policy execution cost is invisible there by construction; the hook
-// plane is where the JIT tier's speedup (and its zero-allocation
-// contract) is actually measured: TestHookPlaneJITRuns,
-// TestHookPlaneJITZeroAllocs and, with -tags perfgate,
-// TestHookPlaneJITSpeedup.
+// the framework builds at Attach — on the policy runtime's two tiers. The
+// "jit" column is the decision tree (jit.LowerTree; the map_add is an
+// effect node), so the fire reads its two context words where they live,
+// with no context fill and no machine; the "vm" column fills a context and
+// interprets. The ksim figures run in virtual time, so policy execution
+// cost is invisible there by construction; the hook plane is where the
+// tree's speedup (and its zero-allocation contract) is actually measured:
+// TestHookPlaneJITRuns, TestHookPlaneJITZeroAllocs and, with -tags
+// perfgate, TestHookPlaneJITSpeedup.
 
 // execClosure returns the fastest available executor for a verified
-// program: the lowered closure when the program lowers, else the
-// interpreter.
+// program: its decision tree over a context (jit.Compile) when the program
+// lowers, else the interpreter.
 func execClosure(prog *policy.Program) policy.CompiledFn {
 	if fn, err := jit.Compile(prog); err == nil {
 		return fn

@@ -25,7 +25,7 @@ func TestHookPlaneJITRuns(t *testing.T) {
 // JIT hook fire performs no heap allocation in steady state.
 func TestHookPlaneJITZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops puts at random under -race, so the closure tier's pooled machine is reallocated; the contract holds in normal builds")
+		t.Skip("allocation counts under -race include the detector's own; the contract holds in normal builds")
 	}
 	if a := HookPlaneAllocsPerOp(HookPlaneFire("jit"), 4096); a != 0 {
 		t.Errorf("JIT hook fire allocates %.4f/op, want 0", a)

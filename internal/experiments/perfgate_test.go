@@ -15,9 +15,9 @@ import (
 	"concord/internal/locks"
 )
 
-// TestHookPlaneJITSpeedup is the acceptance gate for the JIT closure
-// tier on the profiled-shuffler cell: the lowered closure must beat
-// the interpreter by at least 1.5× on the same hook-fire work, and it
+// TestHookPlaneJITSpeedup is the acceptance gate for the JIT tier on the
+// profiled-shuffler cell: the decision tree must beat the interpreter by
+// at least 1.5× on the same hook-fire work, and it
 // must not allocate. Best-of-3 on each side absorbs scheduler noise on
 // loaded CI hosts, and the six runs alternate vm/jit so that one burst on
 // the host lands on both sides rather than on all of one side's runs;

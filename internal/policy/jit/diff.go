@@ -1,28 +1,25 @@
 package jit
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"concord/internal/policy"
 )
 
-// DiffHarness runs one program on both execution tiers — the reference
-// VM and the JIT closure tier — and, when the program lowers to a decision
-// tree, on the tree as a third column, each against isolated but
+// DiffHarness runs one program on the reference VM and, when the program
+// lowers to a decision tree, on the tree, each against isolated but
 // identically-seeded state, and reports the first observable divergence:
 // register result, error presence and text, ExecStats deltas (helper calls
-// and map ops included), trace sequences, or final map contents. It is the
-// equivalence obligation for admitting the JIT tier, used by the unit
-// tests, the golden tests, and FuzzVMvsJIT.
+// and map ops included), trace sequences, occ_set requests, or final map
+// contents. It is the equivalence obligation for admitting a program to
+// the JIT tier, used by the unit tests, the golden tests, and FuzzVMvsJIT.
+// A program that does not lower runs on the VM column alone.
 type DiffHarness struct {
 	vmProg   *policy.Program
-	jitProg  *policy.Program
 	treeProg *policy.Program // nil: the program is not a tree
-	fn       policy.CompiledFn
 	treeFn   policy.CompiledFn
 	vmEnv    *policy.TestEnv
-	jitEnv   *policy.TestEnv
 	treeEnv  *policy.TestEnv
 	steps    int
 }
@@ -30,71 +27,35 @@ type DiffHarness struct {
 // NewDiffHarness builds a harness from a program constructor and an env
 // constructor. build and mkEnv are called once per column so each gets its
 // own map arena, ExecStats and env (shared maps would hide single-tier
-// mutation bugs; stateful env pieces such as Rand and Trace advance
-// independently but identically). A tree reads its env's CPU alone.
+// mutation bugs; stateful env pieces such as OCCState advance
+// independently but identically).
 func NewDiffHarness(build func() (*policy.Program, error), mkEnv func() *policy.TestEnv) (*DiffHarness, error) {
 	vmProg, err := build()
 	if err != nil {
 		return nil, fmt.Errorf("diff: build vm program: %w", err)
 	}
-	jitProg, err := build()
-	if err != nil {
-		return nil, fmt.Errorf("diff: build jit program: %w", err)
-	}
-	if !vmProg.Verified() || !jitProg.Verified() {
+	if !vmProg.Verified() {
 		return nil, policy.ErrNotVerified
-	}
-	fn, err := Compile(jitProg)
-	if err != nil {
-		return nil, err
 	}
 	if mkEnv == nil {
 		mkEnv = func() *policy.TestEnv { return &policy.TestEnv{} }
 	}
-	h := &DiffHarness{
-		vmProg:  vmProg,
-		jitProg: jitProg,
-		fn:      fn,
-		vmEnv:   mkEnv(),
-		jitEnv:  mkEnv(),
+	h := &DiffHarness{vmProg: vmProg, vmEnv: mkEnv()}
+	treeProg, err := build()
+	if err != nil {
+		return nil, fmt.Errorf("diff: build tree program: %w", err)
 	}
-	if treeProg, err := build(); err == nil {
-		if tree, err := LowerTree(treeProg); err == nil {
-			h.treeProg, h.treeFn, h.treeEnv = treeProg, treeOverCtx(tree, treeProg), mkEnv()
-		}
+	if fn, err := Compile(treeProg); err == nil {
+		h.treeProg, h.treeFn, h.treeEnv = treeProg, fn, mkEnv()
+	} else if !errors.Is(err, ErrUnsupported) {
+		return nil, err
 	}
 	return h, nil
 }
 
 // HasTree reports whether the program lowered to a decision tree, i.e.
-// whether Step compares three columns rather than two.
+// whether Step compares two columns rather than running the VM alone.
 func (h *DiffHarness) HasTree() bool { return h.treeFn != nil }
-
-// ctxWord[i] reads word i of a context: a tree's sources when its words
-// sit in a Ctx rather than in the structures they were marshalled from.
-var ctxWord = func() (src [maxTreeWords]func(*policy.Ctx) uint64) {
-	for i := range src {
-		src[i] = func(c *policy.Ctx) uint64 { return c.Words[i] }
-	}
-	return src
-}()
-
-// treeOverCtx gives a tree the CompiledFn shape of a run of p: the same
-// context-kind check as the other tiers, the VM's bounds check by offering
-// only the sources the context has words for, and env's CPU for its map
-// calls.
-func treeOverCtx(t *Tree, p *policy.Program) policy.CompiledFn {
-	return func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
-		if env == nil {
-			env = policy.DefaultEnv
-		}
-		if ctx == nil || ctx.Layout.Kind != p.Kind {
-			return 0, &policy.RuntimeError{Name: p.Name, PC: -1, Msg: "context kind mismatch"}
-		}
-		cpu := func(*policy.Ctx) int { return env.CPU() }
-		return RunTree(t, p, ctxWord[:min(len(ctx.Words), maxTreeWords)], cpu, ctx)
-	}
-}
 
 // Divergence describes how the two tiers disagreed.
 type Divergence struct {
@@ -142,89 +103,77 @@ func (h *DiffHarness) Step(ctxWords []uint64) error {
 		c.Words = append([]uint64(nil), ctxWords...)
 		return c
 	}
-	vmBefore, jitBefore := snap(h.vmProg), snap(h.jitProg)
+	vmBefore := snap(h.vmProg)
 	vmRet, vmErr := policy.Exec(h.vmProg, mkCtx(h.vmProg.Kind), h.vmEnv)
-	jitRet, jitErr := h.fn(mkCtx(h.jitProg.Kind), h.jitEnv)
 	vmd := snap(h.vmProg).sub(vmBefore)
-	jitd := snap(h.jitProg).sub(jitBefore)
-
-	// against compares one JIT-tier column with the VM's. A JIT run is a
-	// run: the deltas differ in JITRuns alone, which mirrors Runs.
-	against := func(col string, ret uint64, err error, d statSnap) error {
-		if (vmErr == nil) != (err == nil) {
-			return h.diverged("vm err=%v, %s err=%v", vmErr, col, err)
-		}
-		if vmErr != nil {
-			// Errors embed program name and pc; full-text equality pins
-			// fault site and message.
-			if vmErr.Error() != err.Error() {
-				return h.diverged("vm err %q, %s err %q", vmErr, col, err)
-			}
-		} else if vmRet != ret {
-			return h.diverged("vm R0=%#x, %s R0=%#x", vmRet, col, ret)
-		}
-		if d.jitRuns != d.runs {
-			return h.diverged("%s counted %d runs, %d of them jit", col, d.runs, d.jitRuns)
-		}
-		d.jitRuns = vmd.jitRuns
-		if vmd != d {
-			return h.diverged("stats delta vm=%+v, %s=%+v", vmd, col, d)
-		}
+	if h.treeFn == nil {
 		return nil
 	}
-	if err := against("jit", jitRet, jitErr, jitd); err != nil {
-		return err
+	before := snap(h.treeProg)
+	ret, err := h.treeFn(mkCtx(h.treeProg.Kind), h.treeEnv)
+	d := snap(h.treeProg).sub(before)
+
+	if (vmErr == nil) != (err == nil) {
+		return h.diverged("vm err=%v, tree err=%v", vmErr, err)
 	}
-	if h.treeFn != nil {
-		before := snap(h.treeProg)
-		ret, err := h.treeFn(mkCtx(h.treeProg.Kind), h.treeEnv)
-		if err := against("tree", ret, err, snap(h.treeProg).sub(before)); err != nil {
-			return err
+	if vmErr != nil {
+		// Errors embed program name and pc; full-text equality pins
+		// fault site and message.
+		if vmErr.Error() != err.Error() {
+			return h.diverged("vm err %q, tree err %q", vmErr, err)
 		}
+	} else if vmRet != ret {
+		return h.diverged("vm R0=%#x, tree R0=%#x", vmRet, ret)
 	}
-	vt, jt := h.vmEnv.Traces(), h.jitEnv.Traces()
-	if len(vt) != len(jt) {
-		return h.diverged("trace count vm=%d, jit=%d", len(vt), len(jt))
+	// A tree run is a JIT run: the deltas differ in JITRuns alone, which
+	// mirrors Runs.
+	if d.jitRuns != d.runs {
+		return h.diverged("tree counted %d runs, %d of them jit", d.runs, d.jitRuns)
+	}
+	d.jitRuns = vmd.jitRuns
+	if vmd != d {
+		return h.diverged("stats delta vm=%+v, tree=%+v", vmd, d)
+	}
+	vt, tt := h.vmEnv.Traces(), h.treeEnv.Traces()
+	if len(vt) != len(tt) {
+		return h.diverged("trace count vm=%d, tree=%d", len(vt), len(tt))
 	}
 	for i := range vt {
-		if vt[i] != jt[i] {
-			return h.diverged("trace[%d] vm=%#x, jit=%#x", i, vt[i], jt[i])
+		if vt[i] != tt[i] {
+			return h.diverged("trace[%d] vm=%#x, tree=%#x", i, vt[i], tt[i])
 		}
+	}
+	if v, t := h.vmEnv.OCCState.Load(), h.treeEnv.OCCState.Load(); v != t {
+		return h.diverged("occ_set state vm=%d, tree=%d", v, t)
 	}
 	return nil
 }
 
 // Check compares the final contents of every map with the VM column's.
 // Returns the number of maps whose contents could not be dumped (unknown
-// Map implementations are skipped, not failed). Every column's maps come
+// Map implementations are skipped, not failed). Both columns' maps come
 // from the same build, so one column's kinds are all of them.
 func (h *DiffHarness) Check() (unchecked int, err error) {
-	cols := []struct {
-		name string
-		p    *policy.Program
-	}{{"jit", h.jitProg}, {"tree", h.treeProg}}
 	for i, vm := range h.vmProg.Maps {
 		vd, ok := dumpMap(vm)
 		if !ok {
 			unchecked++
 			continue
 		}
-		for _, col := range cols {
-			if col.p == nil {
-				continue
+		if h.treeProg == nil {
+			continue
+		}
+		td, _ := dumpMap(h.treeProg.Maps[i])
+		if len(vd) != len(td) {
+			return unchecked, h.diverged("map %q entry count vm=%d, tree=%d", vm.Name(), len(vd), len(td))
+		}
+		for k, vv := range vd {
+			tv, ok := td[k]
+			if !ok {
+				return unchecked, h.diverged("map %q key %s present only on vm", vm.Name(), k)
 			}
-			cd, _ := dumpMap(col.p.Maps[i])
-			if len(vd) != len(cd) {
-				return unchecked, h.diverged("map %q entry count vm=%d, %s=%d", vm.Name(), len(vd), col.name, len(cd))
-			}
-			for k, vv := range vd {
-				cv, ok := cd[k]
-				if !ok {
-					return unchecked, h.diverged("map %q key %s present only on vm", vm.Name(), k)
-				}
-				if vv != cv {
-					return unchecked, h.diverged("map %q key %s vm=%v, %s=%v", vm.Name(), k, vv, col.name, cv)
-				}
+			if vv != tv {
+				return unchecked, h.diverged("map %q key %s vm=%v, tree=%v", vm.Name(), k, vv, tv)
 			}
 		}
 	}
@@ -308,14 +257,4 @@ func dumpMap(m policy.Map) (map[string]string, bool) {
 		return out, true
 	}
 	return nil, false
-}
-
-// sortedKeys is a debugging aid for divergence reports.
-func sortedKeys(m map[string]string) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -11,11 +11,11 @@ import (
 
 // FuzzVMvsJIT is the differential companion to the policy package's
 // FuzzVerify: it decodes the same dense instruction encoding, and for
-// every program the verifier admits and the lowerer accepts, runs both
-// execution tiers — and the decision tree, whenever the program lowers
-// to one — on identically-seeded context and map state and fails on any
-// observable divergence — register result, fault text, ExecStats deltas,
-// trace sequence, or final map contents. Run under CI as a
+// every program the verifier admits and the tree grammar covers, runs the
+// interpreter and the decision tree (the two execution tiers) on
+// identically-seeded context and map state and fails on any observable
+// divergence — register result, fault text, ExecStats deltas, trace
+// sequence, occ_set requests, or final map contents. Run under CI as a
 // short -fuzztime smoke; locally,
 // `go test -fuzz=FuzzVMvsJIT ./internal/policy/jit`.
 func FuzzVMvsJIT(f *testing.F) {
@@ -51,7 +51,7 @@ func FuzzVMvsJIT(f *testing.F) {
 		{Op: policy.OpNeg, Dst: policy.R0},
 		{Op: policy.OpExit},
 	}))
-	// Helper calls with env state.
+	// Helper calls with env state (outside the tree grammar: the VM alone).
 	f.Add(encodeDiffFuzz(2, []policy.Instruction{
 		{Op: policy.OpCall, Imm: int64(policy.HelperKtimeNS)},
 		{Op: policy.OpMovReg, Dst: policy.R6, Src: policy.R0},
@@ -60,9 +60,8 @@ func FuzzVMvsJIT(f *testing.F) {
 		{Op: policy.OpExit},
 	}))
 
-	// Decision trees: helper-free compares of context words, the shapes
-	// the harness also runs on its third (tree) column. The DSL's spill
-	// through the stack with a shift on each side of the compare…
+	// Decision trees: helper-free compares of context words. The DSL's
+	// spill through the stack with a shift on each side of the compare…
 	f.Add(encodeDiffFuzz(0, []policy.Instruction{
 		{Op: policy.OpMovReg, Dst: policy.R6, Src: policy.R1},
 		{Op: policy.OpLdxDW, Dst: policy.R0, Src: policy.R6, Off: 144},
@@ -194,6 +193,19 @@ func FuzzVMvsJIT(f *testing.F) {
 		{Op: policy.OpExit},
 	}))
 
+	// A lock statistic returned, and an occ_set of a context word between
+	// its read and the exit.
+	f.Add(encodeDiffFuzz(3, []policy.Instruction{
+		{Op: policy.OpLdxDW, Dst: policy.R6, Src: policy.R1, Off: 0},
+		{Op: policy.OpMovImm, Dst: policy.R1, Imm: 7},
+		{Op: policy.OpCall, Imm: int64(policy.HelperLockStats)},
+		{Op: policy.OpMovReg, Dst: policy.R7, Src: policy.R0},
+		{Op: policy.OpMovReg, Dst: policy.R1, Src: policy.R6},
+		{Op: policy.OpCall, Imm: int64(policy.HelperOCCSet)},
+		{Op: policy.OpMovReg, Dst: policy.R0, Src: policy.R7},
+		{Op: policy.OpExit},
+	}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		build := func() (*policy.Program, error) {
 			p := decodeDiffFuzz(data)
@@ -205,10 +217,10 @@ func FuzzVMvsJIT(f *testing.F) {
 			}
 			return p, nil
 		}
-		// Probe once: unverifiable inputs and programs the lowerer
-		// declines are out of scope here (FuzzVerify owns the
-		// verifier-never-crashes property; tier selection falls back to
-		// the VM for unsupported shapes).
+		// Probe once: unverifiable inputs and programs outside the tree
+		// grammar are out of scope here (FuzzVerify owns the
+		// verifier-never-crashes property; tier selection keeps such
+		// programs on the VM).
 		probe, err := build()
 		if err != nil {
 			return

@@ -34,9 +34,9 @@ type goldenProgram struct {
 	Kind    string `json:"kind"`
 	Tier    string `json:"tier"`
 	Reason  string `json:"reason"`
-	// Lowering is "tree (N compares, M leaves)" or "closures (pc N:
-	// <what is outside the tree grammar>)": which JIT lowering serves
-	// the program, pinned like the tier.
+	// Lowering is the tree that serves the program, "tree (N compares, M
+	// leaves, …)", or empty on the VM tier, whose reason then names the pc
+	// outside the tree grammar: pinned like the tier.
 	Lowering string         `json:"lowering"`
 	Vectors  []goldenVector `json:"vectors"`
 }
@@ -75,8 +75,8 @@ func goldenCtxVectors(k policy.Kind) [][]uint64 {
 // TestGoldenEquivalence pins, for every shipped policy in policies/,
 // (a) the tier the admission heuristic selects and the lowering that
 // serves it, and (b) the observable outcome of each program on every
-// execution column over fixed context vectors. Divergence between VM, JIT
-// and tree fails immediately via the DiffHarness; drift of the pinned
+// execution column over fixed context vectors. Divergence between the VM
+// and the tree fails immediately via the DiffHarness; drift of the pinned
 // outcome or tier decision over time shows up as a golden diff — rerun
 // with `go test ./internal/policy/jit -run Golden -update` after review.
 func TestGoldenEquivalence(t *testing.T) {
@@ -86,8 +86,7 @@ func TestGoldenEquivalence(t *testing.T) {
 // TestGoldenThirdParty does the same for three policies shaped like what
 // a user, not this repository, would write — grouping by socket pair, by
 // priority band, by vCPU parity. They are the check that the tree grammar
-// fits programs, not the six shipped files: each must lower to a tree, or
-// its golden names the pc that stops it.
+// fits programs, not the ten shipped files: each must lower to a tree.
 func TestGoldenThirdParty(t *testing.T) {
 	dir := filepath.Join("testdata", "thirdparty")
 	for name, rec := range goldenDir(t, dir, dir) {

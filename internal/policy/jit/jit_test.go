@@ -43,7 +43,7 @@ func mkEnv() *policy.TestEnv {
 }
 
 // ctxVectors exercises normal, boundary, short, and empty context word
-// slices (short/empty trip the VM's runtime ctx bounds check — the JIT
+// slices (short/empty trip the VM's runtime ctx bounds check — the tree
 // must fault identically).
 func ctxVectors(n int) [][]uint64 {
 	full := make([]uint64, n)
@@ -57,10 +57,15 @@ func ctxVectors(n int) [][]uint64 {
 	return [][]uint64{full, vary, full[:1], {}}
 }
 
+// TestDiffCorePrograms runs the core instruction and helper shapes through
+// the differential harness. Each case states whether it lowers to a tree
+// (stop "") or where and why the lowering stops; a program that stops runs
+// on the VM column alone.
 func TestDiffCorePrograms(t *testing.T) {
 	cases := []struct {
 		name string
 		mk   func() *policy.Builder
+		stop string
 	}{
 		{"alu-mix", func() *policy.Builder {
 			b := policy.NewBuilder("alu-mix", policy.KindLockAcquire)
@@ -75,7 +80,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				Neg(policy.R2).
 				ReturnReg(policy.R2)
 			return b
-		}},
+		}, "pc 3: second operation on a derived value"},
 		{"div-mod-zero", func() *policy.Builder {
 			b := policy.NewBuilder("div-mod-zero", policy.KindLockAcquire)
 			b.LoadCtx(policy.R2, policy.R1, "lock_id").
@@ -86,7 +91,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				ALUReg(policy.OpAddReg, policy.R3, policy.R4).
 				ReturnReg(policy.R3)
 			return b
-		}},
+		}, "pc 2: constant on the left of a non-commutative operation"},
 		{"jump-ladder", func() *policy.Builder {
 			b := policy.NewBuilder("jump-ladder", policy.KindLockAcquire)
 			b.LoadCtx(policy.R2, policy.R1, "prio").
@@ -96,7 +101,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				Label("hi").ReturnImm(1).
 				Label("lo").ReturnImm(2)
 			return b
-		}},
+		}, ""},
 		{"jset-reg", func() *policy.Builder {
 			b := policy.NewBuilder("jset-reg", policy.KindLockAcquire)
 			b.LoadCtx(policy.R2, policy.R1, "lock_id").
@@ -105,7 +110,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				ReturnImm(0).
 				Label("set").ReturnImm(1)
 			return b
-		}},
+		}, ""},
 		{"stack-roundtrip", func() *policy.Builder {
 			b := policy.NewBuilder("stack-roundtrip", policy.KindLockAcquire)
 			b.LoadCtx(policy.R2, policy.R1, "now_ns").
@@ -119,7 +124,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				ALUReg(policy.OpXorReg, policy.R3, policy.R4).
 				ReturnReg(policy.R3)
 			return b
-		}},
+		}, "pc 6: stack load of a slot not written as a word"},
 		{"env-helpers", func() *policy.Builder {
 			b := policy.NewBuilder("env-helpers", policy.KindLockAcquire)
 			b.Call(policy.HelperKtimeNS).
@@ -134,7 +139,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				ALUReg(policy.OpAddReg, policy.R6, policy.R0).
 				ReturnReg(policy.R6)
 			return b
-		}},
+		}, "pc 0: calls ktime_ns"},
 		{"rand-trace", func() *policy.Builder {
 			b := policy.NewBuilder("rand-trace", policy.KindLockAcquire)
 			b.Call(policy.HelperRand).
@@ -143,7 +148,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				Call(policy.HelperTrace).
 				ReturnReg(policy.R6)
 			return b
-		}},
+		}, "pc 0: calls rand"},
 		{"lock-stats", func() *policy.Builder {
 			b := policy.NewBuilder("lock-stats", policy.KindLockAcquire)
 			b.MovImm(policy.R1, 1).
@@ -154,7 +159,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				ALUReg(policy.OpAddReg, policy.R6, policy.R0).
 				ReturnReg(policy.R6)
 			return b
-		}},
+		}, "pc 5: operation on two context words"},
 		{"occ-set", func() *policy.Builder {
 			// Promote, promote again (no change), demote: the edge
 			// semantics of the tier CAS must agree across tiers.
@@ -170,7 +175,51 @@ func TestDiffCorePrograms(t *testing.T) {
 				ALUReg(policy.OpAddReg, policy.R6, policy.R0).
 				ReturnReg(policy.R6)
 			return b
-		}},
+		}, "pc 5: uses the result of occ_set"},
+		{"lock-stats-branch", func() *policy.Builder {
+			// contention-gate's shape: two fields read into slots of their
+			// own, compared with a constant and with a context word
+			b := policy.NewBuilder("lock-stats-branch", policy.KindLockAcquire)
+			b.MovReg(policy.R6, policy.R1).
+				MovImm(policy.R1, 1).
+				Call(policy.HelperLockStats).
+				JmpImm(policy.OpJltImm, policy.R0, 250, "cold").
+				MovImm(policy.R1, 2).
+				Call(policy.HelperLockStats).
+				LoadCtx(policy.R2, policy.R6, "queue_len").
+				JmpReg(policy.OpJgtReg, policy.R0, policy.R2, "hot").
+				ReturnImm(1).
+				Label("hot").ReturnImm(2).
+				Label("cold").ReturnImm(0)
+			return b
+		}, ""},
+		{"lock-stats-field-from-ctx", func() *policy.Builder {
+			// the field is a value, not only a constant: 1 when queue_len
+			// is odd
+			b := policy.NewBuilder("lock-stats-field-from-ctx", policy.KindLockAcquire)
+			b.LoadCtx(policy.R1, policy.R1, "queue_len").
+				ALUImm(policy.OpAndImm, policy.R1, 1).
+				Call(policy.HelperLockStats).
+				Exit()
+			return b
+		}, ""},
+		{"occ-set-effect", func() *policy.Builder {
+			// occ-gate's shape: promote on one branch, demote on the other,
+			// the result never used
+			b := policy.NewBuilder("occ-set-effect", policy.KindLockAcquire)
+			b.MovReg(policy.R6, policy.R1).
+				MovImm(policy.R1, 1).
+				Call(policy.HelperLockStats).
+				JmpImm(policy.OpJgeImm, policy.R0, 400, "promote").
+				MovImm(policy.R1, 0).
+				Call(policy.HelperOCCSet).
+				ReturnImm(0).
+				Label("promote").
+				LoadCtx(policy.R1, policy.R6, "reader").
+				Call(policy.HelperOCCSet).
+				ReturnImm(1)
+			return b
+		}, ""},
 		{"hash-add-lookup", func() *policy.Builder {
 			m := policy.NewHashMap("counts", 8, 8, 64)
 			b := policy.NewBuilder("hash-add-lookup", policy.KindLockAcquire)
@@ -193,7 +242,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				Raw(policy.Instruction{Op: policy.OpLdxDW, Dst: policy.R4, Src: policy.R0, Off: 0}).
 				ReturnReg(policy.R4)
 			return b
-		}},
+		}, ""},
 		{"map-value-store", func() *policy.Builder {
 			m := policy.NewHashMap("vals", 8, 16, 32)
 			b := policy.NewBuilder("map-value-store", policy.KindLockAcquire)
@@ -216,7 +265,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				ReturnReg(policy.R3).
 				Label("miss").ReturnImm(0)
 			return b
-		}},
+		}, "pc 15: store outside the stack"},
 		{"update-delete", func() *policy.Builder {
 			m := policy.NewHashMap("kv", 8, 8, 32)
 			b := policy.NewBuilder("update-delete", policy.KindLockAcquire)
@@ -242,7 +291,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				Call(policy.HelperMapDelete).
 				ReturnReg(policy.R0)
 			return b
-		}},
+		}, "pc 19: calls map_delete"},
 		{"percpu-array", func() *policy.Builder {
 			m := policy.NewPerCPUArrayMap("slots", 8, 4, 4)
 			b := policy.NewBuilder("percpu-array", policy.KindLockAcquire)
@@ -255,7 +304,7 @@ func TestDiffCorePrograms(t *testing.T) {
 				Call(policy.HelperMapAdd).
 				ReturnReg(policy.R0)
 			return b
-		}},
+		}, "pc 8: uses the result of map_add"},
 		{"ctx-short", func() *policy.Builder {
 			// Reads a high ctx slot: faults "ctx load out of bounds"
 			// when the harness passes a short word vector.
@@ -263,13 +312,27 @@ func TestDiffCorePrograms(t *testing.T) {
 			b.LoadCtx(policy.R2, policy.R1, "prio").
 				ReturnReg(policy.R2)
 			return b
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			p, err := buildFn(tc.mk)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := ""
+			if _, err := jit.LowerTree(p); err != nil {
+				stop = err.Error()
+			}
+			if stop != tc.stop {
+				t.Fatalf("lowering stops at %q, want %q\n%s", stop, tc.stop, p)
+			}
 			h, err := jit.NewDiffHarness(buildFn(tc.mk), mkEnv)
 			if err != nil {
 				t.Fatalf("harness: %v", err)
+			}
+			if h.HasTree() != (tc.stop == "") {
+				t.Fatalf("harness tree column = %v, stop %q", h.HasTree(), tc.stop)
 			}
 			n := len(policy.LayoutFor(policy.KindLockAcquire).Fields)
 			if err := h.Run(ctxVectors(n)); err != nil {
@@ -279,40 +342,63 @@ func TestDiffCorePrograms(t *testing.T) {
 	}
 }
 
+// TestFaultInjectionParity: every policy fault site fires on the tree
+// where it fires on the VM, with the same text and ExecStats deltas — at a
+// map call (a helper call and a map op) and at a lock_stats_read or
+// occ_set call (a helper call alone) — and a faulted run leaves no effect
+// behind.
 func TestFaultInjectionParity(t *testing.T) {
-	mk := func() *policy.Builder {
-		m := policy.NewHashMap("c", 8, 8, 16)
-		b := policy.NewBuilder("fi", policy.KindLockAcquire)
-		b.MovReg(policy.R6, policy.R1).
-			LoadCtx(policy.R2, policy.R6, "lock_id").
-			StoreStackReg(policy.OpStxDW, -8, policy.R2).
-			LoadMapPtr(policy.R1, m).
-			MovReg(policy.R2, policy.RFP).
-			ALUImm(policy.OpAddImm, policy.R2, -8).
-			MovImm(policy.R3, 1).
-			Call(policy.HelperMapAdd).
-			ReturnReg(policy.R0)
-		return b
+	progs := map[string]func() *policy.Builder{
+		"map-add": func() *policy.Builder {
+			m := policy.NewHashMap("c", 8, 8, 16)
+			b := policy.NewBuilder("fi", policy.KindLockAcquire)
+			b.MovReg(policy.R6, policy.R1).
+				LoadCtx(policy.R2, policy.R6, "lock_id").
+				StoreStackReg(policy.OpStxDW, -8, policy.R2).
+				LoadMapPtr(policy.R1, m).
+				MovReg(policy.R2, policy.RFP).
+				ALUImm(policy.OpAddImm, policy.R2, -8).
+				MovImm(policy.R3, 1).
+				Call(policy.HelperMapAdd).
+				ReturnImm(0)
+			return b
+		},
+		"stats-then-occ": func() *policy.Builder {
+			b := policy.NewBuilder("fi", policy.KindLockAcquire)
+			b.MovImm(policy.R1, 1).
+				Call(policy.HelperLockStats).
+				MovReg(policy.R1, policy.R0).
+				Call(policy.HelperOCCSet).
+				ReturnImm(0)
+			return b
+		},
 	}
 	sites := []*faultinject.Site{faultinject.PolicyTrap, faultinject.PolicyHelper, faultinject.PolicyMapOp}
 	for _, site := range sites {
 		t.Run(site.Name(), func(t *testing.T) {
-			h, err := jit.NewDiffHarness(buildFn(mk), mkEnv)
-			if err != nil {
-				t.Fatalf("harness: %v", err)
-			}
-			site.Arm(faultinject.Config{Probability: 1})
-			defer site.Disarm()
-			n := len(policy.LayoutFor(policy.KindLockAcquire).Fields)
-			if err := h.Step(make([]uint64, n)); err != nil {
-				t.Fatal(err)
-			}
-			site.Disarm()
-			if err := h.Step(make([]uint64, n)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := h.Check(); err != nil {
-				t.Fatal(err)
+			for name, mk := range progs {
+				t.Run(name, func(t *testing.T) {
+					h, err := jit.NewDiffHarness(buildFn(mk), mkEnv)
+					if err != nil {
+						t.Fatalf("harness: %v", err)
+					}
+					if !h.HasTree() {
+						t.Fatal("program did not lower to a tree")
+					}
+					site.Arm(faultinject.Config{Probability: 1})
+					defer site.Disarm()
+					n := len(policy.LayoutFor(policy.KindLockAcquire).Fields)
+					if err := h.Step(make([]uint64, n)); err != nil {
+						t.Fatal(err)
+					}
+					site.Disarm()
+					if err := h.Step(make([]uint64, n)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := h.Check(); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		})
 	}
@@ -369,40 +455,34 @@ func TestJITRunsCounter(t *testing.T) {
 
 func TestChoose(t *testing.T) {
 	p := verify(t, policy.NewBuilder("choose", policy.KindLockAcquire).ReturnImm(1).MustProgram())
-	if c := jit.Choose(p, nil); c.Tier != jit.TierVM || c.Fn != nil {
+	if c := jit.Choose(p, nil); c.Tier != jit.TierVM || c.TreeFor(p) != nil {
 		t.Fatalf("nil report: got tier %s", c.Tier)
-	}
-	if c := jit.Choose(p, &analysis.Report{CostBound: jit.MaxJITCostNS + 1}); c.Tier != jit.TierVM {
-		t.Fatalf("huge cost: got tier %s", c.Tier)
 	}
 	rep, err := analysis.Analyze(p)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	c := jit.Choose(p, rep)
-	if c.Tier != jit.TierJIT || c.Fn != nil || c.TreeFor(p) == nil {
-		t.Fatalf("got tier %s (%s, %s), want jit served by a tree alone", c.Tier, c.Reason, c.Lowering())
+	if c.Tier != jit.TierJIT || c.TreeFor(p) == nil {
+		t.Fatalf("got tier %s (%s, %s), want jit served by a tree", c.Tier, c.Reason, c.Lowering())
 	}
-	// A program outside the tree grammar is lowered to closures.
+	// A program outside the tree grammar stays on the interpreter, and the
+	// reason names where the lowering stopped.
 	p = verify(t, policy.NewBuilder("choose", policy.KindLockAcquire).
 		Call(policy.HelperKtimeNS).ReturnImm(1).MustProgram())
 	if rep, err = analysis.Analyze(p); err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	c = jit.Choose(p, rep)
-	if c.Tier != jit.TierJIT || c.Fn == nil {
-		t.Fatalf("got tier %s (%s), want jit", c.Tier, c.Reason)
-	}
-	ctx := policy.NewCtx(policy.KindLockAcquire)
-	if ret, err := c.Fn(ctx, nil); err != nil || ret != 1 {
-		t.Fatalf("chosen fn = (%d, %v)", ret, err)
+	if c.Tier != jit.TierVM || c.Reason != "not a tree: pc 0: calls ktime_ns" || c.Lowering() != "" || c.TreeFor(p) != nil {
+		t.Fatalf("got tier %s (%s, %q), want vm, not a tree at pc 0", c.Tier, c.Reason, c.Lowering())
 	}
 }
 
 func TestJITZeroAlloc(t *testing.T) {
 	// The profiled-shuffler shape: ctx load, stack spill, map_add into
 	// a hash map, socket compare. This is the hook hot path the tier
-	// exists for; it must not allocate.
+	// exists for; a tree run over a context must not allocate.
 	m := policy.NewHashMap("exams", 8, 8, 128)
 	b := policy.NewBuilder("hot", policy.KindCmpNode)
 	b.MovReg(policy.R6, policy.R1).

@@ -13,66 +13,70 @@ import (
 	"concord/internal/policy"
 )
 
-// The decision-tree lowering. Most shipped policies compare a few context
-// words with each other, with constants or with a word looked up in a map,
-// perhaps bump a counter or record a value, and return a constant. For
-// such a program the closure tier's fixed cost — a pooled machine, a
-// marshalled context — is most of the run. LowerTree proves the shape by
-// executing every path symbolically and keeps the result as a flat tree
-// whose inputs are context words and map lookups, so the caller can
-// evaluate it over wherever those words already live (RunTree) and never
-// build a context at all.
+// The decision-tree lowering. Every shipped policy compares a few context
+// words with each other, with constants, with a word looked up in a map or
+// with a windowed lock statistic, perhaps bumps a counter, records a value
+// or moves the lock's optimistic tier, and returns a constant. LowerTree
+// proves that shape by executing every path symbolically and keeps the
+// result as a flat tree whose inputs are context words, map lookups and
+// statistics reads, so the caller can evaluate it over wherever those words
+// already live (RunTree) and never build a context at all.
 //
 // Grammar. A value is a constant, a cached word, or ONE ALU operation of a
 // cached word with a constant (word on the left, or either side of a
 // commutative operation); constant⋄constant folds. A cached word is a
-// context word or a word of a map value. Registers carry values and
-// pointers; pointers into the context, the stack or a map value move by
-// constants only. The stack keeps the stores made to it, of any width at
-// any offset: a word load (8 bytes) must find one value stored as exactly
-// that word (the DSL spills through the stack), and a map key or value is
-// rebuilt from the stores that cover it, in program order (a 4-byte key is
-// one narrow store). Every conditional jump compares two values — one
-// whose operands are both constant folds, as in the closure lowering — or
-// is a lookup result's null check (== 0 or != 0), and every exit returns a
-// value.
+// context word, a word of a map value or a statistic read. Registers carry
+// values and pointers; pointers into the context, the stack or a map value
+// move by constants only. The stack keeps the stores made to it, of any
+// width at any offset: a word load (8 bytes) must find one value stored as
+// exactly that word (the DSL spills through the stack), and a map key or
+// value is rebuilt from the stores that cover it, in program order (a
+// 4-byte key is one narrow store). Every conditional jump compares two
+// values — one whose operands are both constant folds — or is a lookup
+// result's null check (== 0 or != 0), and every exit returns a value.
 //
-// Three helpers are nodes, each on a built-in map that the node names by
-// its index in p.Maps, so a tree still holds no program and no map:
+// Five helpers are call nodes, so a tree still holds no program, no map
+// and no environment:
 //   - map_lookup is a source. It records whether the key is present and
 //     copies the value words the tree loads (8-byte loads at constant
 //     offsets through the result) into the word cache.
+//   - lock_stats_read(k), k a value, is a source: the field is read into
+//     a cache slot of its own, once per call, as the VM reads it.
 //   - map_update and map_add (on a per-CPU map too) are effects. They run
 //     in program order with the VM's semantics: an update into a full map
 //     or an add with no slot fails and the program goes on; the result
 //     (0 or −1) is the one thing the program may not use.
+//   - occ_set(v), v a value, is an effect in program order too, and its
+//     result may not be used either.
 //
-// Anything else stops the lowering at that pc, and the program keeps the
-// closure tier: another helper, a custom Map implementation, the use of an
-// effect's result, a load through a lookup result after an effect on the
-// same map on that path, a narrow or partial load, two words in one ALU
-// operation, a second operation on a derived value, more than
-// maxTreeNodes nodes, or more words than the run's cache holds.
+// A map node names its built-in map by index in p.Maps; lock_stats_read
+// and occ_set go to the environment RunTree is handed. Anything else stops
+// the lowering at that pc, and the program runs on the interpreter:
+// another helper, a custom Map implementation, the use of an effect's
+// result, a load through a lookup result after an effect on the same map
+// on that path, a narrow or partial load, two words in one ALU operation, a
+// second operation on a derived value, more than maxTreeNodes nodes, or
+// more words than the run's cache holds.
 //
-// Equivalence with the VM is the same contract the closures hold, checked
-// by the same DiffHarness: identical R0, identical fault (a context word
-// beyond the words supplied faults at the pc of its load, with the
-// instruction count up to it), identical ExecStats deltas (instructions,
-// helper calls and map ops are counted per path), identical map contents.
-// Each word is read at most once per run — a context word at its first
-// load on the path taken, a map value's words at its lookup — so a live
+// Equivalence with the VM is checked by DiffHarness: identical R0,
+// identical fault (a context word beyond the words supplied faults at the
+// pc of its load, with the instruction count up to it), identical
+// ExecStats deltas (instructions, helper calls and map ops are counted per
+// path), identical map contents and occ_set requests. Each word is read at
+// most once per run — a context word at its first load on the path taken,
+// a map value's words at its lookup, a statistic at its call — so a live
 // source that changes mid-run cannot produce a decision no single snapshot
 // would. Copying at the lookup reads what the VM's later load would: no
 // effect on that map can come between them.
 
 const (
-	// maxTreeNodes bounds a tree (loads, compares, map calls and leaves
+	// maxTreeNodes bounds a tree (loads, compares, calls and leaves
 	// together). Per-path execution can double at every branch; a program
-	// past the bound is not hook-sized and stays on closures.
+	// past the bound is not hook-sized and stays on the interpreter.
 	maxTreeNodes = 64
 	// maxTreeWords bounds the words a run caches: context slots from the
-	// bottom, a lookup's presence and value words from the top. The widest
-	// layout has 27 fields.
+	// bottom, a lookup's presence and value words and a statistic read from
+	// the top. The widest layout has 27 fields.
 	maxTreeWords = 32
 	// maxStackStores bounds the stack stores live on one path.
 	maxStackStores = 32
@@ -133,15 +137,16 @@ const (
 	nodeLeaf nodeKind = iota
 	nodeLoad
 	nodeBranch
-	nodeMap
+	nodeCall
 )
 
 // treeNode is one step of a tree. A load reads context word slot into the
 // run's cache and continues at next; failing, it faults at pc having
-// counted insns. A map node makes call slot and continues at next; it can
+// counted insns. A call node makes call slot and continues at next; it can
 // fault only where the VM's helper prologue can. A branch takes next when
 // "a op b" holds, alt otherwise. A leaf returns a, its path having counted
-// insns. helpers is the number of map calls on the path before the node.
+// insns. helpers and mapOps are the helper calls, and the map calls among
+// them, on the path before the node.
 type treeNode struct {
 	a, b    sym
 	insns   int32
@@ -152,19 +157,20 @@ type treeNode struct {
 	kind    nodeKind
 	slot    uint8
 	helpers uint8
+	mapOps  uint8
 }
 
-// mapCall is what a map node does: helper on map m of the program, with
-// the key rebuilt from stores[lo:mid] and map_update's value from
-// stores[mid:hi].
-type mapCall struct {
+// helperCall is what a call node does: helper, on map m of the program for
+// a map helper, with the key rebuilt from stores[lo:mid] and map_update's
+// value from stores[mid:hi].
+type helperCall struct {
 	helper      policy.HelperID
 	m           uint8
 	keyLen      uint8
 	valLen      uint8
 	lo, mid, hi uint16
-	delta       sym   // map_add's addend
-	present     uint8 // lookup: cache slot set to 1 when the key is found, 0 otherwise
+	arg         sym   // map_add's addend, lock_stats_read's field, occ_set's request
+	out         uint8 // lookup: cache slot set to 1 when the key is found, 0 otherwise; lock_stats_read: the slot read into
 	words       uint8 // lookup: the value words the tree loads, by bit
 	wslot       [maxTreeValue / 8]uint8
 }
@@ -193,7 +199,7 @@ func (s *byteStore) put(buf []byte, w *[maxTreeWords]uint64) {
 // one is running.
 type Tree struct {
 	nodes  []treeNode
-	calls  []mapCall
+	calls  []helperCall
 	stores []byteStore
 }
 
@@ -208,10 +214,28 @@ func (t *Tree) String() string {
 			leaves++
 		}
 	}
-	if len(t.calls) == 0 {
-		return fmt.Sprintf("tree (%d compares, %d leaves)", compares, leaves)
+	var maps, stats, occ int
+	for i := range t.calls {
+		switch t.calls[i].helper {
+		case policy.HelperLockStats:
+			stats++
+		case policy.HelperOCCSet:
+			occ++
+		default:
+			maps++
+		}
 	}
-	return fmt.Sprintf("tree (%d compares, %d leaves, %d map calls)", compares, leaves, len(t.calls))
+	s := fmt.Sprintf("tree (%d compares, %d leaves", compares, leaves)
+	if maps > 0 {
+		s += fmt.Sprintf(", %d map calls", maps)
+	}
+	if stats > 0 {
+		s += fmt.Sprintf(", %d lock_stats_read", stats)
+	}
+	if occ > 0 {
+		s += fmt.Sprintf(", %d occ_set", occ)
+	}
+	return s + ")"
 }
 
 // treeStop is why LowerTree gave up: the first pc outside the grammar.
@@ -237,7 +261,8 @@ type pathState struct {
 	regs    [policy.NumRegs]sym
 	stack   [maxStackStores]stackStore // oldest first; none covered by a later one
 	nstack  uint8
-	helpers uint8  // map calls made so far
+	helpers uint8  // helper calls made so far
+	mapOps  uint8  // map calls among them
 	loaded  uint32 // context slots already in the run's cache
 	lookups uint64 // calls on this path that are lookups, by index
 	stale   uint64 // lookups an effect on their map has followed
@@ -277,18 +302,18 @@ func (st *pathState) word(off int16) (sym, bool) {
 type treeBuilder struct {
 	insns  []policy.Instruction
 	maps   []policy.Map
-	nodes  []treeNode  // room for maxTreeNodes: add never reallocates
-	calls  []mapCall   // likewise: a pointer into it stays valid
-	stores []byteStore // keys' and values' stores, by call
-	top    int         // lowest cache slot a lookup holds
-	ctxTop int         // one past the highest context slot loaded
+	nodes  []treeNode   // room for maxTreeNodes: add never reallocates
+	calls  []helperCall // likewise: a pointer into it stays valid
+	stores []byteStore  // keys' and values' stores, by call
+	top    int          // lowest cache slot a lookup or statistic read holds
+	ctxTop int          // one past the highest context slot loaded
 }
 
 // treeBuilders recycles the builders' buffers. A policy lifecycle's
 // memory is always fresh (nothing on the lock path feeds the collector),
 // so what LowerTree allocates per call is what the tree keeps.
 var treeBuilders = sync.Pool{New: func() any {
-	return &treeBuilder{nodes: make([]treeNode, 0, maxTreeNodes), calls: make([]mapCall, 0, maxTreeNodes)}
+	return &treeBuilder{nodes: make([]treeNode, 0, maxTreeNodes), calls: make([]helperCall, 0, maxTreeNodes)}
 }}
 
 // LowerTree lowers a verified program to a decision tree, or reports the
@@ -343,7 +368,7 @@ func (b *treeBuilder) walk(pc int, entry *pathState, count int32) (int16, error)
 	st := *entry
 	first, last := int16(-1), int16(-1)
 	link := func(pc int, n treeNode) (int16, error) {
-		n.helpers = st.helpers
+		n.helpers, n.mapOps = st.helpers, st.mapOps
 		i, err := b.add(pc, n)
 		if err != nil {
 			return 0, err
@@ -399,10 +424,16 @@ func (b *treeBuilder) walk(pc int, entry *pathState, count int32) (int16, error)
 
 		case op == policy.OpCall:
 			h := policy.HelperID(in.Imm)
-			if h != policy.HelperMapLookup && h != policy.HelperMapUpdate && h != policy.HelperMapAdd {
+			var n treeNode
+			var err error
+			switch h {
+			case policy.HelperMapLookup, policy.HelperMapUpdate, policy.HelperMapAdd:
+				n, err = b.mapCall(pc, h, &st)
+			case policy.HelperLockStats, policy.HelperOCCSet:
+				n, err = b.envCall(pc, h, &st)
+			default:
 				return stop(pc, "calls %s", h)
 			}
-			n, err := b.mapCall(pc, h, &st)
 			if err != nil {
 				return 0, err
 			}
@@ -411,6 +442,9 @@ func (b *treeBuilder) walk(pc int, entry *pathState, count int32) (int16, error)
 				return 0, err
 			}
 			st.helpers++
+			if b.calls[n.slot].isMapOp() {
+				st.mapOps++
+			}
 			for r := policy.R1; r <= policy.R5; r++ {
 				st.regs[r] = sym{}
 			}
@@ -444,7 +478,7 @@ func (b *treeBuilder) walk(pc int, entry *pathState, count int32) (int16, error)
 					return stop(pc, "lookup result compared other than with == 0 or != 0")
 				}
 				i, err := link(pc, treeNode{kind: nodeBranch, op: op,
-					a: sym{kind: symWord, slot: b.calls[x.slot].present}, b: y})
+					a: sym{kind: symWord, slot: b.calls[x.slot].out}, b: y})
 				if err != nil {
 					return 0, err
 				}
@@ -591,7 +625,7 @@ func (b *treeBuilder) mapCall(pc int, h policy.HelperID, st *pathState) (treeNod
 	}
 	m := b.maps[r1.c]
 	ci := len(b.calls)
-	c := mapCall{helper: h, m: uint8(r1.c), lo: uint16(len(b.stores))}
+	c := helperCall{helper: h, m: uint8(r1.c), lo: uint16(len(b.stores))}
 	// region appends the stores that build the n bytes ptr points at.
 	region := func(ptr sym, n int, what string) (uint8, error) {
 		off := int(int64(ptr.c))
@@ -620,7 +654,7 @@ func (b *treeBuilder) mapCall(pc int, h policy.HelperID, st *pathState) (treeNod
 		if m.ValueSize() > maxTreeValue {
 			return stop("%s in %q: value wider than %d bytes", h, m.Name(), maxTreeValue)
 		}
-		if c.present, err = b.reserve(pc); err != nil {
+		if c.out, err = b.reserve(pc); err != nil {
 			return treeNode{}, err
 		}
 		st.lookups |= 1 << ci
@@ -630,7 +664,7 @@ func (b *treeBuilder) mapCall(pc int, h policy.HelperID, st *pathState) (treeNod
 			return treeNode{}, err
 		}
 	case policy.HelperMapAdd:
-		if c.delta = st.regs[policy.R3]; !c.delta.isValue() {
+		if c.arg = st.regs[policy.R3]; !c.arg.isValue() {
 			return stop("%s of a non-scalar register", h)
 		}
 	}
@@ -646,7 +680,42 @@ func (b *treeBuilder) mapCall(pc int, h policy.HelperID, st *pathState) (treeNod
 		st.regs[policy.R0] = sym{kind: symResult, c: uint64(h)}
 	}
 	b.calls = append(b.calls, c)
-	return treeNode{kind: nodeMap, slot: uint8(ci)}, nil
+	return treeNode{kind: nodeCall, slot: uint8(ci)}, nil
+}
+
+// envCall lowers lock_stats_read or occ_set, h, at pc on the path st: the
+// argument in R1 must be a value. A statistic read sets R0 to a word in a
+// cache slot of its own; occ_set's result may not be used.
+func (b *treeBuilder) envCall(pc int, h policy.HelperID, st *pathState) (treeNode, error) {
+	stop := func(format string, args ...any) (treeNode, error) {
+		return treeNode{}, &treeStop{pc, fmt.Sprintf(format, args...)}
+	}
+	c := helperCall{helper: h, arg: st.regs[policy.R1]}
+	if u := usesResult(c.arg); u != "" {
+		return stop("uses the result of %s", u)
+	}
+	if !c.arg.isValue() {
+		return stop("%s of a non-scalar register", h)
+	}
+	if len(b.calls) == cap(b.calls) {
+		return stop("more than %d tree nodes", maxTreeNodes)
+	}
+	st.regs[policy.R0] = sym{kind: symResult, c: uint64(h)}
+	if h == policy.HelperLockStats {
+		var err error
+		if c.out, err = b.reserve(pc); err != nil {
+			return treeNode{}, err
+		}
+		st.regs[policy.R0] = sym{kind: symWord, slot: c.out}
+	}
+	b.calls = append(b.calls, c)
+	return treeNode{kind: nodeCall, slot: uint8(len(b.calls) - 1)}, nil
+}
+
+// isMapOp reports whether c is a map helper's call, which the VM counts as
+// a map op as well as a helper call.
+func (c *helperCall) isMapOp() bool {
+	return c.helper >= policy.HelperMapLookup && c.helper <= policy.HelperMapAdd
 }
 
 // symALUOp is one ALU instruction over symbolic operands: dst ⋄ (src or
@@ -708,19 +777,21 @@ func symALUOp(op policy.Op, dst, src sym, imm uint64) (sym, string) {
 
 // RunTree evaluates t as a run of p, a program t was lowered from, reading
 // context word i as src[i](arg) and taking the CPU a map call runs on from
-// cpu(arg), at the call, as the VM asks its Env. It is observationally a
-// JIT run of p: the same ExecStats deltas (Runs, JITRuns, Insns,
-// HelperCalls, MapOps, Faults) on p's counters once it returns, the same
-// injected traps, the same map contents after it, and a word src does not
-// cover faults as the VM's out-of-bounds context load would. A run that a
-// source or cpu panics out of counts nothing. It needs no context, machine
-// or scratch, and allocates only where the map does (a LockedHashMap
-// insert).
-func RunTree[T any](t *Tree, p *policy.Program, src []func(T) uint64, cpu func(T) int, arg T) (uint64, error) {
-	// A run starts as Compile's wrapper starts one, at the injected-trap
-	// site the VM also consults first. Its counts are added where it ends,
-	// all together: two CPUs firing one program then trade the counters'
-	// cache line once per run, not twice.
+// cpu(arg), at the call, as the VM asks its Env. lock_stats_read and
+// occ_set go to env as the VM's helpers go to its Env: through
+// policy.LockStatReader and policy.OCCSetter, a statistic reading 0 and a
+// request changing nothing where env implements neither. It is
+// observationally a JIT run of p: the same ExecStats deltas (Runs, JITRuns,
+// Insns, HelperCalls, MapOps, Faults) on p's counters once it returns, the
+// same injected traps, the same map contents and occ_set requests, and a
+// word src does not cover faults as the VM's out-of-bounds context load
+// would. A run that a source, cpu or env panics out of counts nothing. It
+// needs no context, machine or scratch, and allocates only where the map
+// does (a LockedHashMap insert).
+func RunTree[T any](t *Tree, p *policy.Program, src []func(T) uint64, cpu func(T) int, env any, arg T) (uint64, error) {
+	// A run starts at the injected-trap site the VM also consults first.
+	// Its counts are added where it ends, all together: two CPUs firing one
+	// program then trade the counters' cache line once per run, not twice.
 	st := p.Stats()
 	if faultinject.PolicyTrap.Enabled() {
 		if flt, ok := faultinject.PolicyTrap.Fire(); ok {
@@ -749,8 +820,8 @@ func RunTree[T any](t *Tree, p *policy.Program, src []func(T) uint64, cpu func(T
 			} else {
 				i = n.alt
 			}
-		case nodeMap:
-			if msg, mapOp := call(t, n, p, &w, cpu, arg); msg != "" {
+		case nodeCall:
+			if msg, mapOp := call(t, n, p, &w, cpu, env, arg); msg != "" {
 				tally(st, n, 1, mapOp)
 				st.Faults.Add(1)
 				return 0, &policy.RuntimeError{Name: p.Name, PC: int(n.pc), Msg: msg}
@@ -763,9 +834,9 @@ func RunTree[T any](t *Tree, p *policy.Program, src []func(T) uint64, cpu func(T
 	}
 }
 
-// tally counts a run that ends at n: the run, and the instructions and map
-// calls of its path, plus the helper and map op a faulting call at n had
-// counted.
+// tally counts a run that ends at n: the run, and the instructions, helper
+// calls and map ops of its path, plus the helper call and map op a
+// faulting call at n had counted.
 func tally(st *policy.ExecStats, n *treeNode, helper, mapOp int64) {
 	st.Runs.Add(1)
 	st.JITRuns.Add(1)
@@ -773,15 +844,15 @@ func tally(st *policy.ExecStats, n *treeNode, helper, mapOp int64) {
 	if h := int64(n.helpers) + helper; h != 0 {
 		st.HelperCalls.Add(h)
 	}
-	if m := int64(n.helpers) + mapOp; m != 0 {
+	if m := int64(n.mapOps) + mapOp; m != 0 {
 		st.MapOps.Add(m)
 	}
 }
 
-// call makes map node n's call for a run of p, after the VM's helper
+// call makes call node n's call for a run of p, after the VM's helper
 // prologue: the fault-injection sites in its order. A fault returns its
 // message and whether the call had counted as a map op.
-func call[T any](t *Tree, n *treeNode, p *policy.Program, w *[maxTreeWords]uint64, cpu func(T) int, arg T) (string, int64) {
+func call[T any](t *Tree, n *treeNode, p *policy.Program, w *[maxTreeWords]uint64, cpu func(T) int, env any, arg T) (string, int64) {
 	c := &t.calls[n.slot]
 	if faultinject.PolicyHelper.Enabled() {
 		if flt, ok := faultinject.PolicyHelper.Fire(); ok {
@@ -790,6 +861,19 @@ func call[T any](t *Tree, n *treeNode, p *policy.Program, w *[maxTreeWords]uint6
 			}
 			return fmt.Sprintf("helper %s: %v", c.helper, flt.Err), 0
 		}
+	}
+	switch c.helper {
+	case policy.HelperLockStats:
+		// The run's cache starts zeroed: without a reader the field reads 0.
+		if r, ok := env.(policy.LockStatReader); ok {
+			w[c.out%maxTreeWords] = r.LockStat(c.arg.eval(w))
+		}
+		return "", 0
+	case policy.HelperOCCSet:
+		if s, ok := env.(policy.OCCSetter); ok {
+			s.OCCSet(c.arg.eval(w))
+		}
+		return "", 0
 	}
 	if faultinject.PolicyMapOp.Enabled() {
 		if flt, ok := faultinject.PolicyMapOp.Fire(); ok {
@@ -807,12 +891,12 @@ func call[T any](t *Tree, n *treeNode, p *policy.Program, w *[maxTreeWords]uint6
 	var ok bool
 	switch c.helper {
 	case policy.HelperMapLookup:
-		// The run's cache starts zeroed: a miss leaves present 0.
+		// The run's cache starts zeroed: a miss leaves the presence word 0.
 		var v []uint64
 		if v, ok = lookupIn(m, key, cpu(arg)); v == nil {
 			break
 		}
-		w[c.present%maxTreeWords] = 1
+		w[c.out%maxTreeWords] = 1
 		for ks := c.words; ks != 0; ks &= ks - 1 {
 			k := bits.TrailingZeros8(ks)
 			w[c.wslot[k]%maxTreeWords] = atomic.LoadUint64(&v[k])
@@ -820,7 +904,7 @@ func call[T any](t *Tree, n *treeNode, p *policy.Program, w *[maxTreeWords]uint6
 	case policy.HelperMapAdd:
 		var v []uint64
 		if v, ok = lookupOrInitIn(m, key, cpu(arg)); v != nil {
-			atomic.AddUint64(&v[0], c.delta.eval(w))
+			atomic.AddUint64(&v[0], c.arg.eval(w))
 		}
 	default:
 		var vb [maxTreeValue]byte

@@ -12,21 +12,26 @@ import (
 	"concord/internal/policydsl"
 )
 
-// lowering is what admission reports for p: Choice.Lowering.
+// lowering is what admission reports for p: Choice.Lowering for a tree,
+// the VM tier's reason otherwise.
 func lowering(t *testing.T, p *policy.Program) string {
 	t.Helper()
 	rep, err := analysis.Analyze(p)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	return jit.Choose(p, rep).Lowering()
+	ch := jit.Choose(p, rep)
+	if ch.Tier == jit.TierVM {
+		return ch.Reason
+	}
+	return ch.Lowering()
 }
 
 // TestLowerTreeGrammar walks the edges of the tree grammar: what lowers,
 // with how many compares and leaves, and for what does not, the pc that
-// stops it and why. Everything that lowers is then run on all three
-// columns of the differential harness — full, boundary, short and empty
-// contexts — so each accepted shape is also an equivalence check.
+// stops it and why. Everything that lowers is then run on both columns
+// of the differential harness — full, boundary, short and empty contexts —
+// so each accepted shape is also an equivalence check.
 func TestLowerTreeGrammar(t *testing.T) {
 	const k = policy.KindCmpNode
 	cases := []struct {
@@ -103,27 +108,66 @@ func TestLowerTreeGrammar(t *testing.T) {
 				MovImm(policy.R3, 100).
 				ALUReg(policy.OpSubReg, policy.R3, policy.R2).
 				ReturnReg(policy.R3)
-		}, "closures (pc 2: constant on the left of a non-commutative operation)"},
+		}, "not a tree: pc 2: constant on the left of a non-commutative operation"},
 		{"two-words-one-op", func() *policy.Builder {
 			return policy.NewBuilder("two-words-one-op", k).
 				LoadCtx(policy.R2, policy.R1, "curr_prio").
 				LoadCtx(policy.R3, policy.R1, "shuffler_prio").
 				ALUReg(policy.OpSubReg, policy.R2, policy.R3).
 				ReturnReg(policy.R2)
-		}, "closures (pc 2: operation on two context words)"},
+		}, "not a tree: pc 2: operation on two context words"},
 		{"second-operation", func() *policy.Builder {
 			return policy.NewBuilder("second-operation", k).
 				LoadCtx(policy.R2, policy.R1, "curr_cpu").
 				ALUImm(policy.OpRshImm, policy.R2, 1).
 				ALUImm(policy.OpAndImm, policy.R2, 3).
 				ReturnReg(policy.R2)
-		}, "closures (pc 2: second operation on a derived value)"},
+		}, "not a tree: pc 2: second operation on a derived value"},
 		{"helper", func() *policy.Builder {
 			return policy.NewBuilder("helper", k).
+				Call(policy.HelperKtimeNS).
+				Exit()
+		}, "not a tree: pc 0: calls ktime_ns"},
+		{"lock-stats", func() *policy.Builder {
+			return policy.NewBuilder("lock-stats", k).
 				MovImm(policy.R1, 1).
 				Call(policy.HelperLockStats).
 				Exit()
-		}, "closures (pc 1: calls lock_stats_read)"},
+		}, "tree (0 compares, 1 leaves, 1 lock_stats_read)"},
+		{"lock-stats-twice", func() *policy.Builder {
+			// one slot per call: the same field read twice is two reads
+			return policy.NewBuilder("lock-stats-twice", k).
+				MovImm(policy.R1, 2).
+				Call(policy.HelperLockStats).
+				JmpImm(policy.OpJgtImm, policy.R0, 40, "hot").
+				MovImm(policy.R1, 2).
+				Call(policy.HelperLockStats).
+				Exit().
+				Label("hot").ReturnImm(1)
+		}, "tree (1 compares, 2 leaves, 2 lock_stats_read)"},
+		{"lock-stats-of-two-words", func() *policy.Builder {
+			return policy.NewBuilder("lock-stats-of-two-words", k).
+				MovImm(policy.R1, 1).
+				Call(policy.HelperLockStats).
+				MovReg(policy.R6, policy.R0).
+				MovImm(policy.R1, 2).
+				Call(policy.HelperLockStats).
+				ALUReg(policy.OpAddReg, policy.R0, policy.R6).
+				Exit()
+		}, "not a tree: pc 5: operation on two context words"},
+		{"occ-set", func() *policy.Builder {
+			// occ_set is a profiling hook's helper
+			return policy.NewBuilder("occ-set", policy.KindLockAcquired).
+				MovImm(policy.R1, 1).
+				Call(policy.HelperOCCSet).
+				ReturnImm(0)
+		}, "tree (0 compares, 1 leaves, 1 occ_set)"},
+		{"uses-occ-set-result", func() *policy.Builder {
+			return policy.NewBuilder("uses-occ-set-result", policy.KindLockAcquired).
+				MovImm(policy.R1, 1).
+				Call(policy.HelperOCCSet).
+				Exit()
+		}, "not a tree: pc 2: uses the result of occ_set"},
 		{"narrow-stack-store", func() *policy.Builder {
 			// a store nothing reads back is no node
 			return policy.NewBuilder("narrow-stack-store", k).
@@ -136,7 +180,7 @@ func TestLowerTreeGrammar(t *testing.T) {
 				StoreStackImm(policy.OpStW, -8, 2).
 				LoadStack(policy.OpLdxDW, policy.R0, -8).
 				Exit()
-		}, "closures (pc 2: stack load of a slot not written as a word)"},
+		}, "not a tree: pc 2: stack load of a slot not written as a word"},
 		{"map", func() *policy.Builder {
 			// a map pointer no call uses is no node either
 			b := policy.NewBuilder("map", k)
@@ -169,7 +213,7 @@ func TestLowerTreeGrammar(t *testing.T) {
 
 // TestLowerTreeNodeBound: per-path execution is bounded by nodes, not by
 // luck. A 33-rung ladder on one word is 1 load + 33 compares + 34 leaves;
-// it stays on closures and says why. One rung fewer lowers.
+// it stays on the interpreter and says why. Two rungs fewer lower.
 func TestLowerTreeNodeBound(t *testing.T) {
 	ladder := func(rungs int) func() *policy.Builder {
 		return func() *policy.Builder {
@@ -197,8 +241,8 @@ func TestLowerTreeNodeBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := lowering(t, big)
-	if !strings.HasPrefix(got, "closures (pc ") || !strings.HasSuffix(got, ": more than 64 tree nodes)") {
-		t.Errorf("33 rungs: lowering = %q, want closures for the node bound", got)
+	if !strings.HasPrefix(got, "not a tree: pc ") || !strings.HasSuffix(got, ": more than 64 tree nodes") {
+		t.Errorf("33 rungs: lowering = %q, want the interpreter for the node bound", got)
 	}
 	h, err := jit.NewDiffHarness(buildFn(ladder(31)), mkEnv)
 	if err != nil {
@@ -219,7 +263,7 @@ func numaShaped() *policy.Builder {
 }
 
 // TestTreeTrapParity: a tree run consults the injected-trap site where
-// the other tiers do, with the same error text and the same ExecStats
+// the VM does, with the same error text and the same ExecStats
 // deltas (a trapped run is a run and a fault, and executes nothing).
 func TestTreeTrapParity(t *testing.T) {
 	h, err := jit.NewDiffHarness(buildFn(numaShaped), mkEnv)
@@ -241,11 +285,11 @@ func TestTreeTrapParity(t *testing.T) {
 	}
 }
 
-// TestTreeServedOnlyWhileUnmodified: the tree follows the closure's rule
-// — a program edited after admission is not served it, so Attach takes
-// the general path and the edit (or the corruption) reaches the VM. A
+// TestTreeServedOnlyWhileUnmodified: a program edited after admission is
+// not served its admission tree, so Attach lowers it again or takes the
+// general path, and the edit (or the corruption) reaches the hook. A
 // second program with the same bytes is served the same tree, and For
-// gives it the same lowering. A tree-served program keeps no closure.
+// gives it the same lowering.
 func TestTreeServedOnlyWhileUnmodified(t *testing.T) {
 	p, err := buildFn(numaShaped)()
 	if err != nil {
@@ -259,9 +303,6 @@ func TestTreeServedOnlyWhileUnmodified(t *testing.T) {
 	if ch.TreeFor(p) == nil {
 		t.Fatal("unmodified program is not served its admission tree")
 	}
-	if ch.Fn != nil || ch.FnFor(p) != nil {
-		t.Error("a tree-served program was lowered to closures too")
-	}
 	other, err := buildFn(numaShaped)()
 	if err != nil {
 		t.Fatal(err)
@@ -270,8 +311,8 @@ func TestTreeServedOnlyWhileUnmodified(t *testing.T) {
 		t.Error("a program with the same bytes is not served the same tree")
 	}
 	bound, ok := ch.For(other)
-	if !ok || bound.TreeFor(other) != ch.TreeFor(p) || bound.Fn != nil {
-		t.Errorf("For(same bytes) = %v: want the shared tree and no closure", ok)
+	if !ok || bound.TreeFor(other) != ch.TreeFor(p) {
+		t.Errorf("For(same bytes) = %v: want the shared tree", ok)
 	}
 	renamed, err := buildFn(numaShaped)()
 	if err != nil {
@@ -282,7 +323,7 @@ func TestTreeServedOnlyWhileUnmodified(t *testing.T) {
 		t.Error("a program with another name is served this program's lowering")
 	}
 	p.Insns[len(p.Insns)-2].Imm = 0
-	if ch.TreeFor(p) != nil || ch.FnFor(p) != nil {
+	if ch.TreeFor(p) != nil {
 		t.Error("edited program is still served an admission lowering")
 	}
 	if vm := jit.Choose(p, nil); vm.TreeFor(p) != nil || vm.Lowering() != "" {
@@ -310,16 +351,16 @@ func TestRunTreeZeroAlloc(t *testing.T) {
 	src[l.Slot("shuffler_socket")] = func(p *pair) uint64 { return p.shuffler }
 	noCPU := func(*pair) int { return 0 }
 	arg := &pair{1, 1}
-	if ret, err := jit.RunTree(tree, p, src, noCPU, arg); err != nil || ret != 1 {
+	if ret, err := jit.RunTree(tree, p, src, noCPU, nil, arg); err != nil || ret != 1 {
 		t.Fatalf("RunTree = %d, %v; want 1", ret, err)
 	}
-	if avg := testing.AllocsPerRun(100, func() { _, _ = jit.RunTree(tree, p, src, noCPU, arg) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { _, _ = jit.RunTree(tree, p, src, noCPU, nil, arg) }); avg != 0 {
 		t.Errorf("RunTree allocates %.2f/op, want 0", avg)
 	}
 	// A word with no source faults like the VM's out-of-bounds load.
 	src[l.Slot("shuffler_socket")] = nil
 	before := p.Stats().Faults.Load()
-	_, err = jit.RunTree(tree, p, src, noCPU, arg)
+	_, err = jit.RunTree(tree, p, src, noCPU, nil, arg)
 	if err == nil || !strings.Contains(err.Error(), "pc 1: ctx load out of bounds") {
 		t.Errorf("missing source: err = %v, want the load's out-of-bounds fault", err)
 	}
@@ -353,7 +394,7 @@ func TestRunTreeZeroAlloc(t *testing.T) {
 	worstwait := worst.Maps[0].(*policy.HashMap)
 	ev := &event{lock: 7, wait: 100}
 	fire := func(p *policy.Program, tree *jit.Tree) {
-		if _, err := jit.RunTree(tree, p, esrc, ecpu, ev); err != nil {
+		if _, err := jit.RunTree(tree, p, esrc, ecpu, nil, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,12 +446,12 @@ policy lock_acquired worst {
 }
 `
 
-// customMap is a Map the tree does not know: it stays on closures.
+// customMap is a Map the tree does not know: it stays on the interpreter.
 type customMap struct{ *policy.HashMap }
 
 // TestLowerTreeMaps walks the map half of the tree grammar: lookups as
 // sources, updates and adds as effects, keys built from narrow stores, and
-// what stops the lowering. Everything runs on the three columns of the
+// what stops the lowering. Everything runs on both columns of the
 // differential harness, map contents compared.
 func TestLowerTreeMaps(t *testing.T) {
 	const k = policy.KindLockAcquired
@@ -490,16 +531,16 @@ func TestLowerTreeMaps(t *testing.T) {
 				Raw(policy.Instruction{Op: policy.OpLdxDW, Dst: policy.R0, Src: policy.R7}).
 				Exit().
 				Label("miss").ReturnImm(9)
-		}, `closures (pc 17: map value load after a write to "h")`},
+		}, `not a tree: pc 17: map value load after a write to "h"`},
 		{"uses-update-result", func() *policy.Builder {
 			return update(key(start("uses-update-result")), policy.NewHashMap("h", 8, 8, 4)).Exit()
-		}, "closures (pc 11: uses the result of map_update)"},
+		}, "not a tree: pc 11: uses the result of map_update"},
 		{"delete", func() *policy.Builder {
 			return call(key(start("delete")), policy.NewHashMap("h", 8, 8, 4), policy.HelperMapDelete).ReturnImm(0)
-		}, "closures (pc 6: calls map_delete)"},
+		}, "not a tree: pc 6: calls map_delete"},
 		{"custom-map", func() *policy.Builder {
 			return call(key(start("custom-map")), customMap{policy.NewHashMap("c", 8, 8, 4)}, policy.HelperMapLookup).ReturnImm(0)
-		}, `closures (pc 3: map "c" is not a built-in kind)`},
+		}, `not a tree: pc 3: map "c" is not a built-in kind`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,7 +31,7 @@ type ExecStats struct {
 	HelperCalls atomic.Int64 // helper invocations
 	MapOps      atomic.Int64 // map lookup/update/delete/add helper calls
 	Faults      atomic.Int64 // runtime faults (RuntimeError)
-	JITRuns     atomic.Int64 // subset of Runs executed on the JIT closure tier
+	JITRuns     atomic.Int64 // subset of Runs executed on the JIT tier (a decision tree)
 }
 
 // Stats returns the program's runtime execution counters.

@@ -33,9 +33,9 @@ func runJITChurn(t *testing.T, seed uint64) []byte {
 }
 
 // TestJITChurnDeterminism extends the §9 determinism contract through
-// the JIT closure plane: the same seed drives the same tier flips and
-// fault streams over JIT-compiled policies, and the recorded log is
-// byte-identical across runs — JIT execution introduces no schedule
+// the JIT tier: the same seed drives the same tier flips and fault streams
+// over policies served as decision trees, and the recorded log is
+// byte-identical across runs — tree execution introduces no schedule
 // nondeterminism the VM tier didn't have.
 func TestJITChurnDeterminism(t *testing.T) {
 	a := runJITChurn(t, 424242)

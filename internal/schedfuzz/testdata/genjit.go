@@ -4,8 +4,8 @@
 // JIT-churn regression test replays. It records one jit-churn run —
 // JIT-tier policies on a blocking ShflLock under forced parks/delays
 // while the attachment is livepatch-flipped between tiers — proving
-// the same seed replays byte-identically through the JIT closure
-// plane. Run from the repo root:
+// the same seed replays byte-identically through the JIT tier's
+// decision trees. Run from the repo root:
 //
 //	go run ./internal/schedfuzz/testdata/genjit.go
 package main

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"concord/internal/policy"
-	"concord/internal/policy/jit"
 )
 
 // MapPlaneConfig parameterizes RunMapPlane.
@@ -82,10 +81,10 @@ func MapPlaneProgram(m policy.Map, keys int64) (*policy.Program, error) {
 	return p, nil
 }
 
-// RunMapPlane drives the natively-compiled counting policy against m
-// from cfg.Workers goroutines and reports program executions per unit
-// time (each op is one map_add + one map_lookup through the full helper
-// path). Workers warm the map first — every key is inserted before the
+// RunMapPlane drives the counting policy against m from cfg.Workers
+// goroutines, on the interpreter (task_id and map_delete are outside the
+// tree grammar), and reports program executions per unit time (each op is
+// one map_add + one map_lookup through the full helper path). Workers warm the map first — every key is inserted before the
 // clock starts — so the measured phase is the steady state a long-lived
 // profiler policy sees. The map must have 8-byte keys and ≥8-byte
 // values and at least cfg.Keys entries.
@@ -95,7 +94,6 @@ func RunMapPlane(m policy.Map, cfg MapPlaneConfig) Result {
 	if err != nil {
 		panic(err) // spec error: misuse of the harness, not a runtime condition
 	}
-	fn := jit.MustCompile(prog)
 	layout := policy.LayoutFor(policy.KindLockAcquired)
 
 	res := Result{PerTask: make([]int64, cfg.Workers)}
@@ -123,14 +121,14 @@ func RunMapPlane(m policy.Map, cfg MapPlaneConfig) Result {
 			// the measured phase).
 			warmOps := int(cfg.Keys)
 			for i := 0; i < warmOps; i++ {
-				if _, err := fn(&ctx, env); err != nil {
+				if _, err := policy.Exec(prog, &ctx, env); err != nil {
 					panic(err)
 				}
 			}
 			warm.Done()
 			<-start
 			for i := 0; i < cfg.OpsPerWorker; i++ {
-				if _, err := fn(&ctx, env); err != nil {
+				if _, err := policy.Exec(prog, &ctx, env); err != nil {
 					panic(err)
 				}
 				res.PerTask[w]++

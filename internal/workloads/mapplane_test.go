@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"concord/internal/policy"
-	"concord/internal/policy/jit"
 )
 
 // mapPlaneTestKinds is the roster the map-plane tests and benchmarks
@@ -40,14 +39,14 @@ func TestMapPlaneCounts(t *testing.T) {
 	}
 }
 
-// TestMapPlaneZeroAlloc drives the full compiled helper path — native
+// TestMapPlaneZeroAlloc drives the full helper path — interpreted
 // program, map_delete/map_add/map_lookup through execHelper — and pins
 // the preallocated kinds at zero heap allocations per op, churn
 // included. This is the whole point of the data plane: a profiling
 // policy on a lock hot path must never wake the allocator.
 func TestMapPlaneZeroAlloc(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation heap-escapes compiled program state; the pin holds in normal builds")
+		t.Skip("race instrumentation heap-escapes program state; the pin holds in normal builds")
 	}
 	for _, mp := range mapPlaneTestKinds() {
 		if mp.name == "locked_hash" {
@@ -76,7 +75,6 @@ func BenchmarkMapPlane(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fn := jit.MustCompile(prog)
 			layout := policy.LayoutFor(policy.KindLockAcquired)
 			ctx := policy.Ctx{Layout: layout, Words: make([]uint64, len(layout.Fields))}
 			var seq int64
@@ -87,7 +85,7 @@ func BenchmarkMapPlane(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fn(&ctx, env); err != nil {
+				if _, err := policy.Exec(prog, &ctx, env); err != nil {
 					b.Fatal(err)
 				}
 			}
