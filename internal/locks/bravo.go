@@ -80,7 +80,7 @@ func (b *BRAVO) slotFor(t *task.T) *atomic.Pointer[task.T] {
 
 // RLock implements RWLock.
 func (b *BRAVO) RLock(t *task.T) {
-	start := b.begin(t, true)
+	start := b.wrapBegin(t, true)
 	if b.tryFastRead(t) {
 		b.acquired(t, start, 0, true)
 		return
@@ -115,14 +115,13 @@ func (b *BRAVO) tryFastRead(t *task.T) bool {
 
 // TryRLock implements RWLock.
 func (b *BRAVO) TryRLock(t *task.T) bool {
-	start := b.tryBegin()
 	if !b.tryFastRead(t) {
 		if !b.under.TryRLock(t) {
 			return false
 		}
 		b.slowReads.Add(1)
 	}
-	b.acquired(t, start, 0, true)
+	b.acquired(t, 0, 0, true)
 	return true
 }
 
@@ -141,7 +140,7 @@ func (b *BRAVO) RUnlock(t *task.T) {
 // then revoke the bias so no fast readers remain. The reported wait
 // covers both.
 func (b *BRAVO) Lock(t *task.T) {
-	start := b.begin(t, false)
+	start := b.wrapBegin(t, false)
 	b.under.Lock(t)
 	b.revokeBias()
 	b.acquired(t, start, 0, false)
@@ -149,12 +148,11 @@ func (b *BRAVO) Lock(t *task.T) {
 
 // TryLock implements Lock.
 func (b *BRAVO) TryLock(t *task.T) bool {
-	start := b.tryBegin()
 	if !b.under.TryLock(t) {
 		return false
 	}
 	b.revokeBias()
-	b.acquired(t, start, 0, false)
+	b.acquired(t, 0, 0, false)
 	return true
 }
 

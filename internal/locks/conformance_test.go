@@ -218,7 +218,10 @@ func TestInstrumentationConformance(t *testing.T) {
 
 // TestShflLockEventSequencePinned holds ShflLock's emitted events — order
 // and every field, under the stepping clock — to the sequence recorded
-// before the instrumentation core replaced its hand-rolled call sites.
+// before the instrumentation core replaced its hand-rolled call sites,
+// less the stamps no event carries: a Try operation reads no start time
+// (its lock_acquired reports a zero wait), and a failed one reads no clock
+// at all.
 func TestShflLockEventSequencePinned(t *testing.T) {
 	lockIDs.Store(0)
 	topo := topology.New(2, 4)
@@ -252,12 +255,12 @@ func TestShflLockEventSequencePinned(t *testing.T) {
 		"acquire id=0 now=10 wait=0 hold=0 q=0 reader=false",
 		"acquired id=0 now=20 wait=10 hold=0 q=0 reader=false",
 		"release id=0 now=30 wait=0 hold=10 q=0 reader=false",
-		"acquired id=0 now=50 wait=10 hold=0 q=0 reader=false",
-		"acquire id=0 now=70 wait=0 hold=0 q=0 reader=false",
-		"contended id=0 now=80 wait=0 hold=0 q=0 reader=false",
-		"release id=0 now=100 wait=0 hold=50 q=1 reader=false",
-		"acquired id=0 now=110 wait=40 hold=0 q=0 reader=false",
-		"release id=0 now=120 wait=0 hold=10 q=0 reader=false",
+		"acquired id=0 now=40 wait=0 hold=0 q=0 reader=false",
+		"acquire id=0 now=50 wait=0 hold=0 q=0 reader=false",
+		"contended id=0 now=60 wait=0 hold=0 q=0 reader=false",
+		"release id=0 now=80 wait=0 hold=40 q=1 reader=false",
+		"acquired id=0 now=90 wait=40 hold=0 q=0 reader=false",
+		"release id=0 now=100 wait=0 hold=10 q=0 reader=false",
 	}
 	got := r.take()
 	if len(got) != len(want) {
@@ -324,25 +327,35 @@ func binomialOK(hits, n int) bool {
 }
 
 // TestCostFollowsTheTable: what an uncontended pair reads of the clock
-// follows its own lock's table. With no subscriber to lock_acquired or
-// lock_release it reads nothing, except on the task's 1-in-sampleEvery
-// draw, where acquired and release read once each; with one, it reads
-// twice every time, plus a start-time read when lock_acquire or
-// lock_acquired has a subscriber. Nothing is pinned across the held
-// section, and the subscriber that is there still gets its fields.
+// follows its own lock's table, which is read only for a timestamp some
+// event carries. With no subscriber to lock_release the pair's section is
+// timed on the task's 1-in-sampleEvery draw, which adds two reads (one to
+// open the section, one to close it) or one when lock_acquired's stamp
+// opens it; begin reads the start time only for lock_acquire, and
+// acquired reads for lock_acquired. A wrapper reads the start time for
+// lock_acquired too, since no lock_contended of its own can stamp its
+// wait. Nothing is pinned across the held section, and the subscriber
+// that is there still gets its fields: an uncontended wait runs from
+// lock_acquire's stamp, or is 0 when nothing stamped a start.
 func TestCostFollowsTheTable(t *testing.T) {
 	topo := topology.New(2, 4)
-	var wait, hold int64
+	var wait, hold, acquireNow int64
+	onAcquire := func(ev *Event) { acquireNow = ev.NowNS }
+	onAcquired := func(ev *Event) { wait = ev.WaitNS }
 	tables := []struct {
 		name    string
 		h       *Hooks
-		reads   int64 // per timed pair
-		sampled bool  // most pairs are not timed, and read nothing
+		reads   int64 // per untimed pair
+		timed   int64 // per pair on the draw
+		sampled bool  // most pairs are untimed
+		wait    int64 // lock_acquired's WaitNS, on a lock that waits itself
 	}{
-		{"no table", nil, 2, true},
-		{"cmp_node only", &Hooks{CmpNode: func(*ShuffleInfo) bool { return false }}, 2, true},
-		{"release only", &Hooks{OnRelease: func(ev *Event) { hold = ev.HoldNS }}, 2, false},
-		{"acquired only", &Hooks{OnAcquired: func(ev *Event) { wait = ev.WaitNS }}, 3, false},
+		{"no table", nil, 0, 2, true, -1},
+		{"cmp_node only", &Hooks{CmpNode: func(*ShuffleInfo) bool { return false }}, 0, 2, true, -1},
+		{"release only", &Hooks{OnRelease: func(ev *Event) { hold = ev.HoldNS }}, 2, 2, false, -1},
+		{"acquired only", &Hooks{OnAcquired: onAcquired}, 1, 2, true, 0},
+		{"acquire only", &Hooks{OnAcquire: onAcquire}, 1, 3, true, -1},
+		{"acquire and acquired", &Hooks{OnAcquire: onAcquire, OnAcquired: onAcquired}, 2, 3, true, 10},
 	}
 	for _, tc := range invariantRoster() {
 		for _, tb := range tables {
@@ -350,6 +363,10 @@ func TestCostFollowsTheTable(t *testing.T) {
 				l := tc.mk()
 				slot := l.(Hooked).HookSlot()
 				slot.Replace(tb.name, tb.h)
+				untimed, timed, wantWait := tb.reads, tb.timed, tb.wait
+				if tb.h != nil && tb.h.OnAcquire == nil && tb.h.OnAcquired != nil && !waitsItself(l) {
+					untimed, timed, wantWait = untimed+1, timed+1, 10
+				}
 				for _, s := range sidesOf(l) {
 					if b, ok := l.(*BRAVO); ok {
 						// BRAVO's algorithm reads the clock when a writer
@@ -359,7 +376,7 @@ func TestCostFollowsTheTable(t *testing.T) {
 						b.SetBias(s.reader)
 					}
 					tick := stepClock(l)
-					wait, hold = -1, -1
+					wait, hold, acquireNow = -1, -1, -1
 					tk := task.NewOnCPU(topo, 0)
 					s.lock(tk)
 					if !slot.Replace(tb.name, tb.h).WaitTimeout(0) {
@@ -367,40 +384,86 @@ func TestCostFollowsTheTable(t *testing.T) {
 					}
 					s.unlock(tk)
 					reads := tick.Load() / 10
-					if reads != tb.reads && !(tb.sampled && reads == 0) {
-						t.Errorf("%s: %d clock reads per pair, want %d", s.name, reads, tb.reads)
+					if reads != untimed && !(tb.sampled && reads == timed) {
+						t.Errorf("%s: %d clock reads per pair, want %d (or %d on the draw)", s.name, reads, untimed, timed)
 					}
 					if tb.h != nil && tb.h.OnRelease != nil && hold <= 0 {
 						t.Errorf("%s: release-only table got HoldNS=%d, want > 0", s.name, hold)
 					}
-					if tb.h != nil && tb.h.OnAcquired != nil && wait <= 0 {
-						t.Errorf("%s: acquired-only table got WaitNS=%d, want the begin→acquired step", s.name, wait)
+					if tb.h != nil && tb.h.OnAcquire != nil && acquireNow != 10 {
+						t.Errorf("%s: lock_acquire NowNS=%d, want the pair's first read, 10", s.name, acquireNow)
+					}
+					if wait != wantWait {
+						t.Errorf("%s: WaitNS=%d, want %d (-1: no lock_acquired)", s.name, wait, wantWait)
 					}
 					if !tb.sampled {
 						continue
 					}
-					// Every pair reads the clock twice or not at all, and
-					// the share that does is the draw's.
+					// Every pair reads untimed or timed times, and the
+					// share that reads the latter is the draw's.
 					const pairs = 4096
-					timed := 0
+					drawn := 0
 					for i := 0; i < pairs; i++ {
 						mark := tick.Load()
 						s.lock(tk)
 						s.unlock(tk)
 						switch reads := (tick.Load() - mark) / 10; reads {
-						case 0:
-						case tb.reads:
-							timed++
+						case untimed:
+						case timed:
+							drawn++
 						default:
-							t.Fatalf("%s: %d clock reads in one pair, want 0 or %d", s.name, reads, tb.reads)
+							t.Fatalf("%s: %d clock reads in one pair, want %d or %d", s.name, reads, untimed, timed)
 						}
 					}
-					if !binomialOK(timed, pairs) {
-						t.Errorf("%s: %d of %d pairs timed, want about 1 in %d", s.name, timed, pairs, sampleEvery)
+					if !binomialOK(drawn, pairs) {
+						t.Errorf("%s: %d of %d pairs timed, want about 1 in %d", s.name, drawn, pairs, sampleEvery)
 					}
 				}
 			})
 		}
+		// A contended acquisition under a lock_acquired-only table: its
+		// wait runs from the first clock read the waiter makes, the
+		// stamp lock_contended takes (a wrapper's start time), to
+		// lock_acquired's. The clock stands still while the waiter waits
+		// and moves by 1000 before the holder lets go, so that is the
+		// wait, exactly.
+		t.Run(tc.name+"/contended, acquired only", func(t *testing.T) {
+			l := tc.mk()
+			var now, reads atomic.Int64
+			now.Store(1)
+			l.(interface{ SetClock(func() int64) }).SetClock(func() int64 {
+				v := now.Load()
+				reads.Add(1) // after the load: a counted read has its value
+				return v
+			})
+			holder, tk := task.NewOnCPU(topo, 1), task.NewOnCPU(topo, 0)
+			var waited atomic.Int64
+			l.(Hooked).HookSlot().Replace("acquired", &Hooks{OnAcquired: func(ev *Event) {
+				if ev.Task == tk {
+					waited.Store(ev.WaitNS)
+				}
+			}})
+			for _, s := range sidesOf(l) {
+				l.Lock(holder)
+				waited.Store(-1)
+				reads.Store(0)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					s.lock(tk)
+					s.unlock(tk)
+				}()
+				for reads.Load() == 0 {
+					runtime.Gosched()
+				}
+				now.Add(1000)
+				l.Unlock(holder)
+				<-done
+				if w := waited.Load(); w != 1000 {
+					t.Errorf("%s: WaitNS=%d, want 1000: from the waiter's first stamp to its lock_acquired", s.name, w)
+				}
+			}
+		})
 	}
 }
 

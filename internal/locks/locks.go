@@ -129,11 +129,16 @@ const (
 // the call: the emitting lock reuses a per-task scratch event, so hooks
 // must copy out any fields they keep.
 type Event struct {
-	LockID   uint64
-	Task     *task.T
-	NowNS    int64
-	WaitNS   int64 // acquired: time spent waiting
-	HoldNS   int64 // release: time the lock was held
+	LockID uint64
+	Task   *task.T
+	NowNS  int64
+	// WaitNS (lock_acquired) runs from lock_acquire's stamp when that
+	// event has a subscriber (a wrapper's also for lock_acquired), else
+	// from lock_contended's; 0 for an acquisition that never waited.
+	WaitNS int64
+	// HoldNS (lock_release) is how long the lock was held, or 0 (unknown)
+	// when this lock's section is not the task's open one.
+	HoldNS   int64
 	QueueLen int
 	Reader   bool
 }
@@ -304,21 +309,22 @@ func (h *hookable) peek() *Hooks {
 // The four profiling events of Table 1 (lock_acquire / contended /
 // acquired / release) and the task bookkeeping that rides on them are
 // raised here and nowhere else: every lock type brackets its algorithm
-// with begin → [contended] → acquired … release (Try paths, which skip
-// lock_acquire, open with tryBegin and call acquired on success).
+// with begin → [contended] → acquired … release (Try paths that skip
+// lock_acquire call only acquired, on success, with a zero start: a Try
+// never waits).
 //
-// An operation pays for what is attached to its lock. The held mask is
-// exact, always: acquired sets the task's bit and release clears it. Hold
-// time is measured on every acquisition only while the lock's own table
-// subscribes to lock_acquired or lock_release; otherwise on the task's
+// An operation pays for what is attached to its lock, and reads the clock
+// only for a timestamp some event carries. The held mask is exact, always:
+// acquired sets the task's bit and release clears it. Hold time, which
+// only lock_release carries, is measured on every acquisition only while
+// the lock's own table subscribes to lock_release; otherwise on the task's
 // sampling draw (task.SampleCS), as a section accounted at the draw's
 // weight, so that policies on other locks still read an unbiased
-// CSAverage — an undrawn pair reads no clock at all. Everything else
-// follows the peeked table too: the start-time read in begin happens only
-// when lock_acquire or lock_acquired has a subscriber, and a table is
+// CSAverage. So an undrawn pair reads the clock only for its events: not
+// at all unhooked, once under a lock_acquired-only table. A table is
 // pinned only around a hook that fires, for exactly the duration of that
-// call. DESIGN §7 states the contract, including which fields each lock
-// family fills (decision 5), and why hold time is sampled (decision 6).
+// call. DESIGN §7 states the contract, including which fields each event
+// carries (decision 5), and why hold time is sampled (decision 6).
 
 // eventKind names one of the four profiling events.
 type eventKind uint8
@@ -354,29 +360,29 @@ func (h *hookable) fire(t *task.T, k eventKind, ev Event) {
 }
 
 // begin raises lock_acquire and returns the operation's start time, which
-// the caller hands to contended and acquired. With no subscriber to
-// lock_acquire or lock_acquired nobody will ask how long the operation
-// waited, so the clock is not read and the start time is 0 (unknown).
+// the caller hands to contended and acquired. lock_acquire is the only
+// event that carries it (NowNS), so the clock is read only for a
+// subscriber there; otherwise the start time is 0 (unknown), and a wait is
+// timed from contended's stamp instead.
 func (h *hookable) begin(t *task.T, reader bool) int64 {
 	pk := h.peek()
-	if pk == nil || (pk.OnAcquire == nil && pk.OnAcquired == nil) {
+	if pk == nil || pk.OnAcquire == nil {
 		return 0
 	}
 	start := h.now()
-	if pk.OnAcquire != nil {
-		h.fire(t, evAcquire, Event{LockID: h.id, Task: t, NowNS: start, Reader: reader})
-	}
+	h.fire(t, evAcquire, Event{LockID: h.id, Task: t, NowNS: start, Reader: reader})
 	return start
 }
 
-// tryBegin opens a Try operation, which raises no lock_acquire: it
-// returns the start time acquired needs, read only when lock_acquired
-// has a subscriber.
-func (h *hookable) tryBegin() int64 {
-	if pk := h.peek(); pk != nil && pk.OnAcquired != nil {
+// wrapBegin is begin for a wrapper (BRAVO, SwitchableRWLock), which leaves
+// the waiting, and so lock_contended, to the lock it wraps: with no later
+// stamp a wait could run from, it reads the start time for a lock_acquired
+// subscriber too.
+func (h *hookable) wrapBegin(t *task.T, reader bool) int64 {
+	if pk := h.peek(); pk != nil && pk.OnAcquire == nil && pk.OnAcquired != nil {
 		return h.now()
 	}
-	return 0
+	return h.begin(t, reader)
 }
 
 // contended raises lock_contended: the fast path failed and the task is
@@ -404,9 +410,11 @@ func (h *hookable) contended(t *task.T, start int64, queueLen int, reader bool) 
 
 // acquired raises lock_acquired, then marks the lock held by t and opens
 // its critical section: at weight 1 when this lock's table subscribes to
-// lock_acquired or lock_release, else only when t's draw comes up, at the
-// weight the draw returns. An unknown start (0: nothing was attached when
-// the operation began, and it never waited) reports a zero wait.
+// lock_release, the one event that carries a hold time, else only when
+// t's draw comes up, at the weight the draw returns. A drawn section
+// opens at lock_acquired's stamp when that event read one. An unknown
+// start (0: the operation never waited, and nothing subscribed to
+// lock_acquire) reports a zero wait.
 func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
 	pk := h.peek()
 	if pk == nil || (pk.OnAcquired == nil && pk.OnRelease == nil) {
@@ -416,8 +424,10 @@ func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
 		}
 		return
 	}
-	now := h.now()
+	var now int64
+	stamped := false
 	if pk.OnAcquired != nil {
+		now, stamped = h.now(), true
 		var wait int64
 		if start != 0 {
 			wait = now - start
@@ -428,7 +438,16 @@ func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
 		})
 	}
 	t.NoteAcquired(h.id)
-	t.EnterCSOn(h.id, now, 1)
+	w := int64(1)
+	if pk.OnRelease == nil {
+		w = t.SampleCS()
+	}
+	if w != 0 {
+		if !stamped {
+			now = h.now()
+		}
+		t.EnterCSOn(h.id, now, w)
+	}
 }
 
 // release closes t's critical section if this lock's acquisition opened

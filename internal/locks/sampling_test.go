@@ -10,8 +10,8 @@ import (
 )
 
 // Sampled cross-lock accounting (DESIGN §7 decision 6): a lock whose table
-// subscribes to neither lock_acquired nor lock_release times one
-// acquisition in sampleEvery, at that weight. These tests hold the
+// does not subscribe to lock_release times one acquisition in sampleEvery,
+// at that weight. These tests hold the
 // estimate a policy on another lock reads (task.CSAverage) to the truth
 // under a clock the test advances by hand, so every section is exactly as
 // long as the test made it.
@@ -89,6 +89,51 @@ func TestSampledAndExactSectionsMix(t *testing.T) {
 	if got := tk.CSAverage(); !within15(got, 505) {
 		t.Errorf("CSAverage %d over %d exact 10 ns and %d sampled 1000 ns sections, want within 15%% of 505",
 			got, rounds, rounds)
+	}
+}
+
+// TestSampledUnderAcquiredOnly: a lock whose table subscribes to
+// lock_acquired alone raises that event on every acquisition but times
+// its section on the draw, opened at the event's own stamp, and accounts
+// it at the draw's weight. The clock steps 10 ns per read and the test
+// adds the rest: each section on a lock that asked for every hold time
+// (an OnRelease table) is 10 ns long, each on the lock_acquired-only lock
+// 1000 ns, in equal numbers, so the mean is 505. Accounting the drawn
+// sections at weight 1 reads about 68.
+func TestSampledUnderAcquiredOnly(t *testing.T) {
+	topo := topology.New(2, 4)
+	exact, profiled := NewShflLock("exact"), NewShflLock("profiled")
+	tick := new(atomic.Int64)
+	for _, l := range []*ShflLock{exact, profiled} {
+		l.SetClock(func() int64 { return tick.Add(10) })
+	}
+	exact.HookSlot().Replace("release", &Hooks{OnRelease: func(*Event) {}})
+	events := 0
+	profiled.HookSlot().Replace("acquired", &Hooks{OnAcquired: func(*Event) { events++ }})
+	tk := task.NewOnCPU(topo, 0)
+	const rounds = 8192
+	drawn := 0
+	for i := 0; i < rounds; i++ {
+		section(exact, tk, tick, 0)
+		profiled.Lock(tk)
+		if tk.CSOpenOn(profiled.ID()) {
+			drawn++
+		}
+		tick.Add(990)
+		profiled.Unlock(tk)
+	}
+	if events != rounds {
+		t.Errorf("%d lock_acquired events in %d acquisitions, want one each", events, rounds)
+	}
+	if !binomialOK(drawn, rounds) {
+		t.Errorf("%d of %d lock_acquired-only sections timed, want about 1 in %d", drawn, rounds, sampleEvery)
+	}
+	if got := tk.CSAverage(); !within15(got, 505) {
+		t.Errorf("CSAverage %d over %d exact 10 ns and %d lock_acquired-only 1000 ns sections, want within 15%% of 505",
+			got, rounds, rounds)
+	}
+	if last := tk.CSLast(); last != 10 && last != 1000 {
+		t.Errorf("CSLast %d, want 10 or 1000: a section runs from lock_acquired's stamp to release's", last)
 	}
 }
 

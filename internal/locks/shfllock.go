@@ -193,9 +193,8 @@ func (l *ShflLock) Lock(t *task.T) {
 
 // TryLock implements Lock.
 func (l *ShflLock) TryLock(t *task.T) bool {
-	start := l.tryBegin()
 	if l.tail.Load() == nil && l.locked.CompareAndSwap(0, 1) {
-		l.finishAcquire(t, start)
+		l.finishAcquire(t, 0)
 		return true
 	}
 	return false

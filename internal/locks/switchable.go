@@ -212,7 +212,7 @@ func (s *SwitchableRWLock) unpin(t *task.T, reader bool) *pinned {
 
 // Lock implements Lock (writer side).
 func (s *SwitchableRWLock) Lock(t *task.T) {
-	start := s.begin(t, false)
+	start := s.wrapBegin(t, false)
 	p := s.pin(t, false)
 	p.impl.Lock(t)
 	s.acquired(t, start, 0, false)
@@ -239,7 +239,6 @@ func (s *SwitchableRWLock) tryPin(t *task.T, reader bool) (*pinned, bool) {
 
 // TryLock implements Lock.
 func (s *SwitchableRWLock) TryLock(t *task.T) bool {
-	start := s.tryBegin()
 	p, ok := s.tryPin(t, false)
 	if !ok {
 		return false
@@ -249,7 +248,7 @@ func (s *SwitchableRWLock) TryLock(t *task.T) bool {
 		p.release.Release()
 		return false
 	}
-	s.acquired(t, start, 0, false)
+	s.acquired(t, 0, 0, false)
 	s.occ.beginWrite()
 	return true
 }
@@ -265,7 +264,7 @@ func (s *SwitchableRWLock) Unlock(t *task.T) {
 
 // RLock implements RWLock.
 func (s *SwitchableRWLock) RLock(t *task.T) {
-	start := s.begin(t, true)
+	start := s.wrapBegin(t, true)
 	p := s.pin(t, true)
 	p.impl.RLock(t)
 	s.acquired(t, start, 0, true)
@@ -273,7 +272,6 @@ func (s *SwitchableRWLock) RLock(t *task.T) {
 
 // TryRLock implements RWLock.
 func (s *SwitchableRWLock) TryRLock(t *task.T) bool {
-	start := s.tryBegin()
 	p, ok := s.tryPin(t, true)
 	if !ok {
 		return false
@@ -283,7 +281,7 @@ func (s *SwitchableRWLock) TryRLock(t *task.T) bool {
 		p.release.Release()
 		return false
 	}
-	s.acquired(t, start, 0, true)
+	s.acquired(t, 0, 0, true)
 	return true
 }
 

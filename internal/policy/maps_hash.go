@@ -153,6 +153,12 @@ type oaEpoch struct {
 	// cacheline. Slot-major kinds leave them 0.
 	stride int
 	base   int
+
+	// scan is the migration cursor over this epoch's slots while it
+	// drains. It belongs to the epoch, not the table: a batch that loaded
+	// this epoch and runs on after its drain completed can only walk its
+	// tombstones, never take slots of a newer drain.
+	scan atomic.Int64
 }
 
 // oaTable is the open-addressing key/slot engine shared by HashMap and
@@ -167,7 +173,6 @@ type oaTable struct {
 
 	maxLive   atomic.Int64 // live-entry budget (capacity/2 invariant)
 	remaining atomic.Int64 // Full slots left to migrate out of prev
-	scan      atomic.Int64 // migration cursor over prev's slots
 
 	count      atomic.Int64 // live entries (reservation-checked vs maxLive)
 	tombs      atomic.Int64 // tombstones in the current epoch
@@ -518,7 +523,6 @@ func (t *oaTable) beginResize() {
 			full++
 		}
 	}
-	t.scan.Store(0)
 	t.tombs.Store(0) // old tombstones die with the old epoch
 	t.maxLive.Store(int64(newCap / 2))
 	t.resizes.Add(1)
@@ -536,19 +540,24 @@ func (t *oaTable) beginResize() {
 // the draining epoch. Callers must hold no stripe lock: each slot is
 // re-homed under its own key's stripe, one lock at a time.
 func (t *oaTable) migrateBatch(budget int) {
-	old := t.prev.Load()
-	if old == nil {
-		return
+	if old := t.prev.Load(); old != nil {
+		t.migrateFrom(old, budget)
 	}
-	for budget > 0 {
-		i := t.scan.Add(1) - 1
+}
+
+// migrateFrom advances old's cursor by up to budget slots, re-homing each
+// still published. old may have finished draining since the caller loaded
+// it, and a newer resize may have begun: its cursor is then exhausted, or
+// its slots are tombstones.
+func (t *oaTable) migrateFrom(old *oaEpoch, budget int) {
+	for ; budget > 0; budget-- {
+		i := old.scan.Add(1) - 1
 		if i >= int64(old.capacity) {
 			// Cursor exhausted: any slots still counted in remaining are
 			// being re-homed right now by the writers serializing them.
 			return
 		}
 		t.migrateSlot(old, int(i))
-		budget--
 	}
 }
 
@@ -620,7 +629,7 @@ func (t *oaTable) migrateInto(old *oaEpoch, slot int, kw *[maxKeyWords]uint64, h
 func (t *oaTable) drainResize() {
 	for t.prev.Load() != nil {
 		t.migrateBatch(migrateBatchSlots)
-		if old := t.prev.Load(); old != nil && t.scan.Load() >= int64(old.capacity) {
+		if old := t.prev.Load(); old != nil && old.scan.Load() >= int64(old.capacity) {
 			// Cursor done but stragglers are mid-re-home under their
 			// stripe locks; yield until they finish.
 			runtime.Gosched()
@@ -804,9 +813,11 @@ func (m *HashMap) update(key []byte, fill func(dst []uint64)) error {
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
 	err := m.tryUpdate(&kw, fill)
-	if err == ErrMapFull && m.tab.growable {
+	for err == ErrMapFull && m.tab.growable {
 		// The insert burst outran the high-water trigger: grow
-		// synchronously, finish the drain, and retry once.
+		// synchronously, finish the drain, and retry — for as long as
+		// other writers fill the grown table before this one's insert
+		// lands, which a burst does while its live set ramps up.
 		m.tab.beginResize()
 		m.tab.drainResize()
 		err = m.tryUpdate(&kw, fill)
@@ -856,7 +867,7 @@ func (m *HashMap) LookupOrInit(key []byte, _ int) []uint64 {
 		return m.valSlice(e, slot)
 	}
 	e, slot := m.initSlot(&kw)
-	if slot < 0 && m.tab.growable {
+	for slot < 0 && m.tab.growable { // as in HashMap.update
 		m.tab.beginResize()
 		m.tab.drainResize()
 		e, slot = m.initSlot(&kw)
@@ -1038,7 +1049,7 @@ func (m *PerCPUHashMap) update(key []byte, cpu int, fill func(dst []uint64)) err
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
 	err := m.tryUpdate(&kw, cpu, fill)
-	if err == ErrMapFull && m.tab.growable {
+	for err == ErrMapFull && m.tab.growable { // as in HashMap.update
 		m.tab.beginResize()
 		m.tab.drainResize()
 		err = m.tryUpdate(&kw, cpu, fill)
@@ -1098,7 +1109,7 @@ func (m *PerCPUHashMap) LookupOrInit(key []byte, cpu int) []uint64 {
 		return m.valSlice(e, slot, cpu)
 	}
 	e, slot := m.initSlot(&kw)
-	if slot < 0 && m.tab.growable {
+	for slot < 0 && m.tab.growable { // as in HashMap.update
 		m.tab.beginResize()
 		m.tab.drainResize()
 		e, slot = m.initSlot(&kw)

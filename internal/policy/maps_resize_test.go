@@ -290,3 +290,43 @@ func TestGrowableSpecRoundTrip(t *testing.T) {
 		t.Fatalf("fixed map serialized as growable")
 	}
 }
+
+// TestStaleBatchKeepsToItsEpoch: a migration batch that loaded the
+// draining epoch and runs on after that drain completed and the next
+// resize began must not take the next drain's slots. With one cursor
+// shared by every resize it did: it spent the new epoch's indices on the
+// old epoch's tombstones, no batch visited the slots behind them, the
+// remaining count never reached 0, and every writer then spun in
+// drainResize. The interleaving is replayed in order on one goroutine:
+// the stale batch is migrateFrom on the epoch it loaded.
+func TestStaleBatchKeepsToItsEpoch(t *testing.T) {
+	m := NewGrowableHashMap("stale-batch", 8, 8, 16)
+	tab := &m.tab
+	next := uint64(0)
+	resizing := func() *oaEpoch {
+		for tab.prev.Load() == nil {
+			if err := m.Update(resizeKey(5, next), []uint64{next}, 0); err != nil {
+				t.Fatalf("insert %d: %v", next, err)
+			}
+			next++
+		}
+		return tab.prev.Load()
+	}
+	drained := resizing()
+	tab.drainResize()
+	draining := resizing()
+	if draining.capacity <= drained.capacity {
+		t.Fatalf("second resize to capacity %d, want growth past %d", draining.capacity, drained.capacity)
+	}
+
+	tab.migrateFrom(drained, drained.capacity) // the stale batch
+	tab.migrateBatch(draining.capacity)        // one pass of the cursor
+	if tab.prev.Load() != nil {
+		t.Fatalf("drain incomplete after its cursor's pass: %d slots never visited", tab.remaining.Load())
+	}
+	for i := uint64(0); i < next; i++ {
+		if v := m.Lookup(resizeKey(5, i), 0); v == nil || v[0] != i {
+			t.Fatalf("key %d lost across the resizes", i)
+		}
+	}
+}

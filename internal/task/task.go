@@ -54,16 +54,15 @@ type T struct {
 	// What one acquire/release pair pays for it: two locked operations on
 	// heldLocks (set, clear), always, because the held mask is exact. A
 	// section is timed only when the lock's own table subscribes to
-	// lock_acquired or lock_release, or else on this task's 1-in-
-	// csSampleEvery draw (DESIGN §7 decision 6); a timed section adds two
-	// clock reads in the lock and three locked operations here: csTotalNS
-	// and csCount (an add each) feed CSAverage, which shufflers and
-	// schedule_waiter read from other goroutines, and csLastNS (a store)
-	// backs the any-goroutine getter CSLast. The rest of the open section
-	// — when it started, which lock opened it, what weight it is accounted
-	// with — and the draw's state have no getter another goroutine may
-	// call: only the owner goroutine touches them, like hookScratch, so
-	// they are plain fields.
+	// lock_release, or else on this task's 1-in-csSampleEvery draw (DESIGN
+	// §7 decision 6); a timed section adds up to two clock reads in the
+	// lock and three locked operations here: csTotalNS and csCount (an add
+	// each) feed CSAverage, which shufflers and schedule_waiter read from
+	// other goroutines, and csLastNS (a store) backs the any-goroutine
+	// getter CSLast. The rest of the open section — when it started, which
+	// lock opened it, what weight it is accounted with — and the draw's
+	// state have no getter another goroutine may call: only the owner
+	// goroutine touches them, like hookScratch, so they are plain fields.
 	csStartNS int64  // 0: no section open
 	csLockID  uint64 // lock whose acquisition opened the section
 	csWeight  int64  // 1 exact, csSampleEvery sampled
@@ -221,9 +220,9 @@ func (t *T) HeldCount() int {
 // A task has at most one critical section open at a time, tagged with
 // the lock whose acquisition opened it. Sections come in two weights:
 // exact ones (weight 1), which a lock opens on every acquisition while
-// its own hook table subscribes to lock_acquired or lock_release, and
-// sampled ones (weight csSampleEvery), which every other lock opens on the
-// task's 1-in-csSampleEvery draw. A section of length d and weight w adds
+// its own hook table subscribes to lock_release, and sampled ones (weight
+// csSampleEvery), which every other lock opens on the task's
+// 1-in-csSampleEvery draw. A section of length d and weight w adds
 // d·w to the total and w to the count, so CSAverage over any mix of the
 // two stays an unbiased estimate of the task's true mean section length;
 // CSTotal and CSCount are scaled estimates, not tallies.
@@ -372,8 +371,8 @@ func (t *T) PutFireScratch(s any) { t.fireScratch = s }
 
 // CSAverage estimates the task's mean critical-section length, or returns
 // 0 if no section of the task has been timed yet. Exact when every lock
-// the task takes subscribes to lock_acquired or lock_release; otherwise
-// the weighted mean over the timed sections, which is unbiased.
+// the task takes subscribes to lock_release; otherwise the weighted mean
+// over the timed sections, which is unbiased.
 func (t *T) CSAverage() int64 {
 	n := t.csCount.Load()
 	if n == 0 {
