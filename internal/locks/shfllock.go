@@ -74,9 +74,18 @@ func (n *shflNode) unpark() {
 // policy via disablePolicy.
 type ShflLock struct {
 	hookable
-	_      [64]byte
-	locked atomic.Int32 // every waiter CASes this: line of its own
-	_      [60]byte
+	_ [64]byte
+	// locked is the lock word, and it names its holder: nil when free,
+	// else the task inside the critical section, set by the CAS that
+	// takes the lock and cleared by the store that frees it. Every
+	// waiter CASes it, so it has a line of its own, shared only with
+	// grants, which only the task that has just won this CAS writes.
+	locked atomic.Pointer[task.T]
+	// grants counts acquisitions through the queue. Waiters subtract the
+	// count they enqueued at from it to estimate how many of the waiters
+	// they queued behind are gone.
+	grants atomic.Uint32
+	_      [52]byte
 	tail   atomic.Pointer[shflNode] // every enqueuer swaps this
 	_      [56]byte
 	qlen   atomic.Int32
@@ -89,15 +98,6 @@ type ShflLock struct {
 	maxBatch     int
 	bypassBudget int32
 	checkInv     bool
-
-	// holder is the task currently inside the critical section, for
-	// occupancy-aware policies (priority inheritance, §3.1.2).
-	holder atomic.Pointer[task.T]
-	// grants counts acquisitions through the queue. Only the task that
-	// has just won the lock word stores it, on the line holder already
-	// dirties; waiters subtract the count they enqueued at from it to
-	// estimate how many of the waiters they queued behind are gone.
-	grants atomic.Uint32
 
 	// Shuffle statistics (tests and reports).
 	statRounds atomic.Int64
@@ -183,8 +183,8 @@ func (l *ShflLock) ParkRescues() int64 { return l.statRescues.Load() }
 func (l *ShflLock) Lock(t *task.T) {
 	start := l.begin(t, false)
 	// Fast path: nobody queued and the lock word is free.
-	if l.tail.Load() == nil && l.locked.CompareAndSwap(0, 1) {
-		l.finishAcquire(t, start)
+	if l.tail.Load() == nil && l.locked.CompareAndSwap(nil, t) {
+		l.acquired(t, start, int(l.qlen.Load()), false)
 		return
 	}
 	start = l.contended(t, start, int(l.qlen.Load()), false)
@@ -193,28 +193,28 @@ func (l *ShflLock) Lock(t *task.T) {
 
 // TryLock implements Lock.
 func (l *ShflLock) TryLock(t *task.T) bool {
-	if l.tail.Load() == nil && l.locked.CompareAndSwap(0, 1) {
-		l.finishAcquire(t, 0)
+	if l.tail.Load() == nil && l.locked.CompareAndSwap(nil, t) {
+		l.acquired(t, 0, int(l.qlen.Load()), false)
 		return true
 	}
 	return false
 }
 
-// Holder returns the task currently holding the lock, or nil. The value
-// is advisory: it may be stale by the time the caller uses it, which is
-// the same guarantee the kernel's owner fields give.
-func (l *ShflLock) Holder() *task.T { return l.holder.Load() }
+// Holder returns the task currently holding the lock, or nil. It loads
+// the lock word, so it is exact at the instant of the load: the holder
+// from the CAS that takes the lock to the store that frees it, which
+// includes every lock_acquired and lock_release hook the holder raises on
+// this lock. To any goroutine but the holder's the value may be stale by
+// the time it is used, the same guarantee the kernel's owner fields give.
+func (l *ShflLock) Holder() *task.T { return l.locked.Load() }
 
-// Unlock implements Lock.
+// Unlock implements Lock. It panics if t does not hold the lock.
 func (l *ShflLock) Unlock(t *task.T) {
-	l.holder.Store(nil)
+	if l.locked.Load() != t {
+		panic("locks: Unlock of ShflLock not held by task")
+	}
 	l.release(t, int(l.qlen.Load()), false)
-	l.locked.Store(0)
-}
-
-func (l *ShflLock) finishAcquire(t *task.T, start int64) {
-	l.holder.Store(t)
-	l.acquired(t, start, int(l.qlen.Load()), false)
+	l.locked.Store(nil)
 }
 
 func (l *ShflLock) slowPath(t *task.T, start int64) {
@@ -240,7 +240,7 @@ func (l *ShflLock) slowPath(t *task.T, start int64) {
 	round := 0
 	for i := 0; ; i++ {
 		l.shuffle(n, &round)
-		if l.locked.CompareAndSwap(0, 1) {
+		if l.locked.CompareAndSwap(nil, t) {
 			break
 		}
 		spinYield(i)
@@ -268,7 +268,7 @@ func (l *ShflLock) slowPath(t *task.T, start int64) {
 	// in-flight enqueuer finished its next-store, and shufflers only run
 	// at the (new) head — n is private again.
 	putShflNode(t, n)
-	l.finishAcquire(t, start)
+	l.acquired(t, start, int(l.qlen.Load()), false)
 }
 
 // waitForHead spins (or parks) until n is promoted to queue head,
@@ -322,7 +322,7 @@ func (l *ShflLock) scheduleWaiter(n *shflNode, spinStart int64) int {
 	// Expose the holder's typical critical-section length so parking
 	// policies can size their spin window (§3.1.1 "adaptable
 	// parking/wake-up strategy").
-	if holder := l.holder.Load(); holder != nil {
+	if holder := l.locked.Load(); holder != nil {
 		info.HolderCSAvg = holder.CSAverage()
 	}
 	decision := h.ScheduleWaiter(info)

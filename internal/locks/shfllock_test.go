@@ -291,6 +291,98 @@ func TestShflLockHolderTracking(t *testing.T) {
 	}
 }
 
+// TestShflLockHolderIsExact: the lock word names its holder, so Holder()
+// is the task itself from the CAS that takes the lock to the store that
+// frees it — inside the critical section and inside the lock_acquired and
+// lock_release hooks it raises — on the fast path, the queue path and
+// TryLock alike, and never the task once its Unlock has returned.
+func TestShflLockHolderIsExact(t *testing.T) {
+	const tasks, iters = 4, 500
+	topo := testTopo()
+	for _, hooked := range []bool{false, true} {
+		name := "unhooked"
+		if hooked {
+			name = "hooked"
+		}
+		t.Run(name, func(t *testing.T) {
+			l := NewShflLock("holder")
+			var wrong, acquisitions, events, queued atomic.Int64
+			if hooked {
+				check := func(ev *Event) {
+					events.Add(1)
+					if l.Holder() != ev.Task {
+						wrong.Add(1)
+					}
+				}
+				l.HookSlot().Replace("check", &Hooks{
+					OnContended: func(*Event) { queued.Add(1) },
+					OnAcquired:  check,
+					OnRelease:   check,
+				}).Wait()
+			}
+			var wg sync.WaitGroup
+			for range tasks {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tk := task.New(topo)
+					for j := range iters {
+						if j%4 == 3 {
+							if !l.TryLock(tk) {
+								continue
+							}
+						} else {
+							l.Lock(tk)
+						}
+						acquisitions.Add(1)
+						if l.Holder() != tk {
+							wrong.Add(1)
+						}
+						if j%8 == 0 {
+							runtime.Gosched() // let a queue form
+						}
+						l.Unlock(tk)
+						if l.Holder() == tk {
+							wrong.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if n := wrong.Load(); n != 0 {
+				t.Errorf("Holder() named the wrong task %d times", n)
+			}
+			if hooked && events.Load() != 2*acquisitions.Load() {
+				t.Errorf("%d hook events for %d acquisitions, want two each", events.Load(), acquisitions.Load())
+			}
+			if hooked && queued.Load() == 0 {
+				t.Errorf("no acquisition took the queue path")
+			}
+			if h := l.Holder(); h != nil {
+				t.Errorf("Holder() = %v on a free lock", h)
+			}
+		})
+	}
+}
+
+// TestShflLockUnlockNotHeldPanics: an Unlock by a task that does not hold
+// the lock panics before it frees anything, as RWSem's does.
+func TestShflLockUnlockNotHeldPanics(t *testing.T) {
+	topo := testTopo()
+	l := NewShflLock("unheld")
+	a, b := task.New(topo), task.New(topo)
+	mustPanic(t, func() { l.Unlock(a) })
+	l.Lock(a)
+	mustPanic(t, func() { l.Unlock(b) })
+	if l.Holder() != a || l.TryLock(b) {
+		t.Fatalf("a foreign Unlock freed the lock: holder %v", l.Holder())
+	}
+	l.Unlock(a)
+	if l.Holder() != nil {
+		t.Errorf("holder %v after the holder's Unlock", l.Holder())
+	}
+}
+
 func TestPriorityInheritance(t *testing.T) {
 	topo := topology.Paper()
 	l := NewShflLock("pi")

@@ -33,7 +33,10 @@ var nextID atomic.Int64
 //
 // Fields that policies read while the task sits in a lock queue are
 // accessed via atomic methods, because the shuffler examines waiting
-// tasks from another thread.
+// tasks from another thread. The held-lock mask is the exception: only
+// the owner goroutine writes it, and another goroutine reads it only on
+// a task it reached through a lock queue, which orders the read after
+// the task's last write and before its next one (see heldLocks).
 type T struct {
 	id  int64
 	cpu atomic.Int64 // virtual CPU; may change if migrated
@@ -45,24 +48,37 @@ type T struct {
 
 	// heldLocks is a bitmask over small lock IDs (0..63). The kernel
 	// tracks held locks per task for lockdep; a 64-bit mask covers every
-	// lock class this repository instantiates in one scenario and keeps
-	// the hot path to a single atomic load, which matters because the
+	// lock class this repository instantiates in one scenario, and the
 	// shuffler consults it for the lock-inheritance policy (§3.1.1).
-	heldLocks atomic.Uint64
+	//
+	// It is a plain word, written only by the owner goroutine (the locks
+	// set and clear bits on the acquiring and releasing path), yet exact
+	// for every reader the locks hand it to. The owner reads it freely. A
+	// shuffler reads it on a waiter it reached through its queue, and a
+	// queue orders both sides of that read: the waiter's last write comes
+	// before the atomic swap and store that publish its node, which the
+	// shuffler's atomic load of a next pointer observes, directly or
+	// through an earlier shuffler's splice; and the waiter writes again
+	// only after it has observed its promotion to queue head, which the
+	// head stores after its last read. Any other goroutine must order
+	// its read against the owner's writes itself (a test reads after
+	// joining the owner), or it races.
+	heldLocks uint64
 
 	// Critical-section accounting for occupancy-aware policies (§3.1.2).
-	// What one acquire/release pair pays for it: two locked operations on
-	// heldLocks (set, clear), always, because the held mask is exact. A
-	// section is timed only when the lock's own table subscribes to
-	// lock_release, or else on this task's 1-in-csSampleEvery draw (DESIGN
-	// §7 decision 6); a timed section adds up to two clock reads in the
-	// lock and three locked operations here: csTotalNS and csCount (an add
-	// each) feed CSAverage, which shufflers and schedule_waiter read from
-	// other goroutines, and csLastNS (a store) backs the any-goroutine
-	// getter CSLast. The rest of the open section — when it started, which
-	// lock opened it, what weight it is accounted with — and the draw's
-	// state have no getter another goroutine may call: only the owner
-	// goroutine touches them, like hookScratch, so they are plain fields.
+	// What one acquire/release pair pays for the held mask: a plain
+	// or-store and and-not-store on heldLocks, no locked operation (DESIGN
+	// §7 decision 6). A section is timed only when the lock's own table
+	// subscribes to lock_release, or else on this task's
+	// 1-in-csSampleEvery draw; a timed section adds up to two clock reads
+	// in the lock and three locked operations here: csTotalNS and csCount
+	// (an add each) feed CSAverage, which shufflers and schedule_waiter
+	// read from other goroutines while this task runs, and csLastNS (a
+	// store) backs the any-goroutine getter CSLast. The rest of the open
+	// section — when it started, which lock opened it, what weight it is
+	// accounted with — and the draw's state have no getter another
+	// goroutine may call: only the owner goroutine touches them, like
+	// hookScratch, so they are plain fields.
 	csStartNS int64  // 0: no section open
 	csLockID  uint64 // lock whose acquisition opened the section
 	csWeight  int64  // 1 exact, csSampleEvery sampled
@@ -182,34 +198,42 @@ func (t *T) SetWeight(w int64) { t.weight.Store(w) }
 const MaxTrackedLockID = 63
 
 // NoteAcquired records that the task now holds the lock with the given ID.
+// Owner-goroutine only.
 func (t *T) NoteAcquired(lockID uint64) {
 	if lockID <= MaxTrackedLockID {
-		t.heldLocks.Or(1 << lockID)
+		t.heldLocks |= 1 << lockID
 	}
 }
 
 // NoteReleased records that the task released the lock with the given ID.
+// Owner-goroutine only.
 func (t *T) NoteReleased(lockID uint64) {
 	if lockID <= MaxTrackedLockID {
-		t.heldLocks.And(^uint64(1 << lockID))
+		t.heldLocks &^= 1 << lockID
 	}
 }
 
-// Holds reports whether the task currently holds the lock with the given ID.
+// Holds reports whether the task currently holds the lock with the given
+// ID. Exact on the owner goroutine and on a task reached through a lock
+// queue (a shuffler's waiter); any other caller must order the call
+// against the owner's writes itself (see heldLocks).
 func (t *T) Holds(lockID uint64) bool {
 	if lockID > MaxTrackedLockID {
 		return false
 	}
-	return t.heldLocks.Load()&(1<<lockID) != 0
+	return t.heldLocks&(1<<lockID) != 0
 }
 
-// HeldMask returns the raw held-lock bitmask.
-func (t *T) HeldMask() uint64 { return t.heldLocks.Load() }
+// HeldMask returns the raw held-lock bitmask, under the same rule as
+// Holds: the owner goroutine, or a shuffler reading a waiter it reached
+// through its queue (cmp_node's shuffler_held_mask and curr_held_mask).
+func (t *T) HeldMask() uint64 { return t.heldLocks }
 
-// HeldCount returns the number of tracked locks currently held.
+// HeldCount returns the number of tracked locks currently held, under the
+// same rule as Holds.
 func (t *T) HeldCount() int {
 	n := 0
-	for m := t.heldLocks.Load(); m != 0; m &= m - 1 {
+	for m := t.heldLocks; m != 0; m &= m - 1 {
 		n++
 	}
 	return n
