@@ -243,7 +243,7 @@ func scrapePolicyRows(addr string) ([]concord.PolicyRow, error) {
 
 // printPolicyMapTable renders the map data plane of each loaded policy:
 // live occupancy against budget, dead (tombstoned) slots, insert-probe
-// collisions, optimistic read retries, and online resizes. LIVE counts
+// collisions and optimistic read retries. LIVE counts
 // reachable keys only — deleted-but-unreclaimed slots go in the DEAD
 // column, so the fill ratio isn't inflated by deletion history.
 // Policies without maps are omitted; no table prints when nothing has
@@ -260,12 +260,12 @@ func printPolicyMapTable(w io.Writer, rows []concord.PolicyRow) {
 		return
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "POLICY\tMAP\tKIND\tLIVE\tDEAD\tBUDGET\tCOLL\tRETRY\tRESIZE")
+	fmt.Fprintln(tw, "POLICY\tMAP\tKIND\tLIVE\tDEAD\tBUDGET\tCOLL\tRETRY")
 	for _, r := range rows {
 		for _, m := range r.Maps {
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\n",
 				r.Name, m.Name, m.Kind, m.Occupancy, m.Tombstones, m.MaxEntries,
-				m.Collisions, m.Retries, m.Resizes)
+				m.Collisions, m.Retries)
 		}
 	}
 	tw.Flush()

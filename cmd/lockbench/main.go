@@ -21,7 +21,7 @@
 //
 // Schedule-fuzz mode (the internal/schedfuzz harness):
 //
-//	lockbench -schedfuzz lock-torture|map-churn|map-resize|chaos|jit-churn|seq-lock|selftest
+//	lockbench -schedfuzz lock-torture|map-churn|chaos|jit-churn|seq-lock|selftest
 //	          [-seed N] [-schedfuzz-iters N]
 //	          [-schedfuzz-strategy random|pct|targeted]
 //	          [-schedule-out f.json] [-flight-dir d] [-deadline 2m]

@@ -212,10 +212,6 @@ var NewPerCPUArrayMap = policy.NewPerCPUArrayMap
 // per virtual CPU — the right kind for hot counting policies.
 var NewPerCPUHashMap = policy.NewPerCPUHashMap
 
-// NewLockedHashMap builds the mutex-based hash map kind (unbounded key
-// sizes; the lock-free NewHashMap is preferred on hot paths).
-var NewLockedHashMap = policy.NewLockedHashMap
-
 // MapStats is a map's data-plane telemetry snapshot (occupancy,
 // insert-probe collisions, optimistic read retries).
 type MapStats = policy.MapStats

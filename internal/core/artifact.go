@@ -47,7 +47,6 @@ func artifactKey(p *policy.Program) []byte {
 		for _, v := range []int{s.KeySize, s.ValueSize, s.MaxEntries, s.NumCPUs} {
 			b = binary.AppendVarint(b, int64(v))
 		}
-		b = append(b, byte(b2u(s.Growable)))
 	}
 	return b
 }

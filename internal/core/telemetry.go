@@ -128,10 +128,6 @@ func (f *Framework) collectMapStats(add func(obs.Sample)) {
 			Labels: labels, Value: float64(st.Collisions)})
 		add(obs.Sample{Name: "concord_map_optimistic_retries_total", Kind: obs.KindCounter,
 			Labels: labels, Value: float64(st.Retries)})
-		add(obs.Sample{Name: "concord_map_resizes_total", Kind: obs.KindCounter,
-			Labels: labels, Value: float64(st.Resizes)})
-		add(obs.Sample{Name: "concord_map_migrated_slots_total", Kind: obs.KindCounter,
-			Labels: labels, Value: float64(st.Migrated)})
 		add(obs.Sample{Name: "concord_map_capacity", Kind: obs.KindGauge,
 			Labels: labels, Value: float64(st.Capacity)})
 	}
@@ -323,7 +319,7 @@ type MapRow struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
 	// Occupancy counts live entries; Tombstones counts dead slots
-	// awaiting reuse or compaction. They are reported separately so the
+	// awaiting reuse. They are reported separately so the
 	// fill ratio reflects reachable keys, not deletion history.
 	Occupancy  int64  `json:"occupancy"`
 	Tombstones int64  `json:"tombstones"`
@@ -331,7 +327,6 @@ type MapRow struct {
 	Capacity   int    `json:"capacity,omitempty"`
 	Collisions uint64 `json:"collisions"`
 	Retries    uint64 `json:"optimistic_retries"`
-	Resizes    uint64 `json:"resizes,omitempty"`
 }
 
 // PolicyRows summarizes every loaded policy: hook kinds, attachment
@@ -376,7 +371,7 @@ func (f *Framework) PolicyRows() []PolicyRow {
 				if sp, ok := m.(policy.StatsProvider); ok {
 					st := sp.MapStats()
 					mr.Occupancy, mr.Collisions, mr.Retries = st.Occupancy, st.Collisions, st.Retries
-					mr.Tombstones, mr.Capacity, mr.Resizes = st.Tombstones, st.Capacity, st.Resizes
+					mr.Tombstones, mr.Capacity = st.Tombstones, st.Capacity
 				}
 				row.Maps = append(row.Maps, mr)
 			}

@@ -256,10 +256,10 @@ func TestEnableTelemetryLate(t *testing.T) {
 	}
 }
 
-// TestOCCAndResizeTelemetry pins the scrape surface PR 10 added: per-lock
-// optimistic-tier counters for OCC-capable locks and resize/tombstone/
-// capacity gauges for growable policy maps.
-func TestOCCAndResizeTelemetry(t *testing.T) {
+// TestOCCAndCapacityTelemetry pins the per-lock optimistic-tier counters
+// for OCC-capable locks and the occupancy/tombstone/capacity gauges of a
+// policy map, whose capacity is fixed when it is created.
+func TestOCCAndCapacityTelemetry(t *testing.T) {
 	f := newFramework()
 	tel := obs.NewTelemetry()
 	f.EnableTelemetry(tel)
@@ -286,23 +286,30 @@ func TestOCCAndResizeTelemetry(t *testing.T) {
 		t.Fatal("OCCPromote(true) refused in auto mode")
 	}
 
-	// A loaded policy carrying a growable map, grown past preallocation.
-	m := policy.NewGrowableHashMap("gmap", 8, 8, 4)
+	// A loaded policy carrying a hash map filled to its budget, then a
+	// quarter of it deleted.
+	m := policy.NewHashMap("hmap", 8, 8, 32)
 	prog, err := policy.Assemble("noop", policy.KindLockAcquired, `
-		ldmap r1, gmap
+		ldmap r1, hmap
 		mov   r0, 0
 		exit
-	`, map[string]policy.Map{"gmap": m})
+	`, map[string]policy.Map{"hmap": m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.LoadPolicy("grow", prog); err != nil {
+	if _, err := f.LoadPolicy("fill", prog); err != nil {
 		t.Fatal(err)
 	}
 	var key [8]byte
 	for i := 0; i < 32; i++ {
 		key[0] = byte(i)
 		if err := m.Update(key[:], []uint64{1}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		key[0] = byte(i)
+		if err := m.Delete(key[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,13 +326,13 @@ func TestOCCAndResizeTelemetry(t *testing.T) {
 	if got := promValue(t, out, `concord_occ_promoted{lock="occ_rw"}`); got != 1 {
 		t.Errorf("occ promoted gauge = %v, want 1 (mode is forced on)", got)
 	}
-	if got := promValue(t, out, "concord_map_resizes_total"); got < 1 {
-		t.Errorf("map resizes = %v, want >= 1 after growth", got)
+	if got := promValue(t, out, "concord_map_capacity"); got != 64 {
+		t.Errorf("map capacity = %v, want 64 slots for 32 entries", got)
 	}
-	if got := promValue(t, out, "concord_map_capacity"); got <= 4 {
-		t.Errorf("map capacity = %v, want > 4 after growth", got)
+	if got := promValue(t, out, "concord_map_occupancy"); got != 24 {
+		t.Errorf("map occupancy = %v, want 24", got)
 	}
-	if got := promValue(t, out, "concord_map_occupancy"); got != 32 {
-		t.Errorf("map occupancy = %v, want 32", got)
+	if got := promValue(t, out, "concord_map_tombstones"); got != 8 {
+		t.Errorf("map tombstones = %v, want 8", got)
 	}
 }

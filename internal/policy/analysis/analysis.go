@@ -118,8 +118,7 @@ func max64(a, b int64) int64 {
 type MapFootprint struct {
 	Map string `json:"map"`
 	// Kind is the concrete map kind ("array", "hash", "percpu_hash",
-	// ...); the cost model charges lock-free kinds less than the
-	// mutex-based locked_hash.
+	// ...); the cost model charges each kind its own helper costs.
 	Kind       string `json:"kind,omitempty"`
 	KeySize    int    `json:"key_size"`
 	ValueSize  int    `json:"value_size"`

@@ -29,8 +29,8 @@ const (
 // checks this table stays exhaustive over the HelperID enum.
 //
 // For map helpers these are the *conservative* costs, charged when the
-// analysis cannot tell which map a call targets; they match the
-// mutex-based locked_hash kind, the most expensive implementation.
+// analysis cannot tell which map a call targets: an upper bound over
+// every row of MapKindHelperCosts.
 // When the abstract state pins R1 to a specific map, costBounds refines
 // the charge from MapKindHelperCosts below.
 var HelperCosts = map[policy.HelperID]int64{
@@ -60,14 +60,12 @@ type MapKindCost struct {
 // MapKindHelperCosts refines map-helper costs per concrete map kind.
 // Arrays are a bounds check and an index; the lock-free hash kinds pay
 // a probe plus seqlock validation on lookup and a bucket lock on
-// mutation; locked_hash pays the global RWMutex and equals the
-// conservative HelperCosts row.
+// mutation.
 var MapKindHelperCosts = map[string]MapKindCost{
 	"array":        {Lookup: 12, Update: 18, Add: 10},
 	"percpu_array": {Lookup: 12, Update: 18, Add: 10},
 	"hash":         {Lookup: 18, Update: 40, Delete: 30, Add: 14},
 	"percpu_hash":  {Lookup: 18, Update: 42, Delete: 30, Add: 12},
-	"locked_hash":  {Lookup: 30, Update: 45, Delete: 35, Add: 20},
 }
 
 func (c MapKindCost) forHelper(h policy.HelperID) int64 {

@@ -240,12 +240,6 @@ func dumpMap(m policy.Map) (map[string]string, bool) {
 			return true
 		})
 		return out, true
-	case *policy.LockedHashMap:
-		mm.Range(func(key []byte, value []uint64) bool {
-			add("", key, append([]uint64(nil), value...))
-			return true
-		})
-		return out, true
 	case *policy.PerCPUHashMap:
 		for cpu := 0; cpu < mm.NumCPUs(); cpu++ {
 			prefix := fmt.Sprintf("cpu%d/", cpu)

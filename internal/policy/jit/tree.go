@@ -604,7 +604,7 @@ func (b *treeBuilder) walk(pc int, entry *pathState, count int32) (int16, error)
 // builtin reports whether m is one of the map kinds a tree calls directly.
 func builtin(m policy.Map) bool {
 	switch m.(type) {
-	case *policy.HashMap, *policy.PerCPUHashMap, *policy.LockedHashMap, *policy.ArrayMap, *policy.PerCPUArrayMap:
+	case *policy.HashMap, *policy.PerCPUHashMap, *policy.ArrayMap, *policy.PerCPUArrayMap:
 		return true
 	}
 	return false
@@ -786,8 +786,8 @@ func symALUOp(op policy.Op, dst, src sym, imm uint64) (sym, string) {
 // same injected traps, the same map contents and occ_set requests, and a
 // word src does not cover faults as the VM's out-of-bounds context load
 // would. A run that a source, cpu or env panics out of counts nothing. It
-// needs no context, machine or scratch, and allocates only where the map
-// does (a LockedHashMap insert).
+// needs no context, machine or scratch, and allocates nothing: every map
+// a tree calls is a built-in kind, and none of them allocates.
 func RunTree[T any](t *Tree, p *policy.Program, src []func(T) uint64, cpu func(T) int, env any, arg T) (uint64, error) {
 	// A run starts at the injected-trap site the VM also consults first.
 	// Its counts are added where it ends, all together: two CPUs firing one
@@ -930,8 +930,6 @@ func lookupIn(m policy.Map, key []byte, cpu int) ([]uint64, bool) {
 		return m.Lookup(key, cpu), true
 	case *policy.PerCPUHashMap:
 		return m.Lookup(key, cpu), true
-	case *policy.LockedHashMap:
-		return m.Lookup(key, cpu), true
 	case *policy.ArrayMap:
 		return m.Lookup(key, cpu), true
 	case *policy.PerCPUArrayMap:
@@ -948,8 +946,6 @@ func lookupOrInitIn(m policy.Map, key []byte, cpu int) ([]uint64, bool) {
 		return m.LookupOrInit(key, cpu), true
 	case *policy.PerCPUHashMap:
 		return m.LookupOrInit(key, cpu), true
-	case *policy.LockedHashMap:
-		return m.LookupOrInit(key, cpu), true
 	}
 	return lookupIn(m, key, cpu)
 }
@@ -961,8 +957,6 @@ func updateIn(m policy.Map, key, raw []byte, cpu int) bool {
 	case *policy.HashMap:
 		_ = m.UpdateRaw(key, raw, cpu)
 	case *policy.PerCPUHashMap:
-		_ = m.UpdateRaw(key, raw, cpu)
-	case *policy.LockedHashMap:
 		_ = m.UpdateRaw(key, raw, cpu)
 	case *policy.ArrayMap:
 		_ = m.UpdateRaw(key, raw, cpu)

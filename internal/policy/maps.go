@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -260,223 +259,4 @@ func (m *PerCPUArrayMap) Sum(idx int) uint64 {
 		}
 	}
 	return total
-}
-
-// --- Locked hash map (legacy kind) ---
-
-// LockedHashMap is the original RWMutex-guarded hash map, kept as an
-// explicit kind ("locked_hash") for unbounded key sizes and as the
-// comparison point for the lock-free HashMap in maps_hash.go. Values
-// live in a preallocated arena with a free list, so steady-state
-// updates allocate nothing and an insert allocates only the interned
-// string key the Go map needs (the original also allocated an entry
-// header and a value slice per insert).
-//
-// Aliasing semantics: like every map kind here, Lookup's slice aliases
-// arena storage. After Delete, a still-held slice may observe the words
-// of whichever entry next reuses the freed arena slot. See the
-// commentary in maps_hash.go.
-type LockedHashMap struct {
-	name       string
-	keySize    int
-	valueWords int
-	maxEntries int
-
-	mu    sync.RWMutex
-	slots map[string]int // key → arena slot
-	vals  []uint64       // maxEntries × valueWords arena
-	free  []int          // freed slots, reused LIFO
-	next  int            // bump allocator over never-used slots
-}
-
-// NewLockedHashMap creates a mutex-based hash map.
-func NewLockedHashMap(name string, keySize, valueSize, maxEntries int) *LockedHashMap {
-	checkSpec(name, keySize, valueSize, maxEntries)
-	return &LockedHashMap{
-		name:       name,
-		keySize:    keySize,
-		valueWords: valueSize / 8,
-		maxEntries: maxEntries,
-		slots:      make(map[string]int, maxEntries),
-		vals:       make([]uint64, maxEntries*(valueSize/8)),
-		free:       make([]int, 0, maxEntries),
-	}
-}
-
-// Name implements Map.
-func (m *LockedHashMap) Name() string { return m.name }
-
-// KeySize implements Map.
-func (m *LockedHashMap) KeySize() int { return m.keySize }
-
-// ValueSize implements Map.
-func (m *LockedHashMap) ValueSize() int { return m.valueWords * 8 }
-
-// MaxEntries implements Map.
-func (m *LockedHashMap) MaxEntries() int { return m.maxEntries }
-
-func (m *LockedHashMap) valSlice(slot int) []uint64 {
-	return m.vals[slot*m.valueWords : (slot+1)*m.valueWords]
-}
-
-// Lookup implements Map. The m.slots[string(key)] expression does not
-// allocate — the compiler elides the conversion for map reads.
-func (m *LockedHashMap) Lookup(key []byte, _ int) []uint64 {
-	if len(key) != m.keySize {
-		return nil
-	}
-	m.mu.RLock()
-	slot, ok := m.slots[string(key)]
-	m.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return m.valSlice(slot)
-}
-
-// Update implements Map, inserting the key if absent.
-func (m *LockedHashMap) Update(key []byte, value []uint64, _ int) error {
-	if len(value) != m.valueWords {
-		return ErrValueSize
-	}
-	return m.update(key, func(dst []uint64) { atomicCopy(dst, value) })
-}
-
-// UpdateRaw is Update from little-endian bytes; on the existing-key
-// path it allocates nothing.
-func (m *LockedHashMap) UpdateRaw(key, raw []byte, _ int) error {
-	if len(raw) != m.valueWords*8 {
-		return ErrValueSize
-	}
-	return m.update(key, func(dst []uint64) { storeRawWords(dst, raw) })
-}
-
-func (m *LockedHashMap) update(key []byte, fill func(dst []uint64)) error {
-	if len(key) != m.keySize {
-		return ErrKeySize
-	}
-	m.mu.RLock()
-	if slot, ok := m.slots[string(key)]; ok {
-		// Fill while still holding the read lock: it pins the key→slot
-		// mapping, so a concurrent Delete+insert cannot recycle this
-		// arena slot to another key mid-fill. Concurrent readers may
-		// hold the value slice; the fill callbacks copy word-atomically
-		// so they observe old or new words, never torn bytes.
-		fill(m.valSlice(slot))
-		m.mu.RUnlock()
-		return nil
-	}
-	m.mu.RUnlock()
-	m.mu.Lock()
-	slot, ok := m.slots[string(key)]
-	if !ok {
-		var err error
-		if slot, err = m.allocSlotLocked(); err != nil {
-			m.mu.Unlock()
-			return err
-		}
-		m.slots[string(key)] = slot
-	}
-	// Same reasoning as above: fill before dropping the lock so the
-	// slot cannot be freed and reassigned underneath us.
-	fill(m.valSlice(slot))
-	m.mu.Unlock()
-	return nil
-}
-
-// allocSlotLocked pops a freed slot (zeroing it for its new owner) or
-// bumps into never-used arena space.
-func (m *LockedHashMap) allocSlotLocked() (int, error) {
-	if n := len(m.free); n > 0 {
-		slot := m.free[n-1]
-		m.free = m.free[:n-1]
-		v := m.valSlice(slot)
-		for i := range v {
-			atomic.StoreUint64(&v[i], 0)
-		}
-		return slot, nil
-	}
-	if m.next >= m.maxEntries {
-		return 0, ErrMapFull
-	}
-	slot := m.next
-	m.next++
-	return slot, nil
-}
-
-// Delete implements Map.
-func (m *LockedHashMap) Delete(key []byte) error {
-	if len(key) != m.keySize {
-		return ErrKeySize
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	slot, ok := m.slots[string(key)]
-	if !ok {
-		return ErrNoSuchKey
-	}
-	delete(m.slots, string(key))
-	m.free = append(m.free, slot)
-	return nil
-}
-
-// LookupOrInit returns the value for key, atomically inserting a zero
-// value if absent. Used by the map_add helper so concurrent first-touch
-// increments cannot wipe each other out.
-func (m *LockedHashMap) LookupOrInit(key []byte, _ int) []uint64 {
-	if len(key) != m.keySize {
-		return nil
-	}
-	m.mu.RLock()
-	slot, ok := m.slots[string(key)]
-	m.mu.RUnlock()
-	if ok {
-		return m.valSlice(slot)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if slot, ok = m.slots[string(key)]; ok {
-		return m.valSlice(slot)
-	}
-	slot, err := m.allocSlotLocked()
-	if err != nil {
-		return nil
-	}
-	m.slots[string(key)] = slot
-	return m.valSlice(slot)
-}
-
-// Len reports the number of live entries.
-func (m *LockedHashMap) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.slots)
-}
-
-// MapStats implements StatsProvider. Only occupancy is meaningful for
-// the mutex-based kind.
-func (m *LockedHashMap) MapStats() MapStats {
-	return MapStats{Occupancy: int64(m.Len())}
-}
-
-// Range calls fn for every key/value pair until fn returns false. The
-// value slice aliases map storage. Intended for userspace report readers.
-func (m *LockedHashMap) Range(fn func(key []byte, value []uint64) bool) {
-	m.mu.RLock()
-	keys := make([]string, 0, len(m.slots))
-	for k := range m.slots {
-		keys = append(keys, k)
-	}
-	m.mu.RUnlock()
-	for _, k := range keys {
-		m.mu.RLock()
-		slot, ok := m.slots[k]
-		m.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if !fn([]byte(k), m.valSlice(slot)) {
-			return
-		}
-	}
 }

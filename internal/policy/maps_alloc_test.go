@@ -7,10 +7,8 @@ import (
 
 // Allocation pins for the map data plane. The preallocated hash kinds
 // promise that NO operation allocates — not just steady-state lookups
-// but inserts, deletes, and tombstone reuse too. The legacy locked_hash
-// kind keeps a documented single allocation on fresh insert (the
-// string key) and must be alloc-free everywhere else. These run as
-// tests, not benchmarks, so `go test` itself guards the invariant.
+// but inserts, deletes, and tombstone reuse too. These run as tests,
+// not benchmarks, so `go test` itself guards the invariant.
 
 func allocKey(i uint64) []byte {
 	var k [8]byte
@@ -27,9 +25,8 @@ func pinAllocs(t *testing.T, name string, want float64, op func()) {
 }
 
 // mapAllocOps exercises every data-plane operation on m and pins its
-// allocation count. insertAllocs is the allowed cost of inserting a
-// fresh key (0 for the preallocated kinds, 1 for locked_hash).
-func mapAllocOps(t *testing.T, m Map, cpu int, insertAllocs float64) {
+// allocation count at zero.
+func mapAllocOps(t *testing.T, m Map, cpu int) {
 	t.Helper()
 	key := allocKey(7)
 	val := []uint64{42}
@@ -62,10 +59,10 @@ func mapAllocOps(t *testing.T, m Map, cpu int, insertAllocs float64) {
 		})
 	}
 	// Churn: delete + reinsert the same key every run, the profile-
-	// eviction shape. For the preallocated kinds the tombstone is
-	// recycled without touching the heap.
+	// eviction shape. The tombstone is recycled without touching the
+	// heap.
 	churn := allocKey(9)
-	pinAllocs(t, "Delete+insert churn", insertAllocs, func() {
+	pinAllocs(t, "Delete+insert churn", 0, func() {
 		if err := m.Update(churn, val, cpu); err != nil {
 			t.Fatal(err)
 		}
@@ -76,11 +73,11 @@ func mapAllocOps(t *testing.T, m Map, cpu int, insertAllocs float64) {
 }
 
 func TestHashMapZeroAlloc(t *testing.T) {
-	mapAllocOps(t, NewHashMap("alloc", 8, 8, 64), 0, 0)
+	mapAllocOps(t, NewHashMap("alloc", 8, 8, 64), 0)
 }
 
 func TestPerCPUHashMapZeroAlloc(t *testing.T) {
-	mapAllocOps(t, NewPerCPUHashMap("alloc", 8, 8, 64, 4), 2, 0)
+	mapAllocOps(t, NewPerCPUHashMap("alloc", 8, 8, 64, 4), 2)
 }
 
 func TestArrayMapZeroAlloc(t *testing.T) {
@@ -94,12 +91,4 @@ func TestArrayMapZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestLockedHashMapInsertAlloc documents the legacy kind's remaining
-// cost: one allocation per fresh insert (interning the string key),
-// zero everywhere else. The seed implementation allocated on every
-// Update — existing keys included — which is the regression this pins.
-func TestLockedHashMapInsertAlloc(t *testing.T) {
-	mapAllocOps(t, NewLockedHashMap("alloc", 8, 8, 64), 0, 1)
 }

@@ -12,19 +12,9 @@ import (
 // writers, mirroring how in-kernel eBPF hash maps work (BPF_F_NO_PREALLOC
 // off): lookups are RCU-style and never block, while update/delete take a
 // per-bucket spinlock. Everything — slot control words, key words, value
-// words — lives in arenas sized per table epoch, so no steady-state map
-// operation allocates.
-//
-// Online resize (growable maps only): when live occupancy crosses the
-// high-water mark — or tombstones crowd a quarter of the slots — a
-// writer allocates a shadow epoch at 2× (same size for pure compaction),
-// flips it in while briefly holding every writer stripe, and then each
-// subsequent writer op migrates a bounded batch of old-epoch slots before
-// doing its own work. Only published (Full) slots migrate, so tombstone
-// compaction is folded into migration for free. Lock-free readers probe
-// old-then-new, validating with the same seqlock ctl words; the epoch
-// pointers are re-checked after a double miss so a concurrent flip can
-// never hide a key. See DESIGN.md §12 for the full protocol.
+// words — is allocated once, when the map is created, so no map
+// operation allocates. Like a kernel hash map's max_entries, the
+// capacity is fixed there: an insert past it fails with ErrMapFull.
 //
 // Aliasing semantics (shared with every map kind here): Lookup returns
 // a slice over a value arena. If the entry is deleted and its slot
@@ -33,11 +23,7 @@ import (
 // words. Kernel preallocated hash maps accept exactly this recycling
 // race (elements are returned to a freelist and may be reused while an
 // RCU reader still holds the old value pointer); we document it rather
-// than pretend the Go side is stricter. Migration extends the same
-// contract across epochs: a value slice obtained before a slot migrated
-// keeps aliasing the old epoch's arena, so writes through it after the
-// copy are lost to the re-homed entry — value-level staleness, never
-// memory unsafety. Every word access remains atomic.
+// than pretend the Go side is stricter. Every word access remains atomic.
 
 // MaxHashKeySize bounds hash-map key size in bytes. Keys are stored as
 // little-endian 64-bit words so readers can compare them with atomic
@@ -50,8 +36,8 @@ const maxKeyWords = MaxHashKeySize / 8
 // Slot control word: bits 0-1 are the state, bits 2+ a sequence number
 // bumped on every state transition. A reader validates an optimistic
 // key compare by re-loading the word and checking it is unchanged
-// (state and sequence both), so any concurrent delete/reuse/migration
-// of the slot forces a retry.
+// (state and sequence both), so any concurrent delete or reuse of the
+// slot forces a retry.
 const (
 	slotEmpty     uint64 = 0 // never occupied: terminates probe chains
 	slotWriting   uint64 = 1 // claimed, key/value being written
@@ -62,31 +48,16 @@ const (
 )
 
 // numWriterLocks stripes the per-home-bucket writer locks. Two keys
-// contend only if their raw hashes collide mod this; because the stripe
-// index depends on the hash alone (not the epoch's mask), a key maps to
-// the same stripe in every epoch, which is what lets one stripe lock
-// serialize all mutators of a key across a resize.
+// contend only if their raw hashes collide mod this.
 const numWriterLocks = 64
-
-// migrateBatchSlots is how many old-epoch slots each writer op migrates
-// before its own mutation while a resize is draining — the incremental
-// rehash batch size, same discipline as kernel htab grow-in-place.
-const migrateBatchSlots = 16
 
 // MapStats is the map-plane telemetry snapshot exported per map.
 type MapStats struct {
 	Occupancy  int64  // live entries
-	Tombstones int64  // dead (tombstoned) slots awaiting reuse or compaction
+	Tombstones int64  // dead (tombstoned) slots awaiting reuse
 	Collisions uint64 // insert-path probe displacements past the home slot
 	Retries    uint64 // optimistic read-path retries (seqlock validation failures)
-	Resizes    uint64 // epoch flips (growth or compaction)
-	Migrated   uint64 // slots re-homed by incremental migration
-	// ResizeAllocBytes is the cumulative bytes allocated by resize
-	// epochs — the amortized migration cost, accounted separately from
-	// the zero-alloc steady state. Geometric growth bounds it at about
-	// 4× the final table footprint.
-	ResizeAllocBytes uint64
-	Capacity         int // current epoch's slot count
+	Capacity   int    // slot count, fixed when the map is created
 }
 
 // StatsProvider is implemented by map kinds that track MapStats.
@@ -135,60 +106,24 @@ func nextPow2(n int) int {
 	return p
 }
 
-// oaEpoch is one generation of table storage: slot control words, key
-// words, and the value arena for this capacity. Readers hold an epoch
-// pointer for the duration of one probe, so a retired epoch stays valid
-// (all slots tombstoned) until the GC collects it — the Go analogue of
-// an RCU grace period.
-type oaEpoch struct {
+// oaTable is the open-addressing key/slot engine shared by HashMap and
+// PerCPUHashMap: slot states and keys in one table sized at
+// construction. The wrapping kind owns its value arena, indexed by slot.
+type oaTable struct {
+	keyWords int // words per stored key
 	capacity int // power of two: probes always terminate
 	mask     uint64
+	maxLive  int64 // live-entry budget: maxEntries ≤ capacity/2
 
 	ctl  []uint64 // capacity control words
 	keys []uint64 // capacity × keyWords, written under slotWriting only
 
-	vals []uint64 // value arena; layout is owned by the wrapping kind
-	// stride/base describe the per-CPU layout (PerCPUHashMap): words per
-	// CPU stripe and the element offset aligning vals[base] to a
-	// cacheline. Slot-major kinds leave them 0.
-	stride int
-	base   int
-
-	// scan is the migration cursor over this epoch's slots while it
-	// drains. It belongs to the epoch, not the table: a batch that loaded
-	// this epoch and runs on after its drain completed can only walk its
-	// tombstones, never take slots of a newer drain.
-	scan atomic.Int64
-}
-
-// oaTable is the open-addressing key/slot engine shared by HashMap and
-// PerCPUHashMap. It owns slot states, keys and the resize protocol; the
-// wrapping kind owns value layout through the allocVals/copyVal hooks.
-type oaTable struct {
-	keyWords int  // words per stored key
-	growable bool // resize (growth + compaction) enabled
-
-	cur  atomic.Pointer[oaEpoch] // current epoch: all writes land here
-	prev atomic.Pointer[oaEpoch] // draining epoch mid-resize, else nil
-
-	maxLive   atomic.Int64 // live-entry budget (capacity/2 invariant)
-	remaining atomic.Int64 // Full slots left to migrate out of prev
-
 	count      atomic.Int64 // live entries (reservation-checked vs maxLive)
-	tombs      atomic.Int64 // tombstones in the current epoch
+	tombs      atomic.Int64 // tombstoned slots
 	collisions atomic.Uint64
 	retries    atomic.Uint64
-	resizes    atomic.Uint64
-	migrated   atomic.Uint64
-	resizeBy   atomic.Uint64 // cumulative resize alloc bytes
 
 	wlocks [numWriterLocks]uint32
-
-	// allocVals sizes e.vals (and stride/base) for e.capacity; copyVal
-	// re-homes one slot's value words between epochs during migration.
-	// Both are set once at construction, before the map is shared.
-	allocVals func(e *oaEpoch)
-	copyVal   func(dst, src *oaEpoch, dstSlot, srcSlot int)
 }
 
 func (t *oaTable) init(keySize, maxEntries int) {
@@ -197,40 +132,18 @@ func (t *oaTable) init(keySize, maxEntries int) {
 		capacity = 8
 	}
 	t.keyWords = (keySize + 7) / 8
-	t.maxLive.Store(int64(maxEntries))
-	t.cur.Store(t.newEpoch(capacity))
-}
-
-// newEpoch allocates ctl+keys for a capacity; the caller attaches the
-// value arena via allocVals (init defers that until the wrapper has set
-// the hook).
-func (t *oaTable) newEpoch(capacity int) *oaEpoch {
-	e := &oaEpoch{
-		capacity: capacity,
-		mask:     uint64(capacity - 1),
-		ctl:      make([]uint64, capacity),
-		keys:     make([]uint64, capacity*t.keyWords),
-	}
-	return e
-}
-
-// setValueHooks wires the wrapper's value-arena callbacks and sizes the
-// initial epoch's arena. Must be called before the map is shared.
-func (t *oaTable) setValueHooks(allocVals func(*oaEpoch), copyVal func(dst, src *oaEpoch, dstSlot, srcSlot int)) {
-	t.allocVals = allocVals
-	t.copyVal = copyVal
-	t.allocVals(t.cur.Load())
+	t.capacity = capacity
+	t.mask = uint64(capacity - 1)
+	t.maxLive = int64(maxEntries)
+	t.ctl = make([]uint64, capacity)
+	t.keys = make([]uint64, capacity*t.keyWords)
 }
 
 // lock spins on the writer-lock stripe for raw hash h. Mutations are
 // short (a bounded probe plus a handful of word stores), so a CAS spin
 // with a yield fallback is cheaper than parking.
 func (t *oaTable) lock(h uint64) *uint32 {
-	return t.lockIdx(int(h & (numWriterLocks - 1)))
-}
-
-func (t *oaTable) lockIdx(i int) *uint32 {
-	l := &t.wlocks[i]
+	l := &t.wlocks[h&(numWriterLocks-1)]
 	for spins := 0; !atomic.CompareAndSwapUint32(l, 0, 1); spins++ {
 		if spins%64 == 63 {
 			runtime.Gosched()
@@ -244,61 +157,35 @@ func (t *oaTable) unlock(l *uint32) { atomic.StoreUint32(l, 0) }
 // keyMatch compares the stored key words of slot against kw with atomic
 // loads. Safe to run concurrently with a writer; the caller revalidates
 // the slot control word afterwards.
-func (e *oaEpoch) keyMatch(keyWords, slot int, kw *[maxKeyWords]uint64) bool {
-	base := slot * keyWords
-	for i := 0; i < keyWords; i++ {
-		if atomic.LoadUint64(&e.keys[base+i]) != kw[i] {
+func (t *oaTable) keyMatch(slot int, kw *[maxKeyWords]uint64) bool {
+	base := slot * t.keyWords
+	for i := 0; i < t.keyWords; i++ {
+		if atomic.LoadUint64(&t.keys[base+i]) != kw[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// find is the optimistic read path across epochs: probe the draining
-// epoch first (old-then-new — migration publishes into the new epoch
-// *before* tombstoning the old slot, so this order can miss a key only
-// if the epoch pointers moved mid-probe, which the post-miss revalidation
-// catches), never taking a lock. Returns the epoch and slot of the
-// published entry holding kw, or (nil, -1).
-func (t *oaTable) find(kw *[maxKeyWords]uint64) (*oaEpoch, int) {
-	h := hashWords(kw, t.keyWords)
-	for {
-		old := t.prev.Load()
-		cur := t.cur.Load()
-		if old != nil {
-			if slot := t.findIn(old, kw, h); slot >= 0 {
-				return old, slot
-			}
-		}
-		if slot := t.findIn(cur, kw, h); slot >= 0 {
-			return cur, slot
-		}
-		// Double miss: only final if the epoch set is unchanged, else a
-		// flip may have moved the key between our two probes.
-		if t.cur.Load() == cur && t.prev.Load() == old {
-			return nil, -1
-		}
-		t.retries.Add(1)
-	}
-}
-
-// findIn probes one epoch from the home bucket, comparing keys under a
-// seqlock-style control-word validation.
-func (t *oaTable) findIn(e *oaEpoch, kw *[maxKeyWords]uint64, h uint64) int {
+// find is the optimistic read path, never taking a lock: probe from
+// kw's home slot (h is kw's hash), comparing keys under a seqlock-style
+// control-word validation. Returns the slot of the published entry
+// holding kw, or -1.
+func (t *oaTable) find(kw *[maxKeyWords]uint64, h uint64) int {
 retry:
-	idx := h & e.mask
-	for probes := 0; probes < e.capacity; probes++ {
-		c := atomic.LoadUint64(&e.ctl[idx])
+	idx := h & t.mask
+	for probes := 0; probes < t.capacity; probes++ {
+		c := atomic.LoadUint64(&t.ctl[idx])
 		switch c & slotStateMask {
 		case slotEmpty:
 			return -1 // end of probe chain
 		case slotFull:
-			if e.keyMatch(t.keyWords, int(idx), kw) {
-				if atomic.LoadUint64(&e.ctl[idx]) == c {
+			if t.keyMatch(int(idx), kw) {
+				if atomic.LoadUint64(&t.ctl[idx]) == c {
 					return int(idx)
 				}
-				// The slot transitioned mid-compare (delete, reuse or
-				// migration): the match is unreliable, restart the probe.
+				// The slot transitioned mid-compare (delete or reuse):
+				// the match is unreliable, restart the probe.
 				t.retries.Add(1)
 				goto retry
 			}
@@ -306,51 +193,36 @@ retry:
 		// slotWriting and slotTombstone do not terminate the chain:
 		// writing slots were empty-or-tombstone a moment ago and the
 		// key being written is published only after its words land.
-		idx = (idx + 1) & e.mask
+		idx = (idx + 1) & t.mask
 	}
 	return -1
 }
 
-// insertLocked finds kw or claims a slot for it in the current epoch.
-// Must run under the writer lock of kw's raw-hash stripe (which
-// serializes all mutators of this key in every epoch). While a resize is
-// draining it first re-homes kw out of the old epoch, so the scan below
-// only ever faces the current one. On existed=true the slot is published
-// and live. On existed=false the slot is claimed in slotWriting state
-// with the key words already stored; the caller must fill its value
-// words and then call publish. Returns slot -1 with ErrMapFull when the
-// map is at its live budget (the claim is reservation-checked, so
-// concurrent inserts in other buckets cannot overshoot).
-func (t *oaTable) insertLocked(kw *[maxKeyWords]uint64) (*oaEpoch, int, bool, error) {
-	h := hashWords(kw, t.keyWords)
-	if old := t.prev.Load(); old != nil {
-		t.migrateKeyLocked(old, kw, h)
-	}
-	e := t.cur.Load()
-	slot, existed, err := t.insertInto(e, kw, h, true)
-	return e, slot, existed, err
-}
-
-// insertInto is the epoch-level scan-and-claim. reserve=false is the
-// migration path: the entry is already counted live, so the maxLive
-// reservation is skipped.
-func (t *oaTable) insertInto(e *oaEpoch, kw *[maxKeyWords]uint64, h uint64, reserve bool) (slot int, existed bool, err error) {
+// insertLocked finds kw or claims a slot for it. Must run under the
+// writer lock of kw's raw-hash stripe h, which serializes all mutators
+// of this key. On existed=true the slot is published and live. On
+// existed=false the slot is claimed in slotWriting state with the key
+// words already stored; the caller must fill its value words and then
+// call publish. Returns slot -1 with ErrMapFull when the map is at its
+// live budget (the claim is reservation-checked, so concurrent inserts
+// in other buckets cannot overshoot).
+func (t *oaTable) insertLocked(kw *[maxKeyWords]uint64, h uint64) (slot int, existed bool, err error) {
 rescan:
-	idx := h & e.mask
+	idx := h & t.mask
 	reuse := -1
 	claim := -1
 	probes := 0
 scan:
-	for ; probes < e.capacity; probes++ {
-		c := atomic.LoadUint64(&e.ctl[idx])
+	for ; probes < t.capacity; probes++ {
+		c := atomic.LoadUint64(&t.ctl[idx])
 		switch c & slotStateMask {
 		case slotFull:
-			if e.keyMatch(t.keyWords, int(idx), kw) {
-				if atomic.LoadUint64(&e.ctl[idx]) != c {
+			if t.keyMatch(int(idx), kw) {
+				if atomic.LoadUint64(&t.ctl[idx]) != c {
 					// The slot transitioned mid-compare (a cross-bucket
 					// delete reclaimed it, so our lock did not serialize
 					// it): the match may be torn. Restart the scan,
-					// mirroring findIn().
+					// mirroring find().
 					goto rescan
 				}
 				return int(idx), true, nil
@@ -364,7 +236,7 @@ scan:
 			claim = int(idx)
 			break scan
 		}
-		idx = (idx + 1) & e.mask
+		idx = (idx + 1) & t.mask
 	}
 	// The key is absent. Claim the first tombstone seen, else the empty
 	// chain terminator. Empties are consumed monotonically (deletes only
@@ -381,44 +253,40 @@ scan:
 		// at steady state — only transiently reachable mid-rescan.
 		return -1, false, ErrMapFull
 	}
-	if reserve {
-		if n := t.count.Add(1); n > t.maxLive.Load() {
-			t.count.Add(-1)
-			return -1, false, ErrMapFull
-		}
+	if n := t.count.Add(1); n > t.maxLive {
+		t.count.Add(-1)
+		return -1, false, ErrMapFull
 	}
 	if probes > 0 {
 		t.collisions.Add(uint64(probes))
 	}
-	if !t.claim(e, claim) {
+	if !t.claim(claim) {
 		// A writer for a key homed in another bucket (hence not
 		// serialized by our lock) took the slot between our scan and
 		// the CAS. Rescan: chain shape changed.
-		if reserve {
-			t.count.Add(-1)
-		}
+		t.count.Add(-1)
 		goto rescan
 	}
 	base := claim * t.keyWords
 	for i := 0; i < t.keyWords; i++ {
-		atomic.StoreUint64(&e.keys[base+i], kw[i])
+		atomic.StoreUint64(&t.keys[base+i], kw[i])
 	}
 	return claim, false, nil
 }
 
 // claim CASes an empty or tombstone slot into slotWriting, bumping the
 // sequence so optimistic readers mid-compare notice.
-func (t *oaTable) claim(e *oaEpoch, slot int) bool {
-	c := atomic.LoadUint64(&e.ctl[slot])
+func (t *oaTable) claim(slot int) bool {
+	c := atomic.LoadUint64(&t.ctl[slot])
 	s := c & slotStateMask
 	if s != slotEmpty && s != slotTombstone {
 		return false
 	}
 	next := (c &^ slotStateMask) + slotSeqIncr | slotWriting
-	if !atomic.CompareAndSwapUint64(&e.ctl[slot], c, next) {
+	if !atomic.CompareAndSwapUint64(&t.ctl[slot], c, next) {
 		return false
 	}
-	if s == slotTombstone && e == t.cur.Load() {
+	if s == slotTombstone {
 		t.tombs.Add(-1)
 	}
 	return true
@@ -426,266 +294,51 @@ func (t *oaTable) claim(e *oaEpoch, slot int) bool {
 
 // publish flips a claimed slot to slotFull, making it visible to the
 // optimistic read path.
-func (t *oaTable) publish(e *oaEpoch, slot int) {
-	c := atomic.LoadUint64(&e.ctl[slot])
-	atomic.StoreUint64(&e.ctl[slot], (c&^slotStateMask)+slotSeqIncr|slotFull)
-}
-
-// tombstone marks a slot dead with a sequence bump.
-func (t *oaTable) tombstone(e *oaEpoch, slot int) {
-	c := atomic.LoadUint64(&e.ctl[slot])
-	atomic.StoreUint64(&e.ctl[slot], (c&^slotStateMask)+slotSeqIncr|slotTombstone)
+func (t *oaTable) publish(slot int) {
+	c := atomic.LoadUint64(&t.ctl[slot])
+	atomic.StoreUint64(&t.ctl[slot], (c&^slotStateMask)+slotSeqIncr|slotFull)
 }
 
 // deleteLocked tombstones the slot holding kw. Must run under the
-// writer lock of kw's raw-hash stripe. Like insertLocked, it re-homes
-// the key first so the tombstone always lands in the current epoch.
-func (t *oaTable) deleteLocked(kw *[maxKeyWords]uint64) error {
-	h := hashWords(kw, t.keyWords)
-	if old := t.prev.Load(); old != nil {
-		t.migrateKeyLocked(old, kw, h)
-	}
-	e := t.cur.Load()
-	slot := t.findIn(e, kw, h)
+// writer lock of kw's raw-hash stripe h.
+func (t *oaTable) deleteLocked(kw *[maxKeyWords]uint64, h uint64) error {
+	slot := t.find(kw, h)
 	if slot < 0 {
 		return ErrNoSuchKey
 	}
-	t.tombstone(e, slot)
+	c := atomic.LoadUint64(&t.ctl[slot])
+	atomic.StoreUint64(&t.ctl[slot], (c&^slotStateMask)+slotSeqIncr|slotTombstone)
 	t.tombs.Add(1)
 	t.count.Add(-1)
 	return nil
 }
 
-// --- Online resize ---
-
-// needResize decides whether the current epoch should be replaced, and
-// at what capacity. Growth triggers at 7/8 of the live budget; pure
-// compaction (same capacity, tombstones dropped by migration) triggers
-// when a quarter of the slots are dead. Only growable maps resize —
-// fixed maps keep the PR 5 preallocated contract exactly.
-func (t *oaTable) needResize(e *oaEpoch) (int, bool) {
-	if !t.growable {
-		return 0, false
-	}
-	maxLive := t.maxLive.Load()
-	if t.count.Load() >= maxLive-maxLive/8 {
-		return e.capacity * 2, true
-	}
-	if t.tombs.Load() >= int64(e.capacity/4) {
-		return e.capacity, true
-	}
-	return 0, false
-}
-
-// maybeResize is called by every writer op before it takes its stripe
-// lock (so it holds none here). It helps drain an in-flight resize by a
-// bounded batch, or initiates one when the high-water mark is crossed.
-func (t *oaTable) maybeResize() {
-	if t.prev.Load() != nil {
-		t.migrateBatch(migrateBatchSlots)
-		return
-	}
-	if _, ok := t.needResize(t.cur.Load()); ok {
-		t.beginResize()
-	}
-}
-
-// beginResize allocates the shadow epoch and flips it in. The flip
-// briefly holds every writer stripe (in index order — the only place
-// more than one stripe is ever held, so no ordering cycle exists): with
-// all writers quiescent the old epoch's Full-slot census is exact and no
-// claim can ever land in it afterwards. Readers are not stopped; their
-// epoch revalidation covers the flip.
-func (t *oaTable) beginResize() {
-	for i := 0; i < numWriterLocks; i++ {
-		t.lockIdx(i)
-	}
-	defer func() {
-		for i := 0; i < numWriterLocks; i++ {
-			t.unlock(&t.wlocks[i])
-		}
-	}()
-	if t.prev.Load() != nil {
-		return // lost the initiation race; the winner's drain is underway
-	}
-	e := t.cur.Load()
-	newCap, ok := t.needResize(e)
-	if !ok {
-		return
-	}
-	ne := t.newEpoch(newCap)
-	t.allocVals(ne)
-	t.resizeBy.Add(uint64((len(ne.ctl) + len(ne.keys) + len(ne.vals)) * 8))
-
-	full := int64(0)
-	for i := range e.ctl {
-		if atomic.LoadUint64(&e.ctl[i])&slotStateMask == slotFull {
-			full++
-		}
-	}
-	t.tombs.Store(0) // old tombstones die with the old epoch
-	t.maxLive.Store(int64(newCap / 2))
-	t.resizes.Add(1)
-	if full == 0 {
-		// Nothing to migrate: the flip is also the drain.
-		t.cur.Store(ne)
-		return
-	}
-	t.remaining.Store(full)
-	t.prev.Store(e)
-	t.cur.Store(ne)
-}
-
-// migrateBatch advances the incremental rehash by up to budget slots of
-// the draining epoch. Callers must hold no stripe lock: each slot is
-// re-homed under its own key's stripe, one lock at a time.
-func (t *oaTable) migrateBatch(budget int) {
-	if old := t.prev.Load(); old != nil {
-		t.migrateFrom(old, budget)
-	}
-}
-
-// migrateFrom advances old's cursor by up to budget slots, re-homing each
-// still published. old may have finished draining since the caller loaded
-// it, and a newer resize may have begun: its cursor is then exhausted, or
-// its slots are tombstones.
-func (t *oaTable) migrateFrom(old *oaEpoch, budget int) {
-	for ; budget > 0; budget-- {
-		i := old.scan.Add(1) - 1
-		if i >= int64(old.capacity) {
-			// Cursor exhausted: any slots still counted in remaining are
-			// being re-homed right now by the writers serializing them.
-			return
-		}
-		t.migrateSlot(old, int(i))
-	}
-}
-
-// migrateSlot re-homes one old-epoch slot if it is still published. The
-// slot's key decides the stripe lock, so the key must be read (and
-// seqlock-validated) before locking, then revalidated after.
-func (t *oaTable) migrateSlot(old *oaEpoch, slot int) {
-	c := atomic.LoadUint64(&old.ctl[slot])
-	if c&slotStateMask != slotFull {
-		return // empty or already compacted away
-	}
-	var kw [maxKeyWords]uint64
-	base := slot * t.keyWords
-	for i := 0; i < t.keyWords; i++ {
-		kw[i] = atomic.LoadUint64(&old.keys[base+i])
-	}
-	if atomic.LoadUint64(&old.ctl[slot]) != c {
-		// The owning writer re-homed or deleted it mid-read; it adjusted
-		// the remaining count itself.
-		return
-	}
-	h := hashWords(&kw, t.keyWords)
-	l := t.lock(h)
-	defer t.unlock(l)
-	if atomic.LoadUint64(&old.ctl[slot]) != c {
-		return // re-homed while we waited for the stripe
-	}
-	t.migrateInto(old, slot, &kw, h)
-}
-
-// migrateKeyLocked re-homes kw out of the draining epoch, if present.
-// Must run under kw's stripe lock.
-func (t *oaTable) migrateKeyLocked(old *oaEpoch, kw *[maxKeyWords]uint64, h uint64) {
-	slot := t.findIn(old, kw, h)
-	if slot < 0 {
-		return
-	}
-	t.migrateInto(old, slot, kw, h)
-}
-
-// migrateInto copies one published old-epoch slot into the current
-// epoch: claim, key+value copy, publish, then tombstone the source.
-// Publishing before tombstoning is what makes the readers' old-then-new
-// probe order lossless. Runs under kw's stripe lock.
-func (t *oaTable) migrateInto(old *oaEpoch, slot int, kw *[maxKeyWords]uint64, h uint64) {
-	ne := t.cur.Load()
-	nslot, existed, err := t.insertInto(ne, kw, h, false)
-	if err != nil {
-		// Unreachable by construction: the new epoch has capacity for
-		// every live entry (maxLive ≤ capacity/2) and migration skips
-		// the reservation. Leave the slot for the owning writer.
-		return
-	}
-	if !existed {
-		t.copyVal(ne, old, nslot, slot)
-		t.publish(ne, nslot)
-	}
-	t.tombstone(old, slot)
-	t.migrated.Add(1)
-	if t.remaining.Add(-1) == 0 {
-		// Drain complete: detach the old epoch. Readers holding its
-		// pointer finish probing all-tombstone slots harmlessly.
-		t.prev.Store(nil)
-	}
-}
-
-// drainResize migrates every remaining slot, blocking until the old
-// epoch detaches. Used by the growable ErrMapFull retry path and tests.
-func (t *oaTable) drainResize() {
-	for t.prev.Load() != nil {
-		t.migrateBatch(migrateBatchSlots)
-		if old := t.prev.Load(); old != nil && old.scan.Load() >= int64(old.capacity) {
-			// Cursor done but stragglers are mid-re-home under their
-			// stripe locks; yield until they finish.
-			runtime.Gosched()
-		}
-	}
-}
-
-// rangeSlots calls fn for every published slot as (epoch, slot, key).
-// Entries inserted or deleted concurrently may or may not be observed; a
-// userspace report reader's usual snapshot semantics. During a resize the
-// current epoch is walked first and draining-epoch keys are suppressed
-// when already re-homed, so a key mid-migration is reported once.
-func (t *oaTable) rangeSlots(keySize int, fn func(e *oaEpoch, slot int, key []byte) bool) {
-	cur := t.cur.Load()
-	if !t.rangeEpoch(cur, keySize, nil, fn) {
-		return
-	}
-	if old := t.prev.Load(); old != nil {
-		t.rangeEpoch(old, keySize, cur, fn)
-	}
-}
-
-func (t *oaTable) rangeEpoch(e *oaEpoch, keySize int, skipIfIn *oaEpoch, fn func(e *oaEpoch, slot int, key []byte) bool) bool {
-	for slot := 0; slot < e.capacity; slot++ {
-		if atomic.LoadUint64(&e.ctl[slot])&slotStateMask != slotFull {
+// rangeSlots calls fn for every published slot with its key. Entries
+// inserted or deleted concurrently may or may not be observed; a
+// userspace report reader's usual snapshot semantics.
+func (t *oaTable) rangeSlots(keySize int, fn func(slot int, key []byte) bool) {
+	for slot := 0; slot < t.capacity; slot++ {
+		if atomic.LoadUint64(&t.ctl[slot])&slotStateMask != slotFull {
 			continue
 		}
 		key := make([]byte, t.keyWords*8)
-		var kw [maxKeyWords]uint64
 		base := slot * t.keyWords
 		for i := 0; i < t.keyWords; i++ {
-			kw[i] = atomic.LoadUint64(&e.keys[base+i])
-			binary.LittleEndian.PutUint64(key[i*8:], kw[i])
+			binary.LittleEndian.PutUint64(key[i*8:], atomic.LoadUint64(&t.keys[base+i]))
 		}
-		if skipIfIn != nil {
-			if s := t.findIn(skipIfIn, &kw, hashWords(&kw, t.keyWords)); s >= 0 {
-				continue // migrated mid-walk; already reported from cur
-			}
-		}
-		if !fn(e, slot, key[:keySize]) {
-			return false
+		if !fn(slot, key[:keySize]) {
+			return
 		}
 	}
-	return true
 }
 
 func (t *oaTable) stats() MapStats {
 	return MapStats{
-		Occupancy:        t.count.Load(),
-		Tombstones:       t.tombs.Load(),
-		Collisions:       t.collisions.Load(),
-		Retries:          t.retries.Load(),
-		Resizes:          t.resizes.Load(),
-		Migrated:         t.migrated.Load(),
-		ResizeAllocBytes: t.resizeBy.Load(),
-		Capacity:         t.cur.Load().capacity,
+		Occupancy:  t.count.Load(),
+		Tombstones: t.tombs.Load(),
+		Collisions: t.collisions.Load(),
+		Retries:    t.retries.Load(),
+		Capacity:   t.capacity,
 	}
 }
 
@@ -697,20 +350,24 @@ func storeRawWords(dst []uint64, raw []byte) {
 	}
 }
 
-// --- Hash map (lock-free, growable) ---
+func checkHashKey(name string, keySize int) {
+	if keySize > MaxHashKeySize {
+		panic(ErrBadMapSpec.Error() + ": " + name + ": hash key exceeds MaxHashKeySize")
+	}
+}
+
+// --- Hash map (lock-free, fixed capacity) ---
 
 // HashMap is a hash map with arbitrary fixed-size keys (≤ MaxHashKeySize
 // bytes), the analogue of BPF_MAP_TYPE_HASH. Lookup is lock-free
 // (optimistic, seqlock-validated); Update/Delete serialize per home
-// bucket, exactly the kernel htab discipline. Steady-state operations
-// never allocate; a growable map additionally resizes online (bounded
-// incremental migration amortized over writer ops) once occupancy
-// crosses the high-water mark, so the data plane scales past its
-// preallocated budget instead of returning ErrMapFull.
+// bucket, exactly the kernel htab discipline. No operation allocates,
+// and an insert past maxEntries live keys fails with ErrMapFull.
 type HashMap struct {
 	name       string
 	keySize    int
 	valueWords int
+	vals       []uint64 // capacity × valueWords, indexed by slot
 	tab        oaTable
 }
 
@@ -726,32 +383,8 @@ func NewHashMap(name string, keySize, valueSize, maxEntries int) *HashMap {
 		valueWords: valueSize / 8,
 	}
 	m.tab.init(keySize, maxEntries)
-	m.tab.setValueHooks(
-		func(e *oaEpoch) { e.vals = make([]uint64, e.capacity*m.valueWords) },
-		func(dst, src *oaEpoch, dstSlot, srcSlot int) {
-			atomicCopy(dst.vals[dstSlot*m.valueWords:(dstSlot+1)*m.valueWords],
-				src.vals[srcSlot*m.valueWords:(srcSlot+1)*m.valueWords])
-		},
-	)
+	m.vals = make([]uint64, m.tab.capacity*m.valueWords)
 	return m
-}
-
-// NewGrowableHashMap creates a hash map that resizes online: maxEntries
-// is the initial live budget, doubled (with online migration) whenever
-// occupancy nears it.
-func NewGrowableHashMap(name string, keySize, valueSize, maxEntries int) *HashMap {
-	m := NewHashMap(name, keySize, valueSize, maxEntries)
-	m.tab.growable = true
-	return m
-}
-
-// Growable reports whether online resize is enabled.
-func (m *HashMap) Growable() bool { return m.tab.growable }
-
-func checkHashKey(name string, keySize int) {
-	if keySize > MaxHashKeySize {
-		panic(ErrBadMapSpec.Error() + ": " + name + ": hash key exceeds MaxHashKeySize")
-	}
 }
 
 // Name implements Map.
@@ -763,30 +396,26 @@ func (m *HashMap) KeySize() int { return m.keySize }
 // ValueSize implements Map.
 func (m *HashMap) ValueSize() int { return m.valueWords * 8 }
 
-// MaxEntries implements Map: the current live budget, which grows with
-// the table for growable maps.
-func (m *HashMap) MaxEntries() int { return int(m.tab.maxLive.Load()) }
+// MaxEntries implements Map: the live-entry budget.
+func (m *HashMap) MaxEntries() int { return int(m.tab.maxLive) }
 
-func (m *HashMap) valSlice(e *oaEpoch, slot int) []uint64 {
-	return e.vals[slot*m.valueWords : (slot+1)*m.valueWords]
+func (m *HashMap) valSlice(slot int) []uint64 {
+	return m.vals[slot*m.valueWords : (slot+1)*m.valueWords]
 }
 
 // Lookup implements Map. It never takes a lock: concurrent mutators are
-// detected via the slot control word and retried past, and a concurrent
-// resize is covered by the epoch revalidation in find. JIT map fast
-// paths stay resize-safe because every call re-enters here and loads the
-// current epoch pointers afresh.
+// detected via the slot control word and retried past.
 func (m *HashMap) Lookup(key []byte, _ int) []uint64 {
 	if len(key) != m.keySize {
 		return nil
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	e, slot := m.tab.find(&kw)
+	slot := m.tab.find(&kw, hashWords(&kw, m.tab.keyWords))
 	if slot < 0 {
 		return nil
 	}
-	return m.valSlice(e, slot)
+	return m.valSlice(slot)
 }
 
 // Update implements Map, inserting the key if absent.
@@ -812,30 +441,16 @@ func (m *HashMap) update(key []byte, fill func(dst []uint64)) error {
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	err := m.tryUpdate(&kw, fill)
-	for err == ErrMapFull && m.tab.growable {
-		// The insert burst outran the high-water trigger: grow
-		// synchronously, finish the drain, and retry — for as long as
-		// other writers fill the grown table before this one's insert
-		// lands, which a burst does while its live set ramps up.
-		m.tab.beginResize()
-		m.tab.drainResize()
-		err = m.tryUpdate(&kw, fill)
-	}
-	return err
-}
-
-func (m *HashMap) tryUpdate(kw *[maxKeyWords]uint64, fill func(dst []uint64)) error {
-	m.tab.maybeResize()
-	l := m.tab.lock(hashWords(kw, m.tab.keyWords))
+	h := hashWords(&kw, m.tab.keyWords)
+	l := m.tab.lock(h)
 	defer m.tab.unlock(l)
-	e, slot, existed, err := m.tab.insertLocked(kw)
+	slot, existed, err := m.tab.insertLocked(&kw, h)
 	if err != nil {
 		return err
 	}
-	fill(m.valSlice(e, slot))
+	fill(m.valSlice(slot))
 	if !existed {
-		m.tab.publish(e, slot)
+		m.tab.publish(slot)
 	}
 	return nil
 }
@@ -847,53 +462,49 @@ func (m *HashMap) Delete(key []byte) error {
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	m.tab.maybeResize()
-	l := m.tab.lock(hashWords(&kw, m.tab.keyWords))
+	h := hashWords(&kw, m.tab.keyWords)
+	l := m.tab.lock(h)
 	defer m.tab.unlock(l)
-	return m.tab.deleteLocked(&kw)
+	return m.tab.deleteLocked(&kw, h)
 }
 
 // LookupOrInit returns the value for key, atomically inserting a zero
-// value if absent. The fast path is the lock-free find; only a miss
-// takes the bucket writer lock. Used by the map_add helper so counting
-// policies need no userspace priming and first touches cannot race.
+// value if absent, or nil if the map is full. The fast path is the
+// lock-free find; only a miss takes the bucket writer lock. Used by the
+// map_add helper so counting policies need no userspace priming and
+// first touches cannot race.
 func (m *HashMap) LookupOrInit(key []byte, _ int) []uint64 {
 	if len(key) != m.keySize {
 		return nil
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	if e, slot := m.tab.find(&kw); slot >= 0 {
-		return m.valSlice(e, slot)
-	}
-	e, slot := m.initSlot(&kw)
-	for slot < 0 && m.tab.growable { // as in HashMap.update
-		m.tab.beginResize()
-		m.tab.drainResize()
-		e, slot = m.initSlot(&kw)
+	h := hashWords(&kw, m.tab.keyWords)
+	slot := m.tab.find(&kw, h)
+	if slot < 0 {
+		slot = m.initSlot(&kw, h)
 	}
 	if slot < 0 {
 		return nil
 	}
-	return m.valSlice(e, slot)
+	return m.valSlice(slot)
 }
 
-func (m *HashMap) initSlot(kw *[maxKeyWords]uint64) (*oaEpoch, int) {
-	m.tab.maybeResize()
-	l := m.tab.lock(hashWords(kw, m.tab.keyWords))
+func (m *HashMap) initSlot(kw *[maxKeyWords]uint64, h uint64) int {
+	l := m.tab.lock(h)
 	defer m.tab.unlock(l)
-	e, slot, existed, err := m.tab.insertLocked(kw)
+	slot, existed, err := m.tab.insertLocked(kw, h)
 	if err != nil {
-		return nil, -1
+		return -1
 	}
 	if !existed {
-		v := m.valSlice(e, slot)
+		v := m.valSlice(slot)
 		for i := range v {
 			atomic.StoreUint64(&v[i], 0)
 		}
-		m.tab.publish(e, slot)
+		m.tab.publish(slot)
 	}
-	return e, slot
+	return slot
 }
 
 // Len reports the number of live entries.
@@ -905,12 +516,12 @@ func (m *HashMap) MapStats() MapStats { return m.tab.stats() }
 // Range calls fn for every key/value pair until fn returns false. The
 // value slice aliases map storage. Intended for userspace report readers.
 func (m *HashMap) Range(fn func(key []byte, value []uint64) bool) {
-	m.tab.rangeSlots(m.keySize, func(e *oaEpoch, slot int, key []byte) bool {
-		return fn(key, m.valSlice(e, slot))
+	m.tab.rangeSlots(m.keySize, func(slot int, key []byte) bool {
+		return fn(key, m.valSlice(slot))
 	})
 }
 
-// --- Per-CPU hash map (lock-free, growable) ---
+// --- Per-CPU hash map (lock-free, fixed capacity) ---
 
 // cacheLineWords pads per-CPU value stripes to 64-byte boundaries so
 // two CPUs' stripes never share a line.
@@ -919,15 +530,19 @@ const cacheLineWords = 8
 // PerCPUHashMap shares one key table across CPUs but gives each virtual
 // CPU its own value stripe, the analogue of BPF_MAP_TYPE_PERCPU_HASH:
 // counting policies touch only their own cacheline, so hot keys do not
-// bounce between CPUs. Key management (insert/delete/probe/resize) is
-// the same engine as HashMap; an online resize re-homes every CPU's
-// stripe of a migrating slot under that key's stripe lock.
+// bounce between CPUs. Key management (insert/delete/probe) is the same
+// engine as HashMap.
 type PerCPUHashMap struct {
 	name       string
 	keySize    int
 	valueWords int
 	numCPUs    int
-	tab        oaTable
+	// vals holds numCPUs stripes of capacity × valueWords words, each
+	// stride words apart; vals[base] is cacheline-aligned.
+	vals   []uint64
+	stride int
+	base   int
+	tab    oaTable
 }
 
 // NewPerCPUHashMap creates a per-CPU hash map over numCPUs virtual CPUs.
@@ -944,32 +559,12 @@ func NewPerCPUHashMap(name string, keySize, valueSize, maxEntries, numCPUs int) 
 		numCPUs:    numCPUs,
 	}
 	m.tab.init(keySize, maxEntries)
-	m.tab.setValueHooks(
-		func(e *oaEpoch) {
-			stripe := e.capacity * m.valueWords
-			e.stride = (stripe + cacheLineWords - 1) &^ (cacheLineWords - 1)
-			e.vals = make([]uint64, m.numCPUs*e.stride+cacheLineWords-1)
-			e.base = alignOffset(e.vals)
-		},
-		func(dst, src *oaEpoch, dstSlot, srcSlot int) {
-			for cpu := 0; cpu < m.numCPUs; cpu++ {
-				atomicCopy(m.valSlice(dst, dstSlot, cpu), m.valSlice(src, srcSlot, cpu))
-			}
-		},
-	)
+	stripe := m.tab.capacity * m.valueWords
+	m.stride = (stripe + cacheLineWords - 1) &^ (cacheLineWords - 1)
+	m.vals = make([]uint64, numCPUs*m.stride+cacheLineWords-1)
+	m.base = alignOffset(m.vals)
 	return m
 }
-
-// NewGrowablePerCPUHashMap creates a per-CPU hash map that resizes
-// online, re-homing every CPU's value stripe during migration.
-func NewGrowablePerCPUHashMap(name string, keySize, valueSize, maxEntries, numCPUs int) *PerCPUHashMap {
-	m := NewPerCPUHashMap(name, keySize, valueSize, maxEntries, numCPUs)
-	m.tab.growable = true
-	return m
-}
-
-// Growable reports whether online resize is enabled.
-func (m *PerCPUHashMap) Growable() bool { return m.tab.growable }
 
 // alignOffset returns the element offset at which the slice is 64-byte
 // aligned (the allocator only guarantees word alignment).
@@ -994,15 +589,15 @@ func (m *PerCPUHashMap) KeySize() int { return m.keySize }
 // ValueSize implements Map.
 func (m *PerCPUHashMap) ValueSize() int { return m.valueWords * 8 }
 
-// MaxEntries implements Map: the current live budget.
-func (m *PerCPUHashMap) MaxEntries() int { return int(m.tab.maxLive.Load()) }
+// MaxEntries implements Map: the live-entry budget.
+func (m *PerCPUHashMap) MaxEntries() int { return int(m.tab.maxLive) }
 
 // NumCPUs returns the number of per-CPU value stripes.
 func (m *PerCPUHashMap) NumCPUs() int { return m.numCPUs }
 
-func (m *PerCPUHashMap) valSlice(e *oaEpoch, slot, cpu int) []uint64 {
-	off := e.base + cpu*e.stride + slot*m.valueWords
-	return e.vals[off : off+m.valueWords]
+func (m *PerCPUHashMap) valSlice(slot, cpu int) []uint64 {
+	off := m.base + cpu*m.stride + slot*m.valueWords
+	return m.vals[off : off+m.valueWords]
 }
 
 // Lookup implements Map; the entry returned belongs to the given CPU.
@@ -1012,11 +607,11 @@ func (m *PerCPUHashMap) Lookup(key []byte, cpu int) []uint64 {
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	e, slot := m.tab.find(&kw)
+	slot := m.tab.find(&kw, hashWords(&kw, m.tab.keyWords))
 	if slot < 0 {
 		return nil
 	}
-	return m.valSlice(e, slot, cpu)
+	return m.valSlice(slot, cpu)
 }
 
 // Update implements Map: it sets the value on the given CPU's stripe
@@ -1048,36 +643,26 @@ func (m *PerCPUHashMap) update(key []byte, cpu int, fill func(dst []uint64)) err
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	err := m.tryUpdate(&kw, cpu, fill)
-	for err == ErrMapFull && m.tab.growable { // as in HashMap.update
-		m.tab.beginResize()
-		m.tab.drainResize()
-		err = m.tryUpdate(&kw, cpu, fill)
-	}
-	return err
-}
-
-func (m *PerCPUHashMap) tryUpdate(kw *[maxKeyWords]uint64, cpu int, fill func(dst []uint64)) error {
-	m.tab.maybeResize()
-	l := m.tab.lock(hashWords(kw, m.tab.keyWords))
+	h := hashWords(&kw, m.tab.keyWords)
+	l := m.tab.lock(h)
 	defer m.tab.unlock(l)
-	e, slot, existed, err := m.tab.insertLocked(kw)
+	slot, existed, err := m.tab.insertLocked(&kw, h)
 	if err != nil {
 		return err
 	}
 	if !existed {
-		m.zeroSlot(e, slot)
+		m.zeroSlot(slot)
 	}
-	fill(m.valSlice(e, slot, cpu))
+	fill(m.valSlice(slot, cpu))
 	if !existed {
-		m.tab.publish(e, slot)
+		m.tab.publish(slot)
 	}
 	return nil
 }
 
-func (m *PerCPUHashMap) zeroSlot(e *oaEpoch, slot int) {
+func (m *PerCPUHashMap) zeroSlot(slot int) {
 	for cpu := 0; cpu < m.numCPUs; cpu++ {
-		v := m.valSlice(e, slot, cpu)
+		v := m.valSlice(slot, cpu)
 		for i := range v {
 			atomic.StoreUint64(&v[i], 0)
 		}
@@ -1091,48 +676,44 @@ func (m *PerCPUHashMap) Delete(key []byte) error {
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	m.tab.maybeResize()
-	l := m.tab.lock(hashWords(&kw, m.tab.keyWords))
+	h := hashWords(&kw, m.tab.keyWords)
+	l := m.tab.lock(h)
 	defer m.tab.unlock(l)
-	return m.tab.deleteLocked(&kw)
+	return m.tab.deleteLocked(&kw, h)
 }
 
 // LookupOrInit returns the given CPU's value for key, inserting a
-// zeroed entry (on all CPUs) if absent. Used by the map_add helper.
+// zeroed entry (on all CPUs) if absent, or nil if the map is full. Used
+// by the map_add helper.
 func (m *PerCPUHashMap) LookupOrInit(key []byte, cpu int) []uint64 {
 	if len(key) != m.keySize || cpu < 0 || cpu >= m.numCPUs {
 		return nil
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	if e, slot := m.tab.find(&kw); slot >= 0 {
-		return m.valSlice(e, slot, cpu)
-	}
-	e, slot := m.initSlot(&kw)
-	for slot < 0 && m.tab.growable { // as in HashMap.update
-		m.tab.beginResize()
-		m.tab.drainResize()
-		e, slot = m.initSlot(&kw)
+	h := hashWords(&kw, m.tab.keyWords)
+	slot := m.tab.find(&kw, h)
+	if slot < 0 {
+		slot = m.initSlot(&kw, h)
 	}
 	if slot < 0 {
 		return nil
 	}
-	return m.valSlice(e, slot, cpu)
+	return m.valSlice(slot, cpu)
 }
 
-func (m *PerCPUHashMap) initSlot(kw *[maxKeyWords]uint64) (*oaEpoch, int) {
-	m.tab.maybeResize()
-	l := m.tab.lock(hashWords(kw, m.tab.keyWords))
+func (m *PerCPUHashMap) initSlot(kw *[maxKeyWords]uint64, h uint64) int {
+	l := m.tab.lock(h)
 	defer m.tab.unlock(l)
-	e, slot, existed, err := m.tab.insertLocked(kw)
+	slot, existed, err := m.tab.insertLocked(kw, h)
 	if err != nil {
-		return nil, -1
+		return -1
 	}
 	if !existed {
-		m.zeroSlot(e, slot)
-		m.tab.publish(e, slot)
+		m.zeroSlot(slot)
+		m.tab.publish(slot)
 	}
-	return e, slot
+	return slot
 }
 
 // Len reports the number of live keys.
@@ -1158,8 +739,8 @@ func (m *PerCPUHashMap) Range(cpu int, fn func(key []byte, value []uint64) bool)
 	if cpu < 0 || cpu >= m.numCPUs {
 		return
 	}
-	m.tab.rangeSlots(m.keySize, func(e *oaEpoch, slot int, key []byte) bool {
-		return fn(key, m.valSlice(e, slot, cpu))
+	m.tab.rangeSlots(m.keySize, func(slot int, key []byte) bool {
+		return fn(key, m.valSlice(slot, cpu))
 	})
 }
 
@@ -1175,8 +756,6 @@ func MapKindOf(m Map) string {
 		return "hash"
 	case *PerCPUHashMap:
 		return "percpu_hash"
-	case *LockedHashMap:
-		return "locked_hash"
 	default:
 		return "custom"
 	}

@@ -70,47 +70,6 @@ func TestPerCPUHashMapReinsertZeroes(t *testing.T) {
 	}
 }
 
-func TestLockedHashMapBasics(t *testing.T) {
-	m := NewLockedHashMap("l", 8, 8, 2)
-	k1 := []byte("aaaaaaaa")
-	k2 := []byte("bbbbbbbb")
-	k3 := []byte("cccccccc")
-	if err := m.Update(k1, []uint64{1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Update(k2, []uint64{2}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Update(k3, []uint64{3}, 0); err != ErrMapFull {
-		t.Errorf("over capacity: %v, want ErrMapFull", err)
-	}
-	if v := m.Lookup(k1, 0); v == nil || v[0] != 1 {
-		t.Errorf("k1 = %v, want [1]", v)
-	}
-	if err := m.Delete(k1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Delete(k1); err != ErrNoSuchKey {
-		t.Errorf("double delete: %v, want ErrNoSuchKey", err)
-	}
-	// The freed slot is recycled for the next insert.
-	if err := m.Update(k3, []uint64{3}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 2 {
-		t.Errorf("Len = %d, want 2", m.Len())
-	}
-	var sum uint64
-	m.Range(func(_ []byte, v []uint64) bool { sum += v[0]; return true })
-	if sum != 5 {
-		t.Errorf("Range sum = %d, want 5", sum)
-	}
-	st := m.MapStats()
-	if st.Occupancy != 2 {
-		t.Errorf("Occupancy = %d, want 2", st.Occupancy)
-	}
-}
-
 func TestMapKindOf(t *testing.T) {
 	cases := []struct {
 		m    Map
@@ -120,7 +79,6 @@ func TestMapKindOf(t *testing.T) {
 		{NewPerCPUArrayMap("pa", 8, 1, 2), "percpu_array"},
 		{NewHashMap("h", 8, 8, 1), "hash"},
 		{NewPerCPUHashMap("ph", 8, 8, 1, 2), "percpu_hash"},
-		{NewLockedHashMap("lh", 8, 8, 1), "locked_hash"},
 	}
 	for _, tc := range cases {
 		if got := MapKindOf(tc.m); got != tc.want {

@@ -14,6 +14,12 @@ func key32(i uint32) []byte {
 	return k[:]
 }
 
+func key64(i uint64) []byte {
+	var k [8]byte
+	binary.LittleEndian.PutUint64(k[:], i)
+	return k[:]
+}
+
 func TestArrayMapBasics(t *testing.T) {
 	m := NewArrayMap("a", 16, 8)
 	if m.KeySize() != 4 || m.ValueSize() != 16 || m.MaxEntries() != 8 {
@@ -218,5 +224,48 @@ func TestBadMapSpecPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestFixedMapStaysFixed pins the capacity contract: a hash map refuses
+// keys past its budget.
+func TestFixedMapStaysFixed(t *testing.T) {
+	m := NewHashMap("fixed", 8, 8, 16)
+	var err error
+	for i := 0; i < 64 && err == nil; i++ {
+		err = m.Update(key64(uint64(i)), []uint64{1}, 0)
+	}
+	if err != ErrMapFull {
+		t.Fatalf("fixed map accepted past budget (err=%v)", err)
+	}
+}
+
+// TestTombstoneStats verifies live and dead slots are reported
+// separately (the concordctl top fill-ratio fix).
+func TestTombstoneStats(t *testing.T) {
+	m := NewHashMap("tomb", 8, 8, 32)
+	for i := 0; i < 16; i++ {
+		if err := m.Update(key64(uint64(i)), []uint64{1}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if err := m.Delete(key64(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := m.MapStats()
+	if st.Occupancy != 8 {
+		t.Fatalf("occupancy %d counts tombstones as live", st.Occupancy)
+	}
+	if st.Tombstones != 8 {
+		t.Fatalf("tombstones %d, want 8", st.Tombstones)
+	}
+	// Reuse decrements the dead count again.
+	if err := m.Update(key64(0), []uint64{1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.MapStats(); st.Tombstones != 7 {
+		t.Fatalf("tombstones after reuse %d, want 7", st.Tombstones)
 	}
 }

@@ -115,8 +115,6 @@ func tortureMap(t *testing.T, m Map, numCPUs int) {
 		for cpu := 0; cpu < numCPUs; cpu++ {
 			mm.Range(cpu, func(_ []byte, v []uint64) bool { checkWord(v); return true })
 		}
-	case *LockedHashMap:
-		mm.Range(func(_ []byte, v []uint64) bool { checkWord(v); return true })
 	}
 	if got := torn.Load(); got != 0 {
 		t.Fatalf("quiescent sweep found %d malformed words", got)
@@ -131,12 +129,60 @@ func TestPerCPUHashMapTorture(t *testing.T) {
 	tortureMap(t, NewPerCPUHashMap("torture", 8, 8, 128, 4), 4)
 }
 
-func TestLockedHashMapTorture(t *testing.T) {
-	tortureMap(t, NewLockedHashMap("torture", 8, 8, 128), 1)
-}
-
 // TestHashMapTortureSmall forces heavy slot reuse: capacity barely over
 // the key space, so tombstone recycling and insert rescans are constant.
 func TestHashMapTortureSmall(t *testing.T) {
 	tortureMap(t, NewHashMap("torture-small", 8, 8, 8), 1)
+}
+
+// TestHashMapTortureFillPastBudget is the fixed-capacity contract under
+// concurrent inserts: four writers each stream distinct keys until the
+// map refuses one. Every writer must stop at ErrMapFull, the live
+// reservation must hold occupancy to exactly the budget, and every key
+// accepted must be found with its value.
+func TestHashMapTortureFillPastBudget(t *testing.T) {
+	const workers = 4
+	m := NewHashMap("fill", 8, 8, 256)
+	capacity := m.MapStats().Capacity
+	key := func(w, j int) []byte {
+		var k [8]byte
+		binary.LittleEndian.PutUint64(k[:], uint64(w)<<32|uint64(j))
+		return k[:]
+	}
+	inserted := make([]int, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; ; j++ {
+				if err := m.Update(key(w, j), []uint64{wellFormed(uint32(j))}, 0); err != nil {
+					errs[w] = err
+					return
+				}
+				inserted[w]++
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for w, err := range errs {
+		if err != ErrMapFull {
+			t.Fatalf("writer %d stopped with %v, want ErrMapFull", w, err)
+		}
+		total += inserted[w]
+		for j := 0; j < inserted[w]; j++ {
+			if v := m.Lookup(key(w, j), 0); v == nil || v[0] != wellFormed(uint32(j)) {
+				t.Fatalf("writer %d key %d lost or wrong: %v", w, j, v)
+			}
+		}
+	}
+	st := m.MapStats()
+	if total != m.MaxEntries() || m.Len() != m.MaxEntries() || st.Occupancy != int64(m.MaxEntries()) {
+		t.Fatalf("accepted %d keys, Len %d, occupancy %d; want the budget %d", total, m.Len(), st.Occupancy, m.MaxEntries())
+	}
+	if st.Capacity != capacity {
+		t.Fatalf("capacity %d changed from %d", st.Capacity, capacity)
+	}
 }

@@ -12,18 +12,13 @@ import (
 
 // MapSpec describes a map without its contents.
 type MapSpec struct {
-	// Type is "array", "percpu_array", "hash", "percpu_hash" or
-	// "locked_hash".
+	// Type is "array", "percpu_array", "hash" or "percpu_hash".
 	Type       string `json:"type"`
 	Name       string `json:"name"`
 	KeySize    int    `json:"key_size"`
 	ValueSize  int    `json:"value_size"`
 	MaxEntries int    `json:"max_entries"`
 	NumCPUs    int    `json:"num_cpus,omitempty"`
-	// Growable marks hash kinds that resize online past MaxEntries.
-	// Absent in specs persisted before online resize existed, which
-	// json decodes as false — exactly the old fixed-capacity contract.
-	Growable bool `json:"growable,omitempty"`
 }
 
 // SpecOf extracts the specification of a map.
@@ -42,13 +37,9 @@ func SpecOf(m Map) MapSpec {
 		spec.NumCPUs = mm.NumCPUs()
 	case *HashMap:
 		spec.Type = "hash"
-		spec.Growable = mm.Growable()
 	case *PerCPUHashMap:
 		spec.Type = "percpu_hash"
 		spec.NumCPUs = mm.NumCPUs()
-		spec.Growable = mm.Growable()
-	case *LockedHashMap:
-		spec.Type = "locked_hash"
 	default:
 		spec.Type = "hash"
 	}
@@ -72,29 +63,15 @@ func (s MapSpec) Build() (m Map, err error) {
 		}
 		return NewPerCPUArrayMap(s.Name, s.ValueSize, s.MaxEntries, n), nil
 	case "hash":
-		if s.KeySize > MaxHashKeySize {
-			// Specs persisted before the lock-free kind existed could
-			// carry keys beyond its word-compare bound; keep loading
-			// them via the locked kind, which supports unbounded keys.
-			return NewLockedHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries), nil
-		}
-		if s.Growable {
-			return NewGrowableHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries), nil
-		}
 		return NewHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries), nil
 	case "percpu_hash":
 		n := s.NumCPUs
 		if n <= 0 {
 			n = 1
 		}
-		if s.Growable {
-			return NewGrowablePerCPUHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries, n), nil
-		}
 		return NewPerCPUHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries, n), nil
-	case "locked_hash":
-		return NewLockedHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries), nil
 	}
-	return nil, fmt.Errorf("policy: unknown map type %q", s.Type)
+	return nil, fmt.Errorf("policy: map %q: unknown map type %q", s.Name, s.Type)
 }
 
 // serializedInsn is the on-disk instruction encoding.

@@ -63,6 +63,27 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if v, err := Exec(got, NewCtx(KindLockContended), nil); err != nil || v != 7 {
 		t.Errorf("exec: %d, %v", v, err)
 	}
+
+	// A spec stored while hash maps could grow carries "growable": true.
+	// It loads as the fixed map of its recorded max_entries.
+	old := `{"name":"g","kind":"cmp_node","insns":[],` +
+		`"maps":[{"type":"hash","name":"grown","key_size":8,"value_size":8,"max_entries":4,"growable":true}]}`
+	gp, err := Unmarshal([]byte(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm, ok := gp.Maps[0].(*HashMap)
+	if !ok || gm.MaxEntries() != 4 || gm.MapStats().Capacity != 8 {
+		t.Fatalf("growable spec loaded as %T (%+v), want a fixed hash map of 4 entries", gp.Maps[0], SpecOf(gp.Maps[0]))
+	}
+	for i := byte(0); i < 4; i++ {
+		if err := gm.Update([]byte{i, 0, 0, 0, 0, 0, 0, 0}, []uint64{1}, 0); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if err := gm.Update([]byte{4, 0, 0, 0, 0, 0, 0, 0}, []uint64{1}, 0); err != ErrMapFull {
+		t.Fatalf("insert past max_entries = %v, want ErrMapFull", err)
+	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
@@ -73,6 +94,11 @@ func TestUnmarshalErrors(t *testing.T) {
 		{"bad-kind", `{"name":"x","kind":"frobnicate","insns":[]}`, "unknown program kind"},
 		{"bad-map", `{"name":"x","kind":"cmp_node","insns":[],"maps":[{"type":"ring","name":"m"}]}`, "unknown map type"},
 		{"bad-map-spec", `{"name":"x","kind":"cmp_node","insns":[],"maps":[{"type":"array","name":"m","value_size":7,"max_entries":1}]}`, "bad map spec"},
+		// Stored specs come from outside the program: a kind this package
+		// does not build fails, naming its map.
+		{"locked-hash", `{"name":"x","kind":"cmp_node","insns":[],"maps":[{"type":"locked_hash","name":"legacy","key_size":8,"value_size":8,"max_entries":4}]}`, `map "legacy": unknown map type "locked_hash"`},
+		// So does a hash key past the table's word-compare bound.
+		{"hash-large-key", `{"name":"x","kind":"cmp_node","insns":[],"maps":[{"type":"hash","name":"big","key_size":72,"value_size":8,"max_entries":4}]}`, "big: hash key exceeds MaxHashKeySize"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,7 +122,6 @@ func TestSpecOf(t *testing.T) {
 		{NewHashMap("h", 4, 8, 2), "hash"},
 		{NewPerCPUArrayMap("p", 8, 2, 3), "percpu_array"},
 		{NewPerCPUHashMap("ph", 4, 8, 2, 3), "percpu_hash"},
-		{NewLockedHashMap("lh", 4, 8, 2), "locked_hash"},
 	}
 	for _, tc := range cases {
 		spec := SpecOf(tc.m)
@@ -117,33 +142,6 @@ func TestSpecOf(t *testing.T) {
 		if pc, ok := rebuilt.(*PerCPUHashMap); ok && pc.NumCPUs() != 3 {
 			t.Errorf("rebuilt NumCPUs = %d, want 3", pc.NumCPUs())
 		}
-	}
-}
-
-// TestBuildHashLargeKeyFallsBack pins backward compatibility: "hash"
-// specs persisted before the lock-free kind existed may carry keys
-// beyond MaxHashKeySize; Build must load them via the locked kind
-// instead of failing (or panicking) on a previously valid spec.
-func TestBuildHashLargeKeyFallsBack(t *testing.T) {
-	spec := MapSpec{Type: "hash", Name: "big", KeySize: MaxHashKeySize + 8,
-		ValueSize: 8, MaxEntries: 4}
-	m, err := spec.Build()
-	if err != nil {
-		t.Fatalf("Build(large-key hash) = %v, want fallback to locked_hash", err)
-	}
-	if _, ok := m.(*LockedHashMap); !ok {
-		t.Fatalf("Build(large-key hash) kind = %s, want locked_hash", MapKindOf(m))
-	}
-	if m.KeySize() != MaxHashKeySize+8 {
-		t.Errorf("KeySize = %d, want %d", m.KeySize(), MaxHashKeySize+8)
-	}
-	key := make([]byte, MaxHashKeySize+8)
-	key[0] = 1
-	if err := m.Update(key, []uint64{42}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v := m.Lookup(key, 0); v == nil || v[0] != 42 {
-		t.Errorf("large-key lookup = %v, want [42]", v)
 	}
 }
 

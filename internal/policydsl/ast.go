@@ -14,12 +14,11 @@ type Unit struct {
 type MapDecl struct {
 	pos
 	Name    string
-	Kind    string // "array", "hash", "percpu_array"
+	Kind    string // "array", "hash", "percpu_array", "percpu_hash"
 	Key     int64  // key size in bytes (array maps fix this to 4)
 	Value   int64  // value size in bytes
 	Entries int64
-	CPUs    int64 // percpu_array only
-	Grow    int64 // hash kinds: non-zero enables online resize
+	CPUs    int64 // per-CPU kinds only
 }
 
 // PolicyDecl is `policy <hookkind> <name> { ... }`.

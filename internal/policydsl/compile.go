@@ -112,7 +112,7 @@ func buildMap(md *MapDecl) (policy.Map, error) {
 			cpus = 80
 		}
 		return policy.NewPerCPUArrayMap(md.Name, int(md.Value), int(md.Entries), int(cpus)), nil
-	case "hash", "percpu_hash", "locked_hash":
+	case "hash", "percpu_hash":
 		key := md.Key
 		if key == 0 {
 			key = 8
@@ -120,28 +120,16 @@ func buildMap(md *MapDecl) (policy.Map, error) {
 		if key != 4 && key != 8 {
 			return nil, errf(md.line, md.col, "map %q: hash key must be 4 or 8 bytes", md.Name)
 		}
-		switch md.Kind {
-		case "percpu_hash":
+		if md.Kind == "percpu_hash" {
 			cpus := md.CPUs
 			if cpus <= 0 {
 				cpus = 80
 			}
-			if md.Grow != 0 {
-				return policy.NewGrowablePerCPUHashMap(md.Name, int(key), int(md.Value), int(md.Entries), int(cpus)), nil
-			}
 			return policy.NewPerCPUHashMap(md.Name, int(key), int(md.Value), int(md.Entries), int(cpus)), nil
-		case "locked_hash":
-			if md.Grow != 0 {
-				return nil, errf(md.line, md.col, "map %q: locked_hash does not support grow", md.Name)
-			}
-			return policy.NewLockedHashMap(md.Name, int(key), int(md.Value), int(md.Entries)), nil
-		}
-		if md.Grow != 0 {
-			return policy.NewGrowableHashMap(md.Name, int(key), int(md.Value), int(md.Entries)), nil
 		}
 		return policy.NewHashMap(md.Name, int(key), int(md.Value), int(md.Entries)), nil
 	default:
-		return nil, errf(md.line, md.col, "unknown map kind %q (array | hash | percpu_hash | percpu_array | locked_hash)", md.Kind)
+		return nil, errf(md.line, md.col, "unknown map kind %q (array | hash | percpu_hash | percpu_array)", md.Kind)
 	}
 }
 

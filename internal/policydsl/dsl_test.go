@@ -341,12 +341,12 @@ func TestNamesDoNotPinSource(t *testing.T) {
 func TestHashKindsEndToEnd(t *testing.T) {
 	src := `
 		map stripes percpu_hash(key = 8, value = 8, entries = 16, cpus = 4);
-		map legacy locked_hash(key = 8, value = 8, entries = 16);
+		map global hash(key = 8, value = 8, entries = 16);
 
 		policy lock_acquire p {
 			stripes[42] += 1;
-			legacy[42] += 2;
-			return legacy[42];
+			global[42] += 2;
+			return global[42];
 		}
 	`
 	u, err := CompileAndVerify(src)
@@ -355,7 +355,7 @@ func TestHashKindsEndToEnd(t *testing.T) {
 	}
 	p, _ := u.Program("p")
 	// Two runs on different CPUs: the per-CPU map counts once per
-	// stripe, the locked map accumulates globally.
+	// stripe, the hash map accumulates globally.
 	for cpu := 0; cpu < 2; cpu++ {
 		if _, err := policy.Exec(p, policy.NewCtx(policy.KindLockAcquire), &policy.TestEnv{CPUID: cpu}); err != nil {
 			t.Fatal(err)
@@ -370,9 +370,9 @@ func TestHashKindsEndToEnd(t *testing.T) {
 	if v := ph.Lookup(key, 0); v == nil || v[0] != 1 {
 		t.Errorf("cpu0 stripe = %v, want [1]", v)
 	}
-	lh := u.Maps["legacy"].(*policy.LockedHashMap)
-	if v := lh.Lookup(key, 0); v == nil || v[0] != 4 {
-		t.Errorf("locked_hash value = %v, want [4]", v)
+	h := u.Maps["global"].(*policy.HashMap)
+	if v := h.Lookup(key, 0); v == nil || v[0] != 4 {
+		t.Errorf("hash value = %v, want [4]", v)
 	}
 }
 
@@ -410,6 +410,10 @@ func TestCompileErrors(t *testing.T) {
 		{"loop-too-big", "policy cmp_node p { for i in 0..10000 { trace(i); } return 0; }", "unrolls"},
 		{"loop-inverted", "policy cmp_node p { for i in 5..2 { trace(i); } return 0; }", "inverted"},
 		{"bad-map-kind", "map m ring(value=8, entries=1); policy cmp_node p { return 0; }", "unknown map kind"},
+		// Hash maps have a fixed capacity: no grow parameter, no
+		// mutex-based second kind.
+		{"grow", "map m hash(key=8, value=8, entries=4, grow=1); policy cmp_node p { return 0; }", "unknown map parameter"},
+		{"locked-hash", "map m locked_hash(key=8, value=8, entries=4); policy cmp_node p { return 0; }", "unknown map kind"},
 		{"bad-value-size", "map m array(value=16, entries=1); policy cmp_node p { return 0; }", "value = 8"},
 		{"bad-builtin", "policy cmp_node p { return frob(); }", "unknown builtin"},
 		{"builtin-arity", "policy cmp_node p { return cpu(1); }", "0 argument"},

@@ -122,8 +122,6 @@ func (p *parser) parseMapDecl() (*MapDecl, error) {
 			m.Entries = val.val
 		case "cpus":
 			m.CPUs = val.val
-		case "grow":
-			m.Grow = val.val
 		default:
 			return nil, errf(param.line, param.col, "unknown map parameter %q", param.text)
 		}

@@ -77,65 +77,3 @@ func TestReplayMatchesRecording(t *testing.T) {
 			original, replayed)
 	}
 }
-
-// runTargetOnce executes any registered target once at the given seed
-// and returns (schedule bytes, run result).
-func runTargetOnce(t *testing.T, target string, seed uint64, strategy string) ([]byte, *Result) {
-	t.Helper()
-	h, err := NewHarness(HarnessConfig{
-		Seed:     seed,
-		Strategy: strategy,
-		Target:   target,
-		Out:      &bytes.Buffer{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := res.Schedule.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, res
-}
-
-// TestMapResizeSameSeedByteIdentical extends the determinism contract
-// to the map-resize target: its default single-worker shape drives the
-// full online-resize protocol (epoch flips, batched migration,
-// tombstone compaction) while keeping every schedule site sequential,
-// so the same seed must produce a byte-identical log, and replaying
-// that log must re-record it exactly.
-func TestMapResizeSameSeedByteIdentical(t *testing.T) {
-	for _, strategy := range []string{"random", "pct", "targeted"} {
-		a, res := runTargetOnce(t, "map-resize", 2026, strategy)
-		if res.Failed {
-			t.Fatalf("strategy %s: map-resize failed: %v", strategy, res.Err)
-		}
-		b, _ := runTargetOnce(t, "map-resize", 2026, strategy)
-		if !bytes.Equal(a, b) {
-			t.Errorf("strategy %s: same seed produced different map-resize logs", strategy)
-		}
-
-		s, err := UnmarshalSchedule(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rres, err := Replay(s, ReplayOptions{Out: &bytes.Buffer{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rres.Failed {
-			t.Fatalf("strategy %s: replay failed on a clean recording: %v", strategy, rres.Err)
-		}
-		replayed, err := rres.Schedule.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, replayed) {
-			t.Errorf("strategy %s: replayed map-resize log diverged from recording", strategy)
-		}
-	}
-}

@@ -127,7 +127,6 @@ func init() {
 	RegisterTarget(seqLockTarget{})
 	RegisterTarget(lockTortureTarget{})
 	RegisterTarget(mapChurnTarget{})
-	RegisterTarget(mapResizeTarget{})
 	RegisterTarget(selftestTarget{})
 }
 
@@ -331,119 +330,6 @@ func (mapChurnTarget) Run(env *Env, params map[string]int64) error {
 	for i := 0; i < longLived; i++ {
 		if v := m.Lookup(mkKey(uint64(i)), 0); v == nil || v[0] != wellFormed(uint32(i)) {
 			return Invariantf("long-lived key %d corrupted: %v", i, v)
-		}
-	}
-	return nil
-}
-
-// --- map-resize: the online-resize protocol under fuzzed schedules ---
-
-// mapResizeTarget streams distinct keys through a growable hash map far
-// past its preallocated capacity, with delete timing and batch pacing
-// following schedule choices, so epoch flips, batched slot migration
-// and tombstone compaction interleave with live inserts/lookups in
-// fuzzer-picked orders. Invariants: a growable map never reports
-// ErrMapFull, values read back right after insert and are untorn,
-// long-lived entries survive every migration with intact values, and
-// the churn actually forced resizes (else the target tested nothing).
-//
-// The default is one worker, so — like seq-lock — every schedule site
-// fires a deterministic number of times and the same seed yields a
-// byte-identical schedule log; raise workers for torture runs.
-type mapResizeTarget struct{}
-
-func (mapResizeTarget) Name() string { return "map-resize" }
-func (mapResizeTarget) Params() map[string]int64 {
-	return map[string]int64{"entries": 8, "keys": 512, "workers": 1, "long_lived": 4, "live": 32}
-}
-
-func (mapResizeTarget) Run(env *Env, params map[string]int64) error {
-	entries := int(param(params, "entries", 8))
-	keys := param(params, "keys", 512)
-	workers := int(param(params, "workers", 1))
-	longLived := int(param(params, "long_lived", 4))
-	live := int(param(params, "live", 32))
-	if live < 1 {
-		live = 1
-	}
-	m := policy.NewGrowableHashMap("schedfuzz_resize", 8, 8, entries)
-
-	mkKey := func(v uint64) []byte {
-		var k [8]byte
-		binary.LittleEndian.PutUint64(k[:], v)
-		return k[:]
-	}
-	wellFormed := func(x uint32) uint64 { return uint64(x)<<32 | uint64(x) }
-
-	// Long-lived entries must ride every epoch migration untouched.
-	for i := 0; i < longLived; i++ {
-		if err := m.Update(mkKey(uint64(i)), []uint64{wellFormed(uint32(i))}, 0); err != nil {
-			return fmt.Errorf("map-resize long-lived insert: %w", err)
-		}
-	}
-
-	var (
-		wg   sync.WaitGroup
-		fail atomic.Pointer[InvariantError]
-	)
-	violate := func(format string, args ...any) {
-		fail.CompareAndSwap(nil, &InvariantError{Msg: fmt.Sprintf(format, args...)})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var held []uint64
-			for i := int64(0); i < keys; i++ {
-				if fail.Load() != nil {
-					return
-				}
-				k := uint64(1000) + uint64(w)*1_000_000 + uint64(i)
-				env.F.Point("maps.resize_op")
-				if err := m.Update(mkKey(k), []uint64{wellFormed(uint32(k))}, 0); err != nil {
-					// Growth is the whole contract: any full report from a
-					// growable map is the bug this target hunts.
-					violate("growable map refused insert %d: %v (%d/%d live, %d resizes)",
-						k, err, m.Len(), m.MaxEntries(), m.MapStats().Resizes)
-					return
-				}
-				if v := m.Lookup(mkKey(k), 0); v == nil {
-					violate("key %d vanished right after insert", k)
-				} else if x := atomic.LoadUint64(&v[0]); uint32(x>>32) != uint32(x) {
-					violate("torn value for key %d: %#x", k, x)
-				}
-				held = append(held, k)
-				// Schedule choice: how much of the held window to release
-				// this step — varies how tombstones land relative to the
-				// migration frontier.
-				if len(held) > live || env.F.Choose("maps.release", 4) == 0 {
-					drop := 1 + env.F.Choose("maps.release_n", len(held))
-					for _, hk := range held[:drop] {
-						_ = m.Delete(mkKey(hk))
-					}
-					held = append(held[:0], held[drop:]...)
-				}
-			}
-			for _, hk := range held {
-				_ = m.Delete(mkKey(hk))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if ie := fail.Load(); ie != nil {
-		return ie
-	}
-
-	// The distinct-key stream dwarfed preallocation, so at least one
-	// epoch flip must have happened — a run that never resized tested
-	// the wrong code path.
-	if st := m.MapStats(); st.Resizes == 0 && int(keys) > entries {
-		return Invariantf("churned %d keys through %d slots without a single resize", keys, entries)
-	}
-	// Long-lived entries survived every migration with values intact.
-	for i := 0; i < longLived; i++ {
-		if v := m.Lookup(mkKey(uint64(i)), 0); v == nil || v[0] != wellFormed(uint32(i)) {
-			return Invariantf("long-lived key %d corrupted across resize: %v", i, v)
 		}
 	}
 	return nil

@@ -18,7 +18,6 @@ func mapPlaneTestKinds() []struct {
 	}{
 		{"hash", func() policy.Map { return policy.NewHashMap("plane", 8, 8, 128) }},
 		{"percpu_hash", func() policy.Map { return policy.NewPerCPUHashMap("plane", 8, 8, 128, 4) }},
-		{"locked_hash", func() policy.Map { return policy.NewLockedHashMap("plane", 8, 8, 128) }},
 	}
 }
 
@@ -41,7 +40,7 @@ func TestMapPlaneCounts(t *testing.T) {
 
 // TestMapPlaneZeroAlloc drives the full helper path — interpreted
 // program, map_delete/map_add/map_lookup through execHelper — and pins
-// the preallocated kinds at zero heap allocations per op, churn
+// every kind at zero heap allocations per op, churn
 // included. This is the whole point of the data plane: a profiling
 // policy on a lock hot path must never wake the allocator.
 func TestMapPlaneZeroAlloc(t *testing.T) {
@@ -49,9 +48,6 @@ func TestMapPlaneZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation heap-escapes program state; the pin holds in normal builds")
 	}
 	for _, mp := range mapPlaneTestKinds() {
-		if mp.name == "locked_hash" {
-			continue // inserts intern a string key; covered by the policy-level pin
-		}
 		t.Run(mp.name, func(t *testing.T) {
 			res := RunMapPlane(mp.mk(), MapPlaneConfig{
 				Workers: 2, OpsPerWorker: 4096, Keys: 64, NumCPUs: 2,
