@@ -275,11 +275,52 @@ func TestIntervalString(t *testing.T) {
 	}{
 		{Top, "top"},
 		{Const(7), "7"},
-		{Interval{0, 1}, "[0,1]"},
+		{Interval{Lo: 0, Hi: 1}, "[0,1]"},
 	}
 	for _, c := range cases {
 		if got := c.iv.String(); got != c.want {
 			t.Errorf("%+v.String() = %q, want %q", c.iv, got, c.want)
 		}
+	}
+}
+
+// TestStoreOverlapDropsSlot pins the slot domain against the VM: a store
+// that overlaps a tracked 8-byte stack slot, judged by byte range, drops
+// it, so a reload reads what the VM reads and not the older value.
+func TestStoreOverlapDropsSlot(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(b *policy.Builder)
+	}{
+		{"narrow-into-upper-half", func(b *policy.Builder) {
+			// stxdw [fp-8], 5; stw [fp-4], 1; ldxdw r0, [fp-8]
+			b.MovImm(policy.R1, 5)
+			b.StoreStackReg(policy.OpStxDW, -8, policy.R1)
+			b.StoreStackImm(policy.OpStW, -4, 1)
+			b.LoadStack(policy.OpLdxDW, policy.R0, -8)
+		}},
+		{"unaligned-dword", func(b *policy.Builder) {
+			// stxdw [fp-16], 5; stdw [fp-12], 7; ldxdw r0, [fp-16]
+			b.MovImm(policy.R1, 5)
+			b.StoreStackReg(policy.OpStxDW, -16, policy.R1)
+			b.StoreStackImm(policy.OpStDW, -12, 7)
+			b.LoadStack(policy.OpLdxDW, policy.R0, -16)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := policy.NewBuilder(c.name, policy.KindLockAcquire)
+			c.build(b)
+			b.Exit()
+			p := b.MustProgram()
+			r := analyze(t, p)
+			r0, err := policy.Exec(p, policy.NewCtx(p.Kind), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := int64(r0); v < r.Return.Lo || v > r.Return.Hi {
+				t.Fatalf("analysis claims return %s, VM returns %d", r.Return, v)
+			}
+		})
 	}
 }

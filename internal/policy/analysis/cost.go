@@ -31,7 +31,7 @@ const (
 // For map helpers these are the *conservative* costs, charged when the
 // analysis cannot tell which map a call targets: an upper bound over
 // every row of MapKindHelperCosts.
-// When the abstract state pins R1 to a specific map, costBounds refines
+// When the walk's state pins R1 to a specific map, helperCallCost refines
 // the charge from MapKindHelperCosts below.
 var HelperCosts = map[policy.HelperID]int64{
 	policy.HelperMapLookup: 30,
@@ -83,27 +83,29 @@ func (c MapKindCost) forHelper(h policy.HelperID) int64 {
 }
 
 // helperCallCost charges a helper call, refining map-helper costs by
-// the concrete kind of the map in R1 when the abstract state knows it.
-func helperCallCost(h policy.HelperID, p *policy.Program, st *absState) int64 {
+// the concrete kind of the map in R1 when the walk's state knows it.
+func helperCallCost(h policy.HelperID, p *policy.Program, st *policy.State) int64 {
 	base := HelperCosts[h]
 	if h < policy.HelperMapLookup || h > policy.HelperMapAdd {
 		return base
 	}
-	r1 := st.regs[policy.R1]
-	if r1.kind != vMapPtr || r1.mapIdx >= len(p.Maps) {
+	idx, ok := st.MapRef(policy.R1)
+	if !ok {
 		return base
 	}
-	if kc := MapKindHelperCosts[policy.MapKindOf(p.Maps[r1.mapIdx])].forHelper(h); kc > 0 {
+	if kc := MapKindHelperCosts[policy.MapKindOf(p.Maps[idx])].forHelper(h); kc > 0 {
 		return kc
 	}
 	return base
 }
 
-// insnCost is the cost of one non-call, non-jump instruction.
+// insnCost is the cost of one non-call instruction.
 func insnCost(op policy.Op) int64 {
 	switch {
 	case op == policy.OpExit:
 		return CostExit
+	case op.IsJump():
+		return CostJump
 	case op == policy.OpLoadMapPtr:
 		return CostLdMap
 	case op.IsLoad() || op.IsStore():
@@ -113,66 +115,50 @@ func insnCost(op policy.Op) int64 {
 	}
 }
 
+// pcCost is one pc's row of the longest-path table. Analyze fills in an
+// instruction's own cost and calls (a zero cost marks a pc the walk never
+// reached); costBounds then adds the worst path from each pc's
+// successors, and the path length.
+type pcCost struct {
+	cost        int64
+	path, calls int
+}
+
 // costBounds computes the worst-case cost, the longest instruction
 // path, and the maximum helper-call count over all paths from the entry
-// of a verified (forward-jump-only, hence DAG) program. Unreachable
-// instructions (states[pc].live == false) contribute nothing.
+// of a verified (forward-jump-only, hence DAG) program.
 //
 // The recurrence runs in reverse pc order: every successor of pc is
-// > pc, so cost[pc] can max over already-computed successors — a
+// > pc, so costs[pc] can max over already-computed successors — a
 // longest-path dynamic program, exact for DAGs.
-func costBounds(p *policy.Program, states []absState) (cost int64, path, helpers int) {
+func costBounds(p *policy.Program, costs []pcCost) (cost int64, path, helpers int) {
 	n := len(p.Insns)
-	costs := make([]int64, n)
-	paths := make([]int, n)
-	calls := make([]int, n)
-
+	succ := func(to int) pcCost {
+		if to >= n {
+			return pcCost{}
+		}
+		return costs[to]
+	}
 	for pc := n - 1; pc >= 0; pc-- {
-		if !states[pc].live {
+		c := &costs[pc]
+		if c.cost == 0 {
 			continue
 		}
 		in := p.Insns[pc]
-		succ := func(to int) (int64, int, int) {
-			if to >= n {
-				return 0, 0, 0
-			}
-			return costs[to], paths[to], calls[to]
-		}
+		var next pcCost
 		switch {
 		case in.Op == policy.OpExit:
-			costs[pc], paths[pc], calls[pc] = CostExit, 1, 0
-
-		case in.Op == policy.OpCall:
-			c, pl, hc := succ(pc + 1)
-			costs[pc] = CostCallBase + helperCallCost(policy.HelperID(in.Imm), p, &states[pc]) + c
-			paths[pc] = 1 + pl
-			calls[pc] = 1 + hc
-
 		case in.Op == policy.OpJa:
-			c, pl, hc := succ(pc + 1 + int(in.Off))
-			costs[pc] = CostJump + c
-			paths[pc] = 1 + pl
-			calls[pc] = hc
-
+			next = succ(pc + 1 + int(in.Off))
 		case in.Op.IsCondJump():
-			c1, p1, h1 := succ(pc + 1)
-			c2, p2, h2 := succ(pc + 1 + int(in.Off))
-			costs[pc] = CostJump + max64(c1, c2)
-			if p2 > p1 {
-				p1 = p2
-			}
-			paths[pc] = 1 + p1
-			if h2 > h1 {
-				h1 = h2
-			}
-			calls[pc] = h1
-
+			a, b := succ(pc+1), succ(pc+1+int(in.Off))
+			next = pcCost{max(a.cost, b.cost), max(a.path, b.path), max(a.calls, b.calls)}
 		default:
-			c, pl, hc := succ(pc + 1)
-			costs[pc] = insnCost(in.Op) + c
-			paths[pc] = 1 + pl
-			calls[pc] = hc
+			next = succ(pc + 1)
 		}
+		c.cost += next.cost
+		c.path = 1 + next.path
+		c.calls += next.calls
 	}
-	return costs[0], paths[0], calls[0]
+	return costs[0].cost, costs[0].path, costs[0].calls
 }

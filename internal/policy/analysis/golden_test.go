@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"concord/internal/policy"
 	"concord/internal/policydsl"
 )
 
@@ -163,5 +164,53 @@ func TestGoldenInterference(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("interference matrix drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestAnalyzeAllocsFlatInLength pins Analyze's allocations to the
+// report, not the program: over every shipped program, the same program
+// behind 256 more instructions (`ja +0`, a jump to the next pc) makes no
+// more allocations. Analyze keeps no per-instruction state beyond one
+// cost table; the walk's states are the verifier's pooled array.
+func TestAnalyzeAllocsFlatInLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops puts at random")
+	}
+	dir := filepath.Join("..", "..", "..", "policies")
+	files, err := filepath.Glob(filepath.Join(dir, "*.pol"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("policies: %v (%d files)", err, len(files))
+	}
+	pad := make([]policy.Instruction, 256)
+	for i := range pad {
+		pad[i] = policy.Instruction{Op: policy.OpJa}
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := policydsl.CompileAndVerify(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for _, p := range unit.Programs {
+			long := &policy.Program{Name: p.Name, Kind: p.Kind, Maps: p.Maps,
+				Insns: append(append([]policy.Instruction(nil), pad...), p.Insns...)}
+			allocs := func(q *policy.Program) float64 {
+				return testing.AllocsPerRun(20, func() {
+					if _, err := Analyze(q); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			short, padded := allocs(p), allocs(long)
+			t.Logf("%s/%s: %d insns %.0f allocs, %d insns %.0f allocs",
+				filepath.Base(f), p.Name, len(p.Insns), short, len(long.Insns), padded)
+			if padded > short {
+				t.Errorf("%s/%s: %.0f allocs at %d insns, %.0f at %d: Analyze allocates per instruction",
+					filepath.Base(f), p.Name, short, len(p.Insns), padded, len(long.Insns))
+			}
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 //  1. Verify never panics, whatever the program, and
 //  2. if Verify accepts, execution completes without a runtime fault
 //     under an arbitrary context — verified policies cannot crash the
-//     framework.
+//     framework — and returns a value inside Analyze's Return.
 //
 // Inputs that parse as JSON go through the concordctl wire format
 // (Unmarshal), covering the deserializer; everything else is decoded as
@@ -48,6 +48,21 @@ func FuzzVerify(f *testing.F) {
 		{Op: OpJa, Off: -1}, // backward jump: must be rejected, not crash
 		{Op: OpExit},
 	}))
+	// Programs whose R0, under the fuzz Env's cpu of 3, lands on an end of
+	// the interval the walk derives for it: a transfer function or a
+	// refinement that claims one value too little is caught here.
+	cpu := Instruction{Op: OpCall, Imm: int64(HelperCPU)}
+	for _, insns := range [][]Instruction{
+		{cpu, {Op: OpAndImm, Dst: R0, Imm: 3}, {Op: OpExit}}, // [0,3]
+		{cpu, {Op: OpJgtImm, Dst: R0, Imm: 3, Off: 3}, // fall: [0,3]
+			{Op: OpMovReg, Dst: R1, Src: R0}, {Op: OpAddReg, Dst: R0, Src: R1}, {Op: OpExit}, // [0,6]
+			{Op: OpMovImm, Dst: R0}, {Op: OpExit}},
+		{cpu, {Op: OpJgtImm, Dst: R0, Imm: 2, Off: 2}, // taken: [3,4096]
+			{Op: OpMovImm, Dst: R0, Imm: 10000}, {Op: OpExit}, {Op: OpExit}},
+		{{Op: OpMovImm, Dst: R1}, {Op: OpCall, Imm: int64(HelperTrace)}, {Op: OpExit}}, // 0
+	} {
+		f.Add(encodeRawFuzz(3, insns))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p *Program
@@ -67,7 +82,7 @@ func FuzzVerify(f *testing.F) {
 		}
 
 		// Property 2: an accepted program runs to completion under an
-		// arbitrary context, against live maps.
+		// arbitrary context, against live maps, inside Analyze's Return.
 		ctx := NewCtx(p.Kind)
 		h := uint64(14695981039346656037)
 		for _, b := range data {
@@ -77,9 +92,11 @@ func FuzzVerify(f *testing.F) {
 			h = (h ^ uint64(w)) * 1099511628211
 			ctx.Words[w] = h
 		}
-		if _, err := Exec(p, ctx, &TestEnv{CPUID: 3, NUMA: 1, Task: 42, Prio: 120}); err != nil {
+		r0, err := Exec(p, ctx, &TestEnv{CPUID: 3, NUMA: 1, Task: 42, Prio: 120})
+		if err != nil {
 			t.Fatalf("verified program faulted at runtime: %v\n%s", err, p)
 		}
+		checkReturn(t, p, r0)
 	})
 }
 

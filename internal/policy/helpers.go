@@ -84,20 +84,12 @@ const (
 	argStackValue          // pointer to an initialized stack region of the map's value size
 )
 
-// retKind classifies a helper return value for the verifier.
-type retKind int
-
-const (
-	retScalar retKind = iota
-	retMapValueOrNull
-)
-
-// helperSpec is the verifier-facing signature of a helper.
+// helperSpec is the verifier-facing signature of a helper; what it
+// returns is helperReturn's.
 type helperSpec struct {
 	id   HelperID
 	name string
 	args []argKind
-	ret  retKind
 	// readOnlyPath marks helpers allowed even in the shuffler fast path
 	// (cmp_node / skip_shuffle), where mutation helpers are disallowed to
 	// bound the work done while the queue is being reordered.
@@ -105,21 +97,21 @@ type helperSpec struct {
 }
 
 var helperSpecs = map[HelperID]helperSpec{
-	HelperMapLookup: {HelperMapLookup, "map_lookup", []argKind{argConstMapPtr, argStackKey}, retMapValueOrNull, true},
-	HelperMapUpdate: {HelperMapUpdate, "map_update", []argKind{argConstMapPtr, argStackKey, argStackValue}, retScalar, false},
-	HelperMapDelete: {HelperMapDelete, "map_delete", []argKind{argConstMapPtr, argStackKey}, retScalar, false},
-	HelperMapAdd:    {HelperMapAdd, "map_add", []argKind{argConstMapPtr, argStackKey, argScalar}, retScalar, true},
-	HelperKtimeNS:   {HelperKtimeNS, "ktime_ns", nil, retScalar, true},
-	HelperCPU:       {HelperCPU, "cpu", nil, retScalar, true},
-	HelperNUMANode:  {HelperNUMANode, "numa_node", nil, retScalar, true},
-	HelperTaskID:    {HelperTaskID, "task_id", nil, retScalar, true},
-	HelperTaskPrio:  {HelperTaskPrio, "task_prio", nil, retScalar, true},
-	HelperRand:      {HelperRand, "rand", nil, retScalar, true},
-	HelperTrace:     {HelperTrace, "trace", []argKind{argScalar}, retScalar, true},
-	HelperLockStats: {HelperLockStats, "lock_stats_read", []argKind{argScalar}, retScalar, true},
+	HelperMapLookup: {HelperMapLookup, "map_lookup", []argKind{argConstMapPtr, argStackKey}, true},
+	HelperMapUpdate: {HelperMapUpdate, "map_update", []argKind{argConstMapPtr, argStackKey, argStackValue}, false},
+	HelperMapDelete: {HelperMapDelete, "map_delete", []argKind{argConstMapPtr, argStackKey}, false},
+	HelperMapAdd:    {HelperMapAdd, "map_add", []argKind{argConstMapPtr, argStackKey, argScalar}, true},
+	HelperKtimeNS:   {HelperKtimeNS, "ktime_ns", nil, true},
+	HelperCPU:       {HelperCPU, "cpu", nil, true},
+	HelperNUMANode:  {HelperNUMANode, "numa_node", nil, true},
+	HelperTaskID:    {HelperTaskID, "task_id", nil, true},
+	HelperTaskPrio:  {HelperTaskPrio, "task_prio", nil, true},
+	HelperRand:      {HelperRand, "rand", nil, true},
+	HelperTrace:     {HelperTrace, "trace", []argKind{argScalar}, true},
+	HelperLockStats: {HelperLockStats, "lock_stats_read", []argKind{argScalar}, true},
 	// occ_set mutates lock state, so it is barred from the bounded
 	// shuffler fast path like the other mutation helpers.
-	HelperOCCSet: {HelperOCCSet, "occ_set", []argKind{argScalar}, retScalar, false},
+	HelperOCCSet: {HelperOCCSet, "occ_set", []argKind{argScalar}, false},
 }
 
 // helperAllowed reports whether helper h may be called from programs of

@@ -87,70 +87,3 @@ func treeOverCtx(t *Tree, p *policy.Program) policy.CompiledFn {
 		return RunTree(t, p, ctxWord[:min(len(ctx.Words), maxTreeWords)], ctxCPU, env, ctxRun{ctx, env})
 	}
 }
-
-// condTakenJit mirrors the VM's condTaken exactly.
-func condTakenJit(op policy.Op, a, b uint64) bool {
-	switch op {
-	case policy.OpJeqImm, policy.OpJeqReg:
-		return a == b
-	case policy.OpJneImm, policy.OpJneReg:
-		return a != b
-	case policy.OpJgtImm, policy.OpJgtReg:
-		return a > b
-	case policy.OpJgeImm, policy.OpJgeReg:
-		return a >= b
-	case policy.OpJltImm, policy.OpJltReg:
-		return a < b
-	case policy.OpJleImm, policy.OpJleReg:
-		return a <= b
-	case policy.OpJsgtImm, policy.OpJsgtReg:
-		return int64(a) > int64(b)
-	case policy.OpJsgeImm, policy.OpJsgeReg:
-		return int64(a) >= int64(b)
-	case policy.OpJsltImm, policy.OpJsltReg:
-		return int64(a) < int64(b)
-	case policy.OpJsleImm, policy.OpJsleReg:
-		return int64(a) <= int64(b)
-	case policy.OpJsetImm, policy.OpJsetReg:
-		return a&b != 0
-	}
-	return false
-}
-
-// aluConst mirrors the VM's aluExec exactly: constant folding while a tree
-// is lowered, and a derived value's one operation while it runs.
-func aluConst(op policy.Op, a, b uint64) uint64 {
-	switch op {
-	case policy.OpAddImm, policy.OpAddReg:
-		return a + b
-	case policy.OpSubImm, policy.OpSubReg:
-		return a - b
-	case policy.OpMulImm, policy.OpMulReg:
-		return a * b
-	case policy.OpDivImm, policy.OpDivReg:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case policy.OpModImm, policy.OpModReg:
-		if b == 0 {
-			return a
-		}
-		return a % b
-	case policy.OpAndImm, policy.OpAndReg:
-		return a & b
-	case policy.OpOrImm, policy.OpOrReg:
-		return a | b
-	case policy.OpXorImm, policy.OpXorReg:
-		return a ^ b
-	case policy.OpLshImm, policy.OpLshReg:
-		return a << (b & 63)
-	case policy.OpRshImm, policy.OpRshReg:
-		return a >> (b & 63)
-	case policy.OpArshImm, policy.OpArshReg:
-		return uint64(int64(a) >> (b & 63))
-	case policy.OpNeg:
-		return -a
-	}
-	return 0
-}

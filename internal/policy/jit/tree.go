@@ -118,7 +118,7 @@ func (s *sym) eval(w *[maxTreeWords]uint64) uint64 {
 	case symWord:
 		return w[s.slot%maxTreeWords]
 	}
-	return aluConst(s.op, w[s.slot%maxTreeWords], s.c)
+	return policy.ALU(s.op, w[s.slot%maxTreeWords], s.c)
 }
 
 // usesResult names the effect whose result one of ss is, or is "".
@@ -497,7 +497,7 @@ func (b *treeBuilder) walk(pc int, entry *pathState, count int32) (int16, error)
 				return stop(pc, "branch on a non-scalar register")
 			}
 			if x.kind == symConst && y.kind == symConst {
-				if condTakenJit(op, x.c, y.c) {
+				if policy.CondTaken(op, x.c, y.c) {
 					pc = tgt
 				} else {
 					pc++
@@ -760,7 +760,7 @@ func symALUOp(op policy.Op, dst, src sym, imm uint64) (sym, string) {
 	}
 	switch {
 	case dst.kind == symConst && y.kind == symConst:
-		return sym{kind: symConst, c: aluConst(op, dst.c, y.c)}, ""
+		return sym{kind: symConst, c: policy.ALU(op, dst.c, y.c)}, ""
 	case dst.kind == symWord && y.kind == symConst:
 		return sym{kind: symALU, slot: dst.slot, op: op, c: y.c}, ""
 	case dst.kind == symConst && y.kind == symWord:
@@ -815,7 +815,7 @@ func RunTree[T any](t *Tree, p *policy.Program, src []func(T) uint64, cpu func(T
 			w[n.slot%maxTreeWords] = src[n.slot](arg)
 			i = n.next
 		case nodeBranch:
-			if condTakenJit(n.op, n.a.eval(&w), n.b.eval(&w)) {
+			if policy.CondTaken(n.op, n.a.eval(&w), n.b.eval(&w)) {
 				i = n.next
 			} else {
 				i = n.alt

@@ -47,7 +47,7 @@ func randInsn(r *rand.Rand, progLen, nMaps int) Instruction {
 //  1. Verify never panics, and
 //  2. if Verify accepts, execution completes without a runtime fault
 //     for every context — i.e. verified policies cannot crash the
-//     "kernel".
+//     "kernel" — and returns a value inside Analyze's Return.
 //
 // 50k random programs of varying length; failures print a reproducer.
 func TestVerifierSoundness(t *testing.T) {
@@ -95,9 +95,11 @@ func TestVerifierSoundness(t *testing.T) {
 					t.Fatalf("VM panicked on verified program %d: %v\n%s", i, rec, p)
 				}
 			}()
-			if _, err := Exec(p, ctx, env); err != nil {
+			r0, err := Exec(p, ctx, env)
+			if err != nil {
 				t.Fatalf("verified program %d faulted at runtime: %v\n%s", i, err, p)
 			}
+			checkReturn(t, p, r0)
 		}()
 	}
 	if accepted == 0 {
@@ -172,10 +174,26 @@ func TestVerifierSoundnessStructured(t *testing.T) {
 			t.Fatalf("structured program %d faulted: %v\n%s", i, err, p)
 		} else if got != uint64(i) {
 			t.Fatalf("structured program %d returned %d", i, got)
+		} else {
+			checkReturn(t, p, got)
 		}
 	}
 	if accepted < 1000 {
 		t.Errorf("only %d/5000 structured programs verified; generator broken?", accepted)
+	}
+}
+
+// checkReturn fails t unless r0, the VM's R0 for the verified program p,
+// lies in Analyze's Return: the walk's intervals are part of the trusted
+// base, so the VM holds them to account on every accepted program.
+func checkReturn(t testing.TB, p *Program, r0 uint64) {
+	t.Helper()
+	ret, err := AnalyzeReturn(p)
+	if err != nil {
+		t.Fatalf("Analyze rejected a verified program: %v\n%s", err, p)
+	}
+	if v := int64(r0); v < ret.Lo || v > ret.Hi {
+		t.Fatalf("VM returned %d, outside Analyze's return %s\n%s", v, ret, p)
 	}
 }
 

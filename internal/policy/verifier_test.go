@@ -3,6 +3,7 @@ package policy
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func mustVerify(t *testing.T, p *Program) VerifyStats {
@@ -36,6 +37,39 @@ func TestVerifyAcceptsMinimal(t *testing.T) {
 	stats := mustVerify(t, p)
 	if stats.Insns != 2 {
 		t.Errorf("stats.Insns = %d, want 2", stats.Insns)
+	}
+}
+
+// TestVerifyAcceptsRefinedOffset pins the one kind of program the
+// walk's intervals admit that constant tracking alone did not: pointer
+// arithmetic by a register a conditional jump proves constant. On the
+// fall-through of `jne r2, 8`, r2 is 8, so fp - r2 is fp-8 (DESIGN §5).
+func TestVerifyAcceptsRefinedOffset(t *testing.T) {
+	p := NewBuilder("refined", KindCmpNode).
+		MovReg(R6, R1).
+		LoadCtx(R2, R6, "curr_cpu").
+		JmpImm(OpJneImm, R2, 8, "out").
+		StoreStackImm(OpStDW, -8, 1).
+		MovReg(R3, RFP).
+		SubReg(R3, R2).
+		Raw(Instruction{Op: OpLdxDW, Dst: R0, Src: R3}).
+		Exit().
+		Label("out").
+		ReturnImm(0).
+		MustProgram()
+	mustVerify(t, p)
+	for cpu, want := range map[uint64]uint64{8: 1, 9: 0} {
+		if got, err := Exec(p, NewCtx(KindCmpNode).Set("curr_cpu", cpu), nil); err != nil || got != want {
+			t.Errorf("curr_cpu %d: got %d, %v; want %d", cpu, got, err, want)
+		}
+	}
+}
+
+// TestStateSize pins the per-pc State within 512 bytes: the pooled
+// array of them is live heap in every workload that loads a policy.
+func TestStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(State{}); n > 512 {
+		t.Fatalf("State is %d bytes, over the 512-byte budget", n)
 	}
 }
 

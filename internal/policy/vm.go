@@ -144,7 +144,7 @@ func (VM) Exec(p *Program, ctx *Ctx, env Env) (uint64, error) {
 					av = 1 // any non-zero stand-in
 				}
 			}
-			if condTaken(in.Op, av, b) {
+			if CondTaken(in.Op, av, b) {
 				// Refine maybe-null pointers exactly as the verifier did.
 				if a.typ == tPtrMapValueOrNull {
 					regs[in.Dst] = refineNull(a, in.Op == OpJneImm)
@@ -234,7 +234,7 @@ func (VM) Exec(p *Program, ctx *Ctx, env Env) (uint64, error) {
 					dst.v = uint64(int64(dst.v) + delta)
 					regs[in.Dst] = dst
 				} else {
-					regs[in.Dst] = rtVal{typ: tScalar, v: aluExec(in.Op, dst.v, src.v)}
+					regs[in.Dst] = rtVal{typ: tScalar, v: ALU(in.Op, dst.v, src.v)}
 				}
 			}
 			pc++
@@ -253,7 +253,10 @@ func refineNull(a rtVal, nonNull bool) rtVal {
 	return rtVal{typ: tScalar, v: 0}
 }
 
-func condTaken(op Op, a, b uint64) bool {
+// CondTaken reports whether the conditional jump op is taken with operands
+// a (Dst) and b (Src or Imm). It is the one definition of the ISA's branch
+// semantics: the VM, and every lowering, decide a branch with it.
+func CondTaken(op Op, a, b uint64) bool {
 	switch op {
 	case OpJeqImm, OpJeqReg:
 		return a == b
@@ -281,7 +284,11 @@ func condTaken(op Op, a, b uint64) bool {
 	return false
 }
 
-func aluExec(op Op, a, b uint64) uint64 {
+// ALU is the result of scalar ALU op on a (Dst) and b (Src or Imm): the
+// ISA's one definition of arithmetic, in uint64 with division and modulo
+// by zero giving 0 and a, and shifts taken mod 64. The VM, the verifier's
+// constant folding and every lowering compute with it.
+func ALU(op Op, a, b uint64) uint64 {
 	switch op {
 	case OpAddImm, OpAddReg:
 		return a + b
@@ -467,9 +474,9 @@ func execHelper(p *Program, h HelperID, regs *[NumRegs]rtVal, stack []byte, env 
 	case HelperKtimeNS:
 		return scalar(uint64(env.NowNS())), nil
 	case HelperCPU:
-		return scalar(uint64(env.CPU())), nil
+		return topologyID(h, env.CPU())
 	case HelperNUMANode:
-		return scalar(uint64(env.NUMANode())), nil
+		return topologyID(h, env.NUMANode())
 	case HelperTaskID:
 		return scalar(uint64(env.TaskID())), nil
 	case HelperTaskPrio:
@@ -497,6 +504,17 @@ func execHelper(p *Program, h HelperID, regs *[NumRegs]rtVal, stack []byte, env 
 		return scalar(0), nil
 	}
 	return rtVal{}, fmt.Errorf("unknown helper %d", int64(h))
+}
+
+// topologyID is R0 of the cpu or numa_node helper h that read id. The
+// verifier proves pointer arithmetic on the range helperReturn gives
+// them, so an Env that breaks it faults the call, and not a later memory
+// access.
+func topologyID(h HelperID, id int) (rtVal, error) {
+	if id < 0 || id > maxTopologyID {
+		return rtVal{}, fmt.Errorf("helper %s returned %d, outside [0,%d]", h, id, maxTopologyID)
+	}
+	return rtVal{typ: tScalar, v: uint64(id)}, nil
 }
 
 // Exec is a package-level convenience running p on the shared stateless VM.

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -231,6 +232,41 @@ func TestHelperEnvValues(t *testing.T) {
 				t.Errorf("%s = %d, want %d", tc.helper, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestTopologyHelperContract pins the range the verifier trusts cpu and
+// numa_node to return: an Env outside [0,4096] faults the call. Without
+// the check, this program, which verifies because r0 >> 13 is proven 0,
+// would load from fp-7 under a cpu of 8192.
+func TestTopologyHelperContract(t *testing.T) {
+	for _, tc := range []struct {
+		helper HelperID
+		env    *TestEnv
+		fault  bool
+	}{
+		{HelperCPU, &TestEnv{CPUID: 4096}, false},
+		{HelperCPU, &TestEnv{CPUID: 8192}, true},
+		{HelperNUMANode, &TestEnv{NUMA: -1}, true},
+	} {
+		p := NewBuilder("contract", KindLockAcquired).
+			StoreStackImm(OpStDW, -8, 0).
+			Call(tc.helper).
+			ALUImm(OpRshImm, R0, 13).
+			MovReg(R1, RFP).
+			AddImm(R1, -8).
+			AddReg(R1, R0).
+			Raw(Instruction{Op: OpLdxDW, Dst: R0, Src: R1}).
+			Exit().
+			MustProgram()
+		if _, err := Verify(p); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Exec(p, NewCtx(p.Kind), tc.env)
+		if tc.fault != (err != nil) || (err != nil && !strings.Contains(err.Error(), "outside [0,4096]")) {
+			t.Errorf("%s under cpu %d, node %d: err = %v, want fault %v at the call",
+				tc.helper, tc.env.CPUID, tc.env.NUMA, err, tc.fault)
+		}
 	}
 }
 
