@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,6 +261,26 @@ func putFire(t *task.T, sc *fireScratch) {
 	if t != nil {
 		t.PutFireScratch(sc)
 	}
+}
+
+// cellsOf is t's counter-cell cache, made on its first tree fire: a tree
+// run counts into its firing task's cell of the program. An event without
+// a task has none, and counts into the program's own counters.
+func cellsOf(t *task.T) *policy.ExecCells {
+	if t == nil {
+		return nil
+	}
+	if c, ok := t.ExecCells().(*policy.ExecCells); ok {
+		return c
+	}
+	return newCells(t)
+}
+
+// newCells makes t's cache, on its first tree fire.
+func newCells(t *task.T) *policy.ExecCells {
+	c := policy.NewExecCells(t.ID())
+	t.SetExecCells(c)
+	return c
 }
 
 func (e *taskEnv) NowNS() int64        { return clock.NowNS() }
@@ -573,7 +594,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if t := tree(k, p); t != nil {
 			return func(info *locks.ShuffleInfo) bool {
 				ret, ok := a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, p, src, shufflerCPU, a, info)
+					return jit.RunTree(t, p, cellsOf(info.Shuffler.Task), src, shufflerCPU, a, info)
 				}, nil, nil)
 				return ok && ret != 0
 			}
@@ -594,7 +615,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if t := tree(policy.KindScheduleWaiter, p); t != nil {
 			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
 				return waitDecision(a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, p, schedSrc, waiterCPU, a, info)
+					return jit.RunTree(t, p, cellsOf(info.Curr.Task), schedSrc, waiterCPU, a, info)
 				}, nil, nil))
 			}
 		} else {
@@ -618,7 +639,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			src := profSrc[op]
 			return func(ev *locks.Event) {
 				a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
-					return jit.RunTree(t, p, src, eventCPU, a, ev)
+					return jit.RunTree(t, p, cellsOf(ev.Task), src, eventCPU, a, ev)
 				}, nil, nil)
 			}
 		}
@@ -635,5 +656,15 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	h.OnContended = profHook(policy.KindLockContended, opContended)
 	h.OnAcquired = profHook(policy.KindLockAcquired, opAcquired)
 	h.OnRelease = profHook(policy.KindLockRelease, opRelease)
+
+	// lock_acquired's stamp is read only for a program that loads now_ns.
+	// The admitted program's footprint says whether it does, and holds
+	// while the bytes that fire are the bytes admitted, which a JIT-tier
+	// choice can tell (TreeFor); otherwise the stamp stays.
+	if p, ok := progs[policy.KindLockAcquired]; ok && pol.Tiers[policy.KindLockAcquired].TreeFor(p) != nil {
+		if rep := pol.Analysis[policy.KindLockAcquired]; rep != nil {
+			h.AcquiredNoNow = !slices.Contains(rep.CtxReads, "now_ns")
+		}
+	}
 	return h
 }

@@ -356,6 +356,13 @@ func TestCostFollowsTheTable(t *testing.T) {
 		{"acquired only", &Hooks{OnAcquired: onAcquired}, 1, 2, true, 0},
 		{"acquire only", &Hooks{OnAcquire: onAcquire}, 1, 3, true, -1},
 		{"acquire and acquired", &Hooks{OnAcquire: onAcquire, OnAcquired: onAcquired}, 2, 3, true, 10},
+		// A table that declares its lock_acquired never reads NowNS reads
+		// no clock for an acquisition that did not wait; composed with one
+		// that reads it, the stamp is back.
+		{"acquired only, no now_ns", &Hooks{OnAcquired: onAcquired, AcquiredNoNow: true}, 0, 2, true, 0},
+		{"acquired no now_ns, composed with a stamp reader", ComposeHooks(
+			&Hooks{OnAcquired: onAcquired, AcquiredNoNow: true},
+			&Hooks{OnAcquired: func(ev *Event) { acquireNow = ev.NowNS }}), 1, 2, true, 0},
 	}
 	for _, tc := range invariantRoster() {
 		for _, tb := range tables {
@@ -366,6 +373,11 @@ func TestCostFollowsTheTable(t *testing.T) {
 				untimed, timed, wantWait := tb.reads, tb.timed, tb.wait
 				if tb.h != nil && tb.h.OnAcquire == nil && tb.h.OnAcquired != nil && !waitsItself(l) {
 					untimed, timed, wantWait = untimed+1, timed+1, 10
+					if tb.h.AcquiredNoNow {
+						// The wrapper's start time makes every acquisition
+						// one that may have waited: it is stamped.
+						untimed++
+					}
 				}
 				for _, s := range sidesOf(l) {
 					if b, ok := l.(*BRAVO); ok {
@@ -421,49 +433,57 @@ func TestCostFollowsTheTable(t *testing.T) {
 				}
 			})
 		}
-		// A contended acquisition under a lock_acquired-only table: its
-		// wait runs from the first clock read the waiter makes, the
-		// stamp lock_contended takes (a wrapper's start time), to
-		// lock_acquired's. The clock stands still while the waiter waits
-		// and moves by 1000 before the holder lets go, so that is the
-		// wait, exactly.
-		t.Run(tc.name+"/contended, acquired only", func(t *testing.T) {
-			l := tc.mk()
-			var now, reads atomic.Int64
-			now.Store(1)
-			l.(interface{ SetClock(func() int64) }).SetClock(func() int64 {
-				v := now.Load()
-				reads.Add(1) // after the load: a counted read has its value
-				return v
-			})
-			holder, tk := task.NewOnCPU(topo, 1), task.NewOnCPU(topo, 0)
-			var waited atomic.Int64
-			l.(Hooked).HookSlot().Replace("acquired", &Hooks{OnAcquired: func(ev *Event) {
-				if ev.Task == tk {
-					waited.Store(ev.WaitNS)
-				}
-			}})
-			for _, s := range sidesOf(l) {
-				l.Lock(holder)
-				waited.Store(-1)
-				reads.Store(0)
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					s.lock(tk)
-					s.unlock(tk)
-				}()
-				for reads.Load() == 0 {
-					runtime.Gosched()
-				}
-				now.Add(1000)
-				l.Unlock(holder)
-				<-done
-				if w := waited.Load(); w != 1000 {
-					t.Errorf("%s: WaitNS=%d, want 1000: from the waiter's first stamp to its lock_acquired", s.name, w)
-				}
+		for _, noNow := range []bool{false, true} {
+			name := tc.name + "/contended, acquired only"
+			if noNow {
+				name += ", no now_ns"
 			}
-		})
+			t.Run(name, func(t *testing.T) { contendedWaitExact(t, tc.mk(), noNow) })
+		}
+	}
+}
+
+// contendedWaitExact: a contended acquisition under a lock_acquired-only
+// table, with or without the declaration that the table never reads
+// NowNS: its wait runs from the first clock read the waiter makes, the
+// stamp lock_contended takes (a wrapper's start time), to lock_acquired's.
+// The clock stands still while the waiter waits and moves by 1000 before
+// the holder lets go, so that is the wait, exactly.
+func contendedWaitExact(t *testing.T, l Lock, noNow bool) {
+	topo := topology.New(2, 4)
+	var now, reads atomic.Int64
+	now.Store(1)
+	l.(interface{ SetClock(func() int64) }).SetClock(func() int64 {
+		v := now.Load()
+		reads.Add(1) // after the load: a counted read has its value
+		return v
+	})
+	holder, tk := task.NewOnCPU(topo, 1), task.NewOnCPU(topo, 0)
+	var waited atomic.Int64
+	l.(Hooked).HookSlot().Replace("acquired", &Hooks{OnAcquired: func(ev *Event) {
+		if ev.Task == tk {
+			waited.Store(ev.WaitNS)
+		}
+	}, AcquiredNoNow: noNow})
+	for _, s := range sidesOf(l) {
+		l.Lock(holder)
+		waited.Store(-1)
+		reads.Store(0)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.lock(tk)
+			s.unlock(tk)
+		}()
+		for reads.Load() == 0 {
+			runtime.Gosched()
+		}
+		now.Add(1000)
+		l.Unlock(holder)
+		<-done
+		if w := waited.Load(); w != 1000 {
+			t.Errorf("%s: WaitNS=%d, want 1000: from the waiter's first stamp to its lock_acquired", s.name, w)
+		}
 	}
 }
 

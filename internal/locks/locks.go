@@ -169,6 +169,12 @@ type Hooks struct {
 	OnContended func(ev *Event)
 	OnAcquired  func(ev *Event)
 	OnRelease   func(ev *Event)
+
+	// AcquiredNoNow declares that OnAcquired never reads its event's
+	// NowNS. An acquisition that did not wait then reads no clock for
+	// lock_acquired, and its event carries NowNS 0; one that waited is
+	// still stamped, for its WaitNS. The zero value stamps every event.
+	AcquiredNoNow bool
 }
 
 // safetyObserver, when set, is notified every time a runtime safety
@@ -314,14 +320,15 @@ func (h *hookable) peek() *Hooks {
 // never waits).
 //
 // An operation pays for what is attached to its lock, and reads the clock
-// only for a timestamp some event carries. The held mask is exact, always:
+// only for a timestamp some hook reads. The held mask is exact, always:
 // acquired sets the task's bit and release clears it. Hold time, which
 // only lock_release carries, is measured on every acquisition only while
 // the lock's own table subscribes to lock_release; otherwise on the task's
 // sampling draw (task.SampleCS), as a section accounted at the draw's
 // weight, so that policies on other locks still read an unbiased
 // CSAverage. So an undrawn pair reads the clock only for its events: not
-// at all unhooked, once under a lock_acquired-only table. A table is
+// at all unhooked, once under a lock_acquired-only table, and not at all
+// under one that declares it never reads the stamp. A table is
 // pinned only around a hook that fires, for exactly the duration of that
 // call. DESIGN §7 states the contract, including which fields each event
 // carries (decision 5), and why hold time is sampled (decision 6).
@@ -414,7 +421,8 @@ func (h *hookable) contended(t *task.T, start int64, queueLen int, reader bool) 
 // t's draw comes up, at the weight the draw returns. A drawn section
 // opens at lock_acquired's stamp when that event read one. An unknown
 // start (0: the operation never waited, and nothing subscribed to
-// lock_acquire) reports a zero wait.
+// lock_acquire) reports a zero wait, and reads no clock for a table that
+// declares it never reads the stamp (Hooks.AcquiredNoNow).
 func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
 	pk := h.peek()
 	if pk == nil || (pk.OnAcquired == nil && pk.OnRelease == nil) {
@@ -427,8 +435,10 @@ func (h *hookable) acquired(t *task.T, start int64, queueLen int, reader bool) {
 	var now int64
 	stamped := false
 	if pk.OnAcquired != nil {
-		now, stamped = h.now(), true
 		var wait int64
+		if start != 0 || !pk.AcquiredNoNow {
+			now, stamped = h.now(), true
+		}
 		if start != 0 {
 			wait = now - start
 		}

@@ -183,6 +183,9 @@ func ComposeHooks(primary, secondary *Hooks) *Hooks {
 	out.OnContended = chain(primary.OnContended, secondary.OnContended)
 	out.OnAcquired = chain(primary.OnAcquired, secondary.OnAcquired)
 	out.OnRelease = chain(primary.OnRelease, secondary.OnRelease)
+	// One OnAcquired that reads the stamp is enough to need it.
+	out.AcquiredNoNow = (primary.OnAcquired == nil || primary.AcquiredNoNow) &&
+		(secondary.OnAcquired == nil || secondary.AcquiredNoNow)
 	return out
 }
 

@@ -84,6 +84,6 @@ func treeOverCtx(t *Tree, p *policy.Program) policy.CompiledFn {
 		if ctx == nil || ctx.Layout.Kind != p.Kind {
 			return 0, &policy.RuntimeError{Name: p.Name, PC: -1, Msg: "context kind mismatch"}
 		}
-		return RunTree(t, p, ctxWord[:min(len(ctx.Words), maxTreeWords)], ctxCPU, env, ctxRun{ctx, env})
+		return RunTree(t, p, nil, ctxWord[:min(len(ctx.Words), maxTreeWords)], ctxCPU, env, ctxRun{ctx, env})
 	}
 }

@@ -782,17 +782,18 @@ func symALUOp(op policy.Op, dst, src sym, imm uint64) (sym, string) {
 // policy.LockStatReader and policy.OCCSetter, a statistic reading 0 and a
 // request changing nothing where env implements neither. It is
 // observationally a JIT run of p: the same ExecStats deltas (Runs, JITRuns,
-// Insns, HelperCalls, MapOps, Faults) on p's counters once it returns, the
+// Insns, HelperCalls, MapOps, Faults) in p's Stats once it returns, the
 // same injected traps, the same map contents and occ_set requests, and a
 // word src does not cover faults as the VM's out-of-bounds context load
-// would. A run that a source, cpu or env panics out of counts nothing. It
-// needs no context, machine or scratch, and allocates nothing: every map
-// a tree calls is a built-in kind, and none of them allocates.
-func RunTree[T any](t *Tree, p *policy.Program, src []func(T) uint64, cpu func(T) int, env any, arg T) (uint64, error) {
+// would. The deltas go to the firing owner's cell of p (cells.For; nil:
+// p's own counters). A run that a source, cpu or env panics out of counts
+// nothing. It needs no context, machine or scratch, and allocates nothing
+// once its owner has run p: every map a tree calls is a built-in kind, and
+// none of them allocates.
+func RunTree[T any](t *Tree, p *policy.Program, cells *policy.ExecCells, src []func(T) uint64, cpu func(T) int, env any, arg T) (uint64, error) {
 	// A run starts at the injected-trap site the VM also consults first.
-	// Its counts are added where it ends, all together: two CPUs firing one
-	// program then trade the counters' cache line once per run, not twice.
-	st := p.Stats()
+	// Its counts are added where it ends, all together.
+	st := cells.For(p)
 	if faultinject.PolicyTrap.Enabled() {
 		if flt, ok := faultinject.PolicyTrap.Fire(); ok {
 			st.Runs.Add(1)

@@ -351,16 +351,16 @@ func TestRunTreeZeroAlloc(t *testing.T) {
 	src[l.Slot("shuffler_socket")] = func(p *pair) uint64 { return p.shuffler }
 	noCPU := func(*pair) int { return 0 }
 	arg := &pair{1, 1}
-	if ret, err := jit.RunTree(tree, p, src, noCPU, nil, arg); err != nil || ret != 1 {
+	if ret, err := jit.RunTree(tree, p, nil, src, noCPU, nil, arg); err != nil || ret != 1 {
 		t.Fatalf("RunTree = %d, %v; want 1", ret, err)
 	}
-	if avg := testing.AllocsPerRun(100, func() { _, _ = jit.RunTree(tree, p, src, noCPU, nil, arg) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { _, _ = jit.RunTree(tree, p, nil, src, noCPU, nil, arg) }); avg != 0 {
 		t.Errorf("RunTree allocates %.2f/op, want 0", avg)
 	}
 	// A word with no source faults like the VM's out-of-bounds load.
 	src[l.Slot("shuffler_socket")] = nil
 	before := p.Stats().Faults.Load()
-	_, err = jit.RunTree(tree, p, src, noCPU, nil, arg)
+	_, err = jit.RunTree(tree, p, nil, src, noCPU, nil, arg)
 	if err == nil || !strings.Contains(err.Error(), "pc 1: ctx load out of bounds") {
 		t.Errorf("missing source: err = %v, want the load's out-of-bounds fault", err)
 	}
@@ -394,7 +394,7 @@ func TestRunTreeZeroAlloc(t *testing.T) {
 	worstwait := worst.Maps[0].(*policy.HashMap)
 	ev := &event{lock: 7, wait: 100}
 	fire := func(p *policy.Program, tree *jit.Tree) {
-		if _, err := jit.RunTree(tree, p, esrc, ecpu, nil, ev); err != nil {
+		if _, err := jit.RunTree(tree, p, nil, esrc, ecpu, nil, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,6 +425,30 @@ func TestRunTreeZeroAlloc(t *testing.T) {
 		if v := contended.Lookup([]byte{0, 0, 0, 0}, cpu); v == nil || v[0] == 0 {
 			t.Errorf("cpu %d counted nothing", cpu)
 		}
+	}
+
+	// Two owners firing both programs: an owner's first run of a program
+	// makes its cell there, and every later run allocates nothing.
+	owners := [2]*policy.ExecCells{policy.NewExecCells(1), policy.NewExecCells(2)}
+	runs := [2]struct {
+		p    *policy.Program
+		tree *jit.Tree
+	}{{worst, worstTree}, {count, countTree}}
+	fireAs := func(c *policy.ExecCells) {
+		for _, r := range runs {
+			if _, err := jit.RunTree(r.tree, r.p, c, esrc, ecpu, nil, ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before = worst.Stats().Runs.Load()
+	fireAs(owners[0])
+	fireAs(owners[1])
+	if avg := testing.AllocsPerRun(100, func() { fireAs(owners[0]); fireAs(owners[1]) }); avg != 0 {
+		t.Errorf("an owner's later runs allocate %.2f/op, want 0", avg)
+	}
+	if got, want := worst.Stats().Runs.Load()-before, int64(2+2*101); got != want {
+		t.Errorf("worst's Stats count %d runs by the two owners, want %d", got, want)
 	}
 }
 

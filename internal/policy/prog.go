@@ -17,14 +17,16 @@ type Program struct {
 	Maps  []Map
 
 	verified bool
-	stats    ExecStats
+	stats    atomic.Pointer[execCounters] // made on the first run
 }
 
 // ExecStats counts a program's runtime activity across every execution
-// tier (interpreter and JIT). All fields are atomics;
-// the VM accumulates instruction counts locally per run and folds them
-// in with one add, so the hot path stays cheap. The telemetry layer
-// exports these per program on /metrics.
+// tier (interpreter and JIT). All fields are atomics; the VM accumulates
+// instruction counts locally per run and folds them in with one add, so
+// the hot path stays cheap. A run whose owner is known counts into that
+// owner's cell instead (ExecCells), and Stats sums the program's own
+// counters and its cells at the read. The telemetry layer exports these
+// per program on /metrics.
 type ExecStats struct {
 	Runs        atomic.Int64 // completed or faulted executions
 	Insns       atomic.Int64 // instructions executed
@@ -34,8 +36,30 @@ type ExecStats struct {
 	JITRuns     atomic.Int64 // subset of Runs executed on the JIT tier (a decision tree)
 }
 
-// Stats returns the program's runtime execution counters.
-func (p *Program) Stats() *ExecStats { return &p.stats }
+// Stats returns the program's runtime execution counters as of the call:
+// its own counters plus every owner's cell, each field summed on its own.
+// Exact once the runs it should count have returned, and monotone from
+// one call to the next at any moment; nothing needs flushing. The result
+// is a snapshot: it does not move, and adding to it counts nothing.
+func (p *Program) Stats() *ExecStats {
+	s := new(ExecStats)
+	if pc := p.stats.Load(); pc != nil {
+		s.add(&pc.own)
+		for c := pc.cells.Load(); c != nil; c = c.next {
+			s.add(&c.ExecStats)
+		}
+	}
+	return s
+}
+
+func (s *ExecStats) add(o *ExecStats) {
+	s.Runs.Add(o.Runs.Load())
+	s.Insns.Add(o.Insns.Load())
+	s.HelperCalls.Add(o.HelperCalls.Load())
+	s.MapOps.Add(o.MapOps.Load())
+	s.Faults.Add(o.Faults.Load())
+	s.JITRuns.Add(o.JITRuns.Load())
+}
 
 // Verified reports whether the program has passed verification.
 func (p *Program) Verified() bool { return p.verified }

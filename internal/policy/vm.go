@@ -69,7 +69,7 @@ func (VM) Exec(p *Program, ctx *Ctx, env Env) (uint64, error) {
 	regs[R1] = rtVal{typ: tPtrCtx}
 	regs[RFP] = rtVal{typ: tPtrStack}
 
-	st := &p.stats
+	st := &p.counters().own
 	st.Runs.Add(1)
 	if faultinject.PolicyTrap.Enabled() {
 		if flt, ok := faultinject.PolicyTrap.Fire(); ok {
@@ -109,7 +109,7 @@ func (VM) Exec(p *Program, ctx *Ctx, env Env) (uint64, error) {
 			return regs[R0].v, nil
 
 		case in.Op == OpCall:
-			r0, err := execHelper(p, HelperID(in.Imm), &regs, stack[:], env)
+			r0, err := execHelper(p, st, HelperID(in.Imm), &regs, stack[:], env)
 			if err != nil {
 				return fault(pc, "%v", err)
 			}
@@ -360,8 +360,8 @@ func stackRegion(stack []byte, ptr rtVal, size int) ([]byte, error) {
 	return stack[idx : idx+size], nil
 }
 
-func execHelper(p *Program, h HelperID, regs *[NumRegs]rtVal, stack []byte, env Env) (rtVal, error) {
-	p.stats.HelperCalls.Add(1)
+func execHelper(p *Program, st *ExecStats, h HelperID, regs *[NumRegs]rtVal, stack []byte, env Env) (rtVal, error) {
+	st.HelperCalls.Add(1)
 	// Fault-injection sites, compiled to nil-checks when disarmed.
 	if faultinject.PolicyHelper.Enabled() {
 		if flt, ok := faultinject.PolicyHelper.Fire(); ok {
@@ -372,7 +372,7 @@ func execHelper(p *Program, h HelperID, regs *[NumRegs]rtVal, stack []byte, env 
 		}
 	}
 	if h >= HelperMapLookup && h <= HelperMapAdd {
-		p.stats.MapOps.Add(1)
+		st.MapOps.Add(1)
 		if faultinject.PolicyMapOp.Enabled() {
 			if flt, ok := faultinject.PolicyMapOp.Fire(); ok {
 				return rtVal{}, fmt.Errorf("map op %s: %w", h, flt.Err)

@@ -234,11 +234,21 @@ func TestTraceRingWrapAround(t *testing.T) {
 	}
 }
 
+// TestTraceRingHooksEndToEnd: a lock's lock_acquired and lock_release
+// events, recorded through Record as the telemetry table records them,
+// come back out of Snapshot and Dump with their identities.
 func TestTraceRingHooksEndToEnd(t *testing.T) {
 	topo := topology.New(2, 2)
 	r := NewTraceRing(8)
 	l := locks.NewShflLock("traced")
-	l.HookSlot().Replace("trace", r.Hooks())
+	rec := func(op TraceOp) func(*locks.Event) {
+		return func(ev *locks.Event) {
+			r.Record(TraceRecord{NowNS: ev.NowNS, LockID: ev.LockID, TaskID: ev.Task.ID(),
+				Op: op, CPU: int32(ev.Task.CPU()), WaitNS: ev.WaitNS, HoldNS: ev.HoldNS})
+		}
+	}
+	l.HookSlot().Replace("trace", &locks.Hooks{Name: "trace",
+		OnAcquired: rec(TraceAcquired), OnRelease: rec(TraceRelease)})
 	tk := task.New(topo)
 	for i := 0; i < 10; i++ {
 		l.Lock(tk)

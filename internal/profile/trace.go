@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-
-	"concord/internal/locks"
 )
 
 // TraceOp classifies a trace record.
@@ -132,31 +130,6 @@ func (r *TraceRing) Snapshot() []TraceRecord {
 		out = append(out, r.recs[p&r.mask].load())
 	}
 	return out
-}
-
-// Hooks builds a hook table recording every event into the ring;
-// compose it with other hooks via locks.ComposeHooks.
-func (r *TraceRing) Hooks() *locks.Hooks {
-	rec := func(op TraceOp) func(ev *locks.Event) {
-		return func(ev *locks.Event) {
-			tr := TraceRecord{
-				NowNS: ev.NowNS, LockID: ev.LockID, Op: op,
-				WaitNS: ev.WaitNS, HoldNS: ev.HoldNS,
-			}
-			if ev.Task != nil {
-				tr.TaskID = ev.Task.ID()
-				tr.CPU = int32(ev.Task.CPU())
-			}
-			r.Record(tr)
-		}
-	}
-	return &locks.Hooks{
-		Name:        "trace",
-		OnAcquire:   rec(TraceAcquire),
-		OnContended: rec(TraceContended),
-		OnAcquired:  rec(TraceAcquired),
-		OnRelease:   rec(TraceRelease),
-	}
 }
 
 // Dump writes the snapshot as one line per record, preceded by a header

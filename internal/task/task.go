@@ -110,6 +110,13 @@ type T struct {
 	// task. `go test -race` over core and locks checks it.
 	fireScratch any
 
+	// execCells is the cache through which this task's decision-tree
+	// runs find the counter cell they add to in each program
+	// (policy.ExecCells), so that two tasks firing one program write no
+	// line in common. Owner-goroutine only, for the reason fireScratch is:
+	// a hook runs on the goroutine of the task it counts for.
+	execCells any
+
 	// nodeCache holds per-class free lists of lock queue nodes, so a
 	// contended acquire reuses the node freed by a previous acquisition
 	// instead of heap-allocating (a kernel thread keeps its MCS node on
@@ -392,6 +399,14 @@ func (t *T) TakeFireScratch() any {
 // PutFireScratch stashes a value for the next TakeFireScratch on this
 // task. Owner-goroutine only.
 func (t *T) PutFireScratch(s any) { t.fireScratch = s }
+
+// ExecCells returns what SetExecCells stashed (nil if nothing was).
+// Owner-goroutine only.
+func (t *T) ExecCells() any { return t.execCells }
+
+// SetExecCells stashes the task's execution-counter cache. Owner-goroutine
+// only.
+func (t *T) SetExecCells(c any) { t.execCells = c }
 
 // CSAverage estimates the task's mean critical-section length, or returns
 // 0 if no section of the task has been timed yet. Exact when every lock
