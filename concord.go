@@ -34,7 +34,7 @@
 //	group:  mov   r0, 1
 //	        exit
 //	`, nil)
-//	_, _ = fw.LoadPolicy("numa", prog)          // verifies
+//	_, _ = fw.LoadPolicy("numa", prog)          // verifies and runs its own copy
 //	att, _ := fw.Attach("my_lock", "numa")      // livepatches
 //	att.Wait()                                  // consistency point
 //

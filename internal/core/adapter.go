@@ -547,7 +547,9 @@ func waitDecision(ret uint64, ok bool) int {
 // the tier chosen for each at admission (§4.2's "translated into native
 // code"): JIT-tier programs run as their decision tree, VM-tier ones on the
 // reference interpreter. mode overrides the per-program choice for
-// ablation (force-VM baseline, force-JIT).
+// ablation (force-VM baseline). The programs are the framework's own
+// copies, whose bytes are the ones admitted, so what admission lowered and
+// reported is what runs.
 //
 // A program served a tree — a decision or a profiling hook — is evaluated
 // where its inputs live: exec around jit.RunTree over the layout's sources,
@@ -559,24 +561,14 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	progs := pol.Programs
 	h := &locks.Hooks{Name: a.policyName}
 
-	// tree resolves kind k's lowering once, while the table is built, so a
-	// fire dispatches straight into what it will run: nil for the
+	// tree is kind k's lowering, resolved once while the table is built so
+	// a fire dispatches straight into what it will run: nil for the
 	// interpreter.
-	tree := func(k policy.Kind, p *policy.Program) *jit.Tree {
-		// absent: the zero Choice, VM tier
-		if mode != TierForceJIT && (mode != TierAuto || pol.Tiers[k].Tier != jit.TierJIT) {
+	tree := func(k policy.Kind) *jit.Tree {
+		if mode == TierForceVM {
 			return nil
 		}
-		// The tree must match the bytecode the interpreter fallback would
-		// run. Admission already lowered it; that tree is reused unless the
-		// program changed since LoadPolicy, in which case it is lowered
-		// again here. A program that does not lower (any more) falls back
-		// to the VM, which will fault if it is corrupt.
-		if t := pol.Tiers[k].TreeFor(p); t != nil {
-			return t
-		}
-		t, _ := jit.LowerTree(p)
-		return t
+		return pol.Tiers[k].Tree() // absent: the zero Choice, VM tier
 	}
 	vm := func(p *policy.Program) policy.CompiledFn {
 		return func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
@@ -591,7 +583,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if !ok {
 			return nil
 		}
-		if t := tree(k, p); t != nil {
+		if t := tree(k); t != nil {
 			return func(info *locks.ShuffleInfo) bool {
 				ret, ok := a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
 					return jit.RunTree(t, p, cellsOf(info.Shuffler.Task), src, shufflerCPU, a, info)
@@ -612,7 +604,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	h.SkipShuffle = shuffleHook(policy.KindSkipShuffle, skipL, skipSrc, fillSkip)
 
 	if p, ok := progs[policy.KindScheduleWaiter]; ok {
-		if t := tree(policy.KindScheduleWaiter, p); t != nil {
+		if t := tree(policy.KindScheduleWaiter); t != nil {
 			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
 				return waitDecision(a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
 					return jit.RunTree(t, p, cellsOf(info.Curr.Task), schedSrc, waiterCPU, a, info)
@@ -635,7 +627,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if !ok {
 			return nil
 		}
-		if t := tree(k, p); t != nil {
+		if t := tree(k); t != nil {
 			src := profSrc[op]
 			return func(ev *locks.Event) {
 				a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
@@ -657,14 +649,10 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	h.OnAcquired = profHook(policy.KindLockAcquired, opAcquired)
 	h.OnRelease = profHook(policy.KindLockRelease, opRelease)
 
-	// lock_acquired's stamp is read only for a program that loads now_ns.
-	// The admitted program's footprint says whether it does, and holds
-	// while the bytes that fire are the bytes admitted, which a JIT-tier
-	// choice can tell (TreeFor); otherwise the stamp stays.
-	if p, ok := progs[policy.KindLockAcquired]; ok && pol.Tiers[policy.KindLockAcquired].TreeFor(p) != nil {
-		if rep := pol.Analysis[policy.KindLockAcquired]; rep != nil {
-			h.AcquiredNoNow = !slices.Contains(rep.CtxReads, "now_ns")
-		}
+	// lock_acquired's stamp is read only for a program that loads now_ns,
+	// as the admitted program's footprint says.
+	if rep := pol.Analysis[policy.KindLockAcquired]; rep != nil {
+		h.AcquiredNoNow = !slices.Contains(rep.CtxReads, "now_ns")
 	}
 	return h
 }

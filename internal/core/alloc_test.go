@@ -189,7 +189,8 @@ func lifecycle(t *testing.T, f *Framework, name, src string) {
 // for it: every byte here is fresh. Before the verifier pooled its state
 // array and Attach reused admission's closure this read 190.7 KB / 694
 // mallocs for occ-gate.pol, and 98.9 KB / 562 before loads shared their
-// analysis and lowering; it reads 19.1 KB / 188 now.
+// analysis and lowering; it reads 20.0 KB / 189 now, 1.1 KB of it the
+// framework's own copy of each program (LoadPolicy).
 func TestLifecycleAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under -race; the budget holds in normal builds")
@@ -222,22 +223,23 @@ func TestLifecycleAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAttachDoesNotServeStaleClosure: the decision tree made at admission
-// is reused by Attach only while the program is what was admitted. A
-// bytecode edit after LoadPolicy must reach the hook table — here it flips
-// the policy's decision, on both the auto and the forced-JIT path, for a
-// tree-served program and for one admission left on the interpreter
-// (the shape the deleted closure tier served, hence its subtest's name).
-func TestAttachDoesNotServeStaleClosure(t *testing.T) {
+// TestCallerEditsReachNothingLoaded: LoadPolicy runs its own copy of each
+// program, so editing the caller's program after the load changes nothing
+// that runs. For a program admitted as a tree and one admission left on
+// the interpreter, under TierAuto and TierForceVM, the table attached
+// before the edit and a fresh attach after it both keep the admitted
+// decision, on the tier the mode says. The caller's program is not the
+// policy's, is never marked verified and counts no runs.
+func TestCallerEditsReachNothingLoaded(t *testing.T) {
 	progs := map[string]func() *policy.Program{
-		"closures": func() *policy.Program {
+		"vm": func() *policy.Program {
 			return policy.NewBuilder("const", policy.KindCmpNode).Call(policy.HelperRand).ReturnImm(1).MustProgram()
 		},
 		"tree": func() *policy.Program {
 			return policy.NewBuilder("const", policy.KindCmpNode).ReturnImm(1).MustProgram()
 		},
 	}
-	for _, mode := range []TierMode{TierAuto, TierForceJIT} {
+	for _, mode := range []TierMode{TierAuto, TierForceVM} {
 		t.Run(mode.String(), func(t *testing.T) {
 			for lowering, mk := range progs {
 				t.Run(lowering, func(t *testing.T) {
@@ -251,10 +253,13 @@ func TestAttachDoesNotServeStaleClosure(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					own := pol.Programs[policy.KindCmpNode]
+					if own == prog {
+						t.Fatal("the policy holds the caller's program")
+					}
 					ch := pol.Tiers[policy.KindCmpNode]
-					served := func() bool { return ch.TreeFor(prog) != nil }
-					if want := lowering == "tree"; served() != want || (ch.Tier == jit.TierJIT) != want {
-						t.Fatalf("admitted on %s (%s), served a tree: %v; test needs %s", ch.Tier, ch.Reason, served(), lowering)
+					if want := lowering == "tree"; (ch.Tier == jit.TierJIT) != want || (ch.Tree() != nil) != want {
+						t.Fatalf("admitted on %s (%s), tree %v; test needs %s", ch.Tier, ch.Reason, ch.Tree() != nil, lowering)
 					}
 
 					tk := task.New(f.Topology())
@@ -274,7 +279,8 @@ func TestAttachDoesNotServeStaleClosure(t *testing.T) {
 						}
 						return l.HookSlot().Peek()
 					}
-					if !table().CmpNode(&info) {
+					before := table()
+					if !before.CmpNode(&info) {
 						t.Fatal("return 1 policy said no")
 					}
 
@@ -283,11 +289,26 @@ func TestAttachDoesNotServeStaleClosure(t *testing.T) {
 							prog.Insns[i].Imm = 0
 						}
 					}
-					if served() {
-						t.Error("edited program is still served the admission lowering")
+					if !before.CmpNode(&info) {
+						t.Error("the table attached before the edit runs the edited bytes")
 					}
-					if table().CmpNode(&info) {
-						t.Error("hook table built after the edit still runs the admitted bytecode")
+					if !table().CmpNode(&info) {
+						t.Error("a table attached after the edit runs the edited bytes")
+					}
+
+					if prog.Verified() {
+						t.Error("LoadPolicy marked the caller's program verified")
+					}
+					if runs := prog.Stats().Runs.Load(); runs != 0 {
+						t.Errorf("the caller's program counted %d runs", runs)
+					}
+					wantJIT := int64(0)
+					if mode == TierAuto && lowering == "tree" {
+						wantJIT = 3
+					}
+					if st := own.Stats(); st.Runs.Load() != 3 || st.JITRuns.Load() != wantJIT {
+						t.Errorf("the policy's program: %d runs, %d on the JIT tier, want 3 and %d",
+							st.Runs.Load(), st.JITRuns.Load(), wantJIT)
 					}
 				})
 			}

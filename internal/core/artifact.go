@@ -2,7 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 
 	"concord/internal/policy"
 	"concord/internal/policy/analysis"
@@ -11,14 +11,13 @@ import (
 
 // artifact is what LoadPolicy derives from one program's verified bytes,
 // computed at the first load of those bytes and shared, read-only, by every
-// Policy that loads them again (DESIGN §7 decision 8).
+// Policy that loads them again (DESIGN §7 decision 8): the analysis report
+// and the tier choice with its tree. A tree names maps by index and reads
+// only what the key encodes of them, so a load that names maps of its own
+// shares it too, and runs it over its own.
 type artifact struct {
-	rep *analysis.Report
-	// tier is the tier choice whose tree every later load shares; nil when
-	// the tree cannot be shared. A program that names a map is lowered
-	// against its own map objects, which are per load, so its tier is
-	// chosen at every load.
-	tier *jit.Choice
+	rep  *analysis.Report
+	tier jit.Choice
 }
 
 // artifactKey is the canonical encoding of what an artifact is derived
@@ -51,41 +50,39 @@ func artifactKey(p *policy.Program) []byte {
 	return b
 }
 
-// admit returns a verified program's analysis report and tier choice: from
-// the artifact store when the same bytes were loaded before, computed and
-// stored otherwise. Two loads that miss together both compute and the
-// first to store wins; the other, and every load after, shares its
-// artifact.
-func (f *Framework) admit(prog *policy.Program) (*analysis.Report, jit.Choice, error) {
+// admit verifies prog, the framework's own copy of a program being loaded,
+// and returns its verification stats, analysis report and tier choice.
+// Each costs one walk of the bytes: on a miss the analysis is the
+// verification, and its artifact is stored; on a hit Verify is the trust
+// gate, and the stored artifact is shared. Two loads that miss together
+// both compute and the first to store wins; the other, and every load
+// after, shares its artifact.
+func (f *Framework) admit(prog *policy.Program) (policy.VerifyStats, *analysis.Report, jit.Choice, error) {
 	key := artifactKey(prog)
 	f.mu.Lock()
 	art := f.artifacts[string(key)]
 	f.mu.Unlock()
-	if art == nil {
-		rep, err := analysis.Analyze(prog)
-		if err != nil {
-			return nil, jit.Choice{}, fmt.Errorf("concord: analyzing %s: %w", prog.Name, err)
-		}
-		tier := jit.Choose(prog, rep)
-		art = &artifact{rep: rep}
-		if len(prog.Maps) == 0 {
-			art.tier = &tier
-		}
-		f.mu.Lock()
-		if won := f.artifacts[string(key)]; won != nil {
-			art = won
-		} else {
-			f.artifacts[string(key)] = art
-		}
-		f.mu.Unlock()
-		if art.rep == rep {
-			return rep, tier, nil
-		}
+	if art != nil {
+		stats, err := policy.Verify(prog)
+		return stats, art.rep, art.tier, err
 	}
-	if art.tier != nil {
-		if tier, ok := art.tier.For(prog); ok {
-			return art.rep, tier, nil
+	rep, err := analysis.Analyze(prog)
+	if err != nil {
+		// The verifier's error itself: the analysis's wrapping adds
+		// nothing for a caller of LoadPolicy.
+		var verr *policy.VerifyError
+		if errors.As(err, &verr) {
+			err = verr
 		}
+		return policy.VerifyStats{}, nil, jit.Choice{}, err
 	}
-	return art.rep, jit.Choose(prog, art.rep), nil
+	art = &artifact{rep: rep, tier: jit.Choose(prog, rep)}
+	f.mu.Lock()
+	if won := f.artifacts[string(key)]; won != nil {
+		art = won
+	} else {
+		f.artifacts[string(key)] = art
+	}
+	f.mu.Unlock()
+	return rep.Verify, art.rep, art.tier, nil
 }

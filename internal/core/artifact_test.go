@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,12 +13,6 @@ import (
 	"concord/internal/policydsl"
 	"concord/internal/task"
 )
-
-// lowering identifies the lowering a choice serves: the object that two
-// loads of the same bytes share, which holds the tree.
-func lowering(ch jit.Choice) uintptr {
-	return reflect.ValueOf(ch).FieldByName("from").Pointer()
-}
 
 // loadSrc compiles src afresh — new program and map objects, as every
 // load from source gets — and loads it under name.
@@ -38,11 +31,12 @@ func loadSrc(t *testing.T, f *Framework, name, src string) *Policy {
 
 // TestArtifactSharedAcrossLoads: the same bytes loaded under two policy
 // names cost one analysis and one lowering. Both policies hold the same
-// report; a map-free program also shares its tree, while a map-carrying
-// one is lowered against its own maps at each load.
+// report and the same tree, a map-carrying program's included, and each
+// runs it over its own maps: firing one policy's attachment writes its
+// maps and leaves the other's as they were.
 func TestArtifactSharedAcrossLoads(t *testing.T) {
 	srcs := shippedPolicies(t)
-	for _, file := range []string{"numa", "contention-gate", "profile-waits"} {
+	for _, file := range []string{"numa", "contention-gate", "profile-waits", "wait-gate"} {
 		t.Run(file, func(t *testing.T) {
 			f := newFramework()
 			a := loadSrc(t, f, "a", srcs[file])
@@ -62,23 +56,43 @@ func TestArtifactSharedAcrossLoads(t *testing.T) {
 				if ca.Tier != jit.TierJIT || cb.Tier != jit.TierJIT {
 					t.Fatalf("%s: admitted on %s/%s, test needs the JIT tier", k, ca.Tier, cb.Tier)
 				}
-				shared := lowering(ca) == lowering(cb)
-				if want := len(pa.Maps) == 0; shared != want {
-					t.Errorf("%s: lowering shared = %v, want %v (program names %d maps)", k, shared, want, len(pa.Maps))
-				}
-				ta, tb := ca.TreeFor(pa), cb.TreeFor(pb)
-				if ta == nil || tb == nil {
-					t.Errorf("%s: a loaded program is not served its own tree", k)
-				}
-				if len(pa.Maps) > 0 && ca.TreeFor(pb) != nil {
-					t.Errorf("%s: one policy's map-carrying tree is served to the other's program", k)
-				}
-				if (ta == tb) != shared {
-					t.Errorf("%s: trees %p and %p for the same bytes, shared = %v", k, ta, tb, shared)
+				if ca.Tree() == nil || ca.Tree() != cb.Tree() {
+					t.Errorf("%s: trees %p and %p for the same bytes (program names %d maps)", k, ca.Tree(), cb.Tree(), len(pa.Maps))
 				}
 			}
 		})
 	}
+
+	t.Run("private maps", func(t *testing.T) {
+		f := newFramework()
+		a := loadSrc(t, f, "a", srcs["profile-waits"])
+		b := loadSrc(t, f, "b", srcs["profile-waits"])
+		l := locks.NewShflLock("l")
+		if err := f.RegisterLock(l); err != nil {
+			t.Fatal(err)
+		}
+		att, err := f.Attach(l.Name(), "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		att.Wait()
+		fireAll(t, l, task.NewOnCPU(f.Topology(), 0), task.NewOnCPU(f.Topology(), 1))
+		if err := att.Err(); err != nil {
+			t.Fatalf("policy tripped: %v", err)
+		}
+		for _, want := range []struct {
+			p      *Policy
+			writes int
+		}{{a, 1}, {b, 0}} {
+			worst, _ := want.p.Programs[policy.KindLockAcquired].MapByName("worstwait")
+			count, _ := want.p.Programs[policy.KindLockContended].MapByName("contended")
+			n, c := worst.(*policy.HashMap).Len(), count.(*policy.PerCPUArrayMap).Sum(0)
+			if n != want.writes || c != uint64(want.writes) {
+				t.Errorf("policy %s: worstwait holds %d keys, contended sums to %d; want %d each",
+					want.p.Name, n, c, want.writes)
+			}
+		}
+	})
 }
 
 // TestArtifactMisses: any difference in what an artifact is derived from
@@ -156,8 +170,82 @@ func TestArtifactConcurrentLoads(t *testing.T) {
 	}
 	for k := range pols[0].Programs {
 		for _, p := range pols[1:] {
-			if p.Analysis[k] != pols[0].Analysis[k] || lowering(p.Tiers[k]) != lowering(pols[0].Tiers[k]) {
+			if p.Analysis[k] != pols[0].Analysis[k] || p.Tiers[k].Tree() != pols[0].Tiers[k].Tree() {
 				t.Errorf("%s: a concurrent load holds an artifact that lost the race", k)
+			}
+		}
+	}
+}
+
+// TestArtifactConcurrentLoadsFire: two loads of one map-carrying file race,
+// then fire at once, each on a lock and a task of its own. They hold one
+// tree, and each counts exactly its own fires into its own maps and its
+// own program. Under -race this is the check that a shared tree is only
+// read by the loads that run it.
+func TestArtifactConcurrentLoadsFire(t *testing.T) {
+	src := shippedPolicies(t)["profile-waits"]
+	f := newFramework()
+	const fires = 200
+	pols := make([]*Policy, 2)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range pols {
+		name := fmt.Sprintf("pw-%d", i)
+		l := locks.NewShflLock("lock-" + name)
+		if err := f.RegisterLock(l); err != nil {
+			t.Fatal(err)
+		}
+		unit, err := policydsl.CompileAndVerify(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk := task.NewOnCPU(f.Topology(), i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			p, err := f.LoadPolicy(name, unit.Programs...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			att, err := f.Attach(l.Name(), name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			att.Wait()
+			h := l.HookSlot().Peek()
+			for n := 0; n < fires; n++ {
+				ev := locks.Event{LockID: uint64(n), Task: tk, WaitNS: 100}
+				h.OnContended(&ev)
+				h.OnAcquired(&ev)
+			}
+			if err := att.Err(); err != nil {
+				t.Errorf("%s tripped: %v", name, err)
+			}
+			pols[i] = p
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for k := range pols[0].Programs {
+		if tr := pols[0].Tiers[k].Tree(); tr == nil || tr != pols[1].Tiers[k].Tree() {
+			t.Errorf("%s: the two loads hold trees %p and %p", k, tr, pols[1].Tiers[k].Tree())
+		}
+	}
+	for _, p := range pols {
+		worst, _ := p.Programs[policy.KindLockAcquired].MapByName("worstwait")
+		count, _ := p.Programs[policy.KindLockContended].MapByName("contended")
+		if n, c := worst.(*policy.HashMap).Len(), count.(*policy.PerCPUArrayMap).Sum(0); n != fires || c != fires {
+			t.Errorf("policy %s: worstwait holds %d keys, contended sums to %d; want %d each", p.Name, n, c, fires)
+		}
+		for k, prog := range p.Programs {
+			if st := prog.Stats(); st.Runs.Load() != fires || st.JITRuns.Load() != fires {
+				t.Errorf("policy %s %s: %d runs, %d on the JIT tier, want %d each", p.Name, k, st.Runs.Load(), st.JITRuns.Load(), fires)
 			}
 		}
 	}
@@ -257,8 +345,10 @@ func TestArtifactExecStatsExact(t *testing.T) {
 }
 
 // TestArtifactEditedProgramRelowered: a program edited after it was loaded
-// is lowered again when attached, and the edit reaches the lock; a fresh
-// load of the original bytes still hits the artifact they were stored as.
+// is lowered again when it is loaded again, as new bytes, and that load
+// runs the edit; the policy loaded before the edit keeps running the bytes
+// it was loaded with, and a fresh load of those bytes still hits the
+// artifact they were stored as.
 func TestArtifactEditedProgramRelowered(t *testing.T) {
 	f := newFramework()
 	l := locks.NewShflLock("l")
@@ -280,7 +370,7 @@ func TestArtifactEditedProgramRelowered(t *testing.T) {
 	}
 
 	edited := build()
-	first, err := f.LoadPolicy("edited", edited)
+	first, err := f.LoadPolicy("first", edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,15 +379,26 @@ func TestArtifactEditedProgramRelowered(t *testing.T) {
 			edited.Insns[i].Imm = 0
 		}
 	}
+	if !decide("first") {
+		t.Error("the policy loaded before the edit runs the edited bytes")
+	}
+
+	again, err := f.LoadPolicy("edited", edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.artifacts) != 2 || again.Tiers[policy.KindCmpNode].Tree() == first.Tiers[policy.KindCmpNode].Tree() {
+		t.Errorf("the edited bytes hit the original's artifact (%d artifacts)", len(f.artifacts))
+	}
 	if decide("edited") {
-		t.Error("the edited program's hook still runs the bytes it was loaded with")
+		t.Error("a load of the edited program does not run the edit")
 	}
 
 	fresh, err := f.LoadPolicy("fresh", build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.artifacts) != 1 || fresh.Analysis[policy.KindCmpNode] != first.Analysis[policy.KindCmpNode] {
+	if len(f.artifacts) != 2 || fresh.Analysis[policy.KindCmpNode] != first.Analysis[policy.KindCmpNode] {
 		t.Errorf("a fresh load of the original bytes missed (%d artifacts)", len(f.artifacts))
 	}
 	if !decide("fresh") {
@@ -311,7 +412,8 @@ func TestArtifactEditedProgramRelowered(t *testing.T) {
 // least of three readings. Until policies can be unloaded each lifecycle
 // keeps its Policy, its programs and their private maps; it no longer keeps
 // an analysis, a lowering, a hook table or its DSL source. It read 11.8 KB
-// before the artifact store; 7.9 KB with it.
+// before the artifact store; 7.9 KB with it; 7.0 KB once the store shares
+// the trees of map-carrying programs too.
 func TestLifecycleRetainedBytes(t *testing.T) {
 	srcs := shippedPolicies(t)
 	f := newFramework()
@@ -348,7 +450,7 @@ func TestLifecycleRetainedBytes(t *testing.T) {
 		}
 	}
 	t.Logf("retained per lifecycle: %.0f B", best)
-	const ceiling = 9032 // 7854 B measured, +15 %
+	const ceiling = 8089 // 7034 B measured, +15 %
 	if best > ceiling {
 		t.Errorf("a lifecycle retains %.0f B, ceiling %d B", best, ceiling)
 	}

@@ -6,6 +6,8 @@ import (
 
 	"concord/internal/locks"
 	"concord/internal/policy"
+	"concord/internal/policy/jit"
+	"concord/internal/policydsl"
 	"concord/internal/task"
 )
 
@@ -129,39 +131,70 @@ func TestExecStatsExactAcrossTasks(t *testing.T) {
 
 // TestAcquiredNoNowFollowsCtxReads: the adapter declares that its
 // lock_acquired table never reads NowNS exactly when the admitted program
-// loads no now_ns, and keeps the stamp for a program edited after load,
-// whose footprint the report no longer describes.
+// loads no now_ns — a tree or an interpreted program alike, under TierAuto
+// and TierForceVM — and an edit to the caller's program after the load
+// changes nothing: what fires is the framework's copy, which the report
+// describes.
 func TestAcquiredNoNowFollowsCtxReads(t *testing.T) {
 	srcs := shippedPolicies(t)
-	attach := func(f *Framework, l *locks.ShflLock, name string) *locks.Hooks {
-		att, err := f.Attach(l.Name(), name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		att.Wait()
-		return l.HookSlot().Peek()
-	}
 	for _, tc := range []struct {
 		name, src string
+		tier      jit.Tier
 		noNow     bool
 	}{
-		{"profile-waits", srcs["profile-waits"], true},
-		{"occ-gate", srcs["occ-gate"], true},
-		{"stamp", "policy lock_acquired stamp {\n if (ctx.now_ns > 5) { return 1; }\n return 0;\n}\n", false},
+		{"profile-waits", srcs["profile-waits"], jit.TierJIT, true},
+		{"occ-gate", srcs["occ-gate"], jit.TierJIT, true},
+		{"stamp", "policy lock_acquired stamp {\n if (ctx.now_ns > 5) { return 1; }\n return 0;\n}\n", jit.TierJIT, false},
+		// now() calls ktime_ns, which no tree makes: the interpreter runs
+		// these two.
+		{"clock", "policy lock_acquired clock {\n if (now() > 5) { return 1; }\n return 0;\n}\n", jit.TierVM, true},
+		{"clock-stamp", "policy lock_acquired clock {\n if (now() > ctx.now_ns) { return 1; }\n return 0;\n}\n", jit.TierVM, false},
 	} {
-		f := newFramework()
-		l := locks.NewShflLock(tc.name)
-		if err := f.RegisterLock(l); err != nil {
-			t.Fatal(err)
-		}
-		p := loadSrc(t, f, tc.name, tc.src)
-		if got := attach(f, l, tc.name).AcquiredNoNow; got != tc.noNow {
-			t.Errorf("%s: AcquiredNoNow = %v, want %v", tc.name, got, tc.noNow)
-		}
-		prog := p.Programs[policy.KindLockAcquired]
-		prog.Insns[len(prog.Insns)-2].Imm++ // the last return's value
-		if attach(f, l, tc.name).AcquiredNoNow {
-			t.Errorf("%s: a program edited after load is declared not to read now_ns", tc.name)
+		for _, mode := range []TierMode{TierAuto, TierForceVM} {
+			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
+				f := newFramework()
+				l := locks.NewShflLock(tc.name)
+				if err := f.RegisterLock(l); err != nil {
+					t.Fatal(err)
+				}
+				unit, err := policydsl.CompileAndVerify(tc.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pol, err := f.LoadPolicy(tc.name, unit.Programs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ch := pol.Tiers[policy.KindLockAcquired]; ch.Tier != tc.tier {
+					t.Fatalf("admitted on %s (%s), test needs %s", ch.Tier, ch.Reason, tc.tier)
+				}
+				attach := func() *locks.Hooks {
+					att, err := f.Attach(l.Name(), tc.name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					att.Wait()
+					if mode != TierAuto {
+						patch, err := f.SetTier(l.Name(), mode)
+						if err != nil {
+							t.Fatal(err)
+						}
+						patch.Wait()
+					}
+					return l.HookSlot().Peek()
+				}
+				if got := attach().AcquiredNoNow; got != tc.noNow {
+					t.Errorf("AcquiredNoNow = %v, want %v", got, tc.noNow)
+				}
+				for _, prog := range unit.Programs {
+					if prog.Kind == policy.KindLockAcquired {
+						prog.Insns[len(prog.Insns)-2].Imm++ // the last return's value
+					}
+				}
+				if got := attach().AcquiredNoNow; got != tc.noNow {
+					t.Errorf("after an edit to the caller's program, AcquiredNoNow = %v, want %v", got, tc.noNow)
+				}
+			})
 		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,7 +62,10 @@ var (
 )
 
 // Policy is a named, verified set of hook programs (and/or a native Go
-// hook table used for pre-compiled baselines).
+// hook table used for pre-compiled baselines). Its maps are read-only: the
+// programs are the framework's copies (LoadPolicy) and run as they are,
+// and the reports and tier choices are shared with every load of the same
+// bytes.
 type Policy struct {
 	Name     string
 	Programs map[policy.Kind]*policy.Program
@@ -74,7 +78,7 @@ type Policy struct {
 	// Tiers records the execution-tier decision per program, made at load
 	// time from the analysis report (the interpreter, or the JIT tier with
 	// the decision tree the program lowered to). Attachments honour it
-	// unless a TierMode override forces one tier for ablation.
+	// unless TierForceVM forces the interpreter for ablation.
 	Tiers map[policy.Kind]jit.Choice
 }
 
@@ -143,11 +147,8 @@ func (p *Policy) decisionKinds() map[policy.Kind]bool {
 	return out
 }
 
-// Attachment records a policy installed on a lock. Every attachment is
-// supervised: runtime faults trip a per-attachment circuit breaker
-// whose behaviour is set by the framework's SupervisorConfig.
 // TierMode selects how an attachment picks each program's execution
-// tier: the admission-time choice, or a forced tier for ablation runs.
+// tier: the admission-time choice, or the interpreter for ablation runs.
 type TierMode int32
 
 const (
@@ -155,22 +156,18 @@ const (
 	TierAuto TierMode = iota
 	// TierForceVM runs every program on the reference interpreter.
 	TierForceVM
-	// TierForceJIT runs every program that lowers to a decision tree on
-	// the JIT tier, and the others on the VM.
-	TierForceJIT
 )
 
 func (m TierMode) String() string {
-	switch m {
-	case TierForceVM:
+	if m == TierForceVM {
 		return "vm"
-	case TierForceJIT:
-		return "jit"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
+// Attachment records a policy installed on a lock. Every attachment is
+// supervised: runtime faults trip a per-attachment circuit breaker
+// whose behaviour is set by the framework's SupervisorConfig.
 type Attachment struct {
 	Lock   string
 	Policy string
@@ -360,8 +357,13 @@ func (f *Framework) Locks() []LockInfo {
 
 // LoadPolicy verifies and registers a set of programs under one policy
 // name. Each program kind may appear at most once. Verification failure
-// rejects the whole policy (Figure 1 steps 2–4). A program whose bytes
-// were loaded before shares that load's analysis report and lowering.
+// rejects the whole policy (Figure 1 steps 2–4). The framework copies each
+// program it is given and verifies, analyzes and runs only its copy, so
+// the caller's object is never executed, never marked verified and counts
+// no ExecStats, and editing it after the load changes nothing loaded. A
+// copy has its own instructions and shares the caller's map objects. A
+// program whose bytes were loaded before shares that load's analysis
+// report and lowering.
 func (f *Framework) LoadPolicy(name string, progs ...*policy.Program) (*Policy, error) {
 	p := &Policy{
 		Name:     name,
@@ -374,21 +376,16 @@ func (f *Framework) LoadPolicy(name string, progs ...*policy.Program) (*Policy, 
 		if _, dup := p.Programs[prog.Kind]; dup {
 			return nil, fmt.Errorf("%w: %s", ErrDuplicateKind, prog.Kind)
 		}
-		// Verify runs on every load: it is the trust gate, and it marks
-		// this program object verified. The store keeps only what is
-		// derived from verified bytes.
-		stats, err := policy.Verify(prog)
+		own := &policy.Program{Name: prog.Name, Kind: prog.Kind,
+			Insns: slices.Clone(prog.Insns), Maps: slices.Clone(prog.Maps)}
+		stats, rep, tier, err := f.admit(own)
 		if err != nil {
 			return nil, err
 		}
-		rep, tier, err := f.admit(prog)
-		if err != nil {
-			return nil, err
-		}
-		p.Programs[prog.Kind] = prog
-		p.Verify[prog.Kind] = stats
-		p.Analysis[prog.Kind] = rep
-		p.Tiers[prog.Kind] = tier
+		p.Programs[own.Kind] = own
+		p.Verify[own.Kind] = stats
+		p.Analysis[own.Kind] = rep
+		p.Tiers[own.Kind] = tier
 	}
 	return p, f.addPolicy(p)
 }
@@ -618,9 +615,9 @@ func (f *Framework) Detach(lockName string) (*livepatch.Patch, error) {
 
 // SetTier livepatches a lock's attachment to a new tier mode: TierAuto
 // restores the admission-time per-program choices, TierForceVM drops to
-// the interpreter on every program (ablation baseline), TierForceJIT
-// runs every program that lowers as its tree. The returned patch's Wait
-// is the consistency point after which no execution runs the old tier.
+// the interpreter on every program (ablation baseline). The returned
+// patch's Wait is the consistency point after which no execution runs the
+// old tier.
 func (f *Framework) SetTier(lockName string, mode TierMode) (*livepatch.Patch, error) {
 	f.mu.Lock()
 	st, ok := f.locks[lockName]

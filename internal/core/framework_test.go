@@ -67,8 +67,8 @@ func TestLoadPolicyVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !good.Verified() {
-		t.Error("program not marked verified")
+	if own := p.Programs[policy.KindCmpNode]; own == good || !own.Verified() || good.Verified() {
+		t.Error("the policy's program is not its own verified copy of the caller's")
 	}
 	if stats := p.Verify[policy.KindCmpNode]; stats.Insns == 0 {
 		t.Error("no verify stats recorded")
@@ -285,12 +285,13 @@ func TestPolicyFaultDetaches(t *testing.T) {
 		Label("ok").
 		ReturnImm(1).
 		MustProgram()
-	if _, err := f.LoadPolicy("faulty", prog); err != nil {
+	pol, err := f.LoadPolicy("faulty", prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the program post-verification to simulate a VM fault: an
-	// out-of-range map index triggers the runtime check.
-	prog.Insns[1].Imm = 99
+	// Corrupt the loaded program post-verification to simulate a runtime
+	// fault: a map load with no map table triggers the runtime check.
+	corruptMaps(pol.Programs[policy.KindLockAcquired])
 	att, err := f.Attach("l", "faulty")
 	if err != nil {
 		t.Fatal(err)

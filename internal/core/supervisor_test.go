@@ -18,8 +18,9 @@ import (
 // map lookup on every acquisition — a policy that is healthy on its own
 // but exercises the helper path every hook invocation, so the
 // fault-injection sites (policy.helper, policy.latency, core.hook_panic)
-// all have something to bite. Returns the program so tests can corrupt
-// it for the persistent-fault shape.
+// all have something to bite. Returns the framework's copy of the
+// program, the one that runs, so tests can corrupt it (corruptMaps) for
+// the persistent-fault shape.
 func mapLookupPolicy(t testing.TB, f *Framework, name string) *policy.Program {
 	t.Helper()
 	m := policy.NewArrayMap("m_"+name, 8, 1)
@@ -34,11 +35,17 @@ func mapLookupPolicy(t testing.TB, f *Framework, name string) *policy.Program {
 		Label("ok").
 		ReturnImm(1).
 		MustProgram()
-	if _, err := f.LoadPolicy(name, prog); err != nil {
+	pol, err := f.LoadPolicy(name, prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return prog
+	return pol.Programs[policy.KindLockAcquired]
 }
+
+// corruptMaps empties a loaded program's map table, standing in for a
+// stray write to the loaded image after verification: its map load then
+// faults on every invocation, on either tier.
+func corruptMaps(p *policy.Program) { p.Maps = p.Maps[:0] }
 
 // pumpUntil drives lock traffic until cond holds (the supervisor's
 // timers need ongoing hook invocations to observe re-injected faults).
@@ -123,9 +130,9 @@ func TestBreakerQuarantinePersistentFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := mapLookupPolicy(t, f, "faulty")
-	// Corrupt the program post-verification: out-of-range map index
-	// faults the VM on every invocation (the persistent-fault shape).
-	prog.Insns[1].Imm = 99
+	// Corrupt the loaded program post-verification: its map load faults
+	// on every invocation (the persistent-fault shape).
+	corruptMaps(prog)
 	att, err := f.Attach("l", "faulty")
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +174,7 @@ func TestConcurrentFaultsSingleFallback(t *testing.T) {
 	if err := f.RegisterLock(l); err != nil {
 		t.Fatal(err)
 	}
-	prog := mapLookupPolicy(t, f, "faulty")
-	prog.Insns[1].Imm = 99
+	corruptMaps(mapLookupPolicy(t, f, "faulty"))
 	att, err := f.Attach("l", "faulty")
 	if err != nil {
 		t.Fatal(err)

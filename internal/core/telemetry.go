@@ -12,15 +12,12 @@ import (
 )
 
 // attachmentTier summarises an attachment's effective execution tier
-// for telemetry rows: the forced tier with a "!" override marker, or
+// for telemetry rows: "vm!" when TierForceVM forces the interpreter, or
 // the admission-time per-program outcome ("jit", "vm", or "mixed";
 // "native" for pure Go hook tables).
 func attachmentTier(p *Policy, mode TierMode) string {
-	switch mode {
-	case TierForceVM:
+	if mode == TierForceVM {
 		return "vm!"
-	case TierForceJIT:
-		return "jit!"
 	}
 	if len(p.Programs) == 0 {
 		if p.Native != nil {

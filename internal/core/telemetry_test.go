@@ -172,17 +172,17 @@ func TestTelemetryFaultFallback(t *testing.T) {
 		Call(policy.HelperMapLookup).
 		ReturnImm(0).
 		MustProgram()
-	if _, err := f.LoadPolicy("faulty", prog); err != nil {
+	pol, err := f.LoadPolicy("faulty", prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	prog.Insns[1].Imm = 99 // corrupt the map index post-verification
+	corruptMaps(pol.Programs[policy.KindLockAcquired]) // post-verification
 	att, err := f.Attach("l", "faulty")
 	if err != nil {
 		t.Fatal(err)
 	}
 	att.Wait()
-	// The JIT closure was compiled at load time, before the corruption;
-	// force the interpreter tier so the corrupted bytecode actually runs.
+	// The fault must reach telemetry from the interpreter tier too.
 	if _, err := f.SetTier("l", TierForceVM); err != nil {
 		t.Fatal(err)
 	}

@@ -151,8 +151,8 @@ func treePolicies(t *testing.T) map[string]string {
 			t.Fatal(err)
 		}
 		trees := 0
-		for k, p := range pol.Programs {
-			if pol.Tiers[k].TreeFor(p) != nil {
+		for k := range pol.Programs {
+			if pol.Tiers[k].Tree() != nil {
 				trees++
 			}
 		}
@@ -530,7 +530,7 @@ policy schedule_waiter ahead {
 				t.Fatal(err)
 			}
 			p := pol.Programs[policy.KindScheduleWaiter]
-			if tree := pol.Tiers[policy.KindScheduleWaiter].TreeFor(p); tree == nil {
+			if tree := pol.Tiers[policy.KindScheduleWaiter].Tree(); tree == nil {
 				t.Fatalf("test program is not on the tree path: %s", pol.Tiers[policy.KindScheduleWaiter].Lowering())
 			}
 			h := (&adapter{policyName: "ahead"}).hooks(pol, mode)

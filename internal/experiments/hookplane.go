@@ -47,17 +47,17 @@ type HookFire func(shufflerSocket, currSocket uint64) bool
 // HookPlaneFire builds the measured hook closure for one tier the way a
 // user gets one: the profiled-shuffler policy is loaded into a framework,
 // attached to a ShflLock, and the closure is the CmpNode member of the
-// hook table the lock publishes. "vm" forces the interpreter, "jit" the
-// JIT tier (here, the decision tree). Each call builds a fresh framework, program and map
-// arena so fires don't share profiling state. HookFires are
-// single-threaded.
+// hook table the lock publishes. "vm" forces the interpreter, "jit" runs
+// the tier admission chose, the JIT tier (here, the decision tree). Each
+// call builds a fresh framework, program and map arena so fires don't
+// share profiling state. HookFires are single-threaded.
 func HookPlaneFire(tier string) HookFire {
 	fire, _ := hookPlane(tier)
 	return fire
 }
 
-// hookPlane is HookPlaneFire, also returning the loaded program, whose
-// ExecStats count the fires.
+// hookPlane is HookPlaneFire, also returning the framework's copy of the
+// loaded program, which is what fires and whose ExecStats count the fires.
 func hookPlane(tier string) (HookFire, *policy.Program) {
 	topo := topology.Paper()
 	fw := core.New(topo)
@@ -65,7 +65,7 @@ func hookPlane(tier string) (HookFire, *policy.Program) {
 	prog := ProfiledNumaCmpProgram(policy.NewHashMap("hookbench-exams", 8, 8, 16))
 	mode := core.TierForceVM
 	if tier == "jit" {
-		mode = core.TierForceJIT
+		mode = core.TierAuto
 	}
 	must := func(err error) {
 		if err != nil {
@@ -73,7 +73,7 @@ func hookPlane(tier string) (HookFire, *policy.Program) {
 		}
 	}
 	must(fw.RegisterLock(l))
-	_, err := fw.LoadPolicy("numa-prof", prog)
+	pol, err := fw.LoadPolicy("numa-prof", prog)
 	must(err)
 	att, err := fw.Attach(l.Name(), "numa-prof")
 	must(err)
@@ -96,7 +96,7 @@ func hookPlane(tier string) (HookFire, *policy.Program) {
 		shuffler.Task = onSocket[shufflerSocket%uint64(len(onSocket))]
 		curr.Task = onSocket[currSocket%uint64(len(onSocket))]
 		return cmp(&info)
-	}, prog
+	}, pol.Programs[policy.KindCmpNode]
 }
 
 // HookPlaneOpsPerMSec times ops hook fires and returns throughput.

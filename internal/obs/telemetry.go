@@ -255,7 +255,7 @@ type LockRow struct {
 	Policy  string `json:"policy,omitempty"`
 	Breaker string `json:"breaker,omitempty"`
 	// Tier is the attached policy's execution tier ("jit", "vm", "mixed",
-	// "native"; "jit!"/"vm!" when a SetTier override forces one), filled
+	// "native"; "vm!" when a SetTier override forces the interpreter), filled
 	// by core from the attachment.
 	Tier string `json:"tier,omitempty"`
 	// CostBoundNS is the attached policy's static worst-case cost bound

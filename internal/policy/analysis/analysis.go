@@ -136,6 +136,10 @@ type Report struct {
 	Footprint []MapFootprint `json:"footprint,omitempty"`
 	Facts     Facts          `json:"facts"`
 	Warnings  []Warning      `json:"warnings,omitempty"`
+
+	// Verify is what the walk the report was read from proved, as
+	// policy.Verify returns it: an Analyze is the program's verification.
+	Verify policy.VerifyStats `json:"-"`
 }
 
 // String renders a human-oriented summary (concordctl analyze).
@@ -186,7 +190,8 @@ func MaxCost(reports map[policy.Kind]*Report) int64 {
 // Analyze runs the verifier's walk over p and answers the report's
 // queries from each live pc's state. A program that fails verification
 // gets the verifier's error (analysis facts are only sound for verified
-// programs); one that passes is marked verified, as by policy.Verify.
+// programs); one that passes is marked verified, as by policy.Verify, and
+// its report carries the VerifyStats that Verify would have returned.
 func Analyze(p *policy.Program) (*Report, error) {
 	r := &Report{
 		Program: p.Name,
@@ -237,7 +242,7 @@ func Analyze(p *policy.Program) (*Report, error) {
 	exits := 0
 	costs := make([]pcCost, len(p.Insns))
 
-	_, err := policy.Walk(p, func(pc int, st *policy.State) {
+	stats, err := policy.Walk(p, func(pc int, st *policy.State) {
 		in := p.Insns[pc]
 		op := in.Op
 		costs[pc].cost = insnCost(op)
@@ -340,6 +345,7 @@ func Analyze(p *policy.Program) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: program must pass verification: %w", err)
 	}
+	r.Verify = stats
 
 	// Exit-state register facts. The verifier proved R0 a scalar at every
 	// exit.

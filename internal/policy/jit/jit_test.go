@@ -455,7 +455,7 @@ func TestJITRunsCounter(t *testing.T) {
 
 func TestChoose(t *testing.T) {
 	p := verify(t, policy.NewBuilder("choose", policy.KindLockAcquire).ReturnImm(1).MustProgram())
-	if c := jit.Choose(p, nil); c.Tier != jit.TierVM || c.TreeFor(p) != nil {
+	if c := jit.Choose(p, nil); c.Tier != jit.TierVM || c.Tree() != nil {
 		t.Fatalf("nil report: got tier %s", c.Tier)
 	}
 	rep, err := analysis.Analyze(p)
@@ -463,7 +463,7 @@ func TestChoose(t *testing.T) {
 		t.Fatalf("analyze: %v", err)
 	}
 	c := jit.Choose(p, rep)
-	if c.Tier != jit.TierJIT || c.TreeFor(p) == nil {
+	if c.Tier != jit.TierJIT || c.Tree() == nil {
 		t.Fatalf("got tier %s (%s, %s), want jit served by a tree", c.Tier, c.Reason, c.Lowering())
 	}
 	// A program outside the tree grammar stays on the interpreter, and the
@@ -474,7 +474,7 @@ func TestChoose(t *testing.T) {
 		t.Fatalf("analyze: %v", err)
 	}
 	c = jit.Choose(p, rep)
-	if c.Tier != jit.TierVM || c.Reason != "not a tree: pc 0: calls ktime_ns" || c.Lowering() != "" || c.TreeFor(p) != nil {
+	if c.Tier != jit.TierVM || c.Reason != "not a tree: pc 0: calls ktime_ns" || c.Lowering() != "" || c.Tree() != nil {
 		t.Fatalf("got tier %s (%s, %q), want vm, not a tree at pc 0", c.Tier, c.Reason, c.Lowering())
 	}
 }

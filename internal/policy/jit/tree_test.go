@@ -285,48 +285,51 @@ func TestTreeTrapParity(t *testing.T) {
 	}
 }
 
-// TestTreeServedOnlyWhileUnmodified: a program edited after admission is
-// not served its admission tree, so Attach lowers it again or takes the
-// general path, and the edit (or the corruption) reaches the hook. A
-// second program with the same bytes is served the same tree, and For
-// gives it the same lowering.
-func TestTreeServedOnlyWhileUnmodified(t *testing.T) {
-	p, err := buildFn(numaShaped)()
+// TestChoiceTreeServesEveryLoad: the tree a choice was lowered to holds no
+// program and no map, so one tree serves every program with the same
+// bytes, each run calling the maps of the program it is handed. A VM-tier
+// choice holds no tree.
+func TestChoiceTreeServesEveryLoad(t *testing.T) {
+	worst := func() *policy.Program {
+		unit, err := policydsl.CompileAndVerify(profileSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := unit.Program("worst")
+		return p
+	}
+	a, b := worst(), worst()
+	rep, err := analysis.Analyze(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analysis.Analyze(p)
-	if err != nil {
-		t.Fatal(err)
+	ch := jit.Choose(a, rep)
+	if ch.Tier != jit.TierJIT || ch.Tree() == nil || ch.Lowering() == "" {
+		t.Fatalf("admitted on %s (%s), test needs a tree", ch.Tier, ch.Reason)
 	}
-	ch := jit.Choose(p, rep)
-	if ch.TreeFor(p) == nil {
-		t.Fatal("unmodified program is not served its admission tree")
+	type event struct{ lock, wait uint64 }
+	l := policy.LayoutFor(policy.KindLockAcquired)
+	src := make([]func(*event) uint64, len(l.Fields))
+	src[l.Slot("lock_id")] = func(e *event) uint64 { return e.lock }
+	src[l.Slot("wait_ns")] = func(e *event) uint64 { return e.wait }
+	noCPU := func(*event) int { return 0 }
+	for _, run := range []struct {
+		p    *policy.Program
+		lock uint64
+	}{{a, 1}, {b, 2}, {b, 3}} {
+		if _, err := jit.RunTree(ch.Tree(), run.p, nil, src, noCPU, nil, &event{run.lock, 100}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	other, err := buildFn(numaShaped)()
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []struct {
+		p    *policy.Program
+		keys int
+	}{{a, 1}, {b, 2}} {
+		if n := want.p.Maps[0].(*policy.HashMap).Len(); n != want.keys {
+			t.Errorf("a program's map holds %d keys after its own %d runs", n, want.keys)
+		}
 	}
-	if ch.TreeFor(other) != ch.TreeFor(p) {
-		t.Error("a program with the same bytes is not served the same tree")
-	}
-	bound, ok := ch.For(other)
-	if !ok || bound.TreeFor(other) != ch.TreeFor(p) {
-		t.Errorf("For(same bytes) = %v: want the shared tree", ok)
-	}
-	renamed, err := buildFn(numaShaped)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	renamed.Name += "-renamed"
-	if _, ok := ch.For(renamed); ok || ch.TreeFor(renamed) != nil {
-		t.Error("a program with another name is served this program's lowering")
-	}
-	p.Insns[len(p.Insns)-2].Imm = 0
-	if ch.TreeFor(p) != nil {
-		t.Error("edited program is still served an admission lowering")
-	}
-	if vm := jit.Choose(p, nil); vm.TreeFor(p) != nil || vm.Lowering() != "" {
+	if vm := jit.Choose(a, nil); vm.Tree() != nil || vm.Lowering() != "" {
 		t.Errorf("VM-tier choice carries a lowering: %q", vm.Lowering())
 	}
 }

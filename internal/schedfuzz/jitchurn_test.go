@@ -49,7 +49,7 @@ func TestJITChurnDeterminism(t *testing.T) {
 // testdata (regenerate with `go run ./internal/schedfuzz/testdata/genjit.go`):
 // JIT-tier policies on a blocking ShflLock under forced parks, park
 // delays and dropped wakeups, with the attachment livepatch-flipped
-// between auto/forced-VM/forced-JIT mid-traffic. The target's
+// between auto and forced-VM mid-traffic. The target's
 // invariants (op conservation, lock safety, zero faults, hook runs
 // recorded) must hold on replay, and the re-recorded log byte-matches
 // the canned file — same-seed replay is byte-identical through the

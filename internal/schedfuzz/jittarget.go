@@ -18,11 +18,11 @@ func init() { RegisterTarget(jitChurnTarget{}) }
 // both map-heavy so the JIT's UpdateRaw/lookup fast paths stay hot)
 // while the hashtable workload hammers it under forced parks, park
 // delays and dropped wakeups from the fault plan. Concurrently the
-// fuzzer flips the attachment between auto/forced-VM/forced-JIT via
-// SetTier, so livepatch tier transitions drain under live hook
-// traffic. Invariants: exact op conservation, a clean lock safety
-// state, zero policy faults (no error sites are armed), and hook runs
-// actually recorded on the policy.
+// fuzzer flips the attachment between auto and forced-VM via SetTier,
+// so livepatch tier transitions drain under live hook traffic.
+// Invariants: exact op conservation, a clean lock safety state, zero
+// policy faults (no error sites are armed), and hook runs actually
+// recorded on the policy.
 type jitChurnTarget struct{}
 
 func (jitChurnTarget) Name() string { return "jit-churn" }
@@ -123,7 +123,7 @@ func (jitChurnTarget) Run(env *Env, params map[string]int64) error {
 	// transition that must drain against in-flight hook fires. Only
 	// this goroutine consults the fuzzer, so the schedule log stays
 	// byte-identical for a given seed.
-	modes := []core.TierMode{core.TierAuto, core.TierForceVM, core.TierForceJIT}
+	modes := []core.TierMode{core.TierAuto, core.TierForceVM}
 	flips := param(params, "flips", 8)
 	for i := int64(0); i < flips; i++ {
 		env.F.Point("jit.flip")
@@ -143,7 +143,9 @@ func (jitChurnTarget) Run(env *Env, params map[string]int64) error {
 	if msg := l.SafetyError(); msg != "" {
 		return Invariantf("jit-churn safety trip: %s", msg)
 	}
-	for _, p := range progs {
+	// The framework runs its own copies of the programs, so their counts
+	// are on pol.Programs.
+	for _, p := range pol.Programs {
 		st := p.Stats()
 		if f := st.Faults.Load(); f != 0 {
 			return Invariantf("program %q faulted %d times with no error sites armed", p.Name, f)
@@ -151,7 +153,7 @@ func (jitChurnTarget) Run(env *Env, params map[string]int64) error {
 	}
 	// The acquire profiler fires on every lock operation; with ops > 0
 	// it must have run, and its map must carry the lock's counter.
-	if runs := progs[1].Stats().Runs.Load(); runs == 0 {
+	if runs := pol.Programs[policy.KindLockAcquire].Stats().Runs.Load(); runs == 0 {
 		return Invariantf("acquire program never ran under %d lock ops", res.Ops)
 	}
 	return nil
