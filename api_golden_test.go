@@ -18,7 +18,7 @@ var updateAPI = flag.Bool("update", false, "rewrite testdata/api.golden")
 const apiGoldenPath = "testdata/api.golden"
 
 // apiCommands are the binaries whose -h output is part of the surface.
-var apiCommands = []string{"concordctl", "concordvet", "lockbench"}
+var apiCommands = []string{"concordctl", "concordvet"}
 
 func TestAPIGolden(t *testing.T) {
 	var got bytes.Buffer

@@ -7,9 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"concord"
 )
@@ -140,42 +138,6 @@ func TestPublicLockSwitching(t *testing.T) {
 	sw.RUnlock(tk)
 	if sw.Switches() != 1 {
 		t.Errorf("Switches = %d", sw.Switches())
-	}
-}
-
-func TestPublicSyncExtensions(t *testing.T) {
-	topo := concord.PaperTopology()
-	tk := concord.NewTask(topo)
-
-	seq := concord.NewSeqLock(concord.NewShflLock("seqw"))
-	seq.WriteLock(tk)
-	seq.WriteUnlock(tk)
-	var v int
-	seq.Read(func() { v = 42 })
-	if v != 42 {
-		t.Error("seqlock read")
-	}
-
-	rcu := concord.NewRCU()
-	tok := rcu.ReadLock()
-	rcu.ReadUnlock(tok)
-	var freed atomic.Bool
-	rcu.Call(func() { freed.Store(true) })
-	rcu.Synchronize()
-	if !freed.Load() {
-		t.Error("RCU callback not run")
-	}
-
-	q := concord.NewWaitQueue()
-	var flag atomic.Bool
-	done := make(chan struct{})
-	go func() { q.Wait(func() bool { return flag.Load() }); close(done) }()
-	flag.Store(true)
-	q.WakeAll()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Error("wait queue wakeup lost")
 	}
 }
 

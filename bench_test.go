@@ -27,7 +27,7 @@ import (
 )
 
 // benchThreads is the figure x-axis, trimmed to keep bench time sane;
-// cmd/lockbench runs the full 12-point sweep.
+// `concordctl figures` runs the full 12-point sweep.
 var benchThreads = []int{1, 10, 40, 80}
 
 // simBench runs one simulated series point per iteration and reports

@@ -1,11 +1,13 @@
 // concordctl is the userspace control tool of the Concord framework
-// (Figure 1's user side): assemble and verify policies, store them in a
-// policy repository directory (the "BPF file system" analogue),
-// disassemble stored programs, and run an in-process demo that attaches
-// a policy to a live lock and profiles it.
+// (Figure 1's user side): compile, assemble and verify policies, store
+// them in a policy repository directory (the "BPF file system"
+// analogue), disassemble stored programs, run an in-process demo that
+// attaches a policy to a live lock and profiles it, fuzz lock/hook
+// schedules, and regenerate the paper's figures.
 //
 // Usage:
 //
+//	concordctl compile [-o dir] file.pol
 //	concordctl asm    -kind cmp_node -name numa -o numa.json [-map spec] file.s
 //	concordctl verify prog.json
 //	concordctl analyze [-json] [-budget 2µs] [-admit] file.pol
@@ -17,14 +19,24 @@
 //	concordctl profile [-addr host:port | -policy P] [-pprof] [-o out.pb.gz] [-rate N]
 //	concordctl flightrec [-dir D] list|show file.json
 //	concordctl schedfuzz run [-target T] [-seed N] [-iters N] [-strategy S]
-//	concordctl schedfuzz replay file.schedule.json
+//	                         [-schedule-out F] [-flight-dir D] [-deadline D]
+//	concordctl schedfuzz replay [-flight-dir D] [-deadline D] file.schedule.json
+//	concordctl schedfuzz targets
+//	concordctl figures [-experiment f2a|f2b|f2c|f2c-real|a3|all] [-threads 1,2,4,...]
+//	                   [-format table|csv] [-out file] [-ops N]
 //	concordctl kinds
+//
+// A schedfuzz run or replay that detects a failure exits 5 and writes a
+// replayable schedule file (plus a flight bundle when -flight-dir is
+// set); -deadline bounds each iteration, and a tripped deadline is such
+// a failure. Other errors exit 1.
 //
 // Map specs have the form name:type:keysize:valuesize:maxentries, e.g.
 // counters:array:4:8:16 or waits:hash:8:16:1024.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -67,7 +79,9 @@ func main() {
 	case "flightrec":
 		err = cmdFlightrec(os.Args[2:], os.Stdout)
 	case "schedfuzz":
-		err = cmdSchedFuzz(os.Args[2:], os.Stdout)
+		err = cmdSchedFuzz(os.Args[2:], os.Stdout, os.Stderr)
+	case "figures":
+		err = cmdFigures(os.Args[2:], os.Stdout)
 	case "kinds":
 		err = cmdKinds()
 	case "-h", "--help", "help":
@@ -79,6 +93,10 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "concordctl:", err)
+		var se *statusError
+		if errors.As(err, &se) {
+			os.Exit(se.status)
+		}
 		os.Exit(1)
 	}
 }
@@ -119,10 +137,14 @@ commands:
             [-schedule-out F] [-flight-dir D] [-deadline D]
          fuzz lock/hook interleavings with seeded perturbation; a
          detected failure exits 5 and writes a replayable schedule
-  schedfuzz replay [-flight-dir D] <file>
+  schedfuzz replay [-flight-dir D] [-deadline D] <file>
          deterministically re-execute a recorded schedule file
   schedfuzz targets
          list registered fuzz targets
+  figures [-experiment E] [-threads T] [-format table|csv] [-out F] [-ops N]
+         regenerate the paper's Figure 2 panels (f2a, f2b, f2c on the
+         simulated 8×10 machine; f2c-real on the host's locks) and the
+         a3 shuffle-policy ablation; all runs every simulated one
   kinds  list program kinds (the Table 1 hook points)
 `)
 }

@@ -167,46 +167,3 @@ func TestShippedPolicyLibrary(t *testing.T) {
 		t.Errorf("only %d policies found; library incomplete?", n)
 	}
 }
-
-// TestSchedFuzzCommand drives the clean paths in-process (the exit-5
-// failure path is exercised end-to-end by the lockbench binary test).
-func TestSchedFuzzCommand(t *testing.T) {
-	var sb strings.Builder
-	if err := cmdSchedFuzz([]string{"targets"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"seq-lock", "lock-torture", "map-churn", "chaos", "selftest"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("targets missing %q:\n%s", want, sb.String())
-		}
-	}
-
-	sched := filepath.Join(t.TempDir(), "clean.schedule.json")
-	sb.Reset()
-	err := cmdSchedFuzz([]string{"run", "-target", "seq-lock", "-seed", "7",
-		"-schedule-out", sched}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "PASS") {
-		t.Errorf("clean run did not report PASS:\n%s", sb.String())
-	}
-	if _, err := os.Stat(sched); err != nil {
-		t.Fatalf("schedule not written: %v", err)
-	}
-
-	sb.Reset()
-	if err := cmdSchedFuzz([]string{"replay", sched}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "CLEAN") {
-		t.Errorf("clean replay did not report CLEAN:\n%s", sb.String())
-	}
-
-	if err := cmdSchedFuzz([]string{"bogus"}, &sb); err == nil {
-		t.Error("unknown subcommand accepted")
-	}
-	if err := cmdSchedFuzz(nil, &sb); err == nil {
-		t.Error("missing subcommand accepted")
-	}
-}

@@ -4,23 +4,35 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"concord/internal/schedfuzz"
 )
 
-// cmdSchedFuzz implements `concordctl schedfuzz run|replay|targets`: the
-// control-plane entry to the schedule fuzzer, mirroring lockbench's
-// -schedfuzz/-replay mode for operators who live in concordctl.
-func cmdSchedFuzz(args []string, w io.Writer) error {
+// statusFailed is the exit status of a schedule-fuzz run or replay that
+// detected a failure: a successful bug hunt, whose product is the
+// schedule file on disk, not a usage error.
+const statusFailed = 5
+
+// statusError is a command failure that exits with status rather than 1.
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+// cmdSchedFuzz implements `concordctl schedfuzz run|replay|targets`, the
+// front end of the schedule fuzzer. Results go to w and the harness's
+// progress lines to stderr.
+func cmdSchedFuzz(args []string, w, stderr io.Writer) error {
 	if len(args) < 1 {
 		return fmt.Errorf("schedfuzz: want run, replay or targets")
 	}
 	switch args[0] {
 	case "run":
-		return cmdSchedFuzzRun(args[1:], w)
+		return cmdSchedFuzzRun(args[1:], w, stderr)
 	case "replay":
-		return cmdSchedFuzzReplay(args[1:], w)
+		return cmdSchedFuzzReplay(args[1:], w, stderr)
 	case "targets":
 		for _, name := range schedfuzz.TargetNames() {
 			fmt.Fprintln(w, name)
@@ -31,8 +43,9 @@ func cmdSchedFuzz(args []string, w io.Writer) error {
 	}
 }
 
-func cmdSchedFuzzRun(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("schedfuzz run", flag.ExitOnError)
+func cmdSchedFuzzRun(args []string, w, stderr io.Writer) error {
+	fs := flag.NewFlagSet("schedfuzz run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	target := fs.String("target", "lock-torture", "fuzz target (see `concordctl schedfuzz targets`)")
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	iters := fs.Int("iters", 1, "derived-seed iterations")
@@ -43,6 +56,9 @@ func cmdSchedFuzzRun(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("schedfuzz run: unexpected arguments %q", fs.Args())
+	}
 	h, err := schedfuzz.NewHarness(schedfuzz.HarnessConfig{
 		Seed:        *seed,
 		Strategy:    *strategy,
@@ -51,7 +67,7 @@ func cmdSchedFuzzRun(args []string, w io.Writer) error {
 		Deadline:    *deadline,
 		ScheduleOut: *scheduleOut,
 		FlightDir:   *flightDir,
-		Out:         os.Stderr,
+		Out:         stderr,
 	})
 	if err != nil {
 		return err
@@ -68,15 +84,16 @@ func cmdSchedFuzzRun(args []string, w io.Writer) error {
 		for _, b := range res.FlightBundles {
 			fmt.Fprintf(w, "flight bundle: %s\n", b)
 		}
-		os.Exit(5)
+		return &statusError{statusFailed, fmt.Sprintf("schedfuzz: %s failed at seed=%d", *target, res.Seed)}
 	}
 	fmt.Fprintf(w, "PASS target=%s iterations=%d last seed=%d decisions=%d\n",
-		*target, *iters, res.Seed, res.Decisions)
+		*target, res.Iter+1, res.Seed, res.Decisions)
 	return nil
 }
 
-func cmdSchedFuzzReplay(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("schedfuzz replay", flag.ExitOnError)
+func cmdSchedFuzzReplay(args []string, w, stderr io.Writer) error {
+	fs := flag.NewFlagSet("schedfuzz replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	flightDir := fs.String("flight-dir", "", "arm a flight recorder for the replayed run")
 	deadline := fs.Duration("deadline", 0, "replay deadline (0 = none)")
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +105,7 @@ func cmdSchedFuzzReplay(args []string, w io.Writer) error {
 	res, err := schedfuzz.ReplayFile(fs.Arg(0), schedfuzz.ReplayOptions{
 		FlightDir: *flightDir,
 		Deadline:  *deadline,
-		Out:       os.Stderr,
+		Out:       stderr,
 	})
 	if err != nil {
 		return err
@@ -102,7 +119,7 @@ func cmdSchedFuzzReplay(args []string, w io.Writer) error {
 		for _, b := range res.FlightBundles {
 			fmt.Fprintf(w, "flight bundle: %s\n", b)
 		}
-		os.Exit(5)
+		return &statusError{statusFailed, fmt.Sprintf("schedfuzz: replay of %s failed", fs.Arg(0))}
 	}
 	fmt.Fprintf(w, "CLEAN seed=%d decisions=%d\n", res.Seed, res.Decisions)
 	return nil

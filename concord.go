@@ -53,7 +53,6 @@ import (
 	"concord/internal/policy/analysis"
 	"concord/internal/policydsl"
 	"concord/internal/profile"
-	"concord/internal/syncx"
 	"concord/internal/task"
 	"concord/internal/topology"
 )
@@ -138,39 +137,53 @@ type BRAVO = locks.BRAVO
 // RWSem is the stock neutral readers-writer semaphore.
 type RWSem = locks.RWSem
 
-// Lock constructors, re-exported.
-var (
-	NewShflLock = locks.NewShflLock
-	NewBRAVO    = locks.NewBRAVO
-	NewRWSem    = locks.NewRWSem
-)
+// ShflOption configures a ShflLock.
+type ShflOption = locks.ShflOption
 
-// ShflLock options, re-exported.
-var (
-	WithBlocking        = locks.WithBlocking
-	WithSpinBudget      = locks.WithSpinBudget
-	WithMaxRounds       = locks.WithMaxRounds
-	WithMaxScan         = locks.WithMaxScan
-	WithMaxBatch        = locks.WithMaxBatch
-	WithBypassBudget    = locks.WithBypassBudget
-	WithInvariantChecks = locks.WithInvariantChecks
-)
+// NewShflLock returns a shuffling lock. Defaults: non-blocking, 16
+// shuffle rounds, scan window 32, batch 32, bypass budget 16, invariant
+// checks on.
+func NewShflLock(name string, opts ...ShflOption) *ShflLock {
+	return locks.NewShflLock(name, opts...)
+}
 
-// Pre-compiled policy hook tables (§3 use cases), re-exported.
-var (
-	FIFOHooks         = locks.FIFOHooks
-	NUMAHooks         = locks.NUMAHooks
-	PriorityHooks     = locks.PriorityHooks
-	InheritanceHooks  = locks.InheritanceHooks
-	AMPHooks          = locks.AMPHooks
-	SCLHooks          = locks.SCLHooks
-	VCPUHooks         = locks.VCPUHooks
-	SpinThenParkHooks = locks.SpinThenParkHooks
-	ComposeHooks      = locks.ComposeHooks
-	// PriorityInheritanceHooks boosts a lock holder to the priority of
-	// its highest waiter (§3.1.2).
-	PriorityInheritanceHooks = locks.PriorityInheritanceHooks
-)
+// NewBRAVO wraps under with reader biasing (initially enabled).
+func NewBRAVO(name string, under RWLock) *BRAVO { return locks.NewBRAVO(name, under) }
+
+// NewRWSem returns a neutral blocking readers-writer semaphore.
+func NewRWSem(name string) *RWSem { return locks.NewRWSem(name) }
+
+// WithMaxRounds bounds shuffling rounds per lock acquisition.
+func WithMaxRounds(n int) ShflOption { return locks.WithMaxRounds(n) }
+
+// WithMaxScan bounds how many waiters one shuffling round examines.
+func WithMaxScan(n int) ShflOption { return locks.WithMaxScan(n) }
+
+// --- Pre-compiled policy hook tables (§3 use cases) ---
+
+// FIFOHooks returns an empty hook table: strict queue order, no
+// shuffling.
+func FIFOHooks() *Hooks { return locks.FIFOHooks() }
+
+// NUMAHooks groups waiters from the shuffler's socket together.
+func NUMAHooks() *Hooks { return locks.NUMAHooks() }
+
+// InheritanceHooks moves waiters that already hold other locks toward
+// the head of the queue (lock inheritance, §3.1.1).
+func InheritanceHooks() *Hooks { return locks.InheritanceHooks() }
+
+// AMPHooks prefers waiters running on fast cores (§3.1.2).
+func AMPHooks() *Hooks { return locks.AMPHooks() }
+
+// SCLHooks groups waiters with shorter critical sections than the
+// shuffler's first (scheduler-cooperative locking, §3.1.2).
+func SCLHooks() *Hooks { return locks.SCLHooks() }
+
+// SpinThenParkHooks keeps waiters spinning while their wait is below
+// spinNS and parks them beyond parkNS (§3.1.1).
+func SpinThenParkHooks(spinNS, parkNS int64) *Hooks {
+	return locks.SpinThenParkHooks(spinNS, parkNS)
+}
 
 // --- Policies (the cBPF machine) ---
 
@@ -178,9 +191,15 @@ var (
 type (
 	Program = policy.Program
 	Kind    = policy.Kind
-	Builder = policy.Builder
 	Map     = policy.Map
 )
+
+// VerifyStats is what the verifier proved about a program.
+type VerifyStats = policy.VerifyStats
+
+// PerCPUArrayMap gives each virtual CPU its own array slice, so hot
+// counting policies keep counters without cache-line bouncing.
+type PerCPUArrayMap = policy.PerCPUArrayMap
 
 // Program kinds: the seven Table 1 hook points.
 const (
@@ -193,24 +212,33 @@ const (
 	KindLockRelease    = policy.KindLockRelease
 )
 
-// Policy toolchain, re-exported.
-var (
-	Assemble         = policy.Assemble
-	MustAssemble     = policy.MustAssemble
-	Verify           = policy.Verify
-	NewBuilder       = policy.NewBuilder
-	NewArrayMap      = policy.NewArrayMap
-	NewHashMap       = policy.NewHashMap
-	MarshalProgram   = policy.Marshal
-	UnmarshalProgram = policy.Unmarshal
-)
+// Assemble parses cBPF assembly into a program of the given kind; maps
+// referenced by ldmap must be supplied in maps.
+func Assemble(name string, kind Kind, src string, maps map[string]Map) (*Program, error) {
+	return policy.Assemble(name, kind, src, maps)
+}
+
+// MustAssemble is Assemble but panics on error; for tests and examples.
+func MustAssemble(name string, kind Kind, src string, maps map[string]Map) *Program {
+	return policy.MustAssemble(name, kind, src, maps)
+}
+
+// Verify statically checks a program. Framework.LoadPolicy verifies
+// its own copy; call Verify to check a program before loading it.
+func Verify(p *Program) (VerifyStats, error) { return policy.Verify(p) }
+
+// MarshalProgram encodes a program (instructions plus map specs) as
+// JSON.
+func MarshalProgram(p *Program) ([]byte, error) { return policy.Marshal(p) }
+
+// UnmarshalProgram decodes a program, recreating its maps empty. The
+// program is not verified.
+func UnmarshalProgram(data []byte) (*Program, error) { return policy.Unmarshal(data) }
 
 // NewPerCPUArrayMap builds a per-virtual-CPU array map.
-var NewPerCPUArrayMap = policy.NewPerCPUArrayMap
-
-// NewPerCPUHashMap builds a lock-free hash map with one value stripe
-// per virtual CPU — the right kind for hot counting policies.
-var NewPerCPUHashMap = policy.NewPerCPUHashMap
+func NewPerCPUArrayMap(name string, valueSize, maxEntries, numCPUs int) *PerCPUArrayMap {
+	return policy.NewPerCPUArrayMap(name, valueSize, maxEntries, numCPUs)
+}
 
 // MapStats is a map's data-plane telemetry snapshot (occupancy,
 // insert-probe collisions, optimistic read retries).
@@ -237,38 +265,18 @@ type DSLUnit = policydsl.CompiledUnit
 //	        return ctx.curr_socket == ctx.shuffler_socket;
 //	    }
 //	`)
-var CompileDSL = policydsl.CompileAndVerify
+func CompileDSL(src string) (*DSLUnit, error) { return policydsl.CompileAndVerify(src) }
 
-// ParseDSL compiles without verifying (verification happens at
-// Framework.LoadPolicy time).
-var ParseDSL = policydsl.Compile
-
-// --- Further synchronization mechanisms (§6 extensions) ---
-
-// SeqLock is a sequence lock whose write side is any Concord lock.
-type SeqLock = syncx.SeqLock
-
-// RCU is a userspace read-copy-update domain with grace periods.
-type RCU = syncx.RCU
-
-// WaitQueue is a kernel-style wait_event/wake_up queue.
-type WaitQueue = syncx.WaitQueue
-
-// NewSeqLock wraps w as the write side of a sequence lock.
-func NewSeqLock(w Lock) *SeqLock { return syncx.NewSeqLock(w) }
-
-// NewRCU returns an RCU domain.
-func NewRCU() *RCU { return syncx.NewRCU() }
-
-// NewWaitQueue returns an empty wait queue.
-func NewWaitQueue() *WaitQueue { return syncx.NewWaitQueue() }
+// --- Lock switching and tracing ---
 
 // SwitchableRWLock allows replacing the lock *implementation* at
 // runtime with livepatch draining (§3.1.1 "lock switching").
 type SwitchableRWLock = locks.SwitchableRWLock
 
 // NewSwitchableRWLock returns a switchable lock starting with initial.
-var NewSwitchableRWLock = locks.NewSwitchableRWLock
+func NewSwitchableRWLock(name string, initial RWLock) *SwitchableRWLock {
+	return locks.NewSwitchableRWLock(name, initial)
+}
 
 // TraceRing is a lock-free ring of raw lock events (finest-grained
 // profiling; see ContinuousProfiler for aggregates).
@@ -327,23 +335,14 @@ type AnalysisWarning = analysis.Warning
 // Interval is the analysis value-range domain ([lo,hi] over int64).
 type Interval = analysis.Interval
 
-// Analysis toolchain, re-exported.
+// Admission errors, re-exported for errors.Is.
 var (
-	// AnalyzeProgram runs the abstract interpreter over a (verified)
-	// program and returns its report.
-	AnalyzeProgram = analysis.Analyze
-	// MaxAnalysisCost is the max cost bound across a report set — the
-	// number admission control compares against the hook budget.
-	MaxAnalysisCost = analysis.MaxCost
 	// ErrCostBudget is returned by Attach when the policy's static cost
 	// bound exceeds the hook budget (see SupervisorConfig.HookBudget).
 	ErrCostBudget = core.ErrCostBudget
 	// ErrInterference is returned by Attach (and Compose) under
 	// InterferenceReject when two policies statically write the same map.
 	ErrInterference = core.ErrInterference
-	// PolicyInterference compares two policies' analysis reports and
-	// returns their shared-map conflicts.
-	PolicyInterference = analysis.Interference
 )
 
 // DefaultHookBudget is the admission budget used when
@@ -380,13 +379,9 @@ type (
 	FaultPlan   = faultinject.Plan
 )
 
-// Fault-injection plane, re-exported.
-var (
-	// FaultSites lists every registered injection site, sorted by name.
-	FaultSites = faultinject.Sites
-	// LookupFaultSite finds a site by name ("layer.site").
-	LookupFaultSite = faultinject.Lookup
-	// DisarmAllFaults deactivates every site (restores production paths
-	// to a single nil-check).
-	DisarmAllFaults = faultinject.DisarmAll
-)
+// LookupFaultSite finds a site by name ("layer.site").
+func LookupFaultSite(name string) (*FaultSite, bool) { return faultinject.Lookup(name) }
+
+// DisarmAllFaults deactivates every site (restores production paths to
+// a single nil-check).
+func DisarmAllFaults() { faultinject.DisarmAll() }

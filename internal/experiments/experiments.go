@@ -8,11 +8,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"concord/internal/core"
@@ -444,53 +441,6 @@ func WriteCSV(w io.Writer, pts []Point) error {
 		}
 	}
 	return nil
-}
-
-// benchFile is the schema of one BENCH_<experiment>.json artifact.
-type benchFile struct {
-	Experiment string       `json:"experiment"`
-	Points     []benchPoint `json:"points"`
-}
-
-type benchPoint struct {
-	Series  string  `json:"series"`
-	Threads int     `json:"threads"`
-	Value   float64 `json:"value"` // ops/msec, or normalized throughput for f2c
-}
-
-// WriteBenchJSON writes one BENCH_<experiment>.json per experiment into
-// dir (created if absent), returning the paths written. Points keep run
-// order within a file, matching the CSV row order.
-func WriteBenchJSON(dir string, pts []Point) ([]string, error) {
-	if len(pts) > 0 {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	byExp := map[string]*benchFile{}
-	var order []string
-	for _, p := range pts {
-		f := byExp[p.Experiment]
-		if f == nil {
-			f = &benchFile{Experiment: p.Experiment}
-			byExp[p.Experiment] = f
-			order = append(order, p.Experiment)
-		}
-		f.Points = append(f.Points, benchPoint{Series: p.Series, Threads: p.Threads, Value: p.Value})
-	}
-	var paths []string
-	for _, exp := range order {
-		data, err := json.MarshalIndent(byExp[exp], "", "  ")
-		if err != nil {
-			return paths, err
-		}
-		path := filepath.Join(dir, "BENCH_"+exp+".json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return paths, err
-		}
-		paths = append(paths, path)
-	}
-	return paths, nil
 }
 
 // RenderTable prints points as a threads × series table, one figure per

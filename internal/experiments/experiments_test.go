@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -189,61 +186,5 @@ func TestAMPSim(t *testing.T) {
 	}
 	if amp.BigOps <= amp.LittleOps {
 		t.Errorf("AMP policy did not favour big cores: big=%d little=%d", amp.BigOps, amp.LittleOps)
-	}
-}
-
-func TestWriteBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	pts := []Point{
-		{Experiment: "F2a", Series: "shfllock", Threads: 1, Value: 100},
-		{Experiment: "F2a", Series: "shfllock", Threads: 8, Value: 450},
-		{Experiment: "F2a", Series: "qspinlock", Threads: 8, Value: 300},
-		{Experiment: "F2b", Series: "shfllock", Threads: 4, Value: 77.5},
-	}
-	paths, err := WriteBenchJSON(dir, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Fatalf("wrote %d files, want 2: %v", len(paths), paths)
-	}
-	if filepath.Base(paths[0]) != "BENCH_F2a.json" || filepath.Base(paths[1]) != "BENCH_F2b.json" {
-		t.Errorf("file names: %v", paths)
-	}
-
-	data, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f struct {
-		Experiment string `json:"experiment"`
-		Points     []struct {
-			Series  string  `json:"series"`
-			Threads int     `json:"threads"`
-			Value   float64 `json:"value"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("BENCH_F2a.json does not parse: %v", err)
-	}
-	if f.Experiment != "F2a" || len(f.Points) != 3 {
-		t.Fatalf("file contents: %+v", f)
-	}
-	// Run order preserved within the experiment.
-	if f.Points[0].Series != "shfllock" || f.Points[0].Threads != 1 || f.Points[0].Value != 100 {
-		t.Errorf("first point: %+v", f.Points[0])
-	}
-	if f.Points[2].Series != "qspinlock" || f.Points[2].Value != 300 {
-		t.Errorf("third point: %+v", f.Points[2])
-	}
-	if data[len(data)-1] != '\n' {
-		t.Error("JSON file missing trailing newline")
-	}
-}
-
-func TestWriteBenchJSONEmpty(t *testing.T) {
-	paths, err := WriteBenchJSON(t.TempDir(), nil)
-	if err != nil || len(paths) != 0 {
-		t.Errorf("empty input: paths=%v err=%v", paths, err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Same-process A/B for the continuous-profiling overhead acceptance
 // gate: the profiled and unprofiled variants run interleaved under one
 // `go test -bench ProfileOverhead` invocation, so host-load drift that
-// swamps back-to-back lockbench sweeps cancels out. Compare with
+// swamps back-to-back `concordctl figures` sweeps cancels out. Compare with
 // benchstat, or eyeball ns/op:
 //
 //	go test -bench ProfileOverhead -count 5 ./internal/experiments/

@@ -10,9 +10,9 @@
 // biasing over it, and SwitchableRWLock, which swaps one readers-writer
 // implementation for another at runtime (§3.1.1's lock switching).
 // NUMA-awareness, priority and AMP are cmp_node policies on ShflLock,
-// not lock types of their own. Three plain spinlocks (TAS, TTAS and
-// ticket, in spinlocks.go) remain only for this package's tests; no
-// other package builds them.
+// not lock types of their own. Every lock here has hook points a
+// policy can attach to; the simulator (internal/ksim) keeps its own
+// models of the plain spinlocks the figures compare against.
 //
 // Execution substrate note: threads are goroutines with a virtual CPU
 // identity from internal/topology; spin loops always yield

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"concord/internal/core"
@@ -81,16 +80,9 @@ type Result struct {
 	Reproduced bool
 }
 
-// Harness drives fuzzing campaigns. It keeps the in-flight run's state
-// so an external deadline (lockbench -deadline) can dump a schedule
-// and flight bundle for a run the harness itself no longer controls.
+// Harness drives fuzzing campaigns.
 type Harness struct {
 	cfg HarnessConfig
-
-	mu     sync.Mutex
-	cur    *Fuzzer
-	curEnv *Env
-	iter   int
 }
 
 // NewHarness validates the configuration and returns a Harness.
@@ -176,10 +168,6 @@ func (h *Harness) Run() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.mu.Lock()
-		h.cur, h.curEnv, h.iter = f, env, i
-		h.mu.Unlock()
-
 		runErr, dump := h.runOne(t, env, params)
 		res = h.finish(t, f, env, fr, i, runErr, dump, params)
 		if res.Failed {
@@ -268,50 +256,6 @@ func failureKind(err error, deadline bool) string {
 	default:
 		return "error"
 	}
-}
-
-// DeadlineDump emits the in-flight run's schedule and (when flight
-// recording is armed) a flight bundle with a goroutine dump — the hook
-// lockbench's -deadline handler calls before exiting, so a wedged
-// fuzzed run leaves a reproduction recipe behind instead of only a
-// stderr stack dump.
-func (h *Harness) DeadlineDump(w io.Writer) (schedulePath string) {
-	h.mu.Lock()
-	f, env, iter := h.cur, h.curEnv, h.iter
-	h.mu.Unlock()
-	if f == nil {
-		return ""
-	}
-	s := f.Snapshot()
-	s.Target = h.cfg.Target
-	if plan := env.recordedPlan(); plan != nil {
-		s.SetPlan(f.Seed(), plan)
-	}
-	err := fmt.Errorf("schedfuzz: external deadline tripped (iter=%d seed=%d)", iter, f.Seed())
-	s.Failure = &Failure{Kind: "deadline", Msg: err.Error(), Iter: iter}
-
-	path := h.cfg.ScheduleOut
-	if path == "" {
-		path = filepath.Join(h.cfg.FlightDir,
-			fmt.Sprintf("%s-%d.schedule.json", h.cfg.Target, f.Seed()))
-	}
-	if werr := s.WriteFile(path); werr != nil {
-		fmt.Fprintf(w, "schedfuzz: schedule write failed: %v\n", werr)
-		path = ""
-	} else {
-		fmt.Fprintf(w, "schedfuzz: wrote schedule %s\n", path)
-	}
-	if env != nil && env.FW != nil {
-		if fr := env.FW.FlightRecorder(); fr != nil {
-			fr.CaptureSchedFuzz(h.cfg.Target, err, path, goroutineDump())
-			fr.Wait()
-			for _, b := range fr.Bundles() {
-				fmt.Fprintf(w, "schedfuzz: wrote flight bundle %s\n", b)
-			}
-		}
-	}
-	schedstats.AddFailure()
-	return path
 }
 
 func goroutineDump() string {

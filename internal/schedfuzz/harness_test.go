@@ -162,75 +162,6 @@ func TestHarnessDeadline(t *testing.T) {
 	}
 }
 
-// TestHarnessDeadlineDump pins the lockbench -deadline integration: an
-// external watchdog can ask a live harness for the in-flight run's
-// schedule and bundle.
-func TestHarnessDeadlineDump(t *testing.T) {
-	release := registerHangTarget()
-	dir := t.TempDir()
-	schedPath := filepath.Join(dir, "wedged.schedule.json")
-	h, err := NewHarness(HarnessConfig{
-		Seed:        2,
-		Target:      "hang-test",
-		ScheduleOut: schedPath,
-		FlightDir:   dir,
-		Out:         &bytes.Buffer{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		h.Run()
-	}()
-	// Wait until the target is inside its run (the hang.enter decision
-	// has been adjudicated), then dump as lockbench's AfterFunc would.
-	deadline := time.After(5 * time.Second)
-	for {
-		if hs := activeSnapshot(h); hs != nil && hs.Decisions() > 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("target never started")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	var w bytes.Buffer
-	if got := h.DeadlineDump(&w); got != schedPath {
-		t.Fatalf("DeadlineDump wrote %q, want %q", got, schedPath)
-	}
-	s, err := ReadSchedule(schedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Failure == nil || s.Failure.Kind != "deadline" {
-		t.Fatalf("dumped schedule failure %+v, want deadline", s.Failure)
-	}
-	bundles, err := core.ListFlightBundles(dir)
-	if err != nil || len(bundles) == 0 {
-		t.Fatalf("no flight bundle from DeadlineDump (err=%v)", err)
-	}
-	b, err := core.ReadFlightBundle(bundles[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Trigger != "schedfuzz" || b.Goroutines == "" {
-		t.Fatalf("bundle trigger=%q goroutines=%d bytes", b.Trigger, len(b.Goroutines))
-	}
-
-	release()
-	<-done
-}
-
-// activeSnapshot peeks at the harness's in-flight fuzzer (test-only).
-func activeSnapshot(h *Harness) *Fuzzer {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cur
-}
-
 // TestHarnessUnknownTarget pins the operational-error path.
 func TestHarnessUnknownTarget(t *testing.T) {
 	if _, err := NewHarness(HarnessConfig{Target: "no-such-target"}); err == nil {

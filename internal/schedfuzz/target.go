@@ -340,9 +340,9 @@ func (mapChurnTarget) Run(env *Env, params map[string]int64) error {
 // selftestTarget deterministically fails for most seeds: each step
 // draws a schedule choice and a specific face is declared a failure.
 // It exists so the record→schedule-file→replay pipeline can be
-// exercised end to end (in tests, CI and `lockbench -schedfuzz
-// selftest`) without waiting for a real bug, the way `concordctl
-// health -inject` demos the breaker.
+// exercised end to end (in tests, CI and `concordctl schedfuzz run
+// -target selftest`) without waiting for a real bug, the way
+// `concordctl health -inject` demos the breaker.
 type selftestTarget struct{}
 
 func (selftestTarget) Name() string { return "selftest" }

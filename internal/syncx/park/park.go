@@ -1,6 +1,6 @@
 // Package park is the adaptive spin-then-park waiter primitive shared
 // by the blocking lock slow paths (ShflLock's parking mode, RWSem's
-// wait queues) and re-exported through internal/syncx.
+// wait queues).
 //
 // A Parker is a reusable, single-waiter handoff cell: Unpark posts an
 // at-most-one pending signal, Park consumes it or blocks. Posting
@@ -9,10 +9,9 @@
 // injection or a crashed waker) costs at most one rescue interval,
 // because parked waits always carry a watchdog timer.
 //
-// The package lives below internal/locks (not in syncx itself, which
-// imports locks) so the lock implementations can use it; it owns the
-// park-path fault-injection hooks and the process-wide spin/park
-// counters the telemetry layer exports.
+// The package lives below internal/locks so the lock implementations
+// can use it; it owns the park-path fault-injection hooks and the
+// process-wide spin/park counters the telemetry layer exports.
 package park
 
 import (
