@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -90,6 +91,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "concordctl: unknown command %q\n", os.Args[1])
 		usage()
 		os.Exit(2)
+	}
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the command's flag set has printed its usage
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "concordctl:", err)
@@ -150,7 +154,7 @@ commands:
 }
 
 func cmdCompile(args []string) error {
-	fs := flag.NewFlagSet("compile", flag.ExitOnError)
+	fs := flag.NewFlagSet("compile", flag.ContinueOnError)
 	out := fs.String("o", "", "output directory (default: stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -177,7 +181,7 @@ func cmdCompile(args []string) error {
 			fmt.Println(string(data))
 			continue
 		}
-		path := *out + "/" + prog.Name + ".json"
+		path := filepath.Join(*out, prog.Name+".json")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return err
 		}
@@ -201,7 +205,7 @@ func parseMapSpec(s string) (policy.Map, error) {
 }
 
 func cmdAsm(args []string) error {
-	fs := flag.NewFlagSet("asm", flag.ExitOnError)
+	fs := flag.NewFlagSet("asm", flag.ContinueOnError)
 	kindName := fs.String("kind", "cmp_node", "program kind (see `concordctl kinds`)")
 	name := fs.String("name", "policy", "program name")
 	out := fs.String("o", "", "output file (default: stdout)")
@@ -301,7 +305,7 @@ func cmdKinds() error {
 }
 
 func cmdDemo(args []string) error {
-	fs := flag.NewFlagSet("demo", flag.ExitOnError)
+	fs := flag.NewFlagSet("demo", flag.ContinueOnError)
 	policyName := fs.String("policy", "numa", "numa | inheritance | scl | fifo")
 	workers := fs.Int("workers", 8, "worker goroutines")
 	ops := fs.Int("ops", 5000, "operations per worker")

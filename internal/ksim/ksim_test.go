@@ -101,14 +101,12 @@ func TestCostModelTransfer(t *testing.T) {
 // regardless of policy — conservation of operations in a closed loop.
 func TestLockCompletionInvariant(t *testing.T) {
 	mk := map[string]func(e *Engine) SimLock{
-		"tas":   func(e *Engine) SimLock { return NewSimTAS(e, DefaultCosts()) },
 		"qspin": func(e *Engine) SimLock { return NewSimQspin(e, DefaultCosts()) },
 		"shfl": func(e *Engine) SimLock {
 			return NewSimShfl(e, DefaultCosts(), func(s, c *Proc) bool { return s.Socket == c.Socket }, 0)
 		},
-		"rwsem":     func(e *Engine) SimLock { return NewSimRWSem(e, DefaultCosts()) },
-		"bravo":     func(e *Engine) SimLock { return NewSimBRAVO(e, DefaultCosts(), 0) },
-		"persocket": func(e *Engine) SimLock { return NewSimPerSocket(e, DefaultCosts()) },
+		"rwsem": func(e *Engine) SimLock { return NewSimRWSem(e, DefaultCosts()) },
+		"bravo": func(e *Engine) SimLock { return NewSimBRAVO(e, DefaultCosts(), 0) },
 	}
 	for name, ctor := range mk {
 		t.Run(name, func(t *testing.T) {
@@ -250,17 +248,5 @@ func TestJitterBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPerSocketScalesForReaders(t *testing.T) {
-	read := Workload{ThinkNS: 2000, CSNS: 600, ReadFraction: 1}
-	tp := func(threads int) float64 {
-		e := testEngine()
-		res := RunClosedLoop(e, NewSimPerSocket(e, DefaultCosts()), e.NewProcs(threads), read, 10_000_000)
-		return res.OpsPerMSec()
-	}
-	if t10, t80 := tp(10), tp(80); t80 < t10*3 {
-		t.Errorf("per-socket lock did not scale: %.0f -> %.0f", t10, t80)
 	}
 }

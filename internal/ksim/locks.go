@@ -8,7 +8,6 @@ package ksim
 // SimLock is a lock inside the simulation. Acquire is asynchronous:
 // grant runs (possibly later in virtual time) when the lock is owned.
 type SimLock interface {
-	Name() string
 	// Acquire requests the lock for p; reader marks a shared request.
 	// grant fires at the virtual time the acquisition completes.
 	Acquire(p *Proc, reader bool, grant func())
@@ -22,56 +21,6 @@ type waiter struct {
 	reader bool
 	grant  func()
 	bypass int // times other waiters were shuffled ahead of this one
-}
-
-// --- Test-and-set spinlock ---
-
-// SimTAS models a test-and-set spinlock: the next owner is a random
-// waiter (whoever's CAS wins), and every release suffers the cacheline
-// storm of all spinning waiters — cost grows with the waiter count,
-// reproducing the non-scalable-lock collapse.
-type SimTAS struct {
-	e       *Engine
-	c       CostModel
-	held    bool
-	lastCPU int
-	waiters []waiter
-}
-
-// NewSimTAS returns a simulated TAS lock.
-func NewSimTAS(e *Engine, c CostModel) *SimTAS { return &SimTAS{e: e, c: c} }
-
-// Name implements SimLock.
-func (l *SimTAS) Name() string { return "tas" }
-
-// Acquire implements SimLock.
-func (l *SimTAS) Acquire(p *Proc, _ bool, grant func()) {
-	if !l.held {
-		l.held = true
-		cost := l.c.Transfer(l.e.topo, l.lastCPU, p.CPU)
-		l.lastCPU = p.CPU
-		l.e.Schedule(cost, grant)
-		return
-	}
-	l.waiters = append(l.waiters, waiter{p: p, grant: grant})
-}
-
-// Release implements SimLock.
-func (l *SimTAS) Release(p *Proc, _ bool) {
-	l.lastCPU = p.CPU
-	if len(l.waiters) == 0 {
-		l.held = false
-		return
-	}
-	// Random winner plus a storm proportional to the spinning crowd.
-	i := l.e.Randn(len(l.waiters))
-	w := l.waiters[i]
-	l.waiters[i] = l.waiters[len(l.waiters)-1]
-	l.waiters = l.waiters[:len(l.waiters)-1]
-	cost := l.c.Transfer(l.e.topo, p.CPU, w.p.CPU) +
-		l.c.StormPerWaiterNS*int64(len(l.waiters))
-	l.lastCPU = w.p.CPU
-	l.e.Schedule(cost, w.grant)
 }
 
 // --- Stock queue spinlock (qspinlock) ---
@@ -90,9 +39,6 @@ type SimQspin struct {
 
 // NewSimQspin returns a simulated qspinlock.
 func NewSimQspin(e *Engine, c CostModel) *SimQspin { return &SimQspin{e: e, c: c} }
-
-// Name implements SimLock.
-func (l *SimQspin) Name() string { return "qspinlock" }
 
 // Acquire implements SimLock.
 func (l *SimQspin) Acquire(p *Proc, _ bool, grant func()) {
@@ -152,9 +98,6 @@ type SimShfl struct {
 func NewSimShfl(e *Engine, c CostModel, cmp CmpFunc, dispatch int64) *SimShfl {
 	return &SimShfl{e: e, c: c, cmp: cmp, maxBatch: 32, bypassBudget: 16, dispatch: dispatch}
 }
-
-// Name implements SimLock.
-func (l *SimShfl) Name() string { return "shfllock" }
 
 // Acquire implements SimLock.
 func (l *SimShfl) Acquire(p *Proc, _ bool, grant func()) {
@@ -244,9 +187,6 @@ type SimRWSem struct {
 
 // NewSimRWSem returns a simulated neutral rwsem.
 func NewSimRWSem(e *Engine, c CostModel) *SimRWSem { return &SimRWSem{e: e, c: c} }
-
-// Name implements SimLock.
-func (l *SimRWSem) Name() string { return "rwsem" }
 
 // touchLine serializes an access to the shared counter line and returns
 // the delay until this access completes.
@@ -338,9 +278,6 @@ func NewSimBRAVO(e *Engine, c CostModel, dispatch int64) *SimBRAVO {
 	return &SimBRAVO{e: e, c: c, under: NewSimRWSem(e, c), bias: true, dispatch: dispatch}
 }
 
-// Name implements SimLock.
-func (l *SimBRAVO) Name() string { return "bravo" }
-
 // Acquire implements SimLock.
 func (l *SimBRAVO) Acquire(p *Proc, reader bool, grant func()) {
 	if reader {
@@ -395,96 +332,4 @@ func (l *SimBRAVO) Release(p *Proc, reader bool) {
 		return
 	}
 	l.under.Release(p, false)
-}
-
-// --- Per-socket distributed readers-writer lock ---
-
-// SimPerSocket models the per-socket reader-counter design: readers
-// serialize only on their own socket's counter line (local transfers),
-// writers sweep every socket.
-type SimPerSocket struct {
-	e *Engine
-	c CostModel
-
-	lineFreeAt []int64 // per-socket counter line availability
-	readers    []int
-	writer     bool
-	queuedW    []waiter
-	queuedR    []waiter
-}
-
-// NewSimPerSocket returns a simulated per-socket RW lock.
-func NewSimPerSocket(e *Engine, c CostModel) *SimPerSocket {
-	n := e.topo.NumSockets()
-	return &SimPerSocket{e: e, c: c, lineFreeAt: make([]int64, n), readers: make([]int, n)}
-}
-
-// Name implements SimLock.
-func (l *SimPerSocket) Name() string { return "persocket" }
-
-func (l *SimPerSocket) touchSocketLine(p *Proc) int64 {
-	start := l.lineFreeAt[p.Socket]
-	if now := l.e.Now(); start < now {
-		start = now
-	}
-	done := start + l.c.LocalTransferNS
-	l.lineFreeAt[p.Socket] = done
-	return done - l.e.Now()
-}
-
-// Acquire implements SimLock.
-func (l *SimPerSocket) Acquire(p *Proc, reader bool, grant func()) {
-	if reader {
-		if l.writer || len(l.queuedW) > 0 {
-			l.queuedR = append(l.queuedR, waiter{p: p, reader: true, grant: grant})
-			return
-		}
-		l.readers[p.Socket]++
-		l.e.Schedule(l.touchSocketLine(p), grant)
-		return
-	}
-	if l.writer || l.totalReaders() > 0 {
-		l.queuedW = append(l.queuedW, waiter{p: p, grant: grant})
-		return
-	}
-	l.writer = true
-	// Writer sweeps every socket's counter line.
-	sweep := l.c.RemoteTransferNS * int64(l.e.topo.NumSockets())
-	l.e.Schedule(sweep, grant)
-}
-
-func (l *SimPerSocket) totalReaders() int {
-	n := 0
-	for _, r := range l.readers {
-		n += r
-	}
-	return n
-}
-
-// Release implements SimLock.
-func (l *SimPerSocket) Release(p *Proc, reader bool) {
-	if reader {
-		l.touchSocketLine(p)
-		l.readers[p.Socket]--
-	} else {
-		l.writer = false
-	}
-	if l.writer {
-		return
-	}
-	if l.totalReaders() == 0 && len(l.queuedW) > 0 {
-		w := l.queuedW[0]
-		l.queuedW = l.queuedW[1:]
-		l.writer = true
-		sweep := l.c.RemoteTransferNS * int64(l.e.topo.NumSockets())
-		l.e.Schedule(sweep, w.grant)
-		return
-	}
-	if len(l.queuedW) == 0 {
-		for _, r := range l.queuedR {
-			l.readers[r.p.Socket]++
-			l.e.Schedule(l.touchSocketLine(r.p), r.grant)
-		}
-		l.queuedR = l.queuedR[:0]
-	}
 }

@@ -6,16 +6,15 @@ import (
 )
 
 // TestEngineTelemetryCounters covers the simulator's observability
-// surface: the event counter, the slice trace, and the cacheline
-// transfer counter the cost model feeds.
+// surface: the event counter and the cacheline transfer counter the cost
+// model feeds.
 func TestEngineTelemetryCounters(t *testing.T) {
 	e := testEngine()
-	e.EnableTrace(0)
 	c := DefaultCosts()
 	var transfers atomic.Int64
 	c.Transfers = &transfers
 
-	lock := NewSimTAS(e, c)
+	lock := NewSimQspin(e, c)
 	procs := e.NewProcs(8) // spans both sockets of the paper topology
 	w := Workload{Name: "obs", ThinkNS: 200, CSNS: 400}
 	res := RunClosedLoop(e, lock, procs, w, 2_000_000)
@@ -28,50 +27,5 @@ func TestEngineTelemetryCounters(t *testing.T) {
 	}
 	if transfers.Load() == 0 {
 		t.Error("cross-CPU contention produced no cacheline transfers")
-	}
-
-	slices := e.TraceSlices()
-	if len(slices) == 0 {
-		t.Fatal("tracing enabled but no slices recorded")
-	}
-	var holds int
-	for _, s := range slices {
-		if s.DurNS < 0 || s.StartNS < 0 {
-			t.Fatalf("slice with negative interval: %+v", s)
-		}
-		if s.StartNS+s.DurNS > e.Now() {
-			t.Fatalf("slice %+v extends past virtual now %d", s, e.Now())
-		}
-		if s.Name == "hold "+lock.Name() {
-			holds++
-		}
-	}
-	if holds == 0 {
-		t.Errorf("no hold slices among %d recorded", len(slices))
-	}
-}
-
-// TestEnableTraceCap verifies the slice cap bounds memory: recording
-// stops at the cap instead of growing without limit.
-func TestEnableTraceCap(t *testing.T) {
-	e := testEngine()
-	e.EnableTrace(10)
-	lock := NewSimTAS(e, DefaultCosts())
-	procs := e.NewProcs(4)
-	RunClosedLoop(e, lock, procs, Workload{Name: "cap", ThinkNS: 100, CSNS: 100}, 2_000_000)
-	if got := len(e.TraceSlices()); got > 10 {
-		t.Errorf("recorded %d slices, cap was 10", got)
-	}
-}
-
-// TestTraceDisabledByDefault: without EnableTrace the engine must not
-// pay for slice recording.
-func TestTraceDisabledByDefault(t *testing.T) {
-	e := testEngine()
-	lock := NewSimTAS(e, DefaultCosts())
-	procs := e.NewProcs(2)
-	RunClosedLoop(e, lock, procs, Workload{Name: "off", ThinkNS: 100, CSNS: 100}, 500_000)
-	if got := e.TraceSlices(); got != nil {
-		t.Errorf("tracing off but %d slices recorded", len(got))
 	}
 }

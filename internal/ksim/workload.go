@@ -80,22 +80,10 @@ func RunClosedLoop(e *Engine, lock SimLock, procs []*Proc, w Workload, durationN
 			e.Schedule(think, func() {
 				reader := w.ReadFraction > 0 &&
 					(w.ReadFraction >= 1 || float64(e.Rand()%1000)/1000 < w.ReadFraction)
-				reqAt := e.Now()
 				lock.Acquire(p, reader, func() {
-					grantAt := e.Now()
-					if grantAt > reqAt {
-						e.addSlice(SimSlice{
-							Name: "wait " + lock.Name(), Proc: p.ID, CPU: p.CPU,
-							StartNS: reqAt, DurNS: grantAt - reqAt,
-						})
-					}
 					cs := jitter(e, w.CSNS, w.JitterPct)
 					e.Schedule(cs, func() {
 						lock.Release(p, reader)
-						e.addSlice(SimSlice{
-							Name: "hold " + lock.Name(), Proc: p.ID, CPU: p.CPU,
-							StartNS: grantAt, DurNS: e.Now() - grantAt,
-						})
 						res.Ops++
 						res.PerProc[i]++
 						loop()

@@ -1,12 +1,11 @@
-// Package livepatch reimplements, in userspace, the two kernel-livepatch
-// mechanisms Concord builds on (paper §4, Figure 1 step 6):
-//
-//   - atomically redirecting a function (here: a lock's hook table) to a
-//     new implementation, with a consistency model: new invocations see
-//     the new code immediately, and the patch "lands" only once every
-//     in-flight invocation of the old code has drained;
-//   - shadow variables (§4.2), which attach out-of-band state to existing
-//     objects without recompiling them.
+// Package livepatch reimplements, in userspace, the kernel-livepatch
+// mechanism Concord builds on (paper §4, Figure 1 step 6): atomically
+// redirecting a function (here: a lock's hook table) to a new
+// implementation, with a consistency model: new invocations see the new
+// code immediately, and the patch "lands" only once every in-flight
+// invocation of the old code has drained. Kernel shadow variables have
+// no counterpart here: the Go locks carry the per-waiter state a policy
+// reads in their own queue nodes.
 //
 // The drain mechanism is an epoch reference count per published version,
 // equivalent to what kpatch achieves with stack inspection: Patch.Wait
@@ -275,95 +274,4 @@ func (s *Slot[T]) Depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.depth
-}
-
-// --- Shadow variables ---
-
-type shadowKey struct {
-	obj any
-	id  uint64
-}
-
-// ShadowStore attaches out-of-band data to existing objects, mirroring
-// the kernel's klp_shadow_* API. Concord uses it to extend lock queue
-// nodes with policy-specific state without changing their layout (§4.2).
-type ShadowStore struct {
-	mu sync.RWMutex
-	m  map[shadowKey]any
-}
-
-// NewShadowStore returns an empty store.
-func NewShadowStore() *ShadowStore {
-	return &ShadowStore{m: make(map[shadowKey]any)}
-}
-
-// Get returns the shadow value attached to (obj, id), if any.
-func (s *ShadowStore) Get(obj any, id uint64) (any, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.m[shadowKey{obj, id}]
-	return v, ok
-}
-
-// GetOrAlloc returns the shadow value for (obj, id), calling ctor to
-// create it if absent (klp_shadow_get_or_alloc). ctor runs at most once
-// per key.
-func (s *ShadowStore) GetOrAlloc(obj any, id uint64, ctor func() any) any {
-	k := shadowKey{obj, id}
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	if ok {
-		return v
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok = s.m[k]; ok {
-		return v
-	}
-	v = ctor()
-	s.m[k] = v
-	return v
-}
-
-// Attach stores a shadow value, replacing any existing one.
-func (s *ShadowStore) Attach(obj any, id uint64, val any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[shadowKey{obj, id}] = val
-}
-
-// Detach removes the shadow value for (obj, id), reporting whether one
-// existed (klp_shadow_free).
-func (s *ShadowStore) Detach(obj any, id uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := shadowKey{obj, id}
-	if _, ok := s.m[k]; !ok {
-		return false
-	}
-	delete(s.m, k)
-	return true
-}
-
-// FreeAll removes every shadow value with the given id across all
-// objects (klp_shadow_free_all).
-func (s *ShadowStore) FreeAll(id uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for k := range s.m {
-		if k.id == id {
-			delete(s.m, k)
-			n++
-		}
-	}
-	return n
-}
-
-// Len reports the number of attached shadow values.
-func (s *ShadowStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
 }

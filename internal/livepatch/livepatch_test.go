@@ -414,71 +414,6 @@ func TestConcurrentStackRollback(t *testing.T) {
 	}
 }
 
-func TestShadowStore(t *testing.T) {
-	s := NewShadowStore()
-	type obj struct{ x int }
-	o1, o2 := &obj{1}, &obj{2}
-
-	if _, ok := s.Get(o1, 1); ok {
-		t.Fatal("empty store Get ok")
-	}
-	calls := 0
-	v := s.GetOrAlloc(o1, 1, func() any { calls++; return "shadow1" })
-	if v != "shadow1" || calls != 1 {
-		t.Fatalf("alloc: %v, calls=%d", v, calls)
-	}
-	// Second call returns the cached value without re-running ctor.
-	v = s.GetOrAlloc(o1, 1, func() any { calls++; return "other" })
-	if v != "shadow1" || calls != 1 {
-		t.Fatalf("cached: %v, calls=%d", v, calls)
-	}
-	// Distinct ids and objects are independent.
-	s.Attach(o1, 2, "id2")
-	s.Attach(o2, 1, "obj2")
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	if v, _ := s.Get(o2, 1); v != "obj2" {
-		t.Fatalf("o2 shadow: %v", v)
-	}
-	if !s.Detach(o1, 1) || s.Detach(o1, 1) {
-		t.Fatal("detach semantics")
-	}
-	if n := s.FreeAll(1); n != 1 {
-		t.Fatalf("FreeAll(1) = %d, want 1", n)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-}
-
-func TestShadowStoreConcurrentGetOrAlloc(t *testing.T) {
-	s := NewShadowStore()
-	obj := new(int)
-	var ctorCalls atomic.Int64
-	var wg sync.WaitGroup
-	results := make([]any, 16)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = s.GetOrAlloc(obj, 7, func() any {
-				ctorCalls.Add(1)
-				return new(struct{})
-			})
-		}(i)
-	}
-	wg.Wait()
-	if ctorCalls.Load() != 1 {
-		t.Fatalf("ctor ran %d times, want 1", ctorCalls.Load())
-	}
-	for _, r := range results {
-		if r != results[0] {
-			t.Fatal("GetOrAlloc returned different values")
-		}
-	}
-}
-
 func TestPatchAnnotation(t *testing.T) {
 	s := NewSlot(new(int))
 	p := s.Replace("with-report", new(int))

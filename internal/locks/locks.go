@@ -12,7 +12,8 @@
 // NUMA-awareness, priority and AMP are cmp_node policies on ShflLock,
 // not lock types of their own. Every lock here has hook points a
 // policy can attach to; the simulator (internal/ksim) keeps its own
-// models of the plain spinlocks the figures compare against.
+// model of the stock qspinlock, the baseline Figure 2(b) compares
+// against.
 //
 // Execution substrate note: threads are goroutines with a virtual CPU
 // identity from internal/topology; spin loops always yield

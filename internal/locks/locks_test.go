@@ -354,14 +354,3 @@ func TestComposeHooks(t *testing.T) {
 		t.Error("nil composition identity broken")
 	}
 }
-
-func TestBoundedShuffleHooks(t *testing.T) {
-	inner := NUMAHooks()
-	h := BoundedShuffleHooks(inner, 3)
-	if !h.SkipShuffle(&ShuffleInfo{Round: 4}) {
-		t.Error("round 4 not skipped with bound 3")
-	}
-	if h.SkipShuffle(&ShuffleInfo{Round: 2}) {
-		t.Error("round 2 skipped with bound 3")
-	}
-}

@@ -58,8 +58,8 @@ type OCCStats struct {
 }
 
 // OCCCapable is implemented by locks carrying an optimistic read tier.
-// The framework probes it at attach time to route the occ_set helper
-// and the SetOCC ablation control.
+// The framework probes it at attach time to route the occ_set helper;
+// OCCSetMode is the ablation control, set on the lock itself.
 type OCCCapable interface {
 	// OCCSetMode sets the control mode (auto/off/on).
 	OCCSetMode(m OCCMode)

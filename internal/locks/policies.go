@@ -28,21 +28,6 @@ func NUMAHooks() *Hooks {
 	}
 }
 
-// PriorityHooks moves waiters with higher scheduling priority than the
-// shuffler ahead (lock priority boosting, §3.1.1). Tie-break: very long
-// waiters are also grouped so low-priority tasks keep progressing.
-func PriorityHooks(longWaitNS int64) *Hooks {
-	return &Hooks{
-		Name: "priority",
-		CmpNode: func(info *ShuffleInfo) bool {
-			if info.Curr.Task.Priority() > info.Shuffler.Task.Priority() {
-				return true
-			}
-			return longWaitNS > 0 && info.Curr.WaitNS(info.NowNS) > longWaitNS
-		},
-	}
-}
-
 // InheritanceHooks prioritizes waiters that already hold other locks
 // (lock inheritance, §3.1.1): a task deep in a multi-lock operation is
 // holding everyone else back, so it is moved toward the head of this
@@ -81,28 +66,6 @@ func SCLHooks() *Hooks {
 	}
 }
 
-// VCPUHooks prioritizes waiters whose vCPU is running and has quota left
-// (exposing scheduler semantics to the lock, §3.1.1), avoiding handoff
-// to a preempted vCPU.
-func VCPUHooks() *Hooks {
-	return &Hooks{
-		Name: "vcpu",
-		CmpNode: func(info *ShuffleInfo) bool {
-			c, s := info.Curr.Task, info.Shuffler.Task
-			if c.Preempted() {
-				return false
-			}
-			return s.Preempted() || c.Quota() > s.Quota()
-		},
-		ScheduleWaiter: func(info *WaitInfo) int {
-			if info.Curr.Task.Preempted() {
-				return WaitParkNow
-			}
-			return WaitDefault
-		},
-	}
-}
-
 // SpinThenParkHooks exposes the adaptable parking strategy (§3.1.1):
 // waiters keep spinning while their wait is below spinNS and park beyond
 // parkNS, with the lock's default in between.
@@ -120,26 +83,6 @@ func SpinThenParkHooks(spinNS, parkNS int64) *Hooks {
 			}
 		},
 	}
-}
-
-// BoundedShuffleHooks wraps another table, additionally skipping
-// shuffling after maxRounds rounds — the "statically bounding the number
-// of shuffling rounds minimizes starvation" invariant of §4.2 expressed
-// as a composable policy.
-func BoundedShuffleHooks(inner *Hooks, maxRounds int) *Hooks {
-	out := *inner
-	out.Name = inner.Name + "+bounded"
-	prev := inner.SkipShuffle
-	out.SkipShuffle = func(info *ShuffleInfo) bool {
-		if info.Round > maxRounds {
-			return true
-		}
-		if prev != nil {
-			return prev(info)
-		}
-		return false
-	}
-	return &out
 }
 
 // ComposeHooks merges two tables: decision hooks (cmp_node, skip_shuffle,

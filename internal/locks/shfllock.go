@@ -68,9 +68,9 @@ func (n *shflNode) unpark() {
 //
 // Runtime safety checks (paper §4.2): shuffling rounds per acquisition
 // are statically bounded; each waiter has a bypass budget that bounds
-// starvation no matter what the policy returns; and (optionally) the
-// queue is re-counted after each round — it may only have grown by
-// concurrent enqueues, never shrunk. A violated check quarantines the
+// starvation no matter what the policy returns; and the queue is
+// re-counted after each round — it may only have grown by concurrent
+// enqueues, never shrunk. A violated check quarantines the
 // policy via disablePolicy.
 type ShflLock struct {
 	hookable
@@ -91,13 +91,10 @@ type ShflLock struct {
 	qlen   atomic.Int32
 	_      [60]byte
 
-	blocking     atomic.Bool
-	spinBudget   int
-	maxRounds    int
-	maxScan      int
-	maxBatch     int
-	bypassBudget int32
-	checkInv     bool
+	blocking   atomic.Bool
+	spinBudget int
+	maxRounds  int
+	maxScan    int
 
 	// Shuffle statistics (tests and reports).
 	statRounds atomic.Int64
@@ -133,32 +130,28 @@ func WithMaxScan(n int) ShflOption {
 	}
 }
 
-// WithMaxBatch bounds how many waiters may be grouped into one batch.
-func WithMaxBatch(n int) ShflOption { return func(l *ShflLock) { l.maxBatch = n } }
+const (
+	// maxScanCap bounds the scan window so per-round bookkeeping fits a
+	// fixed stack buffer.
+	maxScanCap = 64
+	// shflMaxBatch bounds how many waiters one round groups into the
+	// shuffler's batch.
+	shflMaxBatch = 32
+	// shflBypassBudget bounds how many times a waiter may be overtaken
+	// before shuffling stops on its behalf (the starvation bound).
+	shflBypassBudget = 16
+)
 
-// WithBypassBudget bounds how many times a waiter may be overtaken
-// before shuffling is suppressed on its behalf (starvation bound).
-func WithBypassBudget(n int) ShflOption { return func(l *ShflLock) { l.bypassBudget = int32(n) } }
-
-// WithInvariantChecks toggles the post-round queue recount.
-func WithInvariantChecks(b bool) ShflOption { return func(l *ShflLock) { l.checkInv = b } }
-
-// maxScanCap bounds the scan window so per-round bookkeeping fits a
-// fixed stack buffer.
-const maxScanCap = 64
-
-// NewShflLock returns a shuffling lock. Defaults: non-blocking, 16
-// shuffle rounds, scan window 32, batch 32, bypass budget 16, invariant
-// checks on.
+// NewShflLock returns a shuffling lock. Defaults: non-blocking, spin
+// budget 128, 16 shuffle rounds, scan window 32. The batch (32) and the
+// bypass budget (16) are fixed, and the queue is recounted after every
+// round.
 func NewShflLock(name string, opts ...ShflOption) *ShflLock {
 	l := &ShflLock{
-		hookable:     newHookable(name),
-		spinBudget:   128,
-		maxRounds:    16,
-		maxScan:      32,
-		maxBatch:     32,
-		bypassBudget: 16,
-		checkInv:     true,
+		hookable:   newHookable(name),
+		spinBudget: 128,
+		maxRounds:  16,
+		maxScan:    32,
 	}
 	for _, opt := range opts {
 		opt(l)
@@ -382,10 +375,7 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 		return
 	}
 
-	var before int
-	if l.checkInv {
-		before = l.countFrom(n)
-	}
+	before := l.countFrom(n)
 
 	var skipped [maxScanCap]*shflNode
 	nSkipped := 0
@@ -394,7 +384,7 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 	curr := n.next.Load()
 	batch := 1
 
-	for scanned := 0; curr != nil && scanned < l.maxScan && batch < l.maxBatch; scanned++ {
+	for scanned := 0; curr != nil && scanned < l.maxScan && batch < shflMaxBatch; scanned++ {
 		next := curr.next.Load()
 		if next == nil {
 			break // current tail (or enqueue in flight): never touched
@@ -409,7 +399,7 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 			if nSkipped > 0 && prev != batchEnd {
 				exhausted := false
 				for i := 0; i < nSkipped; i++ {
-					if skipped[i].bypass.Load() >= l.bypassBudget {
+					if skipped[i].bypass.Load() >= shflBypassBudget {
 						exhausted = true
 						break
 					}
@@ -445,11 +435,9 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 		}
 	}
 
-	if l.checkInv {
-		if after := l.countFrom(n); after < before {
-			l.disablePolicy(fmt.Sprintf(
-				"shuffle invariant violated on %q: queue shrank %d -> %d", l.name, before, after))
-		}
+	if after := l.countFrom(n); after < before {
+		l.disablePolicy(fmt.Sprintf(
+			"shuffle invariant violated on %q: queue shrank %d -> %d", l.name, before, after))
 	}
 }
 
@@ -457,7 +445,7 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 // first nil next pointer, bounded well past the shuffle window.
 func (l *ShflLock) countFrom(n *shflNode) int {
 	count := 0
-	for c := n; c != nil && count < l.maxScan+l.maxBatch+8; c = c.next.Load() {
+	for c := n; c != nil && count < l.maxScan+shflMaxBatch+8; c = c.next.Load() {
 		count++
 	}
 	return count

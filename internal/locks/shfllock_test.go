@@ -11,36 +11,6 @@ import (
 	"concord/internal/topology"
 )
 
-// buildQueue launches n waiters against a held lock and blocks until all
-// are queued, returning a function that records acquisition order.
-func buildQueue(t *testing.T, l *ShflLock, topo *topology.Topology, tasks []*task.T) (order *[]int, done *sync.WaitGroup) {
-	t.Helper()
-	var mu sync.Mutex
-	ord := make([]int, 0, len(tasks))
-	var wg sync.WaitGroup
-	var queued atomic.Int32
-	for i, tk := range tasks {
-		wg.Add(1)
-		go func(i int, tk *task.T) {
-			defer wg.Done()
-			queued.Add(1)
-			l.Lock(tk)
-			mu.Lock()
-			ord = append(ord, i)
-			mu.Unlock()
-			l.Unlock(tk)
-		}(i, tk)
-	}
-	// Wait until every waiter is actually in the queue (or the fast-path
-	// barger has at least started). QueueLen is what the lock maintains —
-	// a semantic signal, so no wall-clock deadline: if a waiter never
-	// queues, the test hangs and the binary's deadline dumps goroutines.
-	for l.QueueLen() < len(tasks) {
-		runtime.Gosched()
-	}
-	return &ord, &wg
-}
-
 // isTail reports whether tk's queue node is l's tail: tk's queue position
 // is fixed and nobody has queued behind it yet. Neither lock_contended nor
 // QueueLen says that much, since both move before the tail swap, so a task
@@ -51,9 +21,32 @@ func isTail(l *ShflLock, tk *task.T) bool {
 	return n != nil && n.Task == tk
 }
 
+// queueWaiters starts one goroutine per task that takes and releases l,
+// and returns once the last has queued, each behind the one before it.
+// cs, if not nil, runs inside each critical section with the task's
+// index. The caller holds l and waits on the group after releasing it.
+func queueWaiters(l *ShflLock, cs func(i int), tasks ...*task.T) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for i, tk := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.Lock(tk)
+			if cs != nil {
+				cs(i)
+			}
+			l.Unlock(tk)
+		}()
+		for !isTail(l, tk) {
+			runtime.Gosched()
+		}
+	}
+	return &wg
+}
+
 func TestShflLockNUMAGrouping(t *testing.T) {
 	topo := topology.Paper() // 8 sockets × 10 CPUs
-	l := NewShflLock("numa", WithMaxRounds(64), WithMaxScan(32), WithMaxBatch(32))
+	l := NewShflLock("numa", WithMaxRounds(64), WithMaxScan(32))
 
 	holder := task.New(topo)
 	l.Lock(holder)
@@ -63,7 +56,8 @@ func TestShflLockNUMAGrouping(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = task.NewOnCPU(topo, (i%2)*10) // socket 0 or 1
 	}
-	order, wg := buildQueue(t, l, topo, tasks)
+	var order []int
+	wg := queueWaiters(l, func(i int) { order = append(order, i) }, tasks...)
 	// Attach the policy only now that every waiter is queued. Rounds are
 	// counted per acquisition from the moment a policy is attached: with
 	// it installed up front, the head could spend all 64 on a queue of
@@ -92,14 +86,14 @@ func TestShflLockNUMAGrouping(t *testing.T) {
 	l.Unlock(holder)
 	wg.Wait()
 
-	if len(*order) != len(tasks) {
-		t.Fatalf("got %d acquisitions, want %d", len(*order), len(tasks))
+	if len(order) != len(tasks) {
+		t.Fatalf("got %d acquisitions, want %d", len(order), len(tasks))
 	}
 	// Count socket transitions in acquisition order. Interleaved FIFO
 	// would give ~15 transitions; NUMA grouping must do clearly better.
 	transitions := 0
-	for i := 1; i < len(*order); i++ {
-		if tasks[(*order)[i]].Socket() != tasks[(*order)[i-1]].Socket() {
+	for i := 1; i < len(order); i++ {
+		if tasks[order[i]].Socket() != tasks[order[i-1]].Socket() {
 			transitions++
 		}
 	}
@@ -108,7 +102,7 @@ func TestShflLockNUMAGrouping(t *testing.T) {
 		t.Fatalf("shuffler never moved a node (rounds=%d)", rounds)
 	}
 	if transitions >= len(tasks)-1 {
-		t.Errorf("no grouping: %d socket transitions in %v", transitions, *order)
+		t.Errorf("no grouping: %d socket transitions in %v", transitions, order)
 	}
 	t.Logf("socket transitions: %d, shuffle rounds: %d, moves: %d", transitions, rounds, moves)
 	if got := l.SafetyError(); got != "" {
@@ -125,12 +119,18 @@ func TestShflLockFIFOWithoutPolicy(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = task.New(topo)
 	}
-	_, wg := buildQueue(t, l, topo, tasks)
+	var order []int
+	wg := queueWaiters(l, func(i int) { order = append(order, i) }, tasks...)
 	l.Unlock(holder)
 	wg.Wait()
 	rounds, moves, _ := l.ShuffleStats()
 	if rounds != 0 || moves != 0 {
 		t.Errorf("shuffling without policy: rounds=%d moves=%d", rounds, moves)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("acquisition order %v, want queue order", order)
+		}
 	}
 }
 
@@ -153,17 +153,52 @@ func TestShflLockStarvationBound(t *testing.T) {
 	// A policy that always favours even-socket waiters: odd-socket
 	// waiters must still complete thanks to the bypass budget.
 	topo := topology.Paper()
-	l := NewShflLock("starve", WithBypassBudget(4), WithMaxRounds(1024))
-	l.HookSlot().Replace("evenfirst", &Hooks{
+	evenFirst := &Hooks{
 		Name: "evenfirst",
 		CmpNode: func(info *ShuffleInfo) bool {
 			return info.Curr.Task.Socket()%2 == 0
 		},
-	})
+	}
+
+	// One odd-socket waiter queued right behind the head, twenty
+	// even-socket ones behind it: exactly shflBypassBudget of those may
+	// overtake it, and then shuffling stops on its behalf.
+	l := NewShflLock("budget", WithMaxRounds(1024))
+	holder := task.NewOnCPU(topo, 0)
+	l.Lock(holder)
+	tasks := []*task.T{task.NewOnCPU(topo, 0), task.NewOnCPU(topo, 10)}
+	for range 20 {
+		tasks = append(tasks, task.NewOnCPU(topo, 0))
+	}
+	var order []int
+	wg := queueWaiters(l, func(i int) { order = append(order, i) }, tasks...)
+	l.HookSlot().Replace("evenfirst", evenFirst).Wait()
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+		if _, moves, _ := l.ShuffleStats(); moves >= shflBypassBudget || time.Now().After(deadline) {
+			break
+		}
+	}
+	l.Unlock(holder)
+	wg.Wait()
+	overtook := 0
+	for _, i := range order {
+		if i == 1 {
+			break
+		}
+		if i > 1 {
+			overtook++
+		}
+	}
+	if overtook != shflBypassBudget {
+		t.Errorf("%d later waiters overtook the odd-socket one, want %d: order %v", overtook, shflBypassBudget, order)
+	}
+
 	// Starvation would keep an odd-socket waiter queued forever: the run
 	// never finishes and the test binary's deadline reports the hang with
 	// a full goroutine dump — strictly more diagnosable than a local
 	// wall-clock bound that flakes on slow machines.
+	l = NewShflLock("starve", WithMaxRounds(1024))
+	l.HookSlot().Replace("evenfirst", evenFirst)
 	exerciseMutex(t, l, topo, 10, 200)
 }
 
@@ -183,18 +218,7 @@ func TestShflLockScheduleWaiterHookConsulted(t *testing.T) {
 	// waiters has asked. Under contention alone that is likely, not sure.
 	holder := task.New(topo)
 	l.Lock(holder)
-	var wg sync.WaitGroup
-	for _, tk := range []*task.T{task.New(topo), task.New(topo)} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.Lock(tk)
-			l.Unlock(tk)
-		}()
-		for !isTail(l, tk) {
-			runtime.Gosched()
-		}
-	}
+	wg := queueWaiters(l, nil, task.New(topo), task.New(topo))
 	for deadline := time.Now().Add(30 * time.Second); consulted.Load() == 0; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			l.Unlock(holder)
@@ -219,10 +243,23 @@ func TestShflLockParkNowDecision(t *testing.T) {
 			return WaitParkNow
 		},
 	})
-	exerciseMutex(t, l, topo, 4, 50)
+	// Only a waiter queued behind the head asks schedule_waiter: hold the
+	// lock until the second of two waiters is queued and has asked.
+	holder := task.New(topo)
+	l.Lock(holder)
+	wg := queueWaiters(l, nil, task.New(topo), task.New(topo))
+	for deadline := time.Now().Add(30 * time.Second); parked.Load() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			break
+		}
+	}
+	l.Unlock(holder)
+	wg.Wait()
 	if parked.Load() == 0 {
 		t.Error("waiters never hit the park decision")
 	}
+	// Parked waiters are woken and get through.
+	exerciseMutex(t, l, topo, 4, 50)
 }
 
 func TestShflLockSkipShuffle(t *testing.T) {
@@ -233,6 +270,18 @@ func TestShflLockSkipShuffle(t *testing.T) {
 		CmpNode:     func(*ShuffleInfo) bool { return true },
 		SkipShuffle: func(*ShuffleInfo) bool { return true },
 	})
+	// The queue head asks skip_shuffle before each attempt on the lock
+	// word: hold the lock until a queued waiter has asked.
+	holder := task.New(topo)
+	l.Lock(holder)
+	wg := queueWaiters(l, nil, task.New(topo), task.New(topo))
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+		if _, _, skips := l.ShuffleStats(); skips > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	l.Unlock(holder)
+	wg.Wait()
 	exerciseMutex(t, l, topo, 6, 100)
 	_, moves, skips := l.ShuffleStats()
 	if moves != 0 {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 
-	"concord/internal/ksim"
 	"concord/internal/profile"
 )
 
@@ -15,7 +14,7 @@ import (
 // ui.perfetto.dev). We emit complete ("X") duration events: a lock
 // acquisition becomes a "wait <lock>" slice from enqueue to acquisition
 // and a "hold <lock>" slice from acquisition to release, on a track per
-// task (real runs) or per simulated proc (ksim runs).
+// task.
 
 // chromeEvent is one trace event; field names are the format's.
 type chromeEvent struct {
@@ -29,14 +28,11 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Track IDs: one synthetic "process" per event source.
-const (
-	pidLocks = 1 // real lock events from a TraceRing
-	pidKsim  = 2 // virtual-clock events from a ksim run
-)
+// pidLocks is the synthetic "process" that holds the lock tracks.
+const pidLocks = 1
 
-// TraceBuilder accumulates events from any mix of sources and renders
-// one loadable timeline.
+// TraceBuilder accumulates lock events and renders one loadable
+// timeline.
 type TraceBuilder struct {
 	events []chromeEvent
 	meta   map[string]chromeEvent // dedup key -> metadata event
@@ -93,20 +89,6 @@ func (b *TraceBuilder) AddLockRecords(recs []profile.TraceRecord, lockName func(
 			TS: float64(rec.NowNS-durNS) / 1e3, Dur: float64(durNS) / 1e3,
 			PID: pidLocks, TID: rec.TaskID,
 			Args: map[string]any{"cpu": rec.CPU, "lock_id": rec.LockID},
-		})
-	}
-}
-
-// AddSimSlices renders a ksim virtual-clock run (Engine.TraceSlices)
-// onto per-proc tracks under the "ksim" process.
-func (b *TraceBuilder) AddSimSlices(slices []ksim.SimSlice) {
-	for _, s := range slices {
-		b.nameTrack(pidKsim, int64(s.Proc), "ksim", fmt.Sprintf("proc %d", s.Proc))
-		b.events = append(b.events, chromeEvent{
-			Name: s.Name, Ph: "X", Cat: "ksim",
-			TS: float64(s.StartNS) / 1e3, Dur: float64(s.DurNS) / 1e3,
-			PID: pidKsim, TID: int64(s.Proc),
-			Args: map[string]any{"cpu": s.CPU},
 		})
 	}
 }

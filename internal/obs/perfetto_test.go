@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"concord/internal/ksim"
 	"concord/internal/profile"
 )
 
@@ -152,38 +151,6 @@ func TestTraceWellNested(t *testing.T) {
 			}
 			stack = append(stack, s.end)
 		}
-	}
-}
-
-func TestTraceBuilderSimSlices(t *testing.T) {
-	b := NewTraceBuilder()
-	b.AddSimSlices([]ksim.SimSlice{
-		{Name: "wait sim_lock", Proc: 0, CPU: 2, StartNS: 1000, DurNS: 500},
-		{Name: "hold sim_lock", Proc: 0, CPU: 2, StartNS: 1500, DurNS: 700},
-		{Name: "hold sim_lock", Proc: 1, CPU: 9, StartNS: 100, DurNS: 50},
-	})
-	data, err := b.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, data)
-	var x int
-	var prevTS float64 = -1
-	for _, ev := range events {
-		if ev.Ph != "X" {
-			continue
-		}
-		x++
-		if ev.PID != pidKsim {
-			t.Errorf("sim slice on pid %d", ev.PID)
-		}
-		if ev.TS < prevTS {
-			t.Error("events not time-sorted")
-		}
-		prevTS = ev.TS
-	}
-	if x != 3 {
-		t.Errorf("got %d slices, want 3", x)
 	}
 }
 

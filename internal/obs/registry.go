@@ -3,16 +3,14 @@
 // generalizing profile.Histogram), Prometheus-text and JSON exposition,
 // an embeddable HTTP server (/metrics, /locks, /policies, /trace plus
 // net/http/pprof), and a Chrome/Perfetto trace-event exporter that turns
-// profile.TraceRing snapshots and ksim virtual-clock runs into loadable
-// timelines.
+// profile.TraceRing snapshots into loadable timelines.
 //
 // The paper's §3.2 pitch is that C3 makes kernel locks observable on
 // demand; obs extends that from per-lock wait/hold stats to every layer
-// of the reproduction: the policy VM, livepatch epochs, framework safety
-// checks, and the simulator. Metric creation takes a registry mutex
-// (setup path); every update on the hot path is a plain atomic, so
-// instrumentation composes with user policies without lock-ordering
-// hazards.
+// of the reproduction: the policy VM, livepatch epochs and framework
+// safety checks. Metric creation takes a registry mutex (setup path);
+// every update on the hot path is a plain atomic, so instrumentation
+// composes with user policies without lock-ordering hazards.
 package obs
 
 import (
