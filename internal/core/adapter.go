@@ -12,74 +12,17 @@ import (
 	"concord/internal/faultinject"
 	"concord/internal/locks"
 	"concord/internal/policy"
+	"concord/internal/policy/analysis"
 	"concord/internal/policy/jit"
 	"concord/internal/task"
 )
 
-// slot index tables, computed once from the fixed context layouts so the
-// per-invocation fill is straight array stores.
+// The context layouts the hooks hand their programs.
 var (
 	cmpL   = policy.LayoutFor(policy.KindCmpNode)
 	skipL  = policy.LayoutFor(policy.KindSkipShuffle)
 	schedL = policy.LayoutFor(policy.KindScheduleWaiter)
 	profL  = policy.LayoutFor(policy.KindLockAcquire)
-
-	cmpIdx = struct {
-		lockID, queueLen, round, now, batch                             int
-		sTask, sCPU, sSocket, sPrio, sWeight, sCS, sWait, sHeld, sSpeed int
-		sQuota, sPreempted                                              int
-		cTask, cCPU, cSocket, cPrio, cWeight, cCS, cWait, cHeld, cSpeed int
-		cQuota, cPreempted                                              int
-	}{
-		lockID: cmpL.Slot("lock_id"), queueLen: cmpL.Slot("queue_len"),
-		round: cmpL.Slot("shuffle_round"), now: cmpL.Slot("now_ns"), batch: cmpL.Slot("batch"),
-		sTask: cmpL.Slot("shuffler_task_id"), sCPU: cmpL.Slot("shuffler_cpu"),
-		sSocket: cmpL.Slot("shuffler_socket"), sPrio: cmpL.Slot("shuffler_prio"),
-		sWeight: cmpL.Slot("shuffler_weight"), sCS: cmpL.Slot("shuffler_cs_avg"),
-		sWait: cmpL.Slot("shuffler_wait_ns"), sHeld: cmpL.Slot("shuffler_held_mask"),
-		sSpeed: cmpL.Slot("shuffler_speed_pct"), sQuota: cmpL.Slot("shuffler_quota"),
-		sPreempted: cmpL.Slot("shuffler_preempted"),
-		cTask:      cmpL.Slot("curr_task_id"), cCPU: cmpL.Slot("curr_cpu"),
-		cSocket: cmpL.Slot("curr_socket"), cPrio: cmpL.Slot("curr_prio"),
-		cWeight: cmpL.Slot("curr_weight"), cCS: cmpL.Slot("curr_cs_avg"),
-		cWait: cmpL.Slot("curr_wait_ns"), cHeld: cmpL.Slot("curr_held_mask"),
-		cSpeed: cmpL.Slot("curr_speed_pct"), cQuota: cmpL.Slot("curr_quota"),
-		cPreempted: cmpL.Slot("curr_preempted"),
-	}
-
-	skipIdx = struct {
-		lockID, queueLen, round, now, batch, sTask, sCPU, sSocket, sPrio, sWait int
-	}{
-		lockID: skipL.Slot("lock_id"), queueLen: skipL.Slot("queue_len"),
-		round: skipL.Slot("shuffle_round"), now: skipL.Slot("now_ns"),
-		batch: skipL.Slot("batch"), sTask: skipL.Slot("shuffler_task_id"),
-		sCPU: skipL.Slot("shuffler_cpu"), sSocket: skipL.Slot("shuffler_socket"),
-		sPrio: skipL.Slot("shuffler_prio"), sWait: skipL.Slot("shuffler_wait_ns"),
-	}
-
-	schedIdx = struct {
-		lockID, queueLen, now, cTask, cCPU, cSocket, cPrio, cWait int
-		cQuota, cPreempted, ahead, holderCS, spin                 int
-	}{
-		lockID: schedL.Slot("lock_id"), queueLen: schedL.Slot("queue_len"),
-		now: schedL.Slot("now_ns"), cTask: schedL.Slot("curr_task_id"),
-		cCPU: schedL.Slot("curr_cpu"), cSocket: schedL.Slot("curr_socket"),
-		cPrio: schedL.Slot("curr_prio"), cWait: schedL.Slot("curr_wait_ns"),
-		cQuota: schedL.Slot("curr_quota"), cPreempted: schedL.Slot("curr_preempted"),
-		ahead: schedL.Slot("waiters_ahead"), holderCS: schedL.Slot("holder_cs_avg"),
-		spin: schedL.Slot("spin_ns"),
-	}
-
-	profIdx = struct {
-		lockID, op, taskID, cpu, socket, prio, now, wait, hold, qlen, reader int
-	}{
-		lockID: profL.Slot("lock_id"), op: profL.Slot("op"),
-		taskID: profL.Slot("task_id"), cpu: profL.Slot("cpu"),
-		socket: profL.Slot("socket"), prio: profL.Slot("prio"),
-		now: profL.Slot("now_ns"), wait: profL.Slot("wait_ns"),
-		hold: profL.Slot("hold_ns"), qlen: profL.Slot("queue_len"),
-		reader: profL.Slot("reader"),
-	}
 )
 
 // op codes stored in the profiling context's "op" field.
@@ -90,14 +33,15 @@ const (
 	opRelease   = 4
 )
 
-// The live source of every context word, by field name: where the value
-// the eager fills below store into a slot comes from. A program lowered to
-// a decision tree (jit.LowerTree) is evaluated over these directly — each
-// word it compares is read where it lives, and no context is built. One
-// table serves cmp_node and skip_shuffle, whose layouts share the
-// shuffler's fields; the four profiling hooks share one layout and differ
-// in their constant "op" word. TestCtxSourcesMatchFill holds the two
-// definitions of a word together.
+// The one definition of every context word, by field name: its live
+// source. Both tiers read these. A program lowered to a decision tree
+// (jit.LowerTree) is evaluated over them directly — each word it compares
+// is read where it lives, and no context is built; an interpreted
+// program's context holds the words its admitted footprint reads, each
+// stored from its source (interp). One table serves cmp_node and
+// skip_shuffle, whose layouts share the shuffler's fields; the four
+// profiling hooks share one layout and differ in their constant "op" word.
+// TestCtxSourcesReadTheirField holds each source to the field it names.
 var (
 	shuffleSrc = map[string]func(*locks.ShuffleInfo) uint64{
 		"lock_id":       func(i *locks.ShuffleInfo) uint64 { return i.LockID },
@@ -183,7 +127,7 @@ var (
 )
 
 // eventTask is the source of a task field of an event: 0 for an event
-// without a task, as fillProf leaves it.
+// without a task.
 func eventTask(f func(*task.T) uint64) func(*locks.Event) uint64 {
 	return func(ev *locks.Event) uint64 {
 		if ev.Task == nil {
@@ -237,8 +181,8 @@ type fireScratch struct {
 // takeFire takes t's scratch (allocating it on the task's first fire, on
 // a reentrant fire, or for an event without a task) and readies it for
 // one fire of a hook with layout l on attachment a. The returned context
-// words are zeroed: the fills below store conditional fields only when
-// they are set. The caller hands the scratch back with putFire.
+// words are zeroed, so a word the fire does not store reads 0, never a
+// value another fire left. The caller hands the scratch back with putFire.
 func (a *adapter) takeFire(t *task.T, l *policy.CtxLayout) (*fireScratch, []uint64) {
 	var sc *fireScratch
 	if t != nil {
@@ -393,95 +337,6 @@ func (a *adapter) fault(err error) {
 	})
 }
 
-func taskFields(t *task.T) (id, cpu, socket, prio, weight, cs, held, speed, quota, preempted uint64) {
-	id = uint64(t.ID())
-	cpu = uint64(t.CPU())
-	socket = uint64(t.Socket())
-	prio = uint64(t.Priority())
-	weight = uint64(t.Weight())
-	cs = uint64(t.CSAverage())
-	held = t.HeldMask()
-	speed = uint64(t.Speed() * 100)
-	quota = uint64(t.Quota())
-	if t.Preempted() {
-		preempted = 1
-	}
-	return
-}
-
-// fillCmp, fillSkip and fillSched marshal one fire's context eagerly, for
-// the general path: every word of the layout, whatever the program reads.
-// w is zeroed (takeFire); conditional fields are stored only when set.
-func fillCmp(w []uint64, info *locks.ShuffleInfo) {
-	s, c := info.Shuffler, info.Curr
-	w[cmpIdx.lockID] = info.LockID
-	w[cmpIdx.queueLen] = uint64(info.QueueLen)
-	w[cmpIdx.round] = uint64(info.Round)
-	w[cmpIdx.now] = uint64(info.NowNS)
-	w[cmpIdx.batch] = uint64(info.Batch)
-	w[cmpIdx.sTask], w[cmpIdx.sCPU], w[cmpIdx.sSocket], w[cmpIdx.sPrio],
-		w[cmpIdx.sWeight], w[cmpIdx.sCS], w[cmpIdx.sHeld], w[cmpIdx.sSpeed],
-		w[cmpIdx.sQuota], w[cmpIdx.sPreempted] = taskFields(s.Task)
-	w[cmpIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-	w[cmpIdx.cTask], w[cmpIdx.cCPU], w[cmpIdx.cSocket], w[cmpIdx.cPrio],
-		w[cmpIdx.cWeight], w[cmpIdx.cCS], w[cmpIdx.cHeld], w[cmpIdx.cSpeed],
-		w[cmpIdx.cQuota], w[cmpIdx.cPreempted] = taskFields(c.Task)
-	w[cmpIdx.cWait] = uint64(c.WaitNS(info.NowNS))
-}
-
-func fillSkip(w []uint64, info *locks.ShuffleInfo) {
-	s := info.Shuffler
-	w[skipIdx.lockID] = info.LockID
-	w[skipIdx.queueLen] = uint64(info.QueueLen)
-	w[skipIdx.round] = uint64(info.Round)
-	w[skipIdx.now] = uint64(info.NowNS)
-	w[skipIdx.batch] = uint64(info.Batch)
-	w[skipIdx.sTask] = uint64(s.Task.ID())
-	w[skipIdx.sCPU] = uint64(s.Task.CPU())
-	w[skipIdx.sSocket] = uint64(s.Task.Socket())
-	w[skipIdx.sPrio] = uint64(s.Task.Priority())
-	w[skipIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-}
-
-func fillSched(w []uint64, info *locks.WaitInfo) {
-	c := info.Curr
-	w[schedIdx.lockID] = info.LockID
-	w[schedIdx.queueLen] = uint64(info.QueueLen)
-	w[schedIdx.now] = uint64(info.NowNS)
-	w[schedIdx.cTask] = uint64(c.Task.ID())
-	w[schedIdx.cCPU] = uint64(c.Task.CPU())
-	w[schedIdx.cSocket] = uint64(c.Task.Socket())
-	w[schedIdx.cPrio] = uint64(c.Task.Priority())
-	w[schedIdx.cWait] = uint64(c.WaitNS(info.NowNS))
-	w[schedIdx.cQuota] = uint64(c.Task.Quota())
-	if c.Task.Preempted() {
-		w[schedIdx.cPreempted] = 1
-	}
-	w[schedIdx.ahead] = uint64(info.WaitersAhead)
-	w[schedIdx.holderCS] = uint64(info.HolderCSAvg)
-	w[schedIdx.spin] = uint64(info.SpinNS)
-}
-
-// fillProf marshals a profiling hook's context: the event, and op, the
-// constant that tells the four hooks apart.
-func fillProf(w []uint64, ev *locks.Event, op uint64) {
-	w[profIdx.lockID] = ev.LockID
-	w[profIdx.op] = op
-	if ev.Task != nil {
-		w[profIdx.taskID] = uint64(ev.Task.ID())
-		w[profIdx.cpu] = uint64(ev.Task.CPU())
-		w[profIdx.socket] = uint64(ev.Task.Socket())
-		w[profIdx.prio] = uint64(ev.Task.Priority())
-	}
-	w[profIdx.now] = uint64(ev.NowNS)
-	w[profIdx.wait] = uint64(ev.WaitNS)
-	w[profIdx.hold] = uint64(ev.HoldNS)
-	w[profIdx.qlen] = uint64(ev.QueueLen)
-	if ev.Reader {
-		w[profIdx.reader] = 1
-	}
-}
-
 // exec runs one hook fire under the attachment's containment, whichever
 // lowering run dispatches into: a panicking hook (injected or real)
 // becomes a policy fault instead of unwinding into the lock algorithm, a
@@ -543,6 +398,39 @@ func waitDecision(ret uint64, ok bool) int {
 	}
 }
 
+// interp is the interpreter's fire of p on a hook whose argument is a T:
+// it takes the firing task's scratch, stores the context words p's
+// admitted footprint (rep.CtxReads) names, each read from its source in
+// src, and runs p under exec. The (slot, source) pairs are resolved here,
+// once per table. p never loads a word outside its footprint; takeFire
+// zeroes those, so none holds another fire's value. A field without a
+// source reads 0 too.
+func interp[T any](a *adapter, p *policy.Program, rep *analysis.Report,
+	src []func(T) uint64, taskOf func(T) *task.T) func(T) (uint64, bool) {
+	l := policy.LayoutFor(p.Kind)
+	type word struct {
+		slot int
+		read func(T) uint64
+	}
+	var words []word
+	for _, name := range rep.CtxReads {
+		if i := l.Slot(name); src[i] != nil {
+			words = append(words, word{i, src[i]})
+		}
+	}
+	run := func(ctx *policy.Ctx, env policy.Env) (uint64, error) { return policy.Exec(p, ctx, env) }
+	return func(arg T) (uint64, bool) {
+		t := taskOf(arg)
+		sc, w := a.takeFire(t, l)
+		for _, wd := range words {
+			w[wd.slot] = wd.read(arg)
+		}
+		ret, ok := a.exec(run, &sc.ctx, &sc.env)
+		putFire(t, sc)
+		return ret, ok
+	}
+}
+
 // hooks builds the lock hook table executing the policy's programs on
 // the tier chosen for each at admission (§4.2's "translated into native
 // code"): JIT-tier programs run as their decision tree, VM-tier ones on the
@@ -555,8 +443,8 @@ func waitDecision(ret uint64, ok bool) int {
 // where its inputs live: exec around jit.RunTree over the layout's sources,
 // with the adapter behind its lock_stats_read and occ_set calls — no
 // scratch, no marshal, no machine. An interpreted program runs on its
-// task's fireScratch (takeFire … fill … exec … putFire). Neither allocates
-// in steady state.
+// task's fireScratch, filled from the same sources (interp). Neither
+// allocates in steady state.
 func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	progs := pol.Programs
 	h := &locks.Hooks{Name: a.policyName}
@@ -570,15 +458,9 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		}
 		return pol.Tiers[k].Tree() // absent: the zero Choice, VM tier
 	}
-	vm := func(p *policy.Program) policy.CompiledFn {
-		return func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
-			return policy.Exec(p, ctx, env)
-		}
-	}
 
 	// cmp_node and skip_shuffle are the same hook over different layouts.
-	shuffleHook := func(k policy.Kind, l *policy.CtxLayout, src []func(*locks.ShuffleInfo) uint64,
-		fill func([]uint64, *locks.ShuffleInfo)) func(*locks.ShuffleInfo) bool {
+	shuffleHook := func(k policy.Kind, src []func(*locks.ShuffleInfo) uint64) func(*locks.ShuffleInfo) bool {
 		p, ok := progs[k]
 		if !ok {
 			return nil
@@ -591,17 +473,14 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 				return ok && ret != 0
 			}
 		}
-		run := vm(p)
+		fire := interp(a, p, pol.Analysis[k], src, func(i *locks.ShuffleInfo) *task.T { return i.Shuffler.Task })
 		return func(info *locks.ShuffleInfo) bool {
-			sc, w := a.takeFire(info.Shuffler.Task, l)
-			fill(w, info)
-			ret, ok := a.exec(run, &sc.ctx, &sc.env)
-			putFire(info.Shuffler.Task, sc)
+			ret, ok := fire(info)
 			return ok && ret != 0
 		}
 	}
-	h.CmpNode = shuffleHook(policy.KindCmpNode, cmpL, cmpSrc, fillCmp)
-	h.SkipShuffle = shuffleHook(policy.KindSkipShuffle, skipL, skipSrc, fillSkip)
+	h.CmpNode = shuffleHook(policy.KindCmpNode, cmpSrc)
+	h.SkipShuffle = shuffleHook(policy.KindSkipShuffle, skipSrc)
 
 	if p, ok := progs[policy.KindScheduleWaiter]; ok {
 		if t := tree(policy.KindScheduleWaiter); t != nil {
@@ -611,14 +490,9 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 				}, nil, nil))
 			}
 		} else {
-			run := vm(p)
-			h.ScheduleWaiter = func(info *locks.WaitInfo) int {
-				sc, w := a.takeFire(info.Curr.Task, schedL)
-				fillSched(w, info)
-				ret, ok := a.exec(run, &sc.ctx, &sc.env)
-				putFire(info.Curr.Task, sc)
-				return waitDecision(ret, ok)
-			}
+			fire := interp(a, p, pol.Analysis[policy.KindScheduleWaiter], schedSrc,
+				func(i *locks.WaitInfo) *task.T { return i.Curr.Task })
+			h.ScheduleWaiter = func(info *locks.WaitInfo) int { return waitDecision(fire(info)) }
 		}
 	}
 
@@ -627,22 +501,16 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		if !ok {
 			return nil
 		}
+		src := profSrc[op]
 		if t := tree(k); t != nil {
-			src := profSrc[op]
 			return func(ev *locks.Event) {
 				a.exec(func(*policy.Ctx, policy.Env) (uint64, error) {
 					return jit.RunTree(t, p, cellsOf(ev.Task), src, eventCPU, a, ev)
 				}, nil, nil)
 			}
 		}
-		layout := policy.LayoutFor(p.Kind)
-		run := vm(p)
-		return func(ev *locks.Event) {
-			sc, w := a.takeFire(ev.Task, layout)
-			fillProf(w, ev, op)
-			a.exec(run, &sc.ctx, &sc.env)
-			putFire(ev.Task, sc)
-		}
+		fire := interp(a, p, pol.Analysis[k], src, func(ev *locks.Event) *task.T { return ev.Task })
+		return func(ev *locks.Event) { fire(ev) }
 	}
 	h.OnAcquire = profHook(policy.KindLockAcquire, opAcquire)
 	h.OnContended = profHook(policy.KindLockContended, opContended)

@@ -75,26 +75,50 @@ func wordOf[T any](src []func(T) uint64, arg T) func(slot int) (uint64, bool) {
 	}
 }
 
-// TestCtxSourcesMatchFill holds the two definitions of a context word
-// together: for each decision layout, the profiling layout under each of
-// its four ops, and every slot, the live source a tree reads is the word
-// the eager fill stores for the general path, over randomised tasks, infos
-// and events (some without a task). A field that gains a slot in the
-// layout without gaining a source (or a fill) fails here by name.
-func TestCtxSourcesMatchFill(t *testing.T) {
+// TestCtxSourcesReadTheirField holds the one definition of each context
+// word, the source both tiers read, to the field its name refers to: for
+// each decision layout, the profiling layout under each of its four ops,
+// and every slot, the source returns the value stated below from the
+// accessor the field names, over randomised tasks, infos and events (some
+// without a task). A field that gains a slot in the layout without gaining
+// a source (or a value here) fails by name.
+func TestCtxSourcesReadTheirField(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	topo := topology.BigLittle(4, 4) // two speed classes, two sockets
-	check := func(l *policy.CtxLayout, n int, word func(slot int) (uint64, bool), fill func(w []uint64)) {
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	// waiter states the fields of a queued task, each under prefix.
+	waiter := func(want map[string]uint64, prefix string, w *locks.Waiter, now int64) {
+		tk := w.Task
+		want[prefix+"task_id"] = uint64(tk.ID())
+		want[prefix+"cpu"] = uint64(tk.CPU())
+		want[prefix+"socket"] = uint64(tk.Socket())
+		want[prefix+"prio"] = uint64(tk.Priority())
+		want[prefix+"weight"] = uint64(tk.Weight())
+		want[prefix+"cs_avg"] = uint64(tk.CSAverage())
+		want[prefix+"wait_ns"] = uint64(w.WaitNS(now))
+		want[prefix+"held_mask"] = tk.HeldMask()
+		want[prefix+"speed_pct"] = uint64(tk.Speed() * 100)
+		want[prefix+"quota"] = uint64(tk.Quota())
+		want[prefix+"preempted"] = b(tk.Preempted())
+	}
+	check := func(l *policy.CtxLayout, n int, word func(slot int) (uint64, bool), want map[string]uint64) {
 		t.Helper()
-		w := make([]uint64, len(l.Fields))
-		fill(w)
 		for slot, f := range l.Fields {
 			got, ok := word(slot)
 			if !ok {
 				t.Fatalf("%s.%s has no live source", l.Kind, f.Name)
 			}
-			if got != w[slot] {
-				t.Errorf("%s.%s (sample %d): source reads %d, fill stores %d", l.Kind, f.Name, n, got, w[slot])
+			exp, ok := want[f.Name]
+			if !ok {
+				t.Fatalf("%s.%s: no expected value stated for the field", l.Kind, f.Name)
+			}
+			if got != exp {
+				t.Errorf("%s.%s (sample %d): source reads %d, the field is %d", l.Kind, f.Name, n, got, exp)
 			}
 		}
 	}
@@ -111,20 +135,44 @@ func TestCtxSourcesMatchFill(t *testing.T) {
 	}
 	for n := 0; n < 200; n++ {
 		si, wi := randShuffleInfo(r, topo), randWaitInfo(r, topo)
+		shuffle := map[string]uint64{
+			"lock_id": si.LockID, "queue_len": uint64(si.QueueLen), "shuffle_round": uint64(si.Round),
+			"now_ns": uint64(si.NowNS), "batch": uint64(si.Batch),
+		}
+		waiter(shuffle, "shuffler_", si.Shuffler, si.NowNS)
+		waiter(shuffle, "curr_", si.Curr, si.NowNS)
+		wait := map[string]uint64{
+			"lock_id": wi.LockID, "queue_len": uint64(wi.QueueLen), "now_ns": uint64(wi.NowNS),
+			"waiters_ahead": uint64(wi.WaitersAhead), "holder_cs_avg": uint64(wi.HolderCSAvg),
+			"spin_ns": uint64(wi.SpinNS),
+		}
+		waiter(wait, "curr_", wi.Curr, wi.NowNS)
+
 		cmp, skip, sched := wordOf(cmpSrc, si), wordOf(skipSrc, si), wordOf(schedSrc, wi)
-		check(cmpL, n, cmp, func(w []uint64) { fillCmp(w, si) })
-		check(skipL, n, skip, func(w []uint64) { fillSkip(w, si) })
-		check(schedL, n, sched, func(w []uint64) { fillSched(w, wi) })
+		check(cmpL, n, cmp, shuffle)
+		check(skipL, n, skip, shuffle)
+		check(schedL, n, sched, wait)
 		note(cmpL, cmp)
 		note(skipL, skip)
 		note(schedL, sched)
+
 		ev := randEvent(r, topo)
 		if n%5 == 0 {
 			ev.Task = nil
 		}
+		event := map[string]uint64{
+			"lock_id": ev.LockID, "now_ns": uint64(ev.NowNS), "wait_ns": uint64(ev.WaitNS),
+			"hold_ns": uint64(ev.HoldNS), "queue_len": uint64(ev.QueueLen), "reader": b(ev.Reader),
+			"task_id": 0, "cpu": 0, "socket": 0, "prio": 0, // an event without a task
+		}
+		if tk := ev.Task; tk != nil {
+			event["task_id"], event["cpu"] = uint64(tk.ID()), uint64(tk.CPU())
+			event["socket"], event["prio"] = uint64(tk.Socket()), uint64(tk.Priority())
+		}
 		for op := uint64(opAcquire); op <= opRelease; op++ {
+			event["op"] = op
 			prof := wordOf(profSrc[op], ev)
-			check(profL, n, prof, func(w []uint64) { fillProf(w, ev, op) })
+			check(profL, n, prof, event)
 			note(profL, prof)
 		}
 	}

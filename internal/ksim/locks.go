@@ -78,14 +78,12 @@ type CmpFunc func(shuffler, curr *Proc) bool
 // shuffler works while waiting), so it does not lengthen handoff; what
 // the Concord variant pays on the hot path is the hook-dispatch cost.
 type SimShfl struct {
-	e            *Engine
-	c            CostModel
-	held         bool
-	lastCPU      int
-	queue        []waiter
-	cmp          CmpFunc
-	maxBatch     int
-	bypassBudget int // starvation bound, like the real lock's
+	e       *Engine
+	c       CostModel
+	held    bool
+	lastCPU int
+	queue   []waiter
+	cmp     CmpFunc
 	// DispatchCost is added to every acquire and release (hook-table
 	// indirection); zero for the pre-compiled variant.
 	dispatch int64
@@ -96,8 +94,14 @@ type SimShfl struct {
 // NewSimShfl returns a simulated ShflLock. cmp may be nil (plain FIFO).
 // dispatch is the per-operation hook overhead (0 = pre-compiled lock).
 func NewSimShfl(e *Engine, c CostModel, cmp CmpFunc, dispatch int64) *SimShfl {
-	return &SimShfl{e: e, c: c, cmp: cmp, maxBatch: 32, bypassBudget: 16, dispatch: dispatch}
+	return &SimShfl{e: e, c: c, cmp: cmp, dispatch: dispatch}
 }
+
+// The batch and the starvation bound are fixed, as the real lock's are.
+const (
+	simMaxBatch     = 32 // waiters one round groups into the shuffler's batch
+	simBypassBudget = 16 // overtakes a waiter allows before shuffling stops on its behalf
+)
 
 // Acquire implements SimLock.
 func (l *SimShfl) Acquire(p *Proc, _ bool, grant func()) {
@@ -138,13 +142,13 @@ func (l *SimShfl) shuffleFor(shuffler *Proc) {
 	rest := make([]waiter, 0, len(l.queue))
 	frozen := false
 	for i, w := range l.queue {
-		move := !frozen && len(matched) < l.maxBatch && l.cmp(shuffler, w.p)
+		move := !frozen && len(matched) < simMaxBatch && l.cmp(shuffler, w.p)
 		if move && i != len(matched) {
 			// Moving w overtakes everyone in rest; if any of them has
 			// exhausted its bypass budget, reordering freezes — the
 			// sim analogue of the real lock's starvation bound.
 			for j := range rest {
-				if rest[j].bypass >= l.bypassBudget {
+				if rest[j].bypass >= simBypassBudget {
 					frozen = true
 				}
 			}

@@ -6,11 +6,11 @@ import (
 )
 
 func init() {
-	policy.AnalyzeReturn = func(p *policy.Program) (policy.Interval, error) {
+	policy.AnalyzeReport = func(p *policy.Program) (policy.Interval, []string, error) {
 		r, err := analysis.Analyze(p)
 		if err != nil {
-			return policy.Interval{}, err
+			return policy.Interval{}, nil, err
 		}
-		return r.Return, nil
+		return r.Return, r.CtxReads, nil
 	}
 }

@@ -96,7 +96,7 @@ func FuzzVerify(f *testing.F) {
 		if err != nil {
 			t.Fatalf("verified program faulted at runtime: %v\n%s", err, p)
 		}
-		checkReturn(t, p, r0)
+		checkReturn(t, p, ctx, r0)
 	})
 }
 

@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -99,7 +101,7 @@ func TestVerifierSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("verified program %d faulted at runtime: %v\n%s", i, err, p)
 			}
-			checkReturn(t, p, r0)
+			checkReturn(t, p, ctx, r0)
 		}()
 	}
 	if accepted == 0 {
@@ -110,21 +112,26 @@ func TestVerifierSoundness(t *testing.T) {
 
 // TestVerifierSoundnessStructured does the same with structured random
 // programs (built through the Builder, so most verify) to push coverage
-// into the VM rather than the verifier's rejection paths.
+// into the VM rather than the verifier's rejection paths. The programs
+// load any field of their kind's context and branch on what they loaded,
+// so a context word a run reads changes the instructions it executes.
 func TestVerifierSoundnessStructured(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	m := NewArrayMap("m", 16, 8)
 	env := &TestEnv{}
+	kinds := []Kind{KindCmpNode, KindSkipShuffle, KindScheduleWaiter, KindLockAcquired}
 	accepted := 0
 
 	for i := 0; i < 5_000; i++ {
-		b := NewBuilder("sfuzz", KindLockAcquired)
+		kind := kinds[r.Intn(len(kinds))]
+		fields := LayoutFor(kind).Fields
+		b := NewBuilder("sfuzz", kind)
 		b.MovReg(R6, R1)
 		nOps := 1 + r.Intn(12)
 		initialized := []Reg{R6}
 		for j := 0; j < nOps; j++ {
 			dst := Reg(r.Intn(5)) // R0..R4
-			switch r.Intn(7) {
+			switch r.Intn(8) {
 			case 0:
 				b.MovImm(dst, int64(r.Intn(1024))-512)
 				initialized = append(initialized, dst)
@@ -133,7 +140,7 @@ func TestVerifierSoundnessStructured(t *testing.T) {
 				b.MovReg(dst, src)
 				initialized = append(initialized, dst)
 			case 2:
-				b.LoadCtx(dst, R6, "lock_id")
+				b.LoadCtx(dst, R6, fields[r.Intn(len(fields))].Name)
 				initialized = append(initialized, dst)
 			case 3:
 				off := int16(-8 * (1 + r.Intn(4)))
@@ -159,6 +166,12 @@ func TestVerifierSoundnessStructured(t *testing.T) {
 				b.MovImm(R3, 1)
 				b.Call(HelperMapAdd)
 				initialized = []Reg{R6} // caller-saved clobbered
+			case 7:
+				// Skip one add when a register is zero.
+				if src := initialized[r.Intn(len(initialized))]; src != R6 {
+					skip := fmt.Sprintf("skip%d", j)
+					b.JmpImm(OpJeqImm, src, 0, skip).AddImm(src, 1).Label(skip)
+				}
 			}
 		}
 		b.ReturnImm(int64(i))
@@ -170,12 +183,13 @@ func TestVerifierSoundnessStructured(t *testing.T) {
 			continue // some sequences legitimately fail (uninit reads)
 		}
 		accepted++
-		if got, err := Exec(p, NewCtx(KindLockAcquired), env); err != nil {
+		ctx := NewCtx(kind)
+		if got, err := Exec(p, ctx, env); err != nil {
 			t.Fatalf("structured program %d faulted: %v\n%s", i, err, p)
 		} else if got != uint64(i) {
 			t.Fatalf("structured program %d returned %d", i, got)
 		} else {
-			checkReturn(t, p, got)
+			checkReturn(t, p, ctx, got)
 		}
 	}
 	if accepted < 1000 {
@@ -183,18 +197,56 @@ func TestVerifierSoundnessStructured(t *testing.T) {
 	}
 }
 
-// checkReturn fails t unless r0, the VM's R0 for the verified program p,
-// lies in Analyze's Return: the walk's intervals are part of the trusted
-// base, so the VM holds them to account on every accepted program.
-func checkReturn(t testing.TB, p *Program, r0 uint64) {
+// checkReturn fails t unless r0, the VM's R0 for the verified program p
+// over ctx, lies in Analyze's Return, and unless p's run reads no context
+// word outside Analyze's CtxReads: the walk's intervals are part of the
+// trusted base, and the interpreter's hooks fill only the words CtxReads
+// names (core's interp), so the VM holds both to account on every
+// accepted program. Two runs, each on its own copy of p, must agree in
+// R0, error and instructions executed: one over ctx, one over ctx with
+// every word outside CtxReads scrambled.
+func checkReturn(t testing.TB, p *Program, ctx *Ctx, r0 uint64) {
 	t.Helper()
-	ret, err := AnalyzeReturn(p)
+	ret, reads, err := AnalyzeReport(p)
 	if err != nil {
 		t.Fatalf("Analyze rejected a verified program: %v\n%s", err, p)
 	}
 	if v := int64(r0); v < ret.Lo || v > ret.Hi {
 		t.Fatalf("VM returned %d, outside Analyze's return %s\n%s", v, ret, p)
 	}
+	scrambled := &Ctx{Layout: ctx.Layout, Words: slices.Clone(ctx.Words)}
+	for i, f := range ctx.Layout.Fields {
+		if !slices.Contains(reads, f.Name) {
+			scrambled.Words[i] = ^scrambled.Words[i]
+		}
+	}
+	want, wantInsns, wantErr := isolatedRun(t, p, ctx)
+	got, gotInsns, gotErr := isolatedRun(t, p, scrambled)
+	if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotInsns != wantInsns {
+		t.Fatalf("scrambling the context words outside CtxReads %v changed the run: R0 %d -> %d, error %v -> %v, insns %d -> %d\n%s",
+			reads, want, got, wantErr, gotErr, wantInsns, gotInsns, p)
+	}
+}
+
+// isolatedRun runs a verified copy of p over ctx, with empty maps of the
+// same specifications, its own counters and a fresh environment, so two
+// such runs start from the same state. It reports R0, the run's error and
+// the instructions it executed.
+func isolatedRun(t testing.TB, p *Program, ctx *Ctx) (uint64, int64, error) {
+	t.Helper()
+	cp := &Program{Name: p.Name, Kind: p.Kind, Insns: p.Insns, Maps: make([]Map, len(p.Maps))}
+	for i, m := range p.Maps {
+		fresh, err := SpecOf(m).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Maps[i] = fresh
+	}
+	if _, err := Verify(cp); err != nil {
+		t.Fatalf("a copy with fresh maps failed verification: %v\n%s", err, p)
+	}
+	r0, err := Exec(cp, ctx, &TestEnv{CPUID: 3, NUMA: 1, Task: 42, Prio: 120})
+	return r0, cp.Stats().Insns.Load(), err
 }
 
 func contains(rs []Reg, r Reg) bool {
