@@ -197,9 +197,10 @@ type (
 // VerifyStats is what the verifier proved about a program.
 type VerifyStats = policy.VerifyStats
 
-// PerCPUArrayMap gives each virtual CPU its own array slice, so hot
-// counting policies keep counters without cache-line bouncing.
-type PerCPUArrayMap = policy.PerCPUArrayMap
+// PerCPUArrayMap is an array map built by NewPerCPUArrayMap: each
+// virtual CPU has its own value stripe, so hot counting policies keep
+// counters without cache-line bouncing. Sum folds an entry across CPUs.
+type PerCPUArrayMap = policy.ArrayMap
 
 // Program kinds: the seven Table 1 hook points.
 const (

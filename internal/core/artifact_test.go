@@ -86,7 +86,7 @@ func TestArtifactSharedAcrossLoads(t *testing.T) {
 		}{{a, 1}, {b, 0}} {
 			worst, _ := want.p.Programs[policy.KindLockAcquired].MapByName("worstwait")
 			count, _ := want.p.Programs[policy.KindLockContended].MapByName("contended")
-			n, c := worst.(*policy.HashMap).Len(), count.(*policy.PerCPUArrayMap).Sum(0)
+			n, c := worst.(*policy.HashMap).Len(), count.(*policy.ArrayMap).Sum(0)
 			if n != want.writes || c != uint64(want.writes) {
 				t.Errorf("policy %s: worstwait holds %d keys, contended sums to %d; want %d each",
 					want.p.Name, n, c, want.writes)
@@ -240,7 +240,7 @@ func TestArtifactConcurrentLoadsFire(t *testing.T) {
 	for _, p := range pols {
 		worst, _ := p.Programs[policy.KindLockAcquired].MapByName("worstwait")
 		count, _ := p.Programs[policy.KindLockContended].MapByName("contended")
-		if n, c := worst.(*policy.HashMap).Len(), count.(*policy.PerCPUArrayMap).Sum(0); n != fires || c != fires {
+		if n, c := worst.(*policy.HashMap).Len(), count.(*policy.ArrayMap).Sum(0); n != fires || c != fires {
 			t.Errorf("policy %s: worstwait holds %d keys, contended sums to %d; want %d each", p.Name, n, c, fires)
 		}
 		for k, prog := range p.Programs {

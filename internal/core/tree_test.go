@@ -276,12 +276,12 @@ func mapContents(t *testing.T, pol *Policy) string {
 	for name, m := range policyMaps(pol) {
 		switch m := m.(type) {
 		case *policy.HashMap:
-			m.Range(func(k []byte, v []uint64) bool {
+			m.Range(0, func(k []byte, v []uint64) bool {
 				rows = append(rows, fmt.Sprintf("%s[%x]=%v", name, k, v))
 				return true
 			})
-		case *policy.PerCPUArrayMap:
-			for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+		case *policy.ArrayMap:
+			for cpu := range max(m.NumCPUs(), 1) {
 				for i := 0; i < m.MaxEntries(); i++ {
 					if v := m.Lookup([]byte{byte(i), 0, 0, 0}, cpu); v[0] != 0 {
 						rows = append(rows, fmt.Sprintf("%s[%d]@cpu%d=%v", name, i, cpu, v))
@@ -474,7 +474,7 @@ func TestTreePathMatchesVM(t *testing.T) {
 			}
 		}
 		if cpus {
-			if m, ok := policyMaps(pol)["contended"].(*policy.PerCPUArrayMap); ok {
+			if m, ok := policyMaps(pol)["contended"].(*policy.ArrayMap); ok {
 				counted := 0
 				for cpu := 0; cpu < m.NumCPUs(); cpu++ {
 					if m.Lookup([]byte{0, 0, 0, 0}, cpu)[0] != 0 {

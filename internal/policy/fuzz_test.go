@@ -64,6 +64,26 @@ func FuzzVerify(f *testing.F) {
 		f.Add(encodeRawFuzz(3, insns))
 	}
 
+	// One program per (kind, context field) that loads the field and
+	// branches on its low bit. checkReturn complements every word outside
+	// CtxReads, which flips that bit, so a footprint that misses the
+	// field changes the run's R0.
+	for k := Kind(0); k.Valid(); k++ {
+		for _, field := range LayoutFor(k).Fields {
+			p := NewBuilder("seed_"+field.Name, k).
+				LoadCtx(R0, R1, field.Name).
+				ALUImm(OpAndImm, R0, 1).
+				JmpImm(OpJeqImm, R0, 0, "zero").
+				ReturnImm(1).
+				Label("zero").
+				ReturnImm(0).
+				MustProgram()
+			if data, err := Marshal(p); err == nil {
+				f.Add(data)
+			}
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p *Program
 		if len(data) > 0 && data[0] == '{' {

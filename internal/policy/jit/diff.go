@@ -213,38 +213,29 @@ func dumpMap(m policy.Map) (map[string]string, bool) {
 		}
 		out[fmt.Sprintf("%s%x", prefix, key)] = fmt.Sprint(val)
 	}
+	// prefix names cpu's stripe on a per-CPU map and nothing on a shared one.
+	prefix := func(cpus, cpu int) string {
+		if cpus == 0 {
+			return ""
+		}
+		return fmt.Sprintf("cpu%d/", cpu)
+	}
 	switch mm := m.(type) {
 	case *policy.ArrayMap:
 		var key [4]byte
-		for i := 0; i < mm.MaxEntries(); i++ {
-			key[0], key[1], key[2], key[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-			if v := mm.At(i); v != nil {
-				add("", key[:], append([]uint64(nil), v...))
-			}
-		}
-		return out, true
-	case *policy.PerCPUArrayMap:
-		var key [4]byte
-		for cpu := 0; cpu < mm.NumCPUs(); cpu++ {
+		for cpu := range max(mm.NumCPUs(), 1) {
+			p := prefix(mm.NumCPUs(), cpu)
 			for i := 0; i < mm.MaxEntries(); i++ {
 				key[0], key[1], key[2], key[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-				if v := mm.Lookup(key[:], cpu); v != nil {
-					add(fmt.Sprintf("cpu%d/", cpu), key[:], append([]uint64(nil), v...))
-				}
+				add(p, key[:], mm.Lookup(key[:], cpu))
 			}
 		}
 		return out, true
 	case *policy.HashMap:
-		mm.Range(func(key []byte, value []uint64) bool {
-			add("", key, append([]uint64(nil), value...))
-			return true
-		})
-		return out, true
-	case *policy.PerCPUHashMap:
-		for cpu := 0; cpu < mm.NumCPUs(); cpu++ {
-			prefix := fmt.Sprintf("cpu%d/", cpu)
+		for cpu := range max(mm.NumCPUs(), 1) {
+			p := prefix(mm.NumCPUs(), cpu)
 			mm.Range(cpu, func(key []byte, value []uint64) bool {
-				add(prefix, key, append([]uint64(nil), value...))
+				add(p, key, value)
 				return true
 			})
 		}

@@ -604,7 +604,7 @@ func (b *treeBuilder) walk(pc int, entry *pathState, count int32) (int16, error)
 // builtin reports whether m is one of the map kinds a tree calls directly.
 func builtin(m policy.Map) bool {
 	switch m.(type) {
-	case *policy.HashMap, *policy.PerCPUHashMap, *policy.ArrayMap, *policy.PerCPUArrayMap:
+	case *policy.HashMap, *policy.ArrayMap:
 		return true
 	}
 	return false
@@ -929,11 +929,7 @@ func lookupIn(m policy.Map, key []byte, cpu int) ([]uint64, bool) {
 	switch m := m.(type) {
 	case *policy.HashMap:
 		return m.Lookup(key, cpu), true
-	case *policy.PerCPUHashMap:
-		return m.Lookup(key, cpu), true
 	case *policy.ArrayMap:
-		return m.Lookup(key, cpu), true
-	case *policy.PerCPUArrayMap:
 		return m.Lookup(key, cpu), true
 	}
 	return nil, false
@@ -942,10 +938,7 @@ func lookupIn(m policy.Map, key []byte, cpu int) ([]uint64, bool) {
 // lookupOrInitIn is map_add's find: insert-if-absent on the hash kinds,
 // a plain lookup on the arrays, as the VM's helper probes for it.
 func lookupOrInitIn(m policy.Map, key []byte, cpu int) ([]uint64, bool) {
-	switch m := m.(type) {
-	case *policy.HashMap:
-		return m.LookupOrInit(key, cpu), true
-	case *policy.PerCPUHashMap:
+	if m, ok := m.(*policy.HashMap); ok {
 		return m.LookupOrInit(key, cpu), true
 	}
 	return lookupIn(m, key, cpu)
@@ -957,11 +950,7 @@ func updateIn(m policy.Map, key, raw []byte, cpu int) bool {
 	switch m := m.(type) {
 	case *policy.HashMap:
 		_ = m.UpdateRaw(key, raw, cpu)
-	case *policy.PerCPUHashMap:
-		_ = m.UpdateRaw(key, raw, cpu)
 	case *policy.ArrayMap:
-		_ = m.UpdateRaw(key, raw, cpu)
-	case *policy.PerCPUArrayMap:
 		_ = m.UpdateRaw(key, raw, cpu)
 	default:
 		return false

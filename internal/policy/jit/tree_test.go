@@ -417,7 +417,7 @@ func TestRunTreeZeroAlloc(t *testing.T) {
 	}
 
 	count, countTree := lowered("count")
-	contended := count.Maps[0].(*policy.PerCPUArrayMap)
+	contended := count.Maps[0].(*policy.ArrayMap)
 	if avg := testing.AllocsPerRun(100, func() { ev.cpu = (ev.cpu + 1) % 8; fire(count, countTree) }); avg != 0 {
 		t.Errorf("per-CPU add allocates %.2f/op, want 0", avg)
 	}

@@ -28,7 +28,7 @@ func pinAllocs(t *testing.T, name string, want float64, op func()) {
 // allocation count at zero.
 func mapAllocOps(t *testing.T, m Map, cpu int) {
 	t.Helper()
-	key := allocKey(7)
+	key := allocKey(7)[:m.KeySize()]
 	val := []uint64{42}
 	raw := make([]byte, 8)
 	binary.LittleEndian.PutUint64(raw, 43)
@@ -42,53 +42,46 @@ func mapAllocOps(t *testing.T, m Map, cpu int) {
 			t.Fatal(err)
 		}
 	})
-	if ru, ok := m.(rawUpdater); ok {
-		pinAllocs(t, "UpdateRaw/existing", 0, func() {
-			if err := ru.UpdateRaw(key, raw, cpu); err != nil {
-				t.Fatal(err)
-			}
-		})
+	pinAllocs(t, "UpdateRaw/existing", 0, func() {
+		if err := m.(rawUpdater).UpdateRaw(key, raw, cpu); err != nil {
+			t.Fatal(err)
+		}
+	})
+	h, ok := m.(*HashMap)
+	if !ok {
+		return
 	}
-	if li, ok := m.(interface {
-		LookupOrInit(key []byte, cpu int) []uint64
-	}); ok {
-		pinAllocs(t, "LookupOrInit/hit", 0, func() {
-			if li.LookupOrInit(key, cpu) == nil {
-				t.Fatal("LookupOrInit returned nil for live key")
-			}
-		})
-	}
+	pinAllocs(t, "LookupOrInit/hit", 0, func() {
+		if h.LookupOrInit(key, cpu) == nil {
+			t.Fatal("LookupOrInit returned nil for live key")
+		}
+	})
 	// Churn: delete + reinsert the same key every run, the profile-
 	// eviction shape. The tombstone is recycled without touching the
 	// heap.
 	churn := allocKey(9)
 	pinAllocs(t, "Delete+insert churn", 0, func() {
-		if err := m.Update(churn, val, cpu); err != nil {
+		if err := h.Update(churn, val, cpu); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Delete(churn); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestHashMapZeroAlloc(t *testing.T) {
-	mapAllocOps(t, NewHashMap("alloc", 8, 8, 64), 0)
-}
-
-func TestPerCPUHashMapZeroAlloc(t *testing.T) {
-	mapAllocOps(t, NewPerCPUHashMap("alloc", 8, 8, 64, 4), 2)
-}
-
-func TestArrayMapZeroAlloc(t *testing.T) {
-	m := NewArrayMap("alloc", 8, 64)
-	var key [4]byte
-	binary.LittleEndian.PutUint32(key[:], 7)
-	val := []uint64{1}
-	pinAllocs(t, "Lookup", 0, func() { _ = m.Lookup(key[:], 0) })
-	pinAllocs(t, "Update", 0, func() {
-		if err := m.Update(key[:], val, 0); err != nil {
+		if err := h.Delete(churn); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestMapZeroAlloc pins every built-in map kind, shared and per-CPU, at
+// zero allocations per operation.
+func TestMapZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		m   Map
+		cpu int
+	}{
+		{NewArrayMap("alloc", 8, 64), 0},
+		{NewPerCPUArrayMap("alloc", 8, 64, 4), 2},
+		{NewHashMap("alloc", 8, 8, 64), 0},
+		{NewPerCPUHashMap("alloc", 8, 8, 64, 4), 2},
+	} {
+		t.Run(MapKindOf(tc.m), func(t *testing.T) { mapAllocOps(t, tc.m, tc.cpu) })
+	}
 }

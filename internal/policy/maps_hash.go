@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sync/atomic"
-	"unsafe"
 )
 
 // This file is the lock-free hash-map data plane: an open-addressing
@@ -106,9 +105,9 @@ func nextPow2(n int) int {
 	return p
 }
 
-// oaTable is the open-addressing key/slot engine shared by HashMap and
-// PerCPUHashMap: slot states and keys in one table sized at
-// construction. The wrapping kind owns its value arena, indexed by slot.
+// oaTable is HashMap's open-addressing key/slot engine: slot states and
+// keys in one table sized at construction. The map owns its value
+// stripes, indexed by slot.
 type oaTable struct {
 	keyWords int // words per stored key
 	capacity int // power of two: probes always terminate
@@ -359,31 +358,40 @@ func checkHashKey(name string, keySize int) {
 // --- Hash map (lock-free, fixed capacity) ---
 
 // HashMap is a hash map with arbitrary fixed-size keys (≤ MaxHashKeySize
-// bytes), the analogue of BPF_MAP_TYPE_HASH. Lookup is lock-free
-// (optimistic, seqlock-validated); Update/Delete serialize per home
-// bucket, exactly the kernel htab discipline. No operation allocates,
-// and an insert past maxEntries live keys fails with ErrMapFull.
+// bytes), the analogue of BPF_MAP_TYPE_HASH, or of
+// BPF_MAP_TYPE_PERCPU_HASH when NewPerCPUHashMap builds it: one key
+// table, with a value stripe per CPU, so counting policies touch only
+// their own cacheline and hot keys do not bounce between CPUs. Lookup
+// is lock-free (optimistic, seqlock-validated); Update/Delete serialize
+// per home bucket, exactly the kernel htab discipline. No operation
+// allocates, and an insert past maxEntries live keys fails with
+// ErrMapFull.
 type HashMap struct {
-	name       string
-	keySize    int
-	valueWords int
-	vals       []uint64 // capacity × valueWords, indexed by slot
-	tab        oaTable
+	name    string
+	keySize int
+	vals    stripes // capacity values per stripe, indexed by slot
+	tab     oaTable
 }
 
 // NewHashMap creates a fixed-capacity hash map. All storage — slot
 // control words, key words, values — is allocated here, never per
 // operation.
 func NewHashMap(name string, keySize, valueSize, maxEntries int) *HashMap {
+	return newHashMap(name, keySize, valueSize, maxEntries, 0)
+}
+
+// NewPerCPUHashMap creates a per-CPU hash map over numCPUs virtual CPUs.
+func NewPerCPUHashMap(name string, keySize, valueSize, maxEntries, numCPUs int) *HashMap {
+	checkCPUs(numCPUs)
+	return newHashMap(name, keySize, valueSize, maxEntries, numCPUs)
+}
+
+func newHashMap(name string, keySize, valueSize, maxEntries, cpus int) *HashMap {
 	checkSpec(name, keySize, valueSize, maxEntries)
 	checkHashKey(name, keySize)
-	m := &HashMap{
-		name:       name,
-		keySize:    keySize,
-		valueWords: valueSize / 8,
-	}
+	m := &HashMap{name: name, keySize: keySize}
 	m.tab.init(keySize, maxEntries)
-	m.vals = make([]uint64, m.tab.capacity*m.valueWords)
+	m.vals.init(m.tab.capacity, valueSize/8, cpus, true)
 	return m
 }
 
@@ -394,19 +402,19 @@ func (m *HashMap) Name() string { return m.name }
 func (m *HashMap) KeySize() int { return m.keySize }
 
 // ValueSize implements Map.
-func (m *HashMap) ValueSize() int { return m.valueWords * 8 }
+func (m *HashMap) ValueSize() int { return m.vals.words * 8 }
 
 // MaxEntries implements Map: the live-entry budget.
 func (m *HashMap) MaxEntries() int { return int(m.tab.maxLive) }
 
-func (m *HashMap) valSlice(slot int) []uint64 {
-	return m.vals[slot*m.valueWords : (slot+1)*m.valueWords]
-}
+// NumCPUs returns the number of per-CPU value stripes, 0 for a shared map.
+func (m *HashMap) NumCPUs() int { return m.vals.cpus }
 
-// Lookup implements Map. It never takes a lock: concurrent mutators are
-// detected via the slot control word and retried past.
-func (m *HashMap) Lookup(key []byte, _ int) []uint64 {
-	if len(key) != m.keySize {
+// Lookup implements Map; on a per-CPU map the entry returned belongs to
+// the given CPU. It never takes a lock: concurrent mutators are detected
+// via the slot control word and retried past.
+func (m *HashMap) Lookup(key []byte, cpu int) []uint64 {
+	if len(key) != m.keySize || !m.vals.cpuOK(cpu) {
 		return nil
 	}
 	var kw [maxKeyWords]uint64
@@ -415,47 +423,64 @@ func (m *HashMap) Lookup(key []byte, _ int) []uint64 {
 	if slot < 0 {
 		return nil
 	}
-	return m.valSlice(slot)
+	return m.vals.at(slot, cpu)
 }
 
-// Update implements Map, inserting the key if absent.
-func (m *HashMap) Update(key []byte, value []uint64, _ int) error {
-	if len(value) != m.valueWords {
+// Update implements Map, inserting the key if absent. On a per-CPU map
+// it sets the given CPU's stripe only, as the kernel helper sets the
+// current CPU's copy.
+func (m *HashMap) Update(key []byte, value []uint64, cpu int) error {
+	if len(value) != m.vals.words {
 		return ErrValueSize
 	}
-	return m.update(key, func(dst []uint64) { atomicCopy(dst, value) })
+	return m.update(key, cpu, func(dst []uint64) { atomicCopy(dst, value) })
 }
 
 // UpdateRaw is Update from little-endian bytes, the zero-allocation
 // path the map_update helper uses.
-func (m *HashMap) UpdateRaw(key, raw []byte, _ int) error {
-	if len(raw) != m.valueWords*8 {
+func (m *HashMap) UpdateRaw(key, raw []byte, cpu int) error {
+	if len(raw) != m.vals.words*8 {
 		return ErrValueSize
 	}
-	return m.update(key, func(dst []uint64) { storeRawWords(dst, raw) })
+	return m.update(key, cpu, func(dst []uint64) { storeRawWords(dst, raw) })
 }
 
-func (m *HashMap) update(key []byte, fill func(dst []uint64)) error {
+func (m *HashMap) update(key []byte, cpu int, fill func(dst []uint64)) error {
 	if len(key) != m.keySize {
 		return ErrKeySize
 	}
+	if !m.vals.cpuOK(cpu) {
+		return ErrBadCPU
+	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
-	h := hashWords(&kw, m.tab.keyWords)
+	_, err := m.upsert(&kw, hashWords(&kw, m.tab.keyWords), cpu, fill)
+	return err
+}
+
+// upsert finds kw or inserts it under its writer lock. A fresh entry is
+// zeroed on every stripe; fill, if not nil, then writes cpu's stripe
+// before the entry is published.
+func (m *HashMap) upsert(kw *[maxKeyWords]uint64, h uint64, cpu int, fill func(dst []uint64)) (int, error) {
 	l := m.tab.lock(h)
 	defer m.tab.unlock(l)
-	slot, existed, err := m.tab.insertLocked(&kw, h)
+	slot, existed, err := m.tab.insertLocked(kw, h)
 	if err != nil {
-		return err
+		return -1, err
 	}
-	fill(m.valSlice(slot))
+	if !existed {
+		m.vals.zero(slot)
+	}
+	if fill != nil {
+		fill(m.vals.at(slot, cpu))
+	}
 	if !existed {
 		m.tab.publish(slot)
 	}
-	return nil
+	return slot, nil
 }
 
-// Delete implements Map.
+// Delete implements Map, removing the key from every CPU at once.
 func (m *HashMap) Delete(key []byte) error {
 	if len(key) != m.keySize {
 		return ErrKeySize
@@ -468,13 +493,13 @@ func (m *HashMap) Delete(key []byte) error {
 	return m.tab.deleteLocked(&kw, h)
 }
 
-// LookupOrInit returns the value for key, atomically inserting a zero
-// value if absent, or nil if the map is full. The fast path is the
-// lock-free find; only a miss takes the bucket writer lock. Used by the
-// map_add helper so counting policies need no userspace priming and
-// first touches cannot race.
-func (m *HashMap) LookupOrInit(key []byte, _ int) []uint64 {
-	if len(key) != m.keySize {
+// LookupOrInit returns the given CPU's value for key, atomically
+// inserting an entry zeroed on every CPU if absent, or nil if the map is
+// full. The fast path is the lock-free find; only a miss takes the
+// bucket writer lock. Used by the map_add helper so counting policies
+// need no userspace priming and first touches cannot race.
+func (m *HashMap) LookupOrInit(key []byte, cpu int) []uint64 {
+	if len(key) != m.keySize || !m.vals.cpuOK(cpu) {
 		return nil
 	}
 	var kw [maxKeyWords]uint64
@@ -482,281 +507,60 @@ func (m *HashMap) LookupOrInit(key []byte, _ int) []uint64 {
 	h := hashWords(&kw, m.tab.keyWords)
 	slot := m.tab.find(&kw, h)
 	if slot < 0 {
-		slot = m.initSlot(&kw, h)
+		slot, _ = m.upsert(&kw, h, cpu, nil)
 	}
 	if slot < 0 {
 		return nil
 	}
-	return m.valSlice(slot)
+	return m.vals.at(slot, cpu)
 }
 
-func (m *HashMap) initSlot(kw *[maxKeyWords]uint64, h uint64) int {
-	l := m.tab.lock(h)
-	defer m.tab.unlock(l)
-	slot, existed, err := m.tab.insertLocked(kw, h)
-	if err != nil {
-		return -1
-	}
-	if !existed {
-		v := m.valSlice(slot)
-		for i := range v {
-			atomic.StoreUint64(&v[i], 0)
-		}
-		m.tab.publish(slot)
-	}
-	return slot
-}
-
-// Len reports the number of live entries.
+// Len reports the number of live keys.
 func (m *HashMap) Len() int { return int(m.tab.count.Load()) }
 
 // MapStats implements StatsProvider.
 func (m *HashMap) MapStats() MapStats { return m.tab.stats() }
 
-// Range calls fn for every key/value pair until fn returns false. The
-// value slice aliases map storage. Intended for userspace report readers.
-func (m *HashMap) Range(fn func(key []byte, value []uint64) bool) {
-	m.tab.rangeSlots(m.keySize, func(slot int, key []byte) bool {
-		return fn(key, m.valSlice(slot))
-	})
-}
-
-// --- Per-CPU hash map (lock-free, fixed capacity) ---
-
-// cacheLineWords pads per-CPU value stripes to 64-byte boundaries so
-// two CPUs' stripes never share a line.
-const cacheLineWords = 8
-
-// PerCPUHashMap shares one key table across CPUs but gives each virtual
-// CPU its own value stripe, the analogue of BPF_MAP_TYPE_PERCPU_HASH:
-// counting policies touch only their own cacheline, so hot keys do not
-// bounce between CPUs. Key management (insert/delete/probe) is the same
-// engine as HashMap.
-type PerCPUHashMap struct {
-	name       string
-	keySize    int
-	valueWords int
-	numCPUs    int
-	// vals holds numCPUs stripes of capacity × valueWords words, each
-	// stride words apart; vals[base] is cacheline-aligned.
-	vals   []uint64
-	stride int
-	base   int
-	tab    oaTable
-}
-
-// NewPerCPUHashMap creates a per-CPU hash map over numCPUs virtual CPUs.
-func NewPerCPUHashMap(name string, keySize, valueSize, maxEntries, numCPUs int) *PerCPUHashMap {
-	checkSpec(name, keySize, valueSize, maxEntries)
-	checkHashKey(name, keySize)
-	if numCPUs <= 0 {
-		panic("policy: per-cpu map needs at least one cpu")
-	}
-	m := &PerCPUHashMap{
-		name:       name,
-		keySize:    keySize,
-		valueWords: valueSize / 8,
-		numCPUs:    numCPUs,
-	}
-	m.tab.init(keySize, maxEntries)
-	stripe := m.tab.capacity * m.valueWords
-	m.stride = (stripe + cacheLineWords - 1) &^ (cacheLineWords - 1)
-	m.vals = make([]uint64, numCPUs*m.stride+cacheLineWords-1)
-	m.base = alignOffset(m.vals)
-	return m
-}
-
-// alignOffset returns the element offset at which the slice is 64-byte
-// aligned (the allocator only guarantees word alignment).
-func alignOffset(v []uint64) int {
-	if len(v) == 0 {
+// Sum folds the first value word for key across all CPUs.
+func (m *HashMap) Sum(key []byte) uint64 {
+	if len(key) != m.keySize {
 		return 0
-	}
-	for i := 0; i < cacheLineWords && i < len(v); i++ {
-		if uintptr(unsafe.Pointer(&v[i]))%64 == 0 {
-			return i
-		}
-	}
-	return 0
-}
-
-// Name implements Map.
-func (m *PerCPUHashMap) Name() string { return m.name }
-
-// KeySize implements Map.
-func (m *PerCPUHashMap) KeySize() int { return m.keySize }
-
-// ValueSize implements Map.
-func (m *PerCPUHashMap) ValueSize() int { return m.valueWords * 8 }
-
-// MaxEntries implements Map: the live-entry budget.
-func (m *PerCPUHashMap) MaxEntries() int { return int(m.tab.maxLive) }
-
-// NumCPUs returns the number of per-CPU value stripes.
-func (m *PerCPUHashMap) NumCPUs() int { return m.numCPUs }
-
-func (m *PerCPUHashMap) valSlice(slot, cpu int) []uint64 {
-	off := m.base + cpu*m.stride + slot*m.valueWords
-	return m.vals[off : off+m.valueWords]
-}
-
-// Lookup implements Map; the entry returned belongs to the given CPU.
-func (m *PerCPUHashMap) Lookup(key []byte, cpu int) []uint64 {
-	if len(key) != m.keySize || cpu < 0 || cpu >= m.numCPUs {
-		return nil
 	}
 	var kw [maxKeyWords]uint64
 	loadKeyWords(&kw, key)
 	slot := m.tab.find(&kw, hashWords(&kw, m.tab.keyWords))
 	if slot < 0 {
-		return nil
+		return 0
 	}
-	return m.valSlice(slot, cpu)
+	return m.vals.sum(slot)
 }
 
-// Update implements Map: it sets the value on the given CPU's stripe
-// only (matching the kernel helper semantics, where a program updates
-// the current CPU's copy). A fresh insert zeroes every CPU's stripe
-// before publishing.
-func (m *PerCPUHashMap) Update(key []byte, value []uint64, cpu int) error {
-	if len(value) != m.valueWords {
-		return ErrValueSize
-	}
-	return m.update(key, cpu, func(dst []uint64) { atomicCopy(dst, value) })
-}
-
-// UpdateRaw is Update from little-endian bytes, the zero-allocation
-// path the map_update helper uses.
-func (m *PerCPUHashMap) UpdateRaw(key, raw []byte, cpu int) error {
-	if len(raw) != m.valueWords*8 {
-		return ErrValueSize
-	}
-	return m.update(key, cpu, func(dst []uint64) { storeRawWords(dst, raw) })
-}
-
-func (m *PerCPUHashMap) update(key []byte, cpu int, fill func(dst []uint64)) error {
-	if len(key) != m.keySize {
-		return ErrKeySize
-	}
-	if cpu < 0 || cpu >= m.numCPUs {
-		return ErrBadCPU
-	}
-	var kw [maxKeyWords]uint64
-	loadKeyWords(&kw, key)
-	h := hashWords(&kw, m.tab.keyWords)
-	l := m.tab.lock(h)
-	defer m.tab.unlock(l)
-	slot, existed, err := m.tab.insertLocked(&kw, h)
-	if err != nil {
-		return err
-	}
-	if !existed {
-		m.zeroSlot(slot)
-	}
-	fill(m.valSlice(slot, cpu))
-	if !existed {
-		m.tab.publish(slot)
-	}
-	return nil
-}
-
-func (m *PerCPUHashMap) zeroSlot(slot int) {
-	for cpu := 0; cpu < m.numCPUs; cpu++ {
-		v := m.valSlice(slot, cpu)
-		for i := range v {
-			atomic.StoreUint64(&v[i], 0)
-		}
-	}
-}
-
-// Delete implements Map, removing the key from every CPU at once.
-func (m *PerCPUHashMap) Delete(key []byte) error {
-	if len(key) != m.keySize {
-		return ErrKeySize
-	}
-	var kw [maxKeyWords]uint64
-	loadKeyWords(&kw, key)
-	h := hashWords(&kw, m.tab.keyWords)
-	l := m.tab.lock(h)
-	defer m.tab.unlock(l)
-	return m.tab.deleteLocked(&kw, h)
-}
-
-// LookupOrInit returns the given CPU's value for key, inserting a
-// zeroed entry (on all CPUs) if absent, or nil if the map is full. Used
-// by the map_add helper.
-func (m *PerCPUHashMap) LookupOrInit(key []byte, cpu int) []uint64 {
-	if len(key) != m.keySize || cpu < 0 || cpu >= m.numCPUs {
-		return nil
-	}
-	var kw [maxKeyWords]uint64
-	loadKeyWords(&kw, key)
-	h := hashWords(&kw, m.tab.keyWords)
-	slot := m.tab.find(&kw, h)
-	if slot < 0 {
-		slot = m.initSlot(&kw, h)
-	}
-	if slot < 0 {
-		return nil
-	}
-	return m.valSlice(slot, cpu)
-}
-
-func (m *PerCPUHashMap) initSlot(kw *[maxKeyWords]uint64, h uint64) int {
-	l := m.tab.lock(h)
-	defer m.tab.unlock(l)
-	slot, existed, err := m.tab.insertLocked(kw, h)
-	if err != nil {
-		return -1
-	}
-	if !existed {
-		m.zeroSlot(slot)
-		m.tab.publish(slot)
-	}
-	return slot
-}
-
-// Len reports the number of live keys.
-func (m *PerCPUHashMap) Len() int { return int(m.tab.count.Load()) }
-
-// MapStats implements StatsProvider.
-func (m *PerCPUHashMap) MapStats() MapStats { return m.tab.stats() }
-
-// Sum folds the first value word for key across all CPUs, the usual way
-// userspace reads a per-CPU counter.
-func (m *PerCPUHashMap) Sum(key []byte) uint64 {
-	var total uint64
-	for cpu := 0; cpu < m.numCPUs; cpu++ {
-		if v := m.Lookup(key, cpu); v != nil {
-			total += atomic.LoadUint64(&v[0])
-		}
-	}
-	return total
-}
-
-// Range calls fn for every key with the given CPU's value slice.
-func (m *PerCPUHashMap) Range(cpu int, fn func(key []byte, value []uint64) bool) {
-	if cpu < 0 || cpu >= m.numCPUs {
+// Range calls fn for every key with the given CPU's value slice until fn
+// returns false. The value slice aliases map storage. Intended for
+// userspace report readers.
+func (m *HashMap) Range(cpu int, fn func(key []byte, value []uint64) bool) {
+	if !m.vals.cpuOK(cpu) {
 		return
 	}
 	m.tab.rangeSlots(m.keySize, func(slot int, key []byte) bool {
-		return fn(key, m.valSlice(slot, cpu))
+		return fn(key, m.vals.at(slot, cpu))
 	})
 }
 
 // MapKindOf names the concrete kind of a map, for analysis cost models
 // and telemetry labels.
 func MapKindOf(m Map) string {
-	switch m.(type) {
+	switch m := m.(type) {
 	case *ArrayMap:
+		if m.NumCPUs() > 0 {
+			return "percpu_array"
+		}
 		return "array"
-	case *PerCPUArrayMap:
-		return "percpu_array"
 	case *HashMap:
+		if m.NumCPUs() > 0 {
+			return "percpu_hash"
+		}
 		return "hash"
-	case *PerCPUHashMap:
-		return "percpu_hash"
-	default:
-		return "custom"
 	}
+	return "custom"
 }

@@ -70,6 +70,134 @@ func TestPerCPUHashMapReinsertZeroes(t *testing.T) {
 	}
 }
 
+// TestMapCPUContract pins what the cpu argument means to each built-in
+// kind: a shared map has one value and ignores the cpu, a per-CPU map
+// has one stripe per CPU and refuses a cpu outside them.
+func TestMapCPUContract(t *testing.T) {
+	for _, tc := range []struct {
+		m    Map
+		cpus int // 0 for a shared map
+	}{
+		{NewArrayMap("a", 8, 4), 0},
+		{NewPerCPUArrayMap("pa", 8, 4, 3), 3},
+		{NewHashMap("h", 8, 8, 4), 0},
+		{NewPerCPUHashMap("ph", 8, 8, 4, 3), 3},
+	} {
+		t.Run(MapKindOf(tc.m), func(t *testing.T) {
+			m := tc.m
+			key := key64(1)[:m.KeySize()]
+			var sum func() uint64
+			switch mm := m.(type) {
+			case *ArrayMap:
+				sum = func() uint64 { return mm.Sum(1) }
+			case *HashMap:
+				sum = func() uint64 { return mm.Sum(key) }
+			}
+			word := func(cpu int) uint64 {
+				t.Helper()
+				v := m.Lookup(key, cpu)
+				if v == nil {
+					t.Fatalf("Lookup(cpu %d) = nil", cpu)
+				}
+				return v[0]
+			}
+
+			if tc.cpus == 0 {
+				// Every CPU, in range or not, reads and writes the one value.
+				for i, cpu := range []int{0, 5, -1} {
+					if err := m.Update(key, []uint64{uint64(10 + i)}, cpu); err != nil {
+						t.Fatalf("Update(cpu %d): %v", cpu, err)
+					}
+					for _, reader := range []int{0, 5, -1} {
+						if got := word(reader); got != uint64(10+i) {
+							t.Errorf("cpu %d reads %d after cpu %d wrote %d", reader, got, cpu, 10+i)
+						}
+					}
+				}
+				if got := sum(); got != 12 {
+					t.Errorf("Sum = %d, want 12", got)
+				}
+			} else {
+				for _, cpu := range []int{-1, tc.cpus} {
+					if err := m.Update(key, []uint64{1}, cpu); err != ErrBadCPU {
+						t.Errorf("Update(cpu %d) = %v, want ErrBadCPU", cpu, err)
+					}
+					if err := m.(rawUpdater).UpdateRaw(key, make([]byte, 8), cpu); err != ErrBadCPU {
+						t.Errorf("UpdateRaw(cpu %d) = %v, want ErrBadCPU", cpu, err)
+					}
+					if v := m.Lookup(key, cpu); v != nil {
+						t.Errorf("Lookup(cpu %d) = %v, want nil", cpu, v)
+					}
+				}
+				// A refused update wrote nothing: a hash map has no key, an
+				// array's entry is zero on every stripe.
+				for cpu := range tc.cpus {
+					if v := m.Lookup(key, cpu); v != nil && v[0] != 0 {
+						t.Errorf("cpu %d holds %v after refused updates", cpu, v)
+					}
+				}
+				for cpu := range tc.cpus {
+					if err := m.Update(key, []uint64{uint64(10 + cpu)}, cpu); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for cpu := range tc.cpus {
+					if got := word(cpu); got != uint64(10+cpu) {
+						t.Errorf("cpu %d reads %d, want its own %d", cpu, got, 10+cpu)
+					}
+				}
+				if got := sum(); got != 10+11+12 {
+					t.Errorf("Sum = %d, want 33", got)
+				}
+			}
+
+			// A fresh insert zeroes every stripe, a recycled slot's old
+			// values included, whichever path inserts.
+			if h, ok := m.(*HashMap); ok {
+				for _, insert := range []struct {
+					name string
+					run  func()
+					want uint64 // what cpu 0 reads after
+				}{
+					{"LookupOrInit", func() { h.LookupOrInit(key, 0) }, 0},
+					{"Update", func() { _ = h.Update(key, []uint64{5}, 0) }, 5},
+				} {
+					for cpu := range max(tc.cpus, 1) {
+						if err := h.Update(key, []uint64{99}, cpu); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := h.Delete(key); err != nil {
+						t.Fatal(err)
+					}
+					insert.run()
+					for cpu := range max(tc.cpus, 1) {
+						want := uint64(0)
+						if cpu == 0 {
+							want = insert.want
+						}
+						if got := word(cpu); got != want {
+							t.Errorf("%s: cpu %d reads %d after a fresh insert, want %d", insert.name, cpu, got, want)
+						}
+					}
+				}
+			}
+
+			spec := SpecOf(m)
+			if spec.Type != MapKindOf(m) || spec.NumCPUs != tc.cpus {
+				t.Errorf("SpecOf = %+v, want type %s and %d cpus", spec, MapKindOf(m), tc.cpus)
+			}
+			rebuilt, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again := SpecOf(rebuilt); again != spec {
+				t.Errorf("SpecOf(Build(%+v)) = %+v", spec, again)
+			}
+		})
+	}
+}
+
 func TestMapKindOf(t *testing.T) {
 	cases := []struct {
 		m    Map

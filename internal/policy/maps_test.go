@@ -104,7 +104,7 @@ func TestHashMapRange(t *testing.T) {
 		}
 	}
 	var sum uint64
-	m.Range(func(k []byte, v []uint64) bool {
+	m.Range(0, func(k []byte, v []uint64) bool {
 		sum += v[0]
 		return true
 	})
@@ -113,7 +113,7 @@ func TestHashMapRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	m.Range(func([]byte, []uint64) bool { n++; return false })
+	m.Range(0, func([]byte, []uint64) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early stop visited %d, want 1", n)
 	}

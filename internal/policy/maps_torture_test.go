@@ -108,10 +108,7 @@ func tortureMap(t *testing.T, m Map, numCPUs int) {
 		t.Fatalf("observed %d torn reads", got)
 	}
 	// Quiescent sweep: every surviving entry is well-formed too.
-	switch mm := m.(type) {
-	case *HashMap:
-		mm.Range(func(_ []byte, v []uint64) bool { checkWord(v); return true })
-	case *PerCPUHashMap:
+	if mm, ok := m.(*HashMap); ok {
 		for cpu := 0; cpu < numCPUs; cpu++ {
 			mm.Range(cpu, func(_ []byte, v []uint64) bool { checkWord(v); return true })
 		}

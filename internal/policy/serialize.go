@@ -24,6 +24,7 @@ type MapSpec struct {
 // SpecOf extracts the specification of a map.
 func SpecOf(m Map) MapSpec {
 	spec := MapSpec{
+		Type:       MapKindOf(m),
 		Name:       m.Name(),
 		KeySize:    m.KeySize(),
 		ValueSize:  m.ValueSize(),
@@ -31,14 +32,8 @@ func SpecOf(m Map) MapSpec {
 	}
 	switch mm := m.(type) {
 	case *ArrayMap:
-		spec.Type = "array"
-	case *PerCPUArrayMap:
-		spec.Type = "percpu_array"
 		spec.NumCPUs = mm.NumCPUs()
 	case *HashMap:
-		spec.Type = "hash"
-	case *PerCPUHashMap:
-		spec.Type = "percpu_hash"
 		spec.NumCPUs = mm.NumCPUs()
 	default:
 		spec.Type = "hash"
@@ -53,23 +48,16 @@ func (s MapSpec) Build() (m Map, err error) {
 			m, err = nil, fmt.Errorf("policy: bad map spec %q: %v", s.Name, r)
 		}
 	}()
+	cpus := max(s.NumCPUs, 1)
 	switch s.Type {
 	case "array":
 		return NewArrayMap(s.Name, s.ValueSize, s.MaxEntries), nil
 	case "percpu_array":
-		n := s.NumCPUs
-		if n <= 0 {
-			n = 1
-		}
-		return NewPerCPUArrayMap(s.Name, s.ValueSize, s.MaxEntries, n), nil
+		return NewPerCPUArrayMap(s.Name, s.ValueSize, s.MaxEntries, cpus), nil
 	case "hash":
 		return NewHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries), nil
 	case "percpu_hash":
-		n := s.NumCPUs
-		if n <= 0 {
-			n = 1
-		}
-		return NewPerCPUHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries, n), nil
+		return NewPerCPUHashMap(s.Name, s.KeySize, s.ValueSize, s.MaxEntries, cpus), nil
 	}
 	return nil, fmt.Errorf("policy: map %q: unknown map type %q", s.Name, s.Type)
 }

@@ -49,7 +49,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if _, ok := got.Maps[1].(*HashMap); !ok {
 		t.Errorf("map1 type %T", got.Maps[1])
 	}
-	p2, ok := got.Maps[2].(*PerCPUArrayMap)
+	p2, ok := got.Maps[2].(*ArrayMap)
 	if !ok || p2.NumCPUs() != 40 {
 		t.Errorf("map2: %T cpus", got.Maps[2])
 	}
@@ -139,8 +139,8 @@ func TestSpecOf(t *testing.T) {
 		if MapKindOf(rebuilt) != tc.typ {
 			t.Errorf("rebuilt kind = %s, want %s", MapKindOf(rebuilt), tc.typ)
 		}
-		if pc, ok := rebuilt.(*PerCPUHashMap); ok && pc.NumCPUs() != 3 {
-			t.Errorf("rebuilt NumCPUs = %d, want 3", pc.NumCPUs())
+		if again := SpecOf(rebuilt); again != spec {
+			t.Errorf("SpecOf(rebuilt) = %+v, want %+v", again, spec)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package policydsl
 
 import (
 	"fmt"
+	"strings"
 
 	"concord/internal/policy"
 )
@@ -103,34 +104,27 @@ func buildMap(md *MapDecl) (policy.Map, error) {
 	if md.Entries <= 0 {
 		return nil, errf(md.line, md.col, "map %q: entries must be positive", md.Name)
 	}
+	key, cpus := int64(4), int64(0)
 	switch md.Kind {
-	case "array":
-		return policy.NewArrayMap(md.Name, int(md.Value), int(md.Entries)), nil
-	case "percpu_array":
-		cpus := md.CPUs
-		if cpus <= 0 {
+	case "array", "hash":
+	case "percpu_array", "percpu_hash":
+		if cpus = md.CPUs; cpus <= 0 {
 			cpus = 80
 		}
-		return policy.NewPerCPUArrayMap(md.Name, int(md.Value), int(md.Entries), int(cpus)), nil
-	case "hash", "percpu_hash":
-		key := md.Key
-		if key == 0 {
+	default:
+		return nil, errf(md.line, md.col, "unknown map kind %q (array | hash | percpu_hash | percpu_array)", md.Kind)
+	}
+	if strings.HasSuffix(md.Kind, "hash") {
+		if key = md.Key; key == 0 {
 			key = 8
 		}
 		if key != 4 && key != 8 {
 			return nil, errf(md.line, md.col, "map %q: hash key must be 4 or 8 bytes", md.Name)
 		}
-		if md.Kind == "percpu_hash" {
-			cpus := md.CPUs
-			if cpus <= 0 {
-				cpus = 80
-			}
-			return policy.NewPerCPUHashMap(md.Name, int(key), int(md.Value), int(md.Entries), int(cpus)), nil
-		}
-		return policy.NewHashMap(md.Name, int(key), int(md.Value), int(md.Entries)), nil
-	default:
-		return nil, errf(md.line, md.col, "unknown map kind %q (array | hash | percpu_hash | percpu_array)", md.Kind)
 	}
+	spec := policy.MapSpec{Type: md.Kind, Name: md.Name, KeySize: int(key), ValueSize: int(md.Value),
+		MaxEntries: int(md.Entries), NumCPUs: int(cpus)}
+	return spec.Build()
 }
 
 // builtins maps DSL call names to helpers (arg count, helper id).

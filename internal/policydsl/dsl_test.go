@@ -307,7 +307,7 @@ func TestMultiplePoliciesShareMaps(t *testing.T) {
 	if _, err := policy.Exec(b, policy.NewCtx(policy.KindLockRelease), env); err != nil {
 		t.Fatal(err)
 	}
-	pc := u.Maps["hits"].(*policy.PerCPUArrayMap)
+	pc := u.Maps["hits"].(*policy.ArrayMap)
 	if got := pc.Sum(0); got != 11 {
 		t.Errorf("shared map sum = %d, want 11", got)
 	}
@@ -363,7 +363,7 @@ func TestHashKindsEndToEnd(t *testing.T) {
 	}
 	key := make([]byte, 8)
 	key[0] = 42
-	ph := u.Maps["stripes"].(*policy.PerCPUHashMap)
+	ph := u.Maps["stripes"].(*policy.HashMap)
 	if got := ph.Sum(key); got != 2 {
 		t.Errorf("percpu_hash sum = %d, want 2", got)
 	}

@@ -55,8 +55,6 @@ type ContinuousConfig struct {
 	// contention rate, p50/p99 wait, hold time, queue depth) cover the
 	// last completed window.
 	Window time.Duration
-	// TopK is how many contending call sites text reports keep per lock.
-	TopK int
 	// Clock overrides clock.NowNS for read-side staleness checks
 	// and export timestamps (tests). Event timestamps come from the lock
 	// events themselves.
@@ -83,7 +81,6 @@ type Continuous struct {
 	siteMask uint64
 	siteRate int64
 	winNS    int64
-	topK     int
 	clock    func() int64
 
 	startNS int64
@@ -120,10 +117,6 @@ func NewContinuous(cfg ContinuousConfig) *Continuous {
 	if win <= 0 {
 		win = DefaultWindow
 	}
-	topK := cfg.TopK
-	if topK <= 0 {
-		topK = DefaultTopK
-	}
 	now := cfg.Clock
 	if now == nil {
 		now = clock.NowNS
@@ -134,7 +127,6 @@ func NewContinuous(cfg ContinuousConfig) *Continuous {
 		siteMask: uint64(sitePow - 1),
 		siteRate: int64(sitePow),
 		winNS:    int64(win),
-		topK:     topK,
 		clock:    now,
 		startNS:  now(),
 		stats:    make(map[uint64]*Windowed),
@@ -669,8 +661,8 @@ func (c *Continuous) TopSites() []SiteReport {
 			}
 			return sites[i].count.Load() > sites[j].count.Load()
 		})
-		if len(sites) > c.topK {
-			sites = sites[:c.topK]
+		if len(sites) > DefaultTopK {
+			sites = sites[:DefaultTopK]
 		}
 		for _, s := range sites {
 			out = append(out, SiteReport{

@@ -27,7 +27,8 @@ import (
 type ContinuousProfiler = profile.Continuous
 
 // ContinuousProfilerConfig configures sampling rate (rounded up to a
-// power of two), window length, and top-K call-site depth.
+// power of two), stack-capture rate and window length. Reports keep
+// the top 8 contending call sites per lock.
 type ContinuousProfilerConfig = profile.ContinuousConfig
 
 // WindowSnapshot is one lock's most recent profiling window: scaled
